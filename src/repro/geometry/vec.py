@@ -119,10 +119,10 @@ def delta_range_bearing(
     is ``(..., 3)`` (target minus reader) and ``cos_phi``/``sin_phi``
     broadcast against its leading shape — per-row gathered trig for the
     factored filter's cross-object batches, a ``(J, 1)`` column for the
-    naive filter's particle-by-object grid, a flat ``(J,)`` vector for
-    shelf-tag evidence.  Keeping the degenerate-planar guard, the cosine
-    clip, and the bearing convention in one place is what lets those three
-    callers stay in exact agreement.
+    naive filter's particle-by-object grid and for the particle-by-tag
+    grid of shelf-tag evidence.  Keeping the degenerate-planar guard, the
+    cosine clip, and the bearing convention in one place is what lets those
+    three callers stay in exact agreement.
     """
     planar = np.hypot(delta[..., 0], delta[..., 1])
     d = np.sqrt(np.einsum("...i,...i->...", delta, delta))

@@ -482,6 +482,20 @@ class BeliefArena:
             lengths,
         )
 
+    def read_blocks(
+        self, object_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only gather: ``(positions, log_weights, batch_starts,
+        lengths)`` of the objects' blocks as one contiguous batch.
+
+        Unlike :meth:`gather` this does not go through :meth:`plan`, so a
+        side query over a different id list (the per-epoch re-detection
+        pass) leaves the main batch's cached plan in place.
+        """
+        starts, lengths = self.segments(object_ids)
+        idx, batch_starts = segment_gather_indices(starts, lengths)
+        return self._positions[idx], self._log_weights[idx], batch_starts, lengths
+
     def scatter(
         self,
         row_indices: np.ndarray,

@@ -16,16 +16,31 @@ ever manipulates the factors, in log space.
 
 **Storage and batching.**  All uncompressed particle blocks live in one
 contiguous :class:`~repro.inference.arena.BeliefArena` (structure-of-arrays:
-positions, parents, log weights), and the per-epoch update runs as batched
-kernels over the whole active set at once — one fused
-:meth:`~repro.models.objects.ObjectLocationModel.propagate_many` call, one
-fused :meth:`~repro.models.joint.RFIDWorldModel.object_evidence_log_likelihood`
-call with per-row read flags, and per-object (per-segment) weight
-normalization / ESS / feedback reductions via ``np.add.reduceat``.  Only
-objects whose ESS actually collapsed are touched individually (to resample).
-This removes the per-object Python loop that dominated the seed's runtime at
-thousands of tags; semantics are unchanged up to the random-number
-consumption order.
+positions, parents, log weights), and the per-epoch update makes no
+sensor-model call per tag.  What is batched:
+
+* the *object kernels*, over the whole active set at once — one fused
+  :meth:`~repro.models.objects.ObjectLocationModel.propagate_many` call, one
+  fused :meth:`~repro.models.joint.RFIDWorldModel.object_evidence_log_likelihood`
+  call with per-row read flags, and per-object (per-segment) weight
+  normalization / ESS / feedback reductions via ``np.add.reduceat``;
+* the *shelf-tag evidence* — one reader-particles-by-tags kernel
+  (:meth:`~repro.models.joint.RFIDWorldModel.reader_evidence_log_likelihood`)
+  with per-column read flags;
+* the *re-detection decisions* of every read object — one segmented
+  weighted mean over their arena blocks and one
+  :meth:`~repro.models.sensor.SensorModel.read_probability_at` call, with
+  only the thresholds applied per id.
+
+The reader's heading trig and normalized weights are computed once per
+epoch and shared by both evidence kernels, the pose estimate and the
+reader-ESS test.  What remains per object: re-initialization (create /
+SPLIT / RESET / decompress / revive each draw that object's particles) and
+the resampling of segments whose ESS actually collapsed.  Read objects are
+visited in tag-number order, so neither the RNG stream nor the output
+depends on the iteration order of the epoch's tag set (``PYTHONHASHSEED``).
+Semantics match the seed's per-object loops up to floating-point summation
+order and random-number consumption order.
 
 The resampling step is the paper's one omitted detail (deferred to a
 now-unavailable tech report); DESIGN.md Section 3.4 documents the
@@ -58,12 +73,10 @@ from ..models.priors import ReinitDecision, SensorBasedInitializer, classify_red
 from ..streams.records import Epoch
 from .arena import BeliefArena
 from .base import (
-    effective_sample_size,
     normalize_log_weights,
     resample_log_weights,
     segmented_ess,
     segmented_normalize,
-    stratified_heading_mean,
     systematic_resample,
 )
 from .compression import (
@@ -340,9 +353,17 @@ class FactoredParticleFilter:
             raise InferenceError("filter has not processed any epoch yet")
         assert self._reader_log_w is not None and self._reader_headings is not None
         p, _ = normalize_log_weights(self._reader_log_w)
-        mean = p @ self._reader_positions
-        heading = stratified_heading_mean(self._reader_headings, self._reader_log_w)
-        return mean, heading
+        return self._reader_pose(
+            p, np.cos(self._reader_headings), np.sin(self._reader_headings)
+        )
+
+    def _reader_pose(
+        self, p: np.ndarray, cos_headings: np.ndarray, sin_headings: np.ndarray
+    ) -> Tuple[np.ndarray, float]:
+        """Weighted mean position and circular-mean heading from normalized
+        reader weights and precomputed heading trig (both shared per epoch)."""
+        heading = float(np.arctan2(p @ sin_headings, p @ cos_headings))
+        return p @ self._reader_positions, heading
 
     def belief_memory_bytes(self) -> int:
         """Approximate bytes held by object beliefs (the Section V-D memory
@@ -371,18 +392,25 @@ class FactoredParticleFilter:
         # --- reader weighting: p(R̂|R) * prod p(Ŝ|R,S)  (Eq. 5, w_rt) ----
         assert self._reader_positions is not None
         assert self._reader_headings is not None and self._reader_log_w is not None
+        # Heading trig and the normalized reader weights are computed once
+        # here and shared by both evidence kernels, the pose estimate and the
+        # reader-ESS test (the weights do not change in between).
+        cos_headings = np.cos(self._reader_headings)
+        sin_headings = np.sin(self._reader_headings)
         self._reader_log_w = self._reader_log_w + (
             self.model.reader_evidence_log_likelihood(
                 self._reader_positions,
-                self._reader_headings,
+                cos_headings,
+                sin_headings,
                 reported,
                 epoch.shelf_tags,
                 negative_evidence_range=self.config.negative_evidence_range_ft,
             )
         )
         self._reader_log_w -= self._reader_log_w.max()
+        reader_p, _ = normalize_log_weights(self._reader_log_w)
 
-        anchor, heading = self.reader_estimate()
+        anchor, heading = self._reader_pose(reader_p, cos_headings, sin_headings)
         sensing_cone = Cone.from_pose(
             anchor, heading, self.config.init_cone_half_angle_rad, self._sensing_range
         )
@@ -403,8 +431,14 @@ class FactoredParticleFilter:
             self.stats["objects_skipped"] += max(0, len(self._beliefs) - len(active))
 
         # --- (re)initialize / decompress / revive read objects ------------
+        # Three short passes in tag-number order (the epoch's frozenset
+        # iterates in a PYTHONHASHSEED-dependent order, which must not reach
+        # the RNG stream): (A) give every read object a live full-budget
+        # block and stamp the read, (B) one segmented re-detection decision
+        # for those that already had one, (C) apply the SPLITs and RESETs.
         skip_weighting: Set[int] = set()
-        for number in read_now:
+        redetected: List[int] = []
+        for number in sorted(read_now):
             belief = self._beliefs.get(number)
             if belief is None:
                 self._create_belief(number, anchor, heading)
@@ -415,24 +449,26 @@ class FactoredParticleFilter:
             else:
                 if budget.enabled and belief.particle_count < self.config.object_particles:
                     self._revive(number)
-                decision = self._redetection_decision(belief, anchor, heading)
-                if decision is not ReinitDecision.KEEP:
-                    particles = self._initializer.reinitialize(
-                        belief.particles, decision, anchor, heading, self._rng
-                    )
-                    k = particles.shape[0]
-                    self.arena.set_object(
-                        number, particles, self._random_parents(k), np.zeros(k)
-                    )
-                    belief.last_split_epoch = self._epoch_index
-                    skip_weighting.add(number)
-                    if decision is ReinitDecision.RESET:
-                        self._selector.forget_object(number)
+                redetected.append(number)
             if budget.enabled:
                 self._engage(number)
             belief.last_read_epoch = self._epoch_index
             belief.last_read_anchor = anchor.copy()
             self._dirty_beliefs.add(number)
+        decisions = self._redetection_decisions(redetected, anchor, heading)
+        for number, decision in zip(redetected, decisions):
+            if decision is ReinitDecision.KEEP:
+                continue
+            belief = self._beliefs[number]
+            particles = self._initializer.reinitialize(
+                belief.particles, decision, anchor, heading, self._rng
+            )
+            k = particles.shape[0]
+            self.arena.set_object(number, particles, self._random_parents(k), np.zeros(k))
+            belief.last_split_epoch = self._epoch_index
+            skip_weighting.add(number)
+            if decision is ReinitDecision.RESET:
+                self._selector.forget_object(number)
 
         # --- propagate + weight active objects (Eq. 5, w_ti), batched -----
         # One gather builds a contiguous cross-object batch; every kernel
@@ -471,8 +507,8 @@ class FactoredParticleFilter:
             # hypothesis, per-row read flags expanded from per-segment ones.
             inc = self.model.object_evidence_log_likelihood(
                 self._reader_positions,
-                np.cos(self._reader_headings),
-                np.sin(self._reader_headings),
+                cos_headings,
+                sin_headings,
                 pos,
                 par,
                 np.repeat(seg_read, lengths),
@@ -518,7 +554,7 @@ class FactoredParticleFilter:
             self._selector.record_region(current_box, [])
 
         # --- reader resampling --------------------------------------------
-        self._maybe_resample_reader(feedback)
+        self._maybe_resample_reader(reader_p, feedback)
 
         # --- adaptive budgets / compression policy ------------------------
         # The budget controller subsumes the plain compression pass (its
@@ -588,10 +624,14 @@ class FactoredParticleFilter:
                 0.0, sigma, size=j
             )
 
-    def _maybe_resample_reader(self, feedback: Optional[np.ndarray]) -> None:
+    def _maybe_resample_reader(
+        self, reader_p: np.ndarray, feedback: Optional[np.ndarray]
+    ) -> None:
+        """Resample the reader particles when the ESS of ``reader_p`` (this
+        epoch's normalized reader weights) collapsed."""
         assert self._reader_log_w is not None
         j = self._reader_log_w.size
-        if effective_sample_size(self._reader_log_w) >= self.config.ess_threshold * j:
+        if 1.0 / np.square(reader_p).sum() >= self.config.ess_threshold * j:
             return
         self.stats["reader_resamples"] += 1
         self._reader_dirty = True
@@ -619,10 +659,12 @@ class FactoredParticleFilter:
             0, self._reader_positions.shape[0], size=k
         ).astype(np.int32)
 
-    def _redetection_decision(
-        self, belief: ObjectBelief, anchor: np.ndarray, heading: float
-    ) -> ReinitDecision:
-        """Section IV-A re-detection subtlety, two triggers:
+    def _redetection_decisions(
+        self, numbers: List[int], anchor: np.ndarray, heading: float
+    ) -> List[ReinitDecision]:
+        """Section IV-A re-detection subtlety for every read object at once.
+
+        Two triggers per object:
 
         * distance between the current reader and the belief mean (could the
           reader plausibly be reading the object where we think it is?), and
@@ -630,33 +672,38 @@ class FactoredParticleFilter:
           near zero, so the object very likely moved even though the reader
           is within the KEEP zone.
 
-        SPLITs are rate-limited by ``split_cooldown_epochs``.
+        SPLITs are rate-limited by ``split_cooldown_epochs``.  The belief
+        means come from one segmented pass over the objects' arena blocks
+        (plain weighted means: cheaper than the robust estimate and accurate
+        enough for a threshold decision) and the read probabilities from one
+        sensor-model call; only the thresholds run per id.
         """
+        if not numbers:
+            return []
         config = self.config
-        # Plain weighted mean: cheaper than the robust estimate and accurate
-        # enough for a threshold decision (this runs for every read object
-        # every epoch).
-        particles = belief.particles
-        assert particles is not None
-        p, _ = normalize_log_weights(belief.log_weights)
-        belief_mean = p @ particles
-        moved = float(
-            np.hypot(anchor[0] - belief_mean[0], anchor[1] - belief_mean[1])
-        )
-        decision = classify_redetection(moved, config)
-        if decision is ReinitDecision.KEEP:
-            p_read = float(
-                self.model.sensor.read_probability_at(
-                    anchor, heading, belief_mean[None, :]
-                )[0]
-            )
-            if p_read < config.surprise_read_threshold:
+        pos, lw, seg_starts, lengths = self.arena.read_blocks(numbers)
+        # float64 whatever the arena dtype: a threshold decision should not
+        # move with the storage precision.
+        p, _ = segmented_normalize(np.asarray(lw, dtype=float), seg_starts, lengths)
+        means = np.add.reduceat(pos * p[:, None], seg_starts, axis=0)
+        moved = np.hypot(anchor[0] - means[:, 0], anchor[1] - means[:, 1])
+        p_read = self.model.sensor.read_probability_at(anchor, heading, means)
+        decisions = []
+        for number, distance, read_probability in zip(
+            numbers, moved.tolist(), p_read.tolist()
+        ):
+            decision = classify_redetection(distance, config)
+            if (
+                decision is ReinitDecision.KEEP
+                and read_probability < config.surprise_read_threshold
+            ):
                 decision = ReinitDecision.SPLIT
-        if decision is ReinitDecision.SPLIT:
-            since_split = self._epoch_index - belief.last_split_epoch
-            if since_split < config.split_cooldown_epochs:
-                decision = ReinitDecision.KEEP
-        return decision
+            if decision is ReinitDecision.SPLIT:
+                since_split = self._epoch_index - self._beliefs[number].last_split_epoch
+                if since_split < config.split_cooldown_epochs:
+                    decision = ReinitDecision.KEEP
+            decisions.append(decision)
+        return decisions
 
     def _create_belief(self, number: int, anchor: np.ndarray, heading: float) -> None:
         k = self.config.object_particles

@@ -128,10 +128,14 @@ class NaiveParticleFilter:
         assert self._positions is not None and self._headings is not None
         assert self._log_w is not None
 
-        # Reader evidence (reported location + shelf tags).
+        # Reader evidence (reported location + shelf tags); the heading trig
+        # is shared with the object-evidence kernel below.
+        cos_headings = np.cos(self._headings)
+        sin_headings = np.sin(self._headings)
         self._log_w = self._log_w + self.model.reader_evidence_log_likelihood(
             self._positions,
-            self._headings,
+            cos_headings,
+            sin_headings,
             reported,
             epoch.shelf_tags,
             negative_evidence_range=self.config.negative_evidence_range_ft,
@@ -142,7 +146,7 @@ class NaiveParticleFilter:
 
         # Discover / reinitialize objects.
         skip = set()
-        for number in read_now:
+        for number in sorted(read_now):
             if number not in self._columns:
                 self._add_object(number, anchor, heading)
                 skip.add(number)
@@ -179,7 +183,7 @@ class NaiveParticleFilter:
         # instead of a per-column Python loop.
         if self._objects is not None and self._objects.shape[1]:
             self._log_w = self._log_w + self._all_columns_log_likelihood(
-                read_now, skip
+                cos_headings, sin_headings, read_now, skip
             )
         self._log_w -= self._log_w.max()
 
@@ -363,17 +367,16 @@ class NaiveParticleFilter:
             flat = self._objects.reshape(j * n, 3)
             self.model.objects.propagate_many(flat, self._rng, in_place=True)
 
-    def _all_columns_log_likelihood(self, read_now, skip) -> np.ndarray:
+    def _all_columns_log_likelihood(
+        self, cos_headings, sin_headings, read_now, skip
+    ) -> np.ndarray:
         """sum_i log p(Ô_i | R^(j), O^(j)_i) per joint particle, all object
         columns scored in one vectorized pass over the (J, n) grid."""
-        assert self._positions is not None and self._headings is not None
-        assert self._objects is not None
+        assert self._positions is not None and self._objects is not None
         n = self._objects.shape[1]
         delta = self._objects - self._positions[:, None, :]  # (J, n, 3)
         d, theta = delta_range_bearing(
-            delta,
-            np.cos(self._headings)[:, None],
-            np.sin(self._headings)[:, None],
+            delta, cos_headings[:, None], sin_headings[:, None]
         )
         read_columns = np.zeros(n, dtype=bool)
         weighted_columns = np.ones(n, dtype=bool)

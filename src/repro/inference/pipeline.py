@@ -104,11 +104,14 @@ class CleaningPipeline:
         # re-read of the same tag re-arms it as a fresh visit.
         self._emission_pass(now)
 
-        for tag in epoch.object_tags:
-            self._dirty_visits.add(tag.number)
-            state = self._visits.get(tag.number)
+        # Tag-number order: the frozenset iterates in a PYTHONHASHSEED-
+        # dependent order, and ``_visits`` insertion order is the order of
+        # same-epoch emissions.
+        for number in sorted(tag.number for tag in epoch.object_tags):
+            self._dirty_visits.add(number)
+            state = self._visits.get(number)
             if state is None or now - state.last_read_time > self.VISIT_GAP_S:
-                self._visits[tag.number] = _VisitState(
+                self._visits[number] = _VisitState(
                     entered_time=now,
                     last_read_time=now,
                     emitted_this_visit=False,

@@ -50,6 +50,16 @@ class RFIDWorldModel:
         self.shelf_tags = {
             int(k): as_point(v) for k, v in self.shelf_tags.items()
         }
+        # Array form of S for the batched shelf-evidence kernel (tag-number
+        # order).  ``shelf_tags`` is fixed at construction; the ``with_*``
+        # copies rebuild it.
+        numbers = sorted(self.shelf_tags)
+        self._shelf_columns = {n: i for i, n in enumerate(numbers)}
+        self._shelf_positions = (
+            np.stack([self.shelf_tags[n] for n in numbers])
+            if numbers
+            else np.zeros((0, 3))
+        )
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -96,10 +106,7 @@ class RFIDWorldModel:
 
     def shelf_tag_array(self) -> Tuple[List[int], np.ndarray]:
         """Shelf tag numbers and their positions as an ``(m, 3)`` array."""
-        numbers = sorted(self.shelf_tags)
-        if not numbers:
-            return [], np.zeros((0, 3))
-        return numbers, np.stack([self.shelf_tags[n] for n in numbers])
+        return list(self._shelf_columns), self._shelf_positions.copy()
 
     # ------------------------------------------------------------------
     # Generative sampling (the five-step process of Section III-B)
@@ -201,7 +208,8 @@ class RFIDWorldModel:
     def reader_evidence_log_likelihood(
         self,
         reader_positions: np.ndarray,
-        reader_headings: np.ndarray,
+        cos_headings: np.ndarray,
+        sin_headings: np.ndarray,
         reported_position: Optional[np.ndarray],
         shelf_tags_read: frozenset,
         negative_evidence_range: float = 6.0,
@@ -214,24 +222,37 @@ class RFIDWorldModel:
         the *best available* location guess (reported position if present,
         else the particle cloud's mean) — farther tags have p(read) ~ 0 and
         contribute ~0 log-likelihood (the paper's Case-4 rounding).
+
+        All shelf tags that pass that test are scored in one ``(J, S)``
+        kernel — reader particles by tags, per-column read flags — with the
+        heading trig precomputed once per epoch by the caller, exactly like
+        :meth:`object_evidence_log_likelihood`.
         """
-        n = reader_positions.shape[0]
-        out = np.zeros(n)
+        out = np.zeros(reader_positions.shape[0])
         if reported_position is not None:
             out += self.sensing.log_likelihood(reported_position, reader_positions)
             anchor = np.asarray(reported_position, dtype=float)
         else:
             anchor = reader_positions.mean(axis=0)
 
-        read_numbers = {tag.number for tag in shelf_tags_read}
-        for number, position in self.shelf_tags.items():
-            is_read = number in read_numbers
-            if not is_read:
-                if float(np.linalg.norm(position - anchor)) > negative_evidence_range:
-                    continue
-            out += self._shelf_tag_log_likelihood(
-                reader_positions, reader_headings, position, is_read
-            )
+        tags = self._shelf_positions
+        read = np.zeros(tags.shape[0], dtype=bool)
+        for tag in shelf_tags_read:
+            column = self._shelf_columns.get(tag.number)
+            if column is not None:
+                read[column] = True
+        offset = tags - anchor
+        in_range = np.sqrt(np.einsum("ij,ij->i", offset, offset)) <= negative_evidence_range
+        scored = read | in_range
+        if not scored.any():  # also a model without shelf tags
+            return out
+        if not scored.all():
+            tags, read = tags[scored], read[scored]
+        delta = tags[None, :, :] - reader_positions[:, None, :]  # (J, S, 3)
+        d, theta = delta_range_bearing(
+            delta, cos_headings[:, None], sin_headings[:, None]
+        )
+        out += self.sensor.log_likelihood_rows(d, theta, read[None, :]).sum(axis=1)
         return out
 
     def object_evidence_log_likelihood(
@@ -260,23 +281,3 @@ class RFIDWorldModel:
             delta, cos_headings[parents], sin_headings[parents]
         )
         return self.sensor.log_likelihood_rows(d, theta, read_rows)
-
-    def _shelf_tag_log_likelihood(
-        self,
-        reader_positions: np.ndarray,
-        reader_headings: np.ndarray,
-        tag_position: np.ndarray,
-        is_read: bool,
-    ) -> np.ndarray:
-        """log p(Ŝ | R) for one shelf tag across reader particles.
-
-        Bearings depend on each particle's own heading, so this is computed
-        per-particle (vectorized over the batch via the delta trick: the
-        bearing of tag from reader equals the angle between heading and
-        (tag - reader)).
-        """
-        delta = tag_position[None, :] - reader_positions
-        d, theta = delta_range_bearing(
-            delta, np.cos(reader_headings), np.sin(reader_headings)
-        )
-        return self.sensor.log_likelihood(d, theta, is_read)

@@ -131,7 +131,8 @@ class SensorModel:
         design-matrix allocation) and the read/unread branch is folded into
         one ``logaddexp`` via ``log sigma(±z) = -log(1 + e^{∓z})``.
         ``read`` is a boolean mask broadcastable against ``d`` — per-row
-        flags for a cross-object batch, per-column for a joint filter.
+        flags for a cross-object batch, per-column for a joint filter's
+        particle-by-object grid or the shelf evidence's particle-by-tag one.
         """
         a0, a1, a2 = self.params.a
         b1, b2 = self.params.b
