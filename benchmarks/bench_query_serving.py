@@ -27,13 +27,21 @@ on the multiplexer's emissions/sec (and re-asserts parity), exiting
 non-zero on regression — the acceptance criterion (>= 10x aggregate
 emissions/sec at 1000 standing queries over 2000 tags) is recorded in the
 full run's ``speedup_vs_stock`` field.
+
+A second block, ``relation_scaling``, prices one tick of the location-update
+query (``[Partition By tag_id Row 1]`` -> ``Project`` -> ``Istream``) that
+changes a single tag, at 200 / 2000 / 20 000 tags in the window.  The
+incremental Istream makes that O(1) in the relation size; ``--check`` fails
+if the 20 000-tag tick costs more than 3x the 200-tag one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,7 +60,13 @@ from repro.query.tuples import StreamTuple
 FLOOR = 60.0
 BOUNDS = ((0.0, 0.0), (FLOOR, FLOOR))
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_query_serving.json"
+ROOT = Path(__file__).resolve().parent.parent
+RESULT_PATH = ROOT / "BENCH_query_serving.json"
+
+#: Tags in the window for the ``relation_scaling`` block, and the largest
+#: allowed ratio between the last and the first size's tick cost.
+SCALING_SIZES = (200, 2000, 20_000)
+SCALING_MAX_RATIO = 3.0
 
 
 def synthetic_stream(n_ticks: int, n_tags: int, movers: int, seed: int = 5):
@@ -145,6 +159,75 @@ def measure(n_queries: int, n_tags: int, n_ticks: int, movers: int) -> dict:
     }
 
 
+def relation_scaling(n_ticks: int, repeats: int = 3) -> dict:
+    """Cost of a one-change tick of the location-update query vs the number
+    of tags in its window (best of ``repeats``: interference only adds)."""
+    rows = {}
+    for n_tags in SCALING_SIZES:
+        best = float("inf")
+        for _ in range(repeats):
+            engine = MultiplexedQueryEngine()
+            engine.register(location_update_query())
+            for i in range(n_tags):
+                engine.push(
+                    StreamTuple(0.0, {"tag_id": f"object:{i}", "x": float(i), "y": 0.0, "z": 0.0})
+                )
+            engine.finish()
+            moves = [
+                StreamTuple(
+                    float(k), {"tag_id": f"object:{(k * 7919) % n_tags}", "x": -float(k), "y": 0.0, "z": 0.0}
+                )
+                for k in range(1, n_ticks + 1)
+            ]
+            start = time.perf_counter()
+            for tup in moves:
+                engine.push(tup)
+            engine.finish()
+            best = min(best, time.perf_counter() - start)
+            emitted = len(engine.outputs["location_updates"])
+            assert emitted == n_tags + n_ticks, (
+                f"{emitted} location updates from {n_tags} tags + {n_ticks} moves"
+            )
+        rows[str(n_tags)] = {
+            "tags": n_tags,
+            "ticks": n_ticks,
+            "tick_us": round(best / n_ticks * 1e6, 2),
+        }
+    first, last = (rows[str(n)]["tick_us"] for n in (SCALING_SIZES[0], SCALING_SIZES[-1]))
+    return {
+        "description": (
+            "one-change tick of location_update_query vs tags in its window "
+            "(multiplexed engine, best of 3)"
+        ),
+        "rows": rows,
+        "largest_over_smallest": round(last / first, 2),
+        "max_ratio": SCALING_MAX_RATIO,
+    }
+
+
+def provenance() -> dict:
+    """Where and on what these numbers were taken (ROADMAP direction 2)."""
+
+    def git(*args: str):
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    status = git("status", "--porcelain")
+    return {
+        "host_class": f"{platform.system().lower()}-{platform.machine()}-{os.cpu_count()}cpu",
+        "cpu_count": os.cpu_count(),
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": bool(status) if status is not None else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -201,6 +284,15 @@ def main() -> None:
             f"{row['cache_hit_rate'] * 100:>5.1f}%"
         )
 
+    scaling = relation_scaling(n_ticks=100 if args.quick else 400)
+    print(f"\n{'tags in window':>15} {'us / one-change tick':>21}")
+    for row in scaling["rows"].values():
+        print(f"{row['tags']:>15} {row['tick_us']:>21.2f}")
+    print(
+        f"largest / smallest: {scaling['largest_over_smallest']:.2f}x "
+        f"(--check allows {SCALING_MAX_RATIO:g}x)"
+    )
+
     payload = {
         "benchmark": "query_serving",
         "description": (
@@ -210,17 +302,24 @@ def main() -> None:
             "asserted byte-identical before timing is reported)."
         ),
         "quick": bool(args.quick),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "provenance": provenance(),
         "results": results,
+        "relation_scaling": scaling,
     }
     if not args.no_write:
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {RESULT_PATH}")
-    if args.check is not None and not _check_regression(
-        results, args.check, args.check_tolerance
-    ):
-        sys.exit(1)
+    if args.check is not None:
+        ok = _check_regression(results, args.check, args.check_tolerance)
+        if scaling["largest_over_smallest"] > SCALING_MAX_RATIO:
+            print(
+                f"  relation_scaling: a tick at {SCALING_SIZES[-1]} tags costs "
+                f"{scaling['largest_over_smallest']:.2f}x one at {SCALING_SIZES[0]} "
+                f"(allowed {SCALING_MAX_RATIO:g}x) REGRESSION"
+            )
+            ok = False
+        if not ok:
+            sys.exit(1)
 
 
 def _check_regression(results: dict, baseline_path: str, tolerance: float) -> bool:

@@ -1,5 +1,6 @@
-"""Legacy setup shim: lets ``pip install -e .`` work on toolchains without
-the ``wheel`` package (metadata lives in pyproject.toml)."""
+"""Package metadata (this file is the only place it lives; there is no
+pyproject.toml).  ``pip install -e .`` installs the runtime; the test suite
+additionally needs the ``test`` extra: ``pip install -e .[test]``."""
 
 from setuptools import find_packages, setup
 
@@ -14,4 +15,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy>=1.21"],
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

@@ -22,7 +22,7 @@ against.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Collection, Iterable, Optional, Set
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class ActiveSetSelector:
     def select(
         self,
         read_now: Set[int],
-        known_objects: Iterable[int],
+        known_objects: Collection[int],
         current_box: Optional[Box],
     ) -> Set[int]:
         """The active set: Case 1 union Case 2.
@@ -82,9 +82,14 @@ class ActiveSetSelector:
             return set(read_now) | set(known_objects)
         if current_box is None:
             return set(read_now)
-        known = set(known_objects)
-        case2 = self._index.case2_candidates(current_box) & known
-        return set(read_now) | case2
+        # Membership tests against the caller's own collection (a dict view
+        # or a set in the filter): the cost follows the Case-2 candidates
+        # near the reader, never the known population.
+        active = set(read_now)
+        active.update(
+            n for n in self._index.case2_candidates(current_box) if n in known_objects
+        )
+        return active
 
     def record_region(
         self, current_box: Optional[Box], attached_ids: Iterable[int]

@@ -11,15 +11,26 @@ serves thousands of concurrent standing queries at near-flat marginal cost:
   each tick produces a change-list (added/removed) instead of a full
   relation re-scan, and per-query predicates/projections run over the
   change-list only.
-* **Grid-indexed region pass** — queries whose first operator is a
-  :class:`~repro.query.relops.RegionSelect` over a ``[Partition By k Rows 1]``
-  window subscribe to the cells of a shared grid index; one index update per
-  tick serves every region watcher, and watchers whose cells did not change
-  are skipped without being touched.
-* **Per-query result caching** — the post-operator relation is memoized per
-  plan signature and shared-window version, so duplicate queries are
-  answered from cache and unchanged windows emit nothing
-  (``emissions_suppressed``).
+* **Incremental Istream** — a query made of tuple-local operators and an
+  ``Istream`` (the location-update shape) keeps its post-operator relation
+  *keyed by value* (:class:`~repro.query.stream_ops.KeyedRelation`), updated
+  from the change-list alone.  A tick that admits *k* tuples into an
+  *n*-tuple relation runs the operators and the value keying on those *k*
+  (+ evicted) tuples and sorts at most *k* emitted positions; nothing on
+  this path reads the whole relation.  The keyed relation is derived state:
+  it is rebuilt from the window on registration and after a restore, and is
+  not part of ``snapshot_state``.
+* **Grid-indexed region pass, changed-cell dispatch** — queries whose first
+  operator is a :class:`~repro.query.relops.RegionSelect` over a
+  ``[Partition By k Rows 1]`` window subscribe to the cells of a shared grid
+  index.  A tick visits only the plans subscribed to a cell that changed
+  (plus the plans that must see every tick: non-region plans and plans
+  feeding a nested query), in registration order; the unvisited plans'
+  ``emissions_suppressed`` are added up, not discovered one by one.
+* **Per-query result caching** — on the whole-relation paths (aggregates,
+  ``Rstream``) the post-operator relation is memoized per plan signature and
+  shared-window version, so duplicate queries are answered from cache and
+  unchanged windows emit nothing (``emissions_suppressed``).
 * **Checkpointed operator state** — ``snapshot_state``/``restore_state``
   capture shared-window + per-query streamer state so a restored server
   resumes answers exactly (see :mod:`repro.state.checkpoint`).
@@ -37,6 +48,7 @@ by the parity tests in ``tests/test_query_multiplexer.py`` and the
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,9 +63,15 @@ from .relops import (
     RegionSelect,
     Select,
 )
-from .stream_ops import Dstream, Istream, Rstream
+from .stream_ops import Dstream, Istream, KeyedRelation, Position, Rstream
 from .tuples import StreamTuple
-from .windows import PartitionRowsWindow, Window
+from .windows import (
+    NowWindow,
+    PartitionRowsWindow,
+    RangeWindow,
+    UnboundedWindow,
+    Window,
+)
 
 #: Operators known to be pure per-tick functions of the relation (exact
 #: types only — subclasses may override ``process`` arbitrarily, so they
@@ -61,6 +79,10 @@ from .windows import PartitionRowsWindow, Window
 _PURE_OPS = (Select, RegionSelect, Project, Extend, GroupBy, Having, OrderBy)
 #: Pure *and* tuple-local (map/filter): safe to evaluate over change-lists.
 _TUPLE_LOCAL_OPS = (Select, RegionSelect, Project, Extend)
+#: Windows whose relation is scanned in arrival order and evicts oldest-first
+#: (exact types).  ``PartitionRowsWindow`` does the same *within* each
+#: partition, partitions in first-seen order.
+_ARRIVAL_ORDERED = (NowWindow, RangeWindow, UnboundedWindow)
 
 
 def _op_key(op) -> Tuple:
@@ -93,6 +115,25 @@ def _op_key(op) -> Tuple:
     return ("op", t.__name__, id(op))
 
 
+def _delta_image(ops: Sequence, time: float, tuples: List[StreamTuple], marks: List):
+    """Run tuple-local operators over a change-list.
+
+    ``marks`` rides along (one per tuple) so every surviving tuple keeps the
+    relation position it was admitted at / evicted from.
+    """
+    for op in ops:
+        if not tuples:
+            break
+        if isinstance(op, Select):
+            kept = [i for i, t in enumerate(tuples) if op.predicate(t)]
+            if len(kept) != len(tuples):
+                tuples = [tuples[i] for i in kept]
+                marks = [marks[i] for i in kept]
+        else:
+            tuples = op.process(time, tuples)
+    return tuples, marks
+
+
 class _GridIndex:
     """Spatial grid over a ``[Partition By k Rows 1]`` shared window.
 
@@ -109,6 +150,8 @@ class _GridIndex:
         self._cells: Dict[Tuple[int, int], Dict[Tuple, StreamTuple]] = {}
         self._where: Dict[Tuple, Tuple[int, int]] = {}
         self.changed_cells: Set[Tuple[int, int]] = set()
+        #: cell -> plans served only on ticks that change one of their cells.
+        self.watchers: Dict[Tuple[int, int], List["_Plan"]] = {}
 
     def cell_of(self, tup: StreamTuple) -> Tuple[int, int]:
         return tuple(
@@ -127,6 +170,10 @@ class _GridIndex:
             self._where[key] = new_cell
             self._cells.setdefault(new_cell, {})[key] = tup
             self.changed_cells.add(new_cell)
+
+    def watch(self, plan: "_Plan") -> None:
+        for cell in plan.cells:
+            self.watchers.setdefault(cell, []).append(plan)
 
     def rebuild(self) -> None:
         """Re-derive the index from the window's current partitions
@@ -169,10 +216,19 @@ class _SharedWindow:
         self.window = window
         self.key = key
         self.incremental = hasattr(window, "ingest")
+        self.partitioned = type(window) is PartitionRowsWindow
+        #: The relation's scan order is known (see ``_ARRIVAL_ORDERED``), so
+        #: the change-list can carry relation positions.
+        self.ordered = self.partitioned or type(window) in _ARRIVAL_ORDERED
         self.version = 0
         self.ticks = 0
         self.added: List[StreamTuple] = []
         self.removed: List[StreamTuple] = []
+        #: Relation position of each ``added`` tuple / position group of each
+        #: ``removed`` one (ordered windows only).
+        self.added_at: List[Position] = []
+        self.removed_from: List[int] = []
+        self._arrivals = 0
         self.grids: Dict[Tuple[str, str], _GridIndex] = {}
         self._relation: Optional[List[StreamTuple]] = None
         self._relation_version = -1
@@ -181,6 +237,14 @@ class _SharedWindow:
         self.ticks += 1
         if self.incremental:
             self.added, self.removed = self.window.ingest(time, batch)
+            if self.ordered:
+                group_of = self.group_of
+                first = self._arrivals
+                self._arrivals += len(self.added)
+                self.added_at = [
+                    (group_of(t), first + i) for i, t in enumerate(self.added)
+                ]
+                self.removed_from = [group_of(t) for t in self.removed]
             if self.added or self.removed:
                 self.version += 1
                 self._relation = None
@@ -196,6 +260,22 @@ class _SharedWindow:
     def end_tick(self) -> None:
         for grid in self.grids.values():
             grid.changed_cells.clear()
+
+    def group_of(self, tup: StreamTuple) -> int:
+        """Position group of a tuple: its partition's first-seen rank (0 in
+        the arrival-ordered windows)."""
+        if self.partitioned:
+            return self.window.partition_seq(self.window.partition_key(tup))
+        return 0
+
+    def placed_relation(self) -> List[Tuple[Position, StreamTuple]]:
+        """The current relation with a position per tuple.  Arrivals are
+        numbered from 0 as they are ingested; the tuples already present
+        count backwards from -1, so they sort before every later arrival
+        whenever this is (re)derived."""
+        relation = self.window.relation()
+        n = len(relation)
+        return [((self.group_of(t), i - n), t) for i, t in enumerate(relation)]
 
     def relation(self) -> List[StreamTuple]:
         if self._relation is None or self._relation_version != self.version:
@@ -222,6 +302,7 @@ class _Plan:
     """Per-query serving plan over a shared window."""
 
     __slots__ = (
+        "name",
         "query",
         "shared",
         "ops",
@@ -236,9 +317,12 @@ class _Plan:
         "grid",
         "subset_version",
         "last_version",
+        "keyed",
+        "order",
     )
 
     def __init__(self, query: ContinuousQuery, shared: _SharedWindow):
+        self.name = query.name
         self.query = query
         self.shared = shared
         self.ops = list(query.operators)
@@ -257,6 +341,10 @@ class _Plan:
         self.grid: Optional[_GridIndex] = None
         self.subset_version = 0
         self.last_version = -1
+        #: Post-operator relation keyed by value (the Istream-delta kinds).
+        self.keyed: Optional[KeyedRelation] = None
+        #: Registration rank: ticks serve plans in this order.
+        self.order = 0
 
 
 class MultiplexedQueryEngine(QueryEngine):
@@ -280,8 +368,17 @@ class MultiplexedQueryEngine(QueryEngine):
         self.max_region_cells = int(max_region_cells)
         self._windows: Dict[Tuple, _SharedWindow] = {}
         self._plans: Dict[str, _Plan] = {}
+        #: Plans served every tick, in registration order; the others
+        #: (region-Istream plans with no nested query) are reached through
+        #: their grid's ``watchers`` when a cell changes.
+        self._every_tick: List[_Plan] = []
         self._postop_cache: Dict[Tuple, Tuple[int, List[StreamTuple]]] = {}
-        self._candidates_memo: Dict[Tuple, List[StreamTuple]] = {}
+        #: This tick's region lookups; ``None`` marks one that was counted
+        #: (``grid_lookups``) by a plan that did not need the tuples.
+        self._candidates_memo: Dict[Tuple, Optional[List[StreamTuple]]] = {}
+        #: plan signature -> shared-window version its relation was last
+        #: looked up at by an emitting Istream-delta plan (cache accounting).
+        self._lookup_version: Dict[Tuple, int] = {}
         self.windows_deduped = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -309,8 +406,17 @@ class MultiplexedQueryEngine(QueryEngine):
         query: ContinuousQuery,
         callback: Optional[Callable[[StreamTuple], None]] = None,
     ) -> None:
+        """Register a standing query.  A nested query must already be
+        attached (``query.then(...)``): whether a plan has to be served on
+        every tick is decided here."""
         super().register(query, callback)
-        self._plans[query.name] = self._build_plan(query)
+        plan = self._build_plan(query)
+        plan.order = len(self._plans)
+        self._plans[query.name] = plan
+        if plan.kind == "region_istream" and query._downstream is None:
+            plan.grid.watch(plan)
+        else:
+            self._every_tick.append(plan)
 
     def _build_plan(self, query: ContinuousQuery) -> _Plan:
         sig = query.window.signature()
@@ -360,12 +466,34 @@ class MultiplexedQueryEngine(QueryEngine):
                 plan.grid = grid
                 plan.cells = cells
                 plan.cell_set = set(cells)
-                plan.kind = (
-                    "region_istream" if streamer_t is Istream else "region_rstream"
-                )
+                if streamer_t is Istream:
+                    plan.kind = "region_istream"
+                    plan.keyed = self._keyed_relation(plan)
+                else:
+                    plan.kind = "region_rstream"
                 return
-        if tuple_local and streamer_t is Istream:
+        if tuple_local and streamer_t is Istream and plan.shared.ordered:
             plan.kind = "linear_istream"
+            plan.keyed = self._keyed_relation(plan)
+
+    @staticmethod
+    def _keyed_relation(plan: _Plan) -> KeyedRelation:
+        """Derive a plan's keyed post-operator relation from its window —
+        for a region plan through the grid, so that (re)deriving a thousand
+        watchers reads each one's cells, not the whole window each time.
+        (Tuple-local operators ignore the tick time.)"""
+        shared = plan.shared
+        if plan.grid is not None:
+            # rows=1: the partition rank alone is the relation position.
+            found = plan.grid.candidates(plan.region, plan.cells)
+            positions = [(shared.group_of(t), -1) for t in found]
+            tuples, positions = _delta_image(plan.rest_ops, 0.0, found, positions)
+        else:
+            placed = shared.placed_relation()
+            tuples, positions = _delta_image(
+                plan.ops, 0.0, [t for _, t in placed], [at for at, _ in placed]
+            )
+        return KeyedRelation(zip(positions, tuples))
 
     # Serving -------------------------------------------------------------
     def _flush_tick(self) -> None:
@@ -380,8 +508,19 @@ class MultiplexedQueryEngine(QueryEngine):
         for shared in self._windows.values():
             shared.begin_tick(time, batch)
         self._candidates_memo.clear()
-        for name in self._queries:
-            plan = self._plans[name]
+        due = self._every_tick
+        touched: Set[_Plan] = set()
+        for shared in self._windows.values():
+            for grid in shared.grids.values():
+                for cell in grid.changed_cells:
+                    touched.update(grid.watchers.get(cell, ()))
+        if touched:
+            due = sorted([*due, *touched], key=attrgetter("order"))
+        # A watcher none of whose cells changed has nothing to emit.
+        watchers = len(self._plans) - len(self._every_tick)
+        self.emissions_suppressed += watchers - len(touched)
+        for plan in due:
+            name = plan.name
             out = self._serve(plan, time)
             if plan.query._downstream is not None:
                 out = plan.query._downstream.push(time, out)
@@ -406,11 +545,15 @@ class MultiplexedQueryEngine(QueryEngine):
     def _region_changed(self, plan: _Plan) -> bool:
         return not plan.cell_set.isdisjoint(plan.grid.changed_cells)
 
+    def _region_memo_key(self, plan: _Plan) -> Tuple:
+        return (plan.shared.key, plan.region.region_key())
+
     def _region_candidates(self, plan: _Plan) -> List[StreamTuple]:
-        memo_key = (plan.shared.key, plan.region.region_key())
+        memo_key = self._region_memo_key(plan)
         found = self._candidates_memo.get(memo_key)
         if found is None:
-            self.grid_lookups += 1
+            if memo_key not in self._candidates_memo:
+                self.grid_lookups += 1
             found = plan.grid.candidates(plan.region, plan.cells)
             self._candidates_memo[memo_key] = found
         return found
@@ -420,22 +563,32 @@ class MultiplexedQueryEngine(QueryEngine):
             rel = op.process(time, rel)
         return rel
 
+    def _istream_delta(self, plan: _Plan, time: float) -> List[StreamTuple]:
+        """Serve an Istream plan from the shared window's change-list."""
+        shared = plan.shared
+        added, added_at = _delta_image(plan.ops, time, shared.added, shared.added_at)
+        removed, removed_from = _delta_image(
+            plan.ops, time, shared.removed, shared.removed_from
+        )
+        return plan.streamer.process_delta(
+            time, plan.keyed, zip(added_at, added), zip(removed_from, removed)
+        )
+
     def _serve_region_istream(self, plan: _Plan, time: float) -> List[StreamTuple]:
         if not self._region_changed(plan):
             self.emissions_suppressed += 1
             return []
         plan.subset_version += 1
-        shared = plan.shared
-        region = plan.region
-        added = [t for t in shared.added if region.contains(t)]
-        removed = [t for t in shared.removed if region.contains(t)]
-        added = self._apply_rest_ops(plan, time, added)
-        removed = self._apply_rest_ops(plan, time, removed)
-
-        def relation_fn() -> List[StreamTuple]:
-            return self._apply_rest_ops(plan, time, self._region_candidates(plan))
-
-        return plan.streamer.process_delta(time, relation_fn, added, removed)
+        out = self._istream_delta(plan, time)
+        if out:
+            # Emitting used to take one grid lookup of the region per tick,
+            # shared with every plan watching the same region; the counter
+            # keeps that meaning.
+            memo_key = self._region_memo_key(plan)
+            if memo_key not in self._candidates_memo:
+                self.grid_lookups += 1
+                self._candidates_memo[memo_key] = None
+        return out
 
     def _serve_region_rstream(self, plan: _Plan, time: float) -> List[StreamTuple]:
         if self._region_changed(plan):
@@ -455,25 +608,17 @@ class MultiplexedQueryEngine(QueryEngine):
         if not shared.added and not shared.removed:
             self.emissions_suppressed += 1
             return []
-        added: List[StreamTuple] = list(shared.added)
-        removed: List[StreamTuple] = list(shared.removed)
-        for op in plan.ops:
-            added = op.process(time, added)
-            removed = op.process(time, removed)
-
-        def relation_fn() -> List[StreamTuple]:
-            entry = self._postop_cache.get(plan.plan_key)
-            if entry is not None and entry[0] == shared.version:
+        out = self._istream_delta(plan, time)
+        if out:
+            # Emitting used to look the post-operator relation up by plan
+            # signature and window version: a miss for the first plan, a hit
+            # for its duplicates.  The counters keep that meaning.
+            if self._lookup_version.get(plan.plan_key) == shared.version:
                 self.cache_hits += 1
-                return entry[1]
-            self.cache_misses += 1
-            rel = shared.relation()
-            for op in plan.ops:
-                rel = op.process(time, rel)
-            self._postop_cache[plan.plan_key] = (shared.version, rel)
-            return rel
-
-        return plan.streamer.process_delta(time, relation_fn, added, removed)
+            else:
+                self.cache_misses += 1
+                self._lookup_version[plan.plan_key] = shared.version
+        return out
 
     def _serve_general(self, plan: _Plan, time: float) -> List[StreamTuple]:
         shared = plan.shared
@@ -641,8 +786,11 @@ class MultiplexedQueryEngine(QueryEngine):
                 downstream.restore_state(record["downstream"])
             plan.subset_version = record["subset_version"]
             plan.last_version = record["last_version"]
+            if plan.keyed is not None:
+                plan.keyed = self._keyed_relation(plan)
         self._postop_cache.clear()
         self._candidates_memo.clear()
+        self._lookup_version.clear()
         self._ticks = state.get("ticks", 0)
         self._pending_time = state["pending_time"]
         self._pending = list(state["pending"])

@@ -330,6 +330,9 @@ class EmissionTail:
         self.connect_retries = int(connect_retries)
         self.received = 0
         self.reconnects_used = 0
+        #: Subscriptions the server has acknowledged so far (one per service
+        #: lifetime the tail actually reached, plus any mid-stream resets).
+        self.sessions = 0
         #: True while any received EMIT frame carried the degraded flag
         #: without a fresh one clearing it — surfaced by the CLI verb.
         self.last_degraded = False
@@ -392,6 +395,7 @@ class EmissionTail:
                 raise ServeError(f"subscribe rejected: {frame.data.get('error')}")
             if frame.kind != protocol.HELLO_ACK:
                 raise ServeError(f"expected HELLO_ACK, got {frame.name}")
+            self.sessions += 1
             with open(self.out_path, "ab") as out:
                 while True:
                     frame = await conn.next_frame()

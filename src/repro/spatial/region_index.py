@@ -39,6 +39,10 @@ class SensingRegionIndex:
             raise GeometryError("max_regions must be positive")
         self._tree = RStarTree(max_entries=max_entries)
         self._regions: "OrderedDict[int, Tuple[Box, Set[int]]]" = OrderedDict()
+        #: object id -> ids of the regions it is attached to: the inverse of
+        #: ``_regions`` (derived, not snapshotted), so detaching an object
+        #: touches its own regions instead of scanning all of them.
+        self._regions_of: Dict[int, Set[int]] = {}
         self._next_id = 0
         self._max_regions = max_regions
         self._max_entries = max_entries
@@ -60,12 +64,17 @@ class SensingRegionIndex:
         ids = set(int(i) for i in object_ids)
         region_id = self._next_id
         self._next_id += 1
-        self._regions[region_id] = (box, ids)
-        self._tree.insert(box, region_id)
+        self._add_region(region_id, box, ids)
         if self._max_regions is not None:
             while len(self._regions) > self._max_regions:
                 self._evict_oldest()
         return region_id
+
+    def _add_region(self, region_id: int, box: Box, ids: Set[int]) -> None:
+        self._regions[region_id] = (box, ids)
+        self._tree.insert(box, region_id)
+        for object_id in ids:
+            self._regions_of.setdefault(object_id, set()).add(region_id)
 
     def attach(self, region_id: int, object_ids: Iterable[int]) -> bool:
         """Attach more objects to an existing region.
@@ -77,30 +86,38 @@ class SensingRegionIndex:
         if region_id not in self._regions:
             raise GeometryError(f"unknown region id {region_id}")
         ids = self._regions[region_id][1]
-        before = len(ids)
-        ids.update(int(i) for i in object_ids)
-        return len(ids) != before
+        grew = False
+        for object_id in object_ids:
+            object_id = int(object_id)
+            if object_id not in ids:
+                ids.add(object_id)
+                self._regions_of.setdefault(object_id, set()).add(region_id)
+                grew = True
+        return grew
 
     def contains_region(self, region_id: int) -> bool:
         """Whether a region id is still live (not evicted)."""
         return region_id in self._regions
 
     def _evict_oldest(self) -> None:
-        region_id, (box, _) = next(iter(self._regions.items()))
+        region_id, (box, ids) = next(iter(self._regions.items()))
         del self._regions[region_id]
         self._tree.delete(box, lambda value: value == region_id)
+        for object_id in ids:
+            attached = self._regions_of[object_id]
+            attached.discard(region_id)
+            if not attached:
+                del self._regions_of[object_id]
 
     def remove_object(self, object_id: int) -> bool:
         """Detach an object from every region (e.g. after it moved far away,
         its old particle locations are no longer meaningful).  Returns
         ``True`` when the object was attached anywhere."""
         object_id = int(object_id)
-        removed = False
-        for _, ids in self._regions.values():
-            if object_id in ids:
-                ids.discard(object_id)
-                removed = True
-        return removed
+        attached = self._regions_of.pop(object_id, ())
+        for region_id in attached:
+            self._regions[region_id][1].discard(object_id)
+        return bool(attached)
 
     # ------------------------------------------------------------------
     # Queries
@@ -127,10 +144,7 @@ class SensingRegionIndex:
 
     def objects_registered(self) -> Set[int]:
         """Every object id attached to at least one region."""
-        out: Set[int] = set()
-        for _, ids in self._regions.values():
-            out.update(ids)
-        return out
+        return set(self._regions_of)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)
@@ -158,11 +172,10 @@ class SensingRegionIndex:
         and the original region ids."""
         self._tree = RStarTree(max_entries=self._max_entries)
         self._regions = OrderedDict()
+        self._regions_of = {}
         for rec in state["regions"]:  # type: ignore[index]
-            region_id = int(rec["id"])
             box = Box(tuple(rec["lo"]), tuple(rec["hi"]))
-            self._regions[region_id] = (box, set(int(i) for i in rec["objects"]))
-            self._tree.insert(box, region_id)
+            self._add_region(int(rec["id"]), box, set(int(i) for i in rec["objects"]))
         self._next_id = int(state["next_id"])
         if self._regions and self._next_id <= max(self._regions):
             raise GeometryError("region snapshot id counter behind live ids")
@@ -176,3 +189,8 @@ class SensingRegionIndex:
         map_ids = sorted(self._regions.keys())
         assert tree_ids == map_ids, f"tree ids {tree_ids} != map ids {map_ids}"
         self._tree.check_invariants()
+        inverse: Dict[int, Set[int]] = {}
+        for region_id, (_, ids) in self._regions.items():
+            for object_id in ids:
+                inverse.setdefault(object_id, set()).add(region_id)
+        assert inverse == self._regions_of, "object -> regions map out of step"

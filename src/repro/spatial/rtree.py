@@ -8,69 +8,159 @@ implements that index from scratch:
   and least volume-enlargement above it (the R*-tree heuristic).
 * **Split** uses the R*-tree axis-sweep: pick the split axis by minimum total
   margin over candidate distributions, then the distribution with minimum
-  overlap (ties by minimum combined volume).
+  overlap (ties by minimum combined volume).  Each candidate distribution's
+  two bounding boxes come from running prefix / suffix bounds of the sorted
+  children, so one axis costs O(M), not one union per candidate.
 * **Forced reinsertion** on first overflow per level per insertion pass (the
   R*-tree trick that reduces overlap), simplified to a single reinsert batch.
 
 Entries are ``(box, value)`` pairs; values are opaque to the tree.  Deletion
 is supported (the cleaning pipeline prunes sensing regions that have expired)
 via the classic R-tree condense-tree algorithm.
+
+:class:`~repro.geometry.box.Box` is the currency at the public surface only
+(``insert`` / ``search`` / ``delete`` take one, ``items`` / ``search_entries``
+hand the caller's own boxes back).  Inside, every node and entry carries its
+bounds as two raw ``(x, y, z)`` float tuples and all node arithmetic —
+bounding boxes, enlargement, overlap, margins, intersection tests — runs on
+those: the tree constructs no ``Box``.  (An insert does a few hundred of these
+operations; as validated dataclass instances they were the cost of the index.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import GeometryError
-from ..geometry.box import Box, union_all
+from ..geometry.box import Box
+
+Corner = Tuple[float, float, float]
+Bounds = Tuple[Corner, Corner]
 
 
-def _overlap_fast(lo_a, hi_a, lo_b, hi_b) -> float:
-    """Overlap measure on raw lo/hi tuples (volume, falling back to
-    xy-area) without constructing Box objects — ChooseSubtree evaluates
-    O(children^2) overlaps per insert, so this is the tree's hot path."""
-    dx = min(hi_a[0], hi_b[0]) - max(lo_a[0], lo_b[0])
+def _intersects(lo_a: Corner, hi_a: Corner, lo_b: Corner, hi_b: Corner) -> bool:
+    return (
+        lo_a[0] <= hi_b[0]
+        and lo_b[0] <= hi_a[0]
+        and lo_a[1] <= hi_b[1]
+        and lo_b[1] <= hi_a[1]
+        and lo_a[2] <= hi_b[2]
+        and lo_b[2] <= hi_a[2]
+    )
+
+
+def _union(lo_a: Corner, hi_a: Corner, lo_b: Corner, hi_b: Corner) -> Bounds:
+    return (
+        (min(lo_a[0], lo_b[0]), min(lo_a[1], lo_b[1]), min(lo_a[2], lo_b[2])),
+        (max(hi_a[0], hi_b[0]), max(hi_a[1], hi_b[1]), max(hi_a[2], hi_b[2])),
+    )
+
+
+def _bounds_of(children: Sequence[Any]) -> Bounds:
+    """Smallest bounds covering every child (entries and nodes alike)."""
+    los = tuple(zip(*[c.lo for c in children]))
+    his = tuple(zip(*[c.hi for c in children]))
+    return (
+        (min(los[0]), min(los[1]), min(los[2])),
+        (max(his[0]), max(his[1]), max(his[2])),
+    )
+
+
+def _volume(lo: Corner, hi: Corner) -> float:
+    return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
+
+
+def _area_xy(lo: Corner, hi: Corner) -> float:
+    return (hi[0] - lo[0]) * (hi[1] - lo[1])
+
+
+def _margin(lo: Corner, hi: Corner) -> float:
+    return (hi[0] - lo[0]) + (hi[1] - lo[1]) + (hi[2] - lo[2])
+
+
+def _enlargement(lo: Corner, hi: Corner, lo_b: Corner, hi_b: Corner) -> float:
+    """Growth of ``(lo, hi)`` if extended to cover ``(lo_b, hi_b)``: volume,
+    falling back to xy-area and then margin in degenerate-z scenes (the
+    criterion of :meth:`Box.enlargement`)."""
+    lo_m, hi_m = _union(lo, hi, lo_b, hi_b)
+    dv = _volume(lo_m, hi_m) - _volume(lo, hi)
+    if dv > 0.0:
+        return dv
+    da = _area_xy(lo_m, hi_m) - _area_xy(lo, hi)
+    if da > 0.0:
+        return da
+    return _margin(lo_m, hi_m) - _margin(lo, hi)
+
+
+def _overlap(lo_a: Corner, hi_a: Corner, lo_b: Corner, hi_b: Corner) -> float:
+    """Size of the intersection (volume, falling back to xy-area).
+
+    ChooseSubtree evaluates O(children^2) of these per insert — the tree's
+    hot path — hence comparisons instead of ``min`` / ``max`` calls.
+    """
+    lo, hi = lo_a[0], hi_a[0]
+    dx = (hi if hi < hi_b[0] else hi_b[0]) - (lo if lo > lo_b[0] else lo_b[0])
     if dx < 0.0:
         return 0.0
-    dy = min(hi_a[1], hi_b[1]) - max(lo_a[1], lo_b[1])
+    lo, hi = lo_a[1], hi_a[1]
+    dy = (hi if hi < hi_b[1] else hi_b[1]) - (lo if lo > lo_b[1] else lo_b[1])
     if dy < 0.0:
         return 0.0
-    dz = min(hi_a[2], hi_b[2]) - max(lo_a[2], lo_b[2])
+    lo, hi = lo_a[2], hi_a[2]
+    dz = (hi if hi < hi_b[2] else hi_b[2]) - (lo if lo > lo_b[2] else lo_b[2])
     if dz < 0.0:
         return 0.0
     volume = dx * dy * dz
     return volume if volume > 0.0 else dx * dy
 
 
-class _Entry:
-    """Leaf entry: a box and its payload."""
+def _sweep(ordered: Sequence[Any]) -> Tuple[List[Bounds], List[Bounds]]:
+    """Running bounds of ``ordered``: ``prefix[i]`` covers ``ordered[:i + 1]``,
+    ``suffix[i]`` covers ``ordered[i:]``."""
+    prefix: List[Bounds] = []
+    lo, hi = ordered[0].lo, ordered[0].hi
+    for child in ordered:
+        lo, hi = _union(lo, hi, child.lo, child.hi)
+        prefix.append((lo, hi))
+    suffix: List[Bounds] = []
+    lo, hi = ordered[-1].lo, ordered[-1].hi
+    for child in reversed(ordered):
+        lo, hi = _union(lo, hi, child.lo, child.hi)
+        suffix.append((lo, hi))
+    suffix.reverse()
+    return prefix, suffix
 
-    __slots__ = ("box", "value")
+
+class _Entry:
+    """Leaf entry: the caller's box, its raw bounds, and the payload."""
+
+    __slots__ = ("box", "value", "lo", "hi")
 
     def __init__(self, box: Box, value: Any):
         self.box = box
         self.value = value
+        self.lo: Corner = box.lo
+        self.hi: Corner = box.hi
 
 
 class _Node:
-    """Tree node.  Leaves hold `_Entry`s; internal nodes hold `_Node`s."""
+    """Tree node.  Leaves hold `_Entry`s; internal nodes hold `_Node`s.
+    ``lo``/``hi`` bound the children; both are ``None`` for an empty node."""
 
-    __slots__ = ("leaf", "children", "box", "parent")
+    __slots__ = ("leaf", "children", "lo", "hi", "parent")
 
     def __init__(self, leaf: bool):
         self.leaf = leaf
         self.children: List[Any] = []
-        self.box: Optional[Box] = None
+        self.lo: Optional[Corner] = None
+        self.hi: Optional[Corner] = None
         self.parent: Optional["_Node"] = None
 
     def recompute_box(self) -> None:
         if not self.children:
-            self.box = None
+            self.lo = self.hi = None
             return
-        self.box = union_all([c.box for c in self.children])
-
-    def child_boxes(self) -> List[Box]:
-        return [c.box for c in self.children]
+        self.lo, self.hi = _bounds_of(self.children)
 
 
 class RStarTree:
@@ -115,29 +205,32 @@ class RStarTree:
         self._size += 1
 
     def _insert_entry(self, entry: _Entry, allow_reinsert: bool) -> None:
-        leaf = self._choose_leaf(self._root, entry.box)
+        leaf = self._choose_leaf(self._root, entry.lo, entry.hi)
         leaf.children.append(entry)
         self._adjust_upward(leaf, allow_reinsert)
 
-    def _choose_leaf(self, node: _Node, box: Box) -> _Node:
+    def _choose_leaf(self, node: _Node, lo: Corner, hi: Corner) -> _Node:
         while not node.leaf:
             children: List[_Node] = node.children
             if children[0].leaf:
                 # Children are leaves: minimize overlap enlargement.
-                best = self._least_overlap_child(children, box)
+                best = self._least_overlap_child(children, lo, hi)
             else:
-                best = self._least_enlargement_child(children, box)
+                best = self._least_enlargement_child(children, lo, hi)
             node = best
         return node
 
     @staticmethod
-    def _least_enlargement_child(children: List[_Node], box: Box) -> _Node:
+    def _least_enlargement_child(children: List[_Node], lo: Corner, hi: Corner) -> _Node:
         best = None
         best_key = None
         for child in children:
-            assert child.box is not None
-            enlargement = child.box.enlargement(box)
-            key = (enlargement, child.box.volume(), child.box.margin())
+            lo_c, hi_c = child.lo, child.hi
+            key = (
+                _enlargement(lo_c, hi_c, lo, hi),
+                _volume(lo_c, hi_c),
+                _margin(lo_c, hi_c),
+            )
             if best_key is None or key < best_key:
                 best_key = key
                 best = child
@@ -145,22 +238,26 @@ class RStarTree:
         return best
 
     @staticmethod
-    def _least_overlap_child(children: List[_Node], box: Box) -> _Node:
+    def _least_overlap_child(children: List[_Node], lo: Corner, hi: Corner) -> _Node:
         best = None
         best_key = None
-        boxes = [(c.box.lo, c.box.hi) for c in children]  # type: ignore[union-attr]
+        bounds = [(c.lo, c.hi) for c in children]
         for i, child in enumerate(children):
-            assert child.box is not None
-            lo_c, hi_c = boxes[i]
-            lo_g = tuple(min(a, b) for a, b in zip(lo_c, box.lo))
-            hi_g = tuple(max(a, b) for a, b in zip(hi_c, box.hi))
+            lo_c, hi_c = bounds[i]
+            lo_g, hi_g = _union(lo_c, hi_c, lo, hi)
             overlap_delta = 0.0
-            for j, (lo_o, hi_o) in enumerate(boxes):
+            for j, (lo_o, hi_o) in enumerate(bounds):
                 if j == i:
                     continue
-                overlap_delta += _overlap_fast(lo_g, hi_g, lo_o, hi_o)
-                overlap_delta -= _overlap_fast(lo_c, hi_c, lo_o, hi_o)
-            key = (overlap_delta, child.box.enlargement(box), child.box.volume())
+                grown = _overlap(lo_g, hi_g, lo_o, hi_o)
+                if grown:  # the child lies inside its grown bounds: 0 implies 0
+                    overlap_delta += grown
+                    overlap_delta -= _overlap(lo_c, hi_c, lo_o, hi_o)
+            key = (
+                overlap_delta,
+                _enlargement(lo_c, hi_c, lo, hi),
+                _volume(lo_c, hi_c),
+            )
             if best_key is None or key < best_key:
                 best_key = key
                 best = child
@@ -182,11 +279,14 @@ class RStarTree:
         """Forced reinsertion: remove entries farthest from the node center
         and insert them again from the root."""
         node.recompute_box()
-        assert node.box is not None
-        center = node.box.center
+        cx, cy, cz = [(l + h) / 2.0 for l, h in zip(node.lo, node.hi)]
+
         def dist(child) -> float:
-            c = child.box.center
-            return float(((c - center) ** 2).sum())
+            dx = (child.lo[0] + child.hi[0]) / 2.0 - cx
+            dy = (child.lo[1] + child.hi[1]) / 2.0 - cy
+            dz = (child.lo[2] + child.hi[2]) / 2.0 - cz
+            return dx * dx + dy * dy + dz * dz
+
         node.children.sort(key=dist)
         spill = node.children[-self._reinsert:]
         node.children = node.children[: -self._reinsert]
@@ -204,7 +304,7 @@ class RStarTree:
         node = self._root
         target_height = self._height(subtree)
         while self._height(node) > target_height + 1 and not node.leaf:
-            node = self._least_enlargement_child(node.children, subtree.box)  # type: ignore[arg-type]
+            node = self._least_enlargement_child(node.children, subtree.lo, subtree.hi)
         subtree.parent = node
         node.children.append(subtree)
         self._adjust_upward(node, allow_reinsert=False)
@@ -258,30 +358,26 @@ class RStarTree:
         """R*-tree split: choose axis by minimum margin sum, then the
         distribution with least overlap (ties: least combined volume)."""
         m = self._min
-        best_axis = 0
+        splits = range(m, len(children) - m + 1)
         best_margin = None
         for axis in range(3):
+            ordered = sorted(children, key=lambda c: (c.lo[axis], c.hi[axis]))
+            prefix, suffix = _sweep(ordered)
             margin = 0.0
-            ordered = sorted(children, key=lambda c: (c.box.lo[axis], c.box.hi[axis]))
-            for k in range(m, len(ordered) - m + 1):
-                left = union_all([c.box for c in ordered[:k]])
-                right = union_all([c.box for c in ordered[k:]])
-                margin += left.margin() + right.margin()
+            for k in splits:
+                margin += _margin(*prefix[k - 1]) + _margin(*suffix[k])
             if best_margin is None or margin < best_margin:
                 best_margin = margin
-                best_axis = axis
-        ordered = sorted(
-            children, key=lambda c: (c.box.lo[best_axis], c.box.hi[best_axis])
-        )
+                best = (ordered, prefix, suffix)
+        ordered, prefix, suffix = best
         best_split = None
         best_key = None
-        for k in range(m, len(ordered) - m + 1):
-            left_box = union_all([c.box for c in ordered[:k]])
-            right_box = union_all([c.box for c in ordered[k:]])
+        for k in splits:
+            left, right = prefix[k - 1], suffix[k]
             key = (
-                left_box.overlap_measure(right_box),
-                left_box.volume() + right_box.volume(),
-                left_box.margin() + right_box.margin(),
+                _overlap(*left, *right),
+                _volume(*left) + _volume(*right),
+                _margin(*left) + _margin(*right),
             )
             if best_key is None or key < best_key:
                 best_key = key
@@ -299,35 +395,26 @@ class RStarTree:
     # ------------------------------------------------------------------
     def search(self, box: Box) -> List[Any]:
         """Values of all entries whose boxes intersect ``box``."""
-        out: List[Any] = []
-        self._search(self._root, box, out)
-        return out
-
-    def _search(self, node: _Node, box: Box, out: List[Any]) -> None:
-        if node.box is None or not node.box.intersects(box):
-            return
-        if node.leaf:
-            for entry in node.children:
-                if entry.box.intersects(box):
-                    out.append(entry.value)
-            return
-        for child in node.children:
-            self._search(child, box, out)
+        return [entry.value for entry in self._hits(box)]
 
     def search_entries(self, box: Box) -> List[Tuple[Box, Any]]:
         """Like :meth:`search` but returns ``(box, value)`` pairs."""
-        out: List[Tuple[Box, Any]] = []
+        return [(entry.box, entry.value) for entry in self._hits(box)]
+
+    def _hits(self, box: Box) -> List[_Entry]:
+        lo, hi = box.lo, box.hi
+        out: List[_Entry] = []
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node.box is None or not node.box.intersects(box):
+            if node.lo is None or not _intersects(node.lo, node.hi, lo, hi):
                 continue
             if node.leaf:
                 for entry in node.children:
-                    if entry.box.intersects(box):
-                        out.append((entry.box, entry.value))
+                    if _intersects(entry.lo, entry.hi, lo, hi):
+                        out.append(entry)
             else:
-                stack.extend(node.children)
+                stack.extend(reversed(node.children))
         return out
 
     def items(self) -> Iterator[Tuple[Box, Any]]:
@@ -348,7 +435,7 @@ class RStarTree:
         """Remove entries intersecting ``box`` whose value satisfies
         ``predicate``.  Returns the number of entries removed."""
         removed: List[_Entry] = []
-        self._delete_from(self._root, box, predicate, removed)
+        self._delete_from(self._root, box.lo, box.hi, predicate, removed)
         if removed:
             self._size -= len(removed)
             self._condense()
@@ -357,23 +444,24 @@ class RStarTree:
     def _delete_from(
         self,
         node: _Node,
-        box: Box,
+        lo: Corner,
+        hi: Corner,
         predicate: Callable[[Any], bool],
         removed: List[_Entry],
     ) -> None:
-        if node.box is None or not node.box.intersects(box):
+        if node.lo is None or not _intersects(node.lo, node.hi, lo, hi):
             return
         if node.leaf:
             keep = []
             for entry in node.children:
-                if entry.box.intersects(box) and predicate(entry.value):
+                if _intersects(entry.lo, entry.hi, lo, hi) and predicate(entry.value):
                     removed.append(entry)
                 else:
                     keep.append(entry)
             node.children = keep
             return
         for child in node.children:
-            self._delete_from(child, box, predicate, removed)
+            self._delete_from(child, lo, hi, predicate, removed)
 
     def _condense(self) -> None:
         """Rebuild after deletion: collect orphaned entries from underfull
@@ -440,10 +528,9 @@ class RStarTree:
             assert len(node.children) >= self._min, "underfull node"
         assert len(node.children) <= self._max, "overfull node"
         if node.children:
-            expected = union_all([c.box for c in node.children])
-            assert node.box is not None
-            assert node.box.contains_box(expected), "node box too small"
-            assert expected.contains_box(node.box), "node box too large"
+            assert (node.lo, node.hi) == _bounds_of(node.children), (
+                "node bounds are not its children's bounding box"
+            )
         if not node.leaf:
             for child in node.children:
                 assert child.parent is node, "broken parent pointer"

@@ -237,6 +237,15 @@ class TestEndToEnd:
         assert stats["uptime_s"] > 0
 
 
+async def wait_for_condition(condition, timeout, poll=0.01):
+    """Yield to the loop until ``condition()`` holds; fail on timeout."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not condition():
+        assert loop.time() < deadline, "condition not met in time"
+        await asyncio.sleep(poll)
+
+
 async def open_session(path, hello):
     reader, writer = await asyncio.open_unix_connection(path)
     writer.write(hello)
@@ -570,6 +579,12 @@ class TestSelfHealingServe:
             ready = asyncio.Event()
             task = asyncio.create_task(second.run_async(ready))
             await ready.wait()
+            # The second lifetime ends when its sources do, so hold them back
+            # until the tail has subscribed to it.  The tail is somewhere in
+            # a backoff sleep that grew while no service was bound; left to
+            # chance, a whole (sub-second) lifetime fits inside that sleep
+            # and the tail wakes up to a socket that is gone for good.
+            await wait_for_condition(lambda: tail.sessions >= 2, timeout=60)
             await ReplaySource(sock, trace, n_sources=3).run_async()
             await asyncio.wait_for(task, timeout=120)
 
@@ -592,3 +607,4 @@ class TestSelfHealingServe:
         assert expected  # the bounced run emitted something
         assert tail_path.read_bytes() == expected
         assert tail.reconnects_used >= 1  # it really rode through the bounce
+        assert tail.sessions >= 2  # and was served by both lifetimes
