@@ -20,6 +20,12 @@ Standalone (no pytest-benchmark dependency) so CI can smoke-run it::
     PYTHONPATH=src python benchmarks/bench_checkpoint.py [--quick]
     PYTHONPATH=src python benchmarks/bench_checkpoint.py --quick \
         --no-write --check BENCH_checkpoint.json
+    PYTHONPATH=src python benchmarks/bench_checkpoint.py --before OLD.json
+
+``--before`` embeds the rows of a document an *earlier commit's* copy of
+this script wrote on the same host, so the recorded file carries a
+before/after pair taken on one machine (both sides stamped with host class,
+``cpu_count`` and git sha).
 
 ``--check`` turns the run into a regression guard.  Enforced invariants are
 machine-independent (measured within the same run, so shared CI runners
@@ -36,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import tempfile
 import time
 from pathlib import Path
@@ -53,6 +58,8 @@ from repro.models.sensor import SensorParams
 from repro.runtime import ShardedRuntime
 from repro.state import checkpoint_size_bytes, restore_runtime, save_checkpoint
 from repro.streams.records import make_epoch
+
+from bench_query_serving import provenance
 
 READS_PER_EPOCH = 16
 N_TAGS = 2000
@@ -294,6 +301,14 @@ def main() -> int:
         "--no-write", action="store_true", help="print only, skip BENCH_checkpoint.json"
     )
     parser.add_argument(
+        "--before",
+        type=str,
+        default=None,
+        metavar="OLD_JSON",
+        help="embed an earlier commit's results document (same host) as the "
+        "'before' side of the recorded file",
+    )
+    parser.add_argument(
         "--check",
         type=str,
         default=None,
@@ -364,18 +379,26 @@ def main() -> int:
             "checkpoint save, exact restore, and elastic re-shard to "
             f"{RESHARD_TO} shards at {n_tags} active tags (100 particles/"
             "object, 100 reader particles/shard); bytes is the on-disk "
-            "checkpoint directory, live_belief_bytes the arenas' accounted "
+            "checkpoint file, live_belief_bytes the arenas' accounted "
             "row bytes.  Delta rows: differential vs full checkpoint of the "
             "same warm state (spatial index on, moved_fraction of the tags "
             "read since the base) — delta saves ship dirty blocks only, "
             "bytes_ratio = full_bytes / delta_bytes, chain_restore_s "
-            "materializes base + delta."
+            "materializes base + delta.  Every save includes the fsync of "
+            "the checkpoint file and of its directory."
         ),
         "quick": bool(args.quick),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "provenance": provenance(),
         "results": results,
     }
+    if args.before is not None:
+        with open(args.before) as fp:
+            before = json.load(fp)
+        payload["before"] = {
+            key: before[key]
+            for key in ("provenance", "python", "numpy", "quick", "results")
+            if key in before
+        }
     # Check against the recorded baseline BEFORE overwriting it, so a CI
     # run may point --check at the committed BENCH_checkpoint.json.
     failed = args.check is not None and not _check_regression(

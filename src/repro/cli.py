@@ -6,8 +6,8 @@
     python -m repro clean trace.jsonl --checkpoint-every 30 --checkpoint-dir ck/
     python -m repro clean trace.jsonl --checkpoint-every 30 --checkpoint-dir ck/ \
         --checkpoint-mode delta --checkpoint-full-every 8
-    python -m repro checkpoint trace.jsonl --epochs 40 --out ck/
-    python -m repro restore ck/ trace.jsonl --shards 2
+    python -m repro checkpoint trace.jsonl --epochs 40 --out run.ckpt
+    python -m repro restore run.ckpt trace.jsonl --shards 2
     python -m repro query trace.jsonl --shards 2 --executor process
     python -m repro query trace.jsonl --standing-queries 100 --emissions out.jsonl
     python -m repro query trace.jsonl --standing-queries 100 \
@@ -136,8 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="CHECKPOINT",
-        help="resume from a checkpoint directory instead of starting at epoch 0 "
-        "(engine options come from the checkpoint manifest, not the flags)",
+        help="resume from a checkpoint file (or a periodic-checkpoint directory) "
+        "instead of starting at epoch 0 "
+        "(engine options come from the checkpoint header, not the flags)",
     )
     _add_runtime_arguments(clean)
 
@@ -146,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a trace prefix and write one durable snapshot",
     )
     ckpt.add_argument("trace", type=str)
-    ckpt.add_argument("--out", type=str, required=True, help="checkpoint directory")
+    ckpt.add_argument("--out", type=str, required=True, help="checkpoint file to write")
     ckpt.add_argument(
         "--epochs",
         type=int,
@@ -168,7 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "restore",
         help="resume a checkpointed run to the end of its trace",
     )
-    restore.add_argument("checkpoint", type=str, help="checkpoint directory")
+    restore.add_argument(
+        "checkpoint",
+        type=str,
+        help="checkpoint file, or a periodic-checkpoint directory (its LATEST)",
+    )
     restore.add_argument("trace", type=str)
     restore.add_argument(
         "--events", type=str, default=None, help="CSV path for the resumed events"
@@ -720,20 +725,19 @@ def _engine_config(args: argparse.Namespace, sensor) -> InferenceConfig:
 
 
 def _resolve_checkpoint(path: str) -> str:
-    """Accept either a checkpoint directory or a directory of periodic
+    """Accept either a checkpoint file or a directory of periodic
     checkpoints (resolved through its ``LATEST`` pointer)."""
     import os
 
     from .state import latest_checkpoint
-    from .state.checkpoint import MANIFEST_NAME
 
-    if os.path.isfile(os.path.join(path, MANIFEST_NAME)):
+    if os.path.isfile(path):
         return path
     resolved = latest_checkpoint(path)
     if resolved is None:
         raise SystemExit(
-            f"{path} is neither a checkpoint (no {MANIFEST_NAME}) nor a "
-            "checkpoint directory with a LATEST pointer"
+            f"{path} is neither a checkpoint file nor a checkpoint "
+            "directory with a LATEST pointer"
         )
     return resolved
 
@@ -844,18 +848,15 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    import json
-    import os
     from dataclasses import replace as dc_replace
 
-    from .state import restore_runtime
-    from .state.checkpoint import MANIFEST_NAME, runtime_config_from_dict
+    from .state import read_checkpoint_header, restore_runtime
+    from .state.checkpoint import runtime_config_from_dict
 
     path = _resolve_checkpoint(args.checkpoint)
     trace = _load_trace(args.trace)
     model, _, _ = _default_model(trace)
-    with open(os.path.join(path, MANIFEST_NAME)) as fp:
-        recorded = runtime_config_from_dict(json.load(fp)["runtime_config"])
+    recorded = runtime_config_from_dict(read_checkpoint_header(path)["runtime_config"])
     executor = _resolve_executor(args, default=recorded.executor)
     shard_hosts = (
         tuple(args.shard_host)

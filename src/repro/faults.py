@@ -3,8 +3,8 @@
 A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s, each naming a
 *fault point* — a stable string identifier compiled into the production
 code path (``fault_point("worker.step")`` in the worker request loop,
-``fault_point("checkpoint.write", path=...)`` after each shard npz is
-written, and so on).  When no plan is installed a fault point is a
+``fault_point("checkpoint.write", path=...)`` once a checkpoint's payload
+is written, and so on).  When no plan is installed a fault point is a
 dictionary miss — cheap enough to leave in the hot path permanently.
 
 Install a plan with :func:`install` (or via the ``REPRO_FAULTS``
@@ -35,7 +35,8 @@ Fault-point catalogue (kept in sync with README):
 ``worker.step``     inside the worker process, before executing a step op
 ``worker.recv``     in the parent proxy, before receiving a reply
 ``worker.send``     in the parent proxy, before sending a request
-``checkpoint.write`` after each per-shard npz is written (path = npz file)
+``checkpoint.write`` once per checkpoint: payload written to its ``.tmp``
+                    (= path), before fsync/rename
 ``serve.frame``     in the service, before dispatching a decoded frame
 ``sink.append``     in the delivery sink, before appending a log line
 ``client.connect``  in serve clients, before each connect attempt

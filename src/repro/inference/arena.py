@@ -673,8 +673,9 @@ class BeliefArena:
         base+delta state is byte-identical to a full snapshot.  Column data
         ships only for dirty blocks; when a reader resample remapped every
         parent pointer (``parents_dirty``), the clean blocks' parent columns
-        ship too (``clean_parents``, concatenated in slot order) — 4 bytes a
-        row instead of the full 36.
+        ship too (``clean_parents``, concatenated in slot order), narrowed to
+        the smallest integer type that holds every pointer — one byte a row
+        for up to 256 reader particles, instead of the full 36.
         """
         ordered, ids, counts = self._ordered_slots()
         dirty = [(oid, slot) for oid, slot in ordered if oid in self._dirty]
@@ -706,5 +707,7 @@ class BeliefArena:
                 (slot[1] for _, slot in clean), dtype=np.int64, count=len(clean)
             )
             c_idx, _ = segment_gather_indices(c_starts, c_counts)
-            state["clean_parents"] = self._parents[c_idx]
+            parents = self._parents[c_idx]
+            widest = int(parents.max()) if parents.size else 0
+            state["clean_parents"] = parents.astype(np.min_scalar_type(widest))
         return state

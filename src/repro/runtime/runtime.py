@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -180,13 +179,15 @@ class ShardedRuntime:
         #: Stream timestamp of the last periodic checkpoint (armed at the
         #: first epoch so a checkpoint is not taken immediately at start).
         self._last_checkpoint_time: Optional[float] = None
-        #: Delta-chain bookkeeping for periodic checkpoints: path of the
-        #: last persisted periodic checkpoint (the next delta's parent) and
-        #: how many checkpoints the current chain holds (base included).
-        #: ``None`` forces the next periodic checkpoint to be a full rebase
-        #: — the state at construction or restore has no persisted parent.
-        self._chain_parent: Optional[str] = None
-        self._chain_len = 0
+        #: Delta-chain bookkeeping for periodic checkpoints: the in-memory
+        #: :class:`~repro.state.ChainHead` of every periodic checkpoint this
+        #: runtime wrote and rotation has not deleted, by file name — what
+        #: the next delta and the rotation need, without re-reading files —
+        #: and the newest of them (the next delta's parent).  ``None`` forces
+        #: the next periodic checkpoint to be a full rebase — the state at
+        #: construction or restore has no persisted parent.
+        self._chain_heads: Dict[str, object] = {}
+        self._chain_head = None
         #: Query engines serving this runtime's output stream, by name.
         #: Attached engines join every checkpoint (full and delta) so a
         #: restored server resumes standing-query answers exactly.
@@ -426,34 +427,33 @@ class ShardedRuntime:
 
         if self._finished:
             raise StateError("cannot checkpoint a finished runtime")
-        directory = self.runtime_config.checkpoint_dir
+        config = self.runtime_config
+        directory = config.checkpoint_dir
         if directory is None:
             raise StateError(
                 "periodic checkpointing needs runtime_config.checkpoint_dir"
             )
-        os.makedirs(directory, exist_ok=True)
-        target = os.path.join(directory, f"epoch_{self.epochs_processed:08d}")
+        name = f"epoch_{self.epochs_processed:08d}"
+        target = os.path.join(directory, name)
         if os.path.exists(target):
             # A run resumed from an older periodic checkpoint re-crosses the
             # epochs of a newer one; our own deterministic names are safe to
             # replace (explicit `checkpoint()` targets still refuse).
-            shutil.rmtree(target)
-            if self._chain_parent == target:
-                self._chain_parent = None  # the chain head just vanished
+            os.unlink(target)
+            if self._chain_heads.pop(name, None) is self._chain_head:
+                self._chain_head = None  # the chain head just vanished
         for attempt in (0, 1):
+            head = self._chain_head
             delta = (
-                self.runtime_config.checkpoint_mode == "delta"
-                and self._chain_parent is not None
-                and self._chain_len < self.runtime_config.checkpoint_full_every
-                and os.path.isdir(self._chain_parent)
+                config.checkpoint_mode == "delta"
+                and head is not None
+                and head.header.get("chain_index", 0) + 1 < config.checkpoint_full_every
+                and os.path.isfile(head.path)
             )
             try:
                 if delta:
                     try:
-                        save_checkpoint(
-                            self, target, mode="delta", parent=self._chain_parent
-                        )
-                        self._chain_len += 1
+                        head = save_checkpoint(self, target, mode="delta", parent=head)
                     except StateError:
                         # The chain no longer holds (an explicit checkpoint
                         # or a direct snapshot advanced the capture baseline,
@@ -462,8 +462,7 @@ class ShardedRuntime:
                         # full checkpoint is always valid.
                         delta = False
                 if not delta:
-                    save_checkpoint(self, target)
-                    self._chain_len = 1
+                    head = save_checkpoint(self, target)
                 break
             except WorkerError as exc:
                 # A worker died while shipping its snapshot.  Supervised
@@ -474,16 +473,17 @@ class ShardedRuntime:
                 if self._supervisor is None or attempt:
                     raise
                 self._supervisor.recover_dead_shards(exc)
-        self._chain_parent = target
-        # Atomic pointer move: a kill -9 between truncate and write would
-        # otherwise leave an empty LATEST and strand the resume path.
+        self._chain_head = self._chain_heads[name] = head
+        # The checkpoint is durable (file fsync, rename, directory fsync);
+        # only now move the pointer, atomically: a kill -9 between truncate
+        # and write would otherwise leave an empty LATEST and strand resume.
         pointer_tmp = os.path.join(directory, "LATEST.tmp")
         with open(pointer_tmp, "w") as fp:
-            fp.write(os.path.basename(target) + "\n")
+            fp.write(name + "\n")
             fp.flush()
             os.fsync(fp.fileno())
         os.replace(pointer_tmp, os.path.join(directory, "LATEST"))
-        rotate_checkpoints(directory, keep=self.runtime_config.checkpoint_keep)
+        rotate_checkpoints(directory, config.checkpoint_keep, self._chain_heads)
         if stream_time is not None:
             self._last_checkpoint_time = stream_time
         self.last_checkpoint_epoch = self.epochs_processed
@@ -600,8 +600,7 @@ class ShardedRuntime:
             )
         # 4. Bookkeeping: the old delta chain describes the old layout, and
         # post-finish caches/baselines must not outlive the migration.
-        self._chain_parent = None
-        self._chain_len = 0
+        self._chain_head = None
         self.reshards_total += 1
         self.migrated_objects_total += migrated
         self.last_reshard_ms = (time.monotonic() - started) * 1000.0

@@ -5,7 +5,11 @@ package makes its state survive the process.  A *checkpoint* is a
 coordinated, versioned, integrity-checked snapshot of every filter shard —
 belief-arena slabs (compacted on write), RNG bit-generator states, reader
 beliefs, output-policy bookkeeping, and the stream offset — written as one
-directory of ``.npz`` files plus a JSON manifest.
+file: a fixed preamble, a compact JSON header, every shard's arrays as raw
+bytes, the query-operator state, and a SHA-256 trailer over all of it.  The
+write is ordered for power loss: payload ``fsync`` → ``rename`` → directory
+``fsync``, and only then does the runtime move its ``LATEST`` pointer
+(``LATEST.tmp`` ``fsync`` → ``replace``).
 
 * :func:`save_checkpoint` / :meth:`ShardedRuntime.checkpoint` write one;
   ``RuntimeConfig(checkpoint_every_s=..., checkpoint_dir=...)`` makes the
@@ -15,7 +19,8 @@ directory of ``.npz`` files plus a JSON manifest.
   snapshot every ``checkpoint_full_every``-th link (:mod:`.delta`).
 * :func:`load_checkpoint` parses one back into configs + state trees,
   transparently materializing delta chains bitwise-identically to a full
-  snapshot at the same epoch.
+  snapshot at the same epoch; :func:`read_checkpoint_header` peeks at the
+  JSON header (kind, configs, offsets, chain links) without the body.
 * :func:`restore_runtime` rebuilds a live runtime from one: exact (bitwise
   resume) at the recorded shard layout, or *elastically re-sharded* to a
   different shard count without replaying from epoch 0.
@@ -27,11 +32,13 @@ See the module docstrings of :mod:`.checkpoint` (on-disk format) and
 from .checkpoint import (
     CHECKPOINT_KINDS,
     FORMAT_VERSION,
+    ChainHead,
     CheckpointManifest,
     checkpoint_size_bytes,
     config_hash,
     latest_checkpoint,
     load_checkpoint,
+    read_checkpoint_header,
     rotate_checkpoints,
     save_checkpoint,
 )
@@ -48,6 +55,7 @@ from .snapshot import (
 __all__ = [
     "CHECKPOINT_KINDS",
     "FORMAT_VERSION",
+    "ChainHead",
     "CheckpointManifest",
     "apply_query_states",
     "apply_shard_delta",
@@ -59,6 +67,7 @@ __all__ = [
     "jsonable_to_rng_state",
     "latest_checkpoint",
     "load_checkpoint",
+    "read_checkpoint_header",
     "reshard_states",
     "restore_runtime",
     "rng_state_to_jsonable",

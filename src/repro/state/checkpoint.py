@@ -1,49 +1,52 @@
-"""Checkpoint persistence: a versioned on-disk pipeline snapshot.
+"""Checkpoint persistence: a versioned single-file pipeline snapshot.
 
-One checkpoint is a directory::
+One checkpoint is one file::
 
-    <checkpoint>/
-        manifest.json     # format version, configs, offsets, checksums
-        shard_0000.npz    # every numpy array of shard 0's state tree
-        shard_0001.npz
-        ...
+    preamble   magic | format version | header bytes | body bytes
+    header     compact JSON: configs, offsets, chain links and, per shard,
+               a state-tree skeleton plus an array index
+               {key: [dtype, shape, offset, nbytes]} into the body
+    body       every shard's arrays as raw contiguous bytes in index order,
+               then the pickled query-operator state
+    trailer    SHA-256 of everything before it
 
-The manifest is the source of truth: it embeds the full
+The header is the source of truth: it embeds the full
 :class:`~repro.config.InferenceConfig` / :class:`OutputPolicyConfig` /
 :class:`RuntimeConfig` as JSON (so a restore rebuilds *exactly* the
 configuration the state was captured under), the stream offset
 (``epochs_processed`` — the resume seek position), the event-bus watermark,
-and per-shard JSON skeletons whose array leaves point into the shard's
-``.npz`` file.  Each ``.npz`` is integrity-checked by a SHA-256 recorded in
-the manifest; a flipped bit fails loudly at load, not as a silently wrong
-posterior three thousand epochs later.
+and per-shard JSON skeletons whose array leaves point into the body.  The
+digest is computed while writing and checked while reading; a flipped bit
+fails loudly at load, not as a silently wrong posterior three thousand
+epochs later, and every length a reader acts on is checked against the
+file's real size before anything is allocated.
 
-Writes are atomic at the directory level: content lands in a ``*.tmp``
-sibling which is renamed into place, so a crash mid-checkpoint leaves either
-the previous checkpoint or a ``.tmp`` turd, never a half-written manifest
-that a restore would trust.
+Writes are atomic and durable: content lands in a ``<name>.tmp`` sibling
+that is fsynced, renamed into place, and made durable by a directory fsync,
+so a crash mid-checkpoint leaves either the previous checkpoint or a
+``.tmp`` turd, never a half-written file that a restore would trust.
 
-**Differential checkpoints** reuse the exact same layout with
-``"kind": "delta"`` in the manifest: the shard ``.npz`` files hold *delta
-capture* trees (dirty object blocks plus the full id order — see
-:mod:`.delta`) instead of full ones, and the manifest records the chain —
-``parent`` (the immediately preceding checkpoint, full or delta), ``base``
-(the chain's full rebase), and ``chain_index``.  Loading a delta checkpoint
-walks the chain back to its base and replays every delta, verifying each
-link's SHA-256s and capture-serial continuity, so the caller always receives
-fully materialized state trees.  The write stays atomic per link, and the
-``LATEST`` pointer is only moved after a link's rename — a crash mid-delta
-leaves ``LATEST`` on the previous complete, restorable checkpoint.
+**Differential checkpoints** reuse the same layout with ``"kind": "delta"``
+in the header: the arrays hold *delta capture* trees (dirty object blocks
+plus the full id order — see :mod:`.delta`) and the header records the
+chain — ``parent`` (the preceding checkpoint, full or delta), ``base`` (the
+chain's full rebase) and ``chain_index``.  Loading a delta walks the chain
+back to its base and replays every delta, verifying each link's digest and
+capture-serial continuity, so the caller always receives fully materialized
+state trees.  ``LATEST`` is only moved once a link is durable — a crash
+mid-delta leaves it on the previous complete, restorable checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pickle
-import shutil
+import struct
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -63,18 +66,30 @@ from ..errors import InferenceError, StateError
 from ..faults import fault_point
 from .delta import apply_shard_delta, is_delta_state
 from .snapshot import (
+    index_arrays,
     join_state_tree,
     jsonable_to_rng_state,
+    read_indexed_arrays,
     rng_state_to_jsonable,
     split_state_tree,
 )
 
-#: Bump when the manifest or state-tree layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Bump when the file layout, header or state-tree layout changes
+#: incompatibly.  Version 1 was a directory per checkpoint.
+FORMAT_VERSION = 2
 
-MANIFEST_NAME = "manifest.json"
+MAGIC = b"RPROCKPT"
 
-#: Manifest ``kind`` values: a self-contained snapshot, or a differential
+#: magic, format version, header bytes, body bytes.
+PREAMBLE = struct.Struct("<8sIQQ")
+
+TRAILER_BYTES = hashlib.sha256().digest_size
+
+#: Ceiling on the header / body lengths a preamble may claim (each is also
+#: checked against the file's real size).
+MAX_SECTION_BYTES = 1 << 40
+
+#: Header ``kind`` values: a self-contained snapshot, or a differential
 #: one that must be materialized against its ``parent``/``base`` chain.
 CHECKPOINT_KINDS = ("full", "delta")
 
@@ -82,35 +97,21 @@ CHECKPOINT_KINDS = ("full", "delta")
 # ---------------------------------------------------------------------------
 # Config (de)serialization
 # ---------------------------------------------------------------------------
-def inference_config_to_dict(config: InferenceConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def inference_config_from_dict(data: dict) -> InferenceConfig:
+    """Inverse of ``dataclasses.asdict``; raises ``KeyError``/``TypeError``
+    on a malformed payload (``load_checkpoint`` reports both)."""
     data = dict(data)
-    try:
-        data["compression"] = CompressionConfig(**data["compression"])
-        data["spatial_index"] = SpatialIndexConfig(**data["spatial_index"])
-        data["arena"] = ArenaConfig(**data["arena"])
-        # Pre-adaptive manifests have no budget section: default (disabled).
-        data["budget"] = BudgetConfig(**data.get("budget", {}))
-        return InferenceConfig(**data)
-    except (KeyError, TypeError) as exc:
-        raise StateError(f"manifest inference config is invalid: {exc}") from exc
-
-
-def policy_config_from_dict(data: dict) -> OutputPolicyConfig:
-    try:
-        return OutputPolicyConfig(**data)
-    except TypeError as exc:
-        raise StateError(f"manifest output policy is invalid: {exc}") from exc
+    data["compression"] = CompressionConfig(**data["compression"])
+    data["spatial_index"] = SpatialIndexConfig(**data["spatial_index"])
+    data["arena"] = ArenaConfig(**data["arena"])
+    data["budget"] = BudgetConfig(**data["budget"])
+    return InferenceConfig(**data)
 
 
 def runtime_config_from_dict(data: dict) -> RuntimeConfig:
     data = dict(data)
     try:
-        # Pre-supervision manifests have no supervisor section: None
-        # (disabled) — and asdict() serialized it as a nested dict.
+        # asdict() serialized the supervisor section as a nested dict.
         supervisor = data.get("supervisor")
         data["supervisor"] = (
             SupervisorConfig(**supervisor) if supervisor is not None else None
@@ -120,7 +121,7 @@ def runtime_config_from_dict(data: dict) -> RuntimeConfig:
             data["shard_hosts"] = tuple(data["shard_hosts"])
         return RuntimeConfig(**data)
     except TypeError as exc:
-        raise StateError(f"manifest runtime config is invalid: {exc}") from exc
+        raise StateError(f"checkpoint runtime config is invalid: {exc}") from exc
 
 
 def config_hash(
@@ -135,7 +136,7 @@ def config_hash(
     """
     payload = json.dumps(
         {
-            "inference": inference_config_to_dict(config),
+            "inference": dataclasses.asdict(config),
             "policy": dataclasses.asdict(policy),
             "initial_heading": float(initial_heading),
         },
@@ -144,18 +145,36 @@ def config_hash(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=8)
+def _config_section(
+    config: InferenceConfig,
+    policy: OutputPolicyConfig,
+    runtime_config: RuntimeConfig,
+    initial_heading: float,
+) -> dict:
+    """The header's configuration members (shared by every caller with the
+    same frozen configs — read-only; a runtime pays for it once)."""
+    return {
+        "config_hash": config_hash(config, policy, initial_heading),
+        "inference_config": dataclasses.asdict(config),
+        "output_policy": dataclasses.asdict(policy),
+        "runtime_config": dataclasses.asdict(runtime_config),
+        "initial_heading": float(initial_heading),
+    }
+
+
 # ---------------------------------------------------------------------------
-# Manifest model
+# Loaded-checkpoint model
 # ---------------------------------------------------------------------------
 @dataclass
 class CheckpointManifest:
-    """Parsed manifest plus fully re-joined per-shard state trees.
+    """Parsed header plus fully re-joined per-shard state trees.
 
     For a delta checkpoint the ``shard_states`` are already *materialized*
     (base + every delta replayed in order), so consumers — the restore
     path, the elastic re-sharder — never see differential trees; ``kind``
-    and ``chain`` record what was on disk (``chain`` lists the directory
-    names replayed, base first, empty for a full checkpoint).
+    and ``chain`` record what was on disk (``chain`` lists the file names
+    replayed, base first, empty for a full checkpoint).
     """
 
     version: int
@@ -171,8 +190,8 @@ class CheckpointManifest:
     kind: str = "full"
     chain: List[str] = dataclasses.field(default_factory=list)
     #: Operator state of each query engine attached to the runtime at
-    #: capture time, by attachment name (empty for pre-PR-7 checkpoints).
-    #: Apply via ``engine.restore_state(manifest.query_states[name])`` after
+    #: capture time, by attachment name.  Apply via
+    #: ``engine.restore_state(manifest.query_states[name])`` after
     #: registering the same standing queries.
     query_states: Dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Free-form JSON payload captured from ``runtime.manifest_extras()``
@@ -188,30 +207,26 @@ class CheckpointManifest:
         return len(self.shard_states)
 
 
+@dataclass(frozen=True)
+class ChainHead:
+    """A checkpoint file's path and JSON header, held in memory.
+
+    :func:`save_checkpoint` returns the head of the file it just wrote, so
+    the periodic path hands it back as the next delta's ``parent`` (and to
+    :func:`rotate_checkpoints`) without re-reading its own output.
+    """
+
+    path: str
+    header: dict
+
+    @classmethod
+    def read(cls, path) -> "ChainHead":
+        return cls(os.fspath(path), read_checkpoint_header(path))
+
+
 # ---------------------------------------------------------------------------
 # Save
 # ---------------------------------------------------------------------------
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _shard_file_name(index: int) -> str:
-    return f"shard_{index:04d}.npz"
-
-
-def _encode_shard_state(state: dict) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Split a shard state tree, normalizing the RNG leaf to JSON first."""
-    state = dict(state)
-    engine = dict(state["engine"])
-    engine["rng_state"] = rng_state_to_jsonable(engine["rng_state"])
-    state["engine"] = engine
-    return split_state_tree(state)
-
-
 def _collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
     """Snapshot every shard, overlapping workers when they support it.
 
@@ -242,41 +257,20 @@ def _collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
     return [shard.snapshot(mode) for shard in shards]
 
 
-def _read_manifest_json(path: str) -> dict:
-    """Load and sanity-check a checkpoint directory's raw manifest JSON."""
-    manifest_path = os.path.join(os.fspath(path), MANIFEST_NAME)
-    try:
-        with open(manifest_path) as fp:
-            manifest = json.load(fp)
-    except FileNotFoundError:
-        raise StateError(f"no checkpoint manifest at {manifest_path}") from None
-    except json.JSONDecodeError as exc:
-        raise StateError(f"corrupt checkpoint manifest {manifest_path}") from exc
-    if manifest.get("format") != "repro-checkpoint":
-        raise StateError(f"{manifest_path} is not a repro checkpoint manifest")
-    version = manifest.get("version")
-    if version != FORMAT_VERSION:
-        raise StateError(
-            f"checkpoint format version {version} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    return manifest
-
-
-def _check_delta_chains(parent_manifest: dict, states: List[dict], path) -> None:
+def _check_delta_chains(parent: ChainHead, states: List[dict]) -> None:
     """Prove each delta capture chains onto the parent checkpoint's capture.
 
     Compares the per-shard ``parent_capture_serial`` of the fresh delta
-    trees against the ``capture_serial`` recorded in the parent manifest's
+    trees against the ``capture_serial`` recorded in the parent header's
     skeletons.  A mismatch means a capture happened between the parent
     checkpoint and this one (an explicit ``checkpoint()`` call, a test
     snapshot, …) — writing the delta anyway would persist a torn chain.
     """
-    parents = parent_manifest.get("shards", [])
+    parents = parent.header["shards"]
     if len(parents) != len(states):
         raise StateError(
             f"delta checkpoint has {len(states)} shards but its parent "
-            f"{path} has {len(parents)}"
+            f"{parent.path} has {len(parents)}"
         )
     for index, (record, state) in enumerate(zip(parents, states)):
         for part in ("engine", "pipeline"):
@@ -284,67 +278,88 @@ def _check_delta_chains(parent_manifest: dict, states: List[dict], path) -> None
             want = state[part].get("parent_capture_serial")
             if have is None or want != have:
                 raise StateError(
-                    f"shard {index} {part} delta does not chain onto {path}: "
-                    f"delta parent serial {want!r}, checkpoint serial {have!r} "
-                    "(a state capture happened in between; rebase with a "
-                    "full checkpoint)"
+                    f"shard {index} {part} delta does not chain onto "
+                    f"{parent.path}: delta parent serial {want!r}, checkpoint "
+                    f"serial {have!r} (a state capture happened in between; "
+                    "rebase with a full checkpoint)"
                 )
 
 
-def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> str:
+def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> ChainHead:
     """Write a coordinated snapshot of a :class:`ShardedRuntime`.
 
     ``runtime`` is duck-typed (needs ``shards``, ``config``, ``policy``,
     ``runtime_config``, ``initial_heading``, ``epochs_processed``, ``bus``)
-    so this module does not import the runtime layer.  Returns the final
-    checkpoint path.
+    so this module does not import the runtime layer.  Returns the
+    :class:`ChainHead` of the file written at ``path``.
 
     ``mode="delta"`` writes a *differential* checkpoint: each shard ships
-    only its dirty object blocks since ``parent`` (a sibling checkpoint
-    directory, full or delta — the chain's base plus every intermediate
-    delta must stay on disk until the next full rebase;
-    :func:`rotate_checkpoints` knows not to break chains).  The delta is
-    refused — never silently mis-written — when the shards' capture serials
-    show it would not chain onto ``parent``.
+    only its dirty object blocks since ``parent`` (a sibling checkpoint,
+    full or delta, as a path or as the :class:`ChainHead` an earlier save
+    returned — the chain's base plus every intermediate delta must stay on
+    disk until the next full rebase; :func:`rotate_checkpoints` knows not
+    to break chains).  The delta is refused — never silently mis-written —
+    when the shards' capture serials show it would not chain onto
+    ``parent``.
     """
     path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
     if mode not in CHECKPOINT_KINDS:
         raise StateError(f"unknown checkpoint mode {mode!r}")
     if os.path.exists(path):
         raise StateError(f"checkpoint target already exists: {path}")
-    parent_manifest: Optional[dict] = None
+    configs = (runtime.config, runtime.policy, runtime.runtime_config)
+    header = dict(_config_section(*configs, runtime.initial_heading), kind=mode)
     if mode == "delta":
         if parent is None:
             raise StateError("a delta checkpoint needs a parent checkpoint")
-        parent = os.fspath(parent)
-        if os.path.dirname(os.path.abspath(parent)) != os.path.dirname(
-            os.path.abspath(path)
-        ):
+        if not isinstance(parent, ChainHead):
+            parent = ChainHead.read(parent)
+        if os.path.dirname(os.path.abspath(parent.path)) != directory:
             raise StateError(
                 "a delta checkpoint must live beside its parent "
-                f"({parent} vs {path})"
+                f"({parent.path} vs {path})"
             )
-        parent_manifest = _read_manifest_json(parent)
-        digest = config_hash(runtime.config, runtime.policy, runtime.initial_heading)
-        if parent_manifest.get("config_hash") != digest:
+        if parent.header.get("config_hash") != header["config_hash"]:
             raise StateError(
-                f"cannot chain a delta onto {parent}: its configuration "
+                f"cannot chain a delta onto {parent.path}: its configuration "
                 "differs from the running one"
             )
+        header["parent"] = os.path.basename(parent.path)
+        header["base"] = parent.header.get("base", header["parent"])
+        header["chain_index"] = int(parent.header.get("chain_index", 0)) + 1
 
     states = _collect_shard_snapshots(runtime.shards, mode=mode)
     if mode == "delta":
-        assert parent_manifest is not None
-        _check_delta_chains(parent_manifest, states, parent)
-    shard_payloads = [_encode_shard_state(state) for state in states]
+        _check_delta_chains(parent, states)
+    # Every array of every shard goes into the body back to back, written
+    # straight from its own buffer; the header indexes them.
+    buffers: List[np.ndarray] = []
+    header["shards"] = []
+    cursor = 0
+    for state in states:
+        engine = dict(state["engine"])  # the RNG leaf is normalized to JSON
+        engine["rng_state"] = rng_state_to_jsonable(engine["rng_state"])
+        skeleton, arrays = split_state_tree({**state, "engine": engine})
+        index, cursor = index_arrays(arrays, cursor, buffers)
+        header["shards"].append({"state": skeleton, "arrays": index})
     # Query-engine operator state (shared windows, streamer counters,
     # pending tick).  Captured whole in every link — it is small next to
     # the shard slabs and holds arbitrary hashable tuple values (frozensets,
-    # nested tuples), so it ships as a pickle blob, not npz.
-    query_payloads = [
-        (name, pickle.dumps(engine.snapshot_state(), protocol=pickle.HIGHEST_PROTOCOL))
-        for name, engine in sorted(getattr(runtime, "query_engines", {}).items())
-    ]
+    # nested tuples), so it ships as one pickle blob after the arrays.
+    engines = getattr(runtime, "query_engines", None)
+    blob = b""
+    if engines:
+        blob = pickle.dumps(
+            {name: engine.snapshot_state() for name, engine in sorted(engines.items())},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    header.update(
+        epochs_processed=int(runtime.epochs_processed),
+        bus_last_time=runtime.bus.last_time,
+        bus_published=int(runtime.bus.published),
+        query_bytes=len(blob),
+    )
     # Runtime-attached extras (duck-typed like the rest of the runtime
     # surface): a serving layer hangs a callable off the runtime to record
     # its own offsets — ingest sequence numbers, sink delivery offsets —
@@ -355,333 +370,316 @@ def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> str:
         raise StateError(
             f"runtime.manifest_extras() must return a dict, got {type(extras).__name__}"
         )
-
-    tmp = path + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
+    if extras:
+        header["extras"] = extras
     try:
-        shard_records = []
-        for index, (skeleton, arrays) in enumerate(shard_payloads):
-            file_name = _shard_file_name(index)
-            file_path = os.path.join(tmp, file_name)
-            # npz keys may contain '/', which savez would mangle through its
-            # zip-member naming on some platforms; index arrays explicitly.
-            keys = sorted(arrays)
-            np.savez_compressed(
-                file_path,
-                __keys__=np.asarray(keys, dtype=str),
-                **{f"a{i}": arrays[k] for i, k in enumerate(keys)},
-            )
-            # Chaos harness: simulated EIO / power loss / torn write per
-            # shard file — the whole tmp dir is discarded on the raise.
-            fault_point("checkpoint.write", path=file_path)
-            shard_records.append(
-                {
-                    "file": file_name,
-                    "sha256": _sha256_file(file_path),
-                    "state": skeleton,
-                }
-            )
-        query_records = []
-        for index, (name, blob) in enumerate(query_payloads):
-            file_name = f"query_{index:04d}.pkl"
-            with open(os.path.join(tmp, file_name), "wb") as fp:
-                fp.write(blob)
-            query_records.append(
-                {
-                    "name": name,
-                    "file": file_name,
-                    "sha256": hashlib.sha256(blob).hexdigest(),
-                }
-            )
-        manifest = {
-            "format": "repro-checkpoint",
-            "version": FORMAT_VERSION,
-            "kind": mode,
-            "config_hash": config_hash(
-                runtime.config, runtime.policy, runtime.initial_heading
-            ),
-            "inference_config": inference_config_to_dict(runtime.config),
-            "output_policy": dataclasses.asdict(runtime.policy),
-            "runtime_config": dataclasses.asdict(runtime.runtime_config),
-            "initial_heading": float(runtime.initial_heading),
-            "epochs_processed": int(runtime.epochs_processed),
-            "bus_last_time": runtime.bus.last_time,
-            "bus_published": int(runtime.bus.published),
-            "shards": shard_records,
-        }
-        if query_records:
-            manifest["query_engines"] = query_records
-        if extras:
-            try:
-                manifest["extras"] = json.loads(json.dumps(extras))
-            except (TypeError, ValueError) as exc:
-                raise StateError(
-                    f"runtime.manifest_extras() is not JSON-serializable: {exc}"
-                ) from exc
-        if mode == "delta":
-            assert parent_manifest is not None
-            manifest["parent"] = os.path.basename(parent)
-            manifest["base"] = (
-                os.path.basename(parent)
-                if parent_manifest.get("kind", "full") == "full"
-                else parent_manifest["base"]
-            )
-            manifest["chain_index"] = int(parent_manifest.get("chain_index", 0)) + 1
-        with open(os.path.join(tmp, MANIFEST_NAME), "w") as fp:
-            json.dump(manifest, fp, indent=1)
-            fp.write("\n")
+        encoded = json.dumps(header, separators=(",", ":")).encode()
+    except (TypeError, ValueError) as exc:
+        raise StateError(
+            f"checkpoint header (manifest_extras?) is not JSON-serializable: {exc}"
+        ) from exc
+
+    os.makedirs(directory, exist_ok=True)
+    tmp = path + ".tmp"
+    digest = hashlib.sha256()
+    preamble = PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(encoded), cursor + len(blob))
+    try:
+        with open(tmp, "wb") as fp:
+            for chunk in (preamble, encoded, *buffers, blob):
+                fp.write(chunk)
+                digest.update(chunk)
+            fp.write(digest.digest())
+            fp.flush()
+            # Chaos harness: simulated EIO / power loss / torn write once
+            # the payload is out but before it is durable or visible.
+            fault_point("checkpoint.write", path=tmp)
+            os.fsync(fp.fileno())
         os.rename(tmp, path)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise
-    return path
+    # The rename itself is only durable once the directory is.
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    return ChainHead(path, header)
 
 
 # ---------------------------------------------------------------------------
 # Load
 # ---------------------------------------------------------------------------
-def _load_shard_arrays(path: str) -> Dict[str, np.ndarray]:
-    with np.load(path) as data:
-        keys = [str(k) for k in data["__keys__"]]
-        return {k: data[f"a{i}"] for i, k in enumerate(keys)}
+def _read_head(fp, path: str) -> Tuple[bytes, dict, int]:
+    """Read and validate the preamble and JSON header: ``(raw bytes read,
+    header, body bytes)``.  Both lengths are checked against a fixed cap
+    and the file's real size *before* anything is allocated for them."""
+    raw = fp.read(PREAMBLE.size)
+    if len(raw) != PREAMBLE.size:
+        raise StateError(f"{path} is truncated inside its preamble")
+    magic, version, header_bytes, body_bytes = PREAMBLE.unpack(raw)
+    if magic != MAGIC:
+        raise StateError(f"{path} is not a repro checkpoint")
+    if version != FORMAT_VERSION:
+        raise StateError(
+            f"checkpoint format version {version} is not supported "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    expected = PREAMBLE.size + header_bytes + body_bytes + TRAILER_BYTES
+    actual = os.fstat(fp.fileno()).st_size
+    if max(header_bytes, body_bytes) > MAX_SECTION_BYTES or actual != expected:
+        raise StateError(
+            f"{path} is {actual} bytes but its preamble describes a "
+            f"{header_bytes}-byte header and a {body_bytes}-byte body "
+            "(truncated, torn or corrupt)"
+        )
+    raw += fp.read(header_bytes)
+    try:
+        header = json.loads(raw[PREAMBLE.size :])
+    except (ValueError, RecursionError) as exc:
+        raise StateError(f"corrupt checkpoint header in {path}: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("shards"), list):
+        raise StateError(f"corrupt checkpoint header in {path}: no shard listing")
+    return raw, header, body_bytes
 
 
-def _decode_shard_state(skeleton: dict, arrays: Dict[str, np.ndarray]) -> dict:
-    state = join_state_tree(skeleton, arrays)
-    state["engine"]["rng_state"] = jsonable_to_rng_state(state["engine"]["rng_state"])
-    return state
+def _open_checkpoint(path: str):
+    try:
+        return open(path, "rb")
+    except IsADirectoryError:
+        raise StateError(
+            f"{path} is a directory: checkpoint format version 1 is not "
+            f"supported (this build reads version {FORMAT_VERSION}, one file each)"
+        ) from None
+    except OSError as exc:
+        raise StateError(f"cannot open checkpoint {path}: {exc}") from None
 
 
-def _load_query_states(path: str, manifest: dict, verify: bool) -> Dict[str, Any]:
-    """Decode a checkpoint's query-engine operator states.
+def read_checkpoint_header(path) -> dict:
+    """A checkpoint's JSON header, without reading its body: ``kind``, the
+    three configs, ``epochs_processed``, chain links (``parent`` / ``base``
+    / ``chain_index``), ``extras`` and the per-shard skeletons.  Lengths are
+    validated against the file size; the digest is *not* checked — use
+    :func:`load_checkpoint` for a verified read."""
+    path = os.fspath(path)
+    with _open_checkpoint(path) as fp:
+        return _read_head(fp, path)[1]
 
-    The newest link of a delta chain carries the complete (whole, not
-    differential) query state, so only the leaf manifest is consulted.
-    Pre-PR-7 checkpoints have no ``query_engines`` section: empty dict.
-    """
-    states: Dict[str, Any] = {}
-    for record in manifest.get("query_engines", []):
-        file_path = os.path.join(path, record["file"])
-        with open(file_path, "rb") as fp:
-            blob = fp.read()
-        if verify:
-            actual = hashlib.sha256(blob).hexdigest()
-            if actual != record["sha256"]:
-                raise StateError(
-                    f"checksum mismatch for {file_path}: manifest says "
-                    f"{record['sha256'][:12]}…, file is {actual[:12]}…"
+
+def _load_file(path: str, verify: bool) -> Tuple[dict, List[dict], bytes]:
+    """Read one file: ``(header, the full or delta trees it holds, query
+    blob)``.  With ``verify`` the digest accumulates while reading and must
+    match the trailer before anything is returned."""
+    digest = hashlib.sha256()
+    update = digest.update if verify else (lambda chunk: None)
+    states = []
+    with _open_checkpoint(path) as fp:
+        raw, header, body_bytes = _read_head(fp, path)
+        update(raw)
+        cursor = 0
+        for record in header["shards"]:
+            try:
+                arrays, cursor = read_indexed_arrays(
+                    fp, record["arrays"], cursor, body_bytes, update
                 )
-        states[record["name"]] = pickle.loads(blob)
-    return states
-
-
-def _load_shard_states(path: str, manifest: dict, verify: bool) -> List[dict]:
-    """Decode one checkpoint directory's shard trees (full *or* delta)."""
-    shard_states = []
-    for record in manifest["shards"]:
-        file_path = os.path.join(path, record["file"])
-        if verify:
-            actual = _sha256_file(file_path)
-            if actual != record["sha256"]:
-                raise StateError(
-                    f"checksum mismatch for {file_path}: manifest says "
-                    f"{record['sha256'][:12]}…, file is {actual[:12]}…"
+                state = join_state_tree(record["state"], arrays)
+                state["engine"]["rng_state"] = jsonable_to_rng_state(
+                    state["engine"]["rng_state"]
                 )
-        arrays = _load_shard_arrays(file_path)
-        shard_states.append(_decode_shard_state(record["state"], arrays))
-    return shard_states
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise StateError(f"{path}: malformed shard record: {exc!r}") from exc
+            states.append(state)
+        if header.get("query_bytes") != body_bytes - cursor:
+            raise StateError(
+                f"{path}: {cursor} array bytes + query_bytes "
+                f"{header.get('query_bytes')!r} is not the {body_bytes}-byte body"
+            )
+        blob = fp.read(body_bytes - cursor)
+        update(blob)
+        trailer = fp.read(TRAILER_BYTES)
+    if verify and trailer != digest.digest():
+        raise StateError(
+            f"checksum mismatch for {path}: trailer says "
+            f"{trailer.hex()[:12]}…, content is {digest.hexdigest()[:12]}…"
+        )
+    return header, states, blob
 
 
-def _resolve_chain(path: str, manifest: dict) -> List[Tuple[str, dict]]:
-    """Walk a delta checkpoint's parent links back to its full base.
+def load_checkpoint(path, verify: bool = True) -> CheckpointManifest:
+    """Parse a checkpoint file back into configs + shard state trees.
 
-    Returns ``[(path, manifest), …]`` ordered base first.  Any defect —
-    missing parent, parent in a different directory, a cycle, a chain whose
-    root is not a full checkpoint, a configuration change mid-chain —
-    raises :class:`StateError`: a broken chain must fail at load, never
-    materialize a half-right state.
+    A *delta* checkpoint is transparently materialized: the chain is walked
+    back to its full base (all within the same directory), every link is
+    integrity-checked and its capture serials proven to chain onto its
+    parent's, and the deltas are replayed in order — the returned
+    ``shard_states`` are bit-for-bit the trees a full checkpoint at the
+    same epoch would hold.  Any chain defect — a missing or outside parent,
+    a cycle, a root that is not full, a configuration or shard-count change
+    mid-chain — raises :class:`StateError`, never a half-right state.
+
+    ``verify`` checks each file's SHA-256 trailer (skippable for speed when
+    the storage is trusted); the query blob is only unpickled once verified.
     """
+    path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    chain = [(path, manifest)]
-    seen = {os.path.basename(os.path.abspath(path))}
-    current = manifest
-    while current.get("kind", "full") == "delta":
-        parent_name = current.get("parent")
-        if not parent_name or os.path.basename(parent_name) != parent_name:
-            raise StateError(f"delta checkpoint {chain[-1][0]} has no valid parent")
-        if parent_name in seen:
+    header, states, blob = _load_file(path, verify)
+    kind = header.get("kind")
+    if kind not in CHECKPOINT_KINDS:
+        raise StateError(f"unknown checkpoint kind {kind!r} at {path}")
+    chain = [os.path.basename(os.path.abspath(path))]
+    overlays = []  # delta trees still to replay, newest first
+    link_path, link = path, header
+    while link.get("kind") == "delta":
+        name = link.get("parent")
+        if not isinstance(name, str) or not name or os.path.basename(name) != name:
+            raise StateError(f"delta checkpoint {link_path} has no valid parent")
+        if name in chain:
             raise StateError(f"delta checkpoint chain at {path} contains a cycle")
-        seen.add(parent_name)
-        parent_path = os.path.join(directory, parent_name)
+        parent_path = os.path.join(directory, name)
         try:
-            parent_manifest = _read_manifest_json(parent_path)
+            parent, parent_states, _ = _load_file(parent_path, verify)
         except StateError as exc:
             raise StateError(
-                f"delta checkpoint {chain[-1][0]} needs its parent "
+                f"delta checkpoint {link_path} needs its parent "
                 f"{parent_path}, which cannot be read: {exc}"
             ) from exc
-        if parent_manifest.get("config_hash") != manifest.get("config_hash"):
+        if parent.get("config_hash") != header.get("config_hash"):
             raise StateError(
                 f"delta chain at {path} crosses a configuration change "
                 f"(at {parent_path})"
             )
-        chain.append((parent_path, parent_manifest))
-        current = parent_manifest
-    chain.reverse()
-    return chain
-
-
-def load_checkpoint(path, verify: bool = True) -> CheckpointManifest:
-    """Parse a checkpoint directory back into configs + shard state trees.
-
-    A *delta* checkpoint is transparently materialized: the chain is
-    resolved back to its full base (all within the same directory), every
-    link's shard files are integrity-checked, each delta's capture serials
-    are proven to chain onto its parent's, and the deltas are replayed in
-    order — the returned ``shard_states`` are bit-for-bit the trees a full
-    checkpoint at the same epoch would hold.
-
-    ``verify`` checks each shard file's SHA-256 against its manifest before
-    deserializing it (skippable for speed when the storage is trusted).
-    """
-    path = os.fspath(path)
-    manifest = _read_manifest_json(path)
-    kind = manifest.get("kind", "full")
-    if kind not in CHECKPOINT_KINDS:
-        raise StateError(f"unknown checkpoint kind {kind!r} at {path}")
-    chain = _resolve_chain(path, manifest) if kind == "delta" else [(path, manifest)]
-    base_path, base_manifest = chain[0]
-    if base_manifest.get("kind", "full") != "full":
+        if len(parent_states) != len(states):
+            raise StateError(
+                f"delta checkpoint {link_path} changes the shard count mid-chain"
+            )
+        chain.append(name)
+        overlays.append(states)
+        link_path, link, states = parent_path, parent, parent_states
+    if link.get("kind") != "full" or any(is_delta_state(s) for s in states):
         raise StateError(
             f"delta chain at {path} does not terminate in a full checkpoint"
         )
-    shard_states = _load_shard_states(base_path, base_manifest, verify)
-    for link_path, link_manifest in chain[1:]:
-        if len(link_manifest["shards"]) != len(shard_states):
-            raise StateError(
-                f"delta checkpoint {link_path} changes the shard count "
-                "mid-chain"
-            )
-        deltas = _load_shard_states(link_path, link_manifest, verify)
-        shard_states = [
-            apply_shard_delta(state, delta)
-            for state, delta in zip(shard_states, deltas)
-        ]
-    for state in shard_states:
-        if is_delta_state(state):  # pragma: no cover - defensive
-            raise StateError(f"materialization of {path} left a delta tree")
-    return CheckpointManifest(
-        version=int(manifest["version"]),
-        config=inference_config_from_dict(manifest["inference_config"]),
-        policy=policy_config_from_dict(manifest["output_policy"]),
-        runtime=runtime_config_from_dict(manifest["runtime_config"]),
-        initial_heading=float(manifest["initial_heading"]),
-        epochs_processed=int(manifest["epochs_processed"]),
-        bus_last_time=manifest["bus_last_time"],
-        bus_published=int(manifest["bus_published"]),
-        config_digest=str(manifest["config_hash"]),
-        shard_states=shard_states,
-        kind=kind,
-        chain=[os.path.basename(p) for p, _ in chain] if kind == "delta" else [],
-        query_states=_load_query_states(path, manifest, verify),
-        extras=dict(manifest.get("extras", {})),
-    )
+    for deltas in reversed(overlays):
+        states = [apply_shard_delta(s, d) for s, d in zip(states, deltas)]
+    try:
+        return CheckpointManifest(
+            version=FORMAT_VERSION,
+            config=inference_config_from_dict(header["inference_config"]),
+            policy=OutputPolicyConfig(**header["output_policy"]),
+            runtime=runtime_config_from_dict(header["runtime_config"]),
+            initial_heading=float(header["initial_heading"]),
+            epochs_processed=int(header["epochs_processed"]),
+            bus_last_time=header["bus_last_time"],
+            bus_published=int(header["bus_published"]),
+            config_digest=str(header["config_hash"]),
+            shard_states=states,
+            kind=kind,
+            chain=chain[::-1] if kind == "delta" else [],
+            query_states=pickle.loads(blob) if blob else {},
+            extras=dict(header.get("extras", {})),
+        )
+    except StateError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - a bad pickle fails any way it likes
+        raise StateError(f"{path}: malformed header or query blob: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Periodic-checkpoint housekeeping
 # ---------------------------------------------------------------------------
 def checkpoint_size_bytes(path) -> int:
-    """Total on-disk size of a checkpoint directory."""
-    path = os.fspath(path)
-    return sum(
-        os.path.getsize(os.path.join(path, name)) for name in os.listdir(path)
-    )
+    """On-disk size of a checkpoint file."""
+    return os.path.getsize(path)
 
 
 def latest_checkpoint(directory) -> Optional[str]:
     """Resolve the ``LATEST`` pointer the runtime maintains, if present.
 
-    A crash can tear the pointer (empty or pointing at a checkpoint that
-    never finished its rename); completed checkpoints are themselves
-    crash-consistent, so a bad pointer falls back to the newest
-    ``epoch_*`` directory with a manifest rather than stranding recovery.
+    A crash can tear the pointer (empty, or naming a checkpoint that never
+    finished its rename) or, on storage that reorders writes, the newest
+    file.  A candidate only counts when its preamble and header parse and
+    it is exactly as long as the preamble says; otherwise resolution falls
+    back to the newest complete ``epoch_*`` file, not stranding recovery.
     """
     directory = os.fspath(directory)
     try:
         with open(os.path.join(directory, "LATEST")) as fp:
-            name = fp.read().strip()
+            pointed = fp.read().strip()
     except OSError:
-        name = ""
-    if name:
-        target = os.path.join(directory, name)
-        if os.path.isfile(os.path.join(target, "manifest.json")):
-            return target
+        pointed = ""
     try:
         entries = sorted(os.listdir(directory), reverse=True)
     except OSError:
         return None
-    for name in entries:
-        if not name.startswith("epoch_") or name.endswith(".tmp"):
-            continue
+    candidates = [
+        name
+        for name in entries
+        if name.startswith("epoch_") and not name.endswith(".tmp")
+    ]
+    if pointed and os.path.basename(pointed) == pointed:
+        candidates.insert(0, pointed)
+    for name in candidates:
         target = os.path.join(directory, name)
-        if os.path.isfile(os.path.join(target, "manifest.json")):
-            return target
+        try:
+            read_checkpoint_header(target)
+        except StateError:
+            continue
+        return target
     return None
 
 
-def _chain_dependencies(directory: str, names: List[str]) -> set:
-    """Transitive parent/base closure of the named checkpoints.
-
-    Reads each manifest's ``parent``/``base`` links; an unreadable manifest
-    contributes no dependencies (it cannot be restored anyway).  Only names
-    are followed — a manifest can never pull in a directory outside
-    ``directory``.
-    """
-    required: set = set()
-    stack = list(names)
-    while stack:
-        name = stack.pop()
-        try:
-            manifest = _read_manifest_json(os.path.join(directory, name))
-        except StateError:
-            continue
-        for key in ("parent", "base"):
-            dep = manifest.get(key)
-            if dep and os.path.basename(dep) == dep and dep not in required:
-                required.add(dep)
-                stack.append(dep)
-    return required
-
-
-def rotate_checkpoints(directory, keep: int) -> List[str]:
+def rotate_checkpoints(
+    directory, keep: int, heads: Optional[Dict[str, ChainHead]] = None
+) -> List[str]:
     """Delete the oldest ``epoch_*`` checkpoints beyond ``keep``.
 
-    Ordering is by the zero-padded epoch index in the directory name, so it
-    is stable regardless of filesystem timestamps.  A checkpoint that a
+    Ordering is by the zero-padded epoch index in the file name, so it is
+    stable regardless of filesystem timestamps.  A checkpoint that a
     *retained* checkpoint still depends on — the full base of a delta
     chain, or any intermediate delta — is never deleted, no matter how old:
     deleting it would leave the newest checkpoints unrestorable.  Such
     stragglers are reclaimed by a later rotation, once the next full rebase
-    has freed the chain.  Returns removed paths.
+    has freed the chain.  A stale ``epoch_*.tmp`` left by a crash never
+    counts toward ``keep`` and is removed.  Returns removed paths.
+
+    ``heads`` caches ``{name: ChainHead}`` (the writer's own saves): only a
+    retained name missing from it has its header read — an unreadable one
+    contributes no dependencies, it cannot be restored anyway — and deleted
+    names are dropped.  Only names are followed: a header can never pull in
+    a file outside ``directory``.
     """
     directory = os.fspath(directory)
-    entries = sorted(
-        name
-        for name in os.listdir(directory)
-        if name.startswith("epoch_") and os.path.isdir(os.path.join(directory, name))
-    )
-    kept = entries[-keep:] if keep > 0 else []
-    required = _chain_dependencies(directory, kept)
+    heads = {} if heads is None else heads
+    with os.scandir(directory) as listing:
+        names = sorted(
+            entry.name
+            for entry in listing
+            if entry.name.startswith("epoch_") and entry.is_file()
+        )
+    entries = [name for name in names if not name.endswith(".tmp")]
+    kept = set(entries[-keep:] if keep > 0 else [])
+    stack = list(kept)
+    while stack:
+        name = stack.pop()
+        if name not in heads:
+            try:
+                heads[name] = ChainHead.read(os.path.join(directory, name))
+            except StateError:
+                continue
+        for key in ("parent", "base"):
+            dep = heads[name].header.get(key)
+            if isinstance(dep, str) and os.path.basename(dep) == dep and dep not in kept:
+                kept.add(dep)
+                stack.append(dep)
     removed = []
-    for name in entries[: max(0, len(entries) - keep)] if keep > 0 else entries:
-        if name in required:
+    for name in names:
+        if name in kept:
             continue
+        heads.pop(name, None)
         target = os.path.join(directory, name)
         try:
-            shutil.rmtree(target)
+            os.unlink(target)
         except FileNotFoundError:
             # Already gone — e.g. a drain-time rotation racing the periodic
             # one after a signal.  Rotation is housekeeping; a missing

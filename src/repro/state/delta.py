@@ -188,7 +188,8 @@ def apply_arena_delta(base: dict, delta: dict) -> dict:
             for number, block in _split_blocks(
                 np.asarray(clean_ids, dtype=np.int64),
                 np.asarray([count_of[n] for n in clean_ids], dtype=np.int64),
-                (delta["clean_parents"],),
+                # Shipped narrowed (see BeliefArena.delta_snapshot).
+                (np.asarray(delta["clean_parents"], dtype=base["parents"].dtype),),
                 "delta arena parents",
             ).items()
         }

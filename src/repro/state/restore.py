@@ -85,12 +85,12 @@ def restore_runtime(
     verify: bool = True,
     engine_factory=None,
 ) -> Tuple[ShardedRuntime, CheckpointManifest]:
-    """Rebuild a runtime from a checkpoint directory and prime it to resume.
+    """Rebuild a runtime from a checkpoint file and prime it to resume.
 
     Parameters
     ----------
     path:
-        Checkpoint directory written by :func:`repro.state.save_checkpoint`
+        Checkpoint file written by :func:`repro.state.save_checkpoint`
         (or by the runtime's periodic checkpointing).
     model:
         The world model — models are code + fitted parameters, not runtime
@@ -104,7 +104,7 @@ def restore_runtime(
         shards and vice versa (state trees cross the worker pipe on the
         process path), and an exact restore stays bitwise regardless.
     verify:
-        Check shard-file checksums against the manifest before applying.
+        Check every file's SHA-256 trailer before applying its state.
     engine_factory:
         Per-shard engine builder, forwarded to :class:`ShardedRuntime`.
         Required when the checkpoint was taken under a non-default engine:
@@ -122,7 +122,7 @@ def restore_runtime(
     if digest != manifest.config_digest:
         raise StateError(
             "checkpoint config hash does not match its own configuration "
-            "payload — the manifest was modified after it was written"
+            "payload — the header was modified after it was written"
         )
     kinds = {
         state["engine"].get("engine", "factored")

@@ -8,7 +8,9 @@ This module splits such a tree into
 
 * a JSON-able skeleton in which every array leaf is replaced by an
   ``{"__array__": <key>}`` placeholder, and
-* a flat ``{key: ndarray}`` mapping destined for one ``.npz`` file,
+* a flat ``{key: ndarray}`` mapping, which :func:`index_arrays` lays out as
+  raw bytes behind a ``{key: [dtype, shape, offset, nbytes]}`` index and
+  :func:`read_indexed_arrays` reads back, trusting nothing in that index,
 
 and joins them back on load.  Keeping the split generic means the engines
 describe *what* their state is while this layer owns *how* it is persisted —
@@ -22,7 +24,8 @@ pure JSON types and back, for any bit-generator family.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+import math
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -93,6 +96,9 @@ def split_state_tree(tree: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     path keys join the tree path with ``/`` (``"engine/arena/positions"``).
     """
     arrays: Dict[str, np.ndarray] = {}
+    # Plain scalars are most of a skeleton (region object lists, counters):
+    # containers pass them through without a call or a path string each.
+    plain = (int, float, str, bool, type(None))
 
     def walk(node: Any, path: str) -> Any:
         if isinstance(node, np.ndarray):
@@ -102,11 +108,16 @@ def split_state_tree(tree: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
             if ARRAY_MARKER in node:
                 raise StateError(f"state tree at {path!r} uses the reserved key")
             return {
-                str(k): walk(v, f"{path}/{k}" if path else str(k))
+                str(k): v
+                if type(v) in plain
+                else walk(v, f"{path}/{k}" if path else str(k))
                 for k, v in node.items()
             }
         if isinstance(node, (list, tuple)):
-            return [walk(v, f"{path}/{i}") for i, v in enumerate(node)]
+            return [
+                v if type(v) in plain else walk(v, f"{path}/{i}")
+                for i, v in enumerate(node)
+            ]
         if isinstance(node, (np.integer,)):
             return int(node)
         if isinstance(node, (np.floating,)):
@@ -161,3 +172,66 @@ def missing_array_keys(skeleton: Any, arrays: Dict[str, np.ndarray]) -> List[str
 
     walk(skeleton)
     return missing
+
+
+# ---------------------------------------------------------------------------
+# Raw array layout: {key: ndarray} <-> index + contiguous bytes
+# ---------------------------------------------------------------------------
+def index_arrays(
+    arrays: Dict[str, np.ndarray], cursor: int, buffers: List[np.ndarray]
+) -> Tuple[Dict[str, list], int]:
+    """Lay ``arrays`` out back to back from byte offset ``cursor``.
+
+    Appends each non-empty array to ``buffers`` as a flat byte *view* (no
+    copy unless it was not contiguous) and returns ``({key: [dtype, shape,
+    offset, nbytes]}, cursor after the last array)``.
+    """
+    index: Dict[str, list] = {}
+    for key, array in arrays.items():
+        if array.dtype.hasobject or array.dtype.names:
+            raise StateError(f"cannot persist array {key!r} of dtype {array.dtype}")
+        index[key] = [array.dtype.str, list(array.shape), cursor, array.nbytes]
+        if array.nbytes:
+            buffers.append(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
+            cursor += array.nbytes
+    return index, cursor
+
+
+def read_indexed_arrays(
+    fp, index: Dict[str, list], cursor: int, limit: int, update: Callable
+) -> Tuple[Dict[str, np.ndarray], int]:
+    """Inverse of :func:`index_arrays`, reading from ``fp``'s position.
+
+    The index comes from outside the program: entries must tile the body in
+    order from ``cursor`` and end within ``limit``, and each is checked
+    *before* its array is allocated; arrays are then read straight into
+    their final buffers, each handed to ``update`` (the running digest).
+    Raises ``TypeError``/``ValueError``/``OverflowError`` on a bad entry.
+    """
+    arrays: Dict[str, np.ndarray] = {}
+    for key, entry in index.items():
+        dtype_str, shape, offset, nbytes = entry
+        if not isinstance(dtype_str, str) or type(nbytes) is not int:
+            raise TypeError(f"array {key!r}: expected [str, list, int, int]")
+        dtype = np.dtype(dtype_str)
+        shape = tuple(int(n) for n in shape)
+        if (
+            dtype.names is not None
+            or dtype.hasobject
+            or any(n < 0 for n in shape)
+            or math.prod(shape) * dtype.itemsize != nbytes
+            or offset != cursor
+            or cursor + nbytes > limit
+        ):
+            raise ValueError(
+                f"array {key!r} entry {entry!r} does not fit the "
+                f"{limit}-byte body at offset {cursor}"
+            )
+        arrays[key] = array = np.empty(shape, dtype)
+        if nbytes:
+            buffer = array.reshape(-1).view(np.uint8)
+            if fp.readinto(buffer) != nbytes:
+                raise ValueError(f"file ends inside array {key!r}")
+            update(buffer)
+            cursor += nbytes
+    return arrays, cursor

@@ -75,3 +75,64 @@ def small_warehouse():
 @pytest.fixture
 def small_trace(small_warehouse):
     return small_warehouse.generate()
+
+
+class CheckpointFiles:
+    """Build and tamper with single-file checkpoints, byte by byte.
+
+    Offsets follow ``repro.state.checkpoint``'s layout: preamble, JSON
+    header, body (arrays then the query blob), SHA-256 trailer.
+    """
+
+    @staticmethod
+    def write(path, header, body=b""):
+        """Seal ``header`` + ``body`` into a well-formed checkpoint file."""
+        import hashlib
+        import json
+
+        from repro.state.checkpoint import FORMAT_VERSION, MAGIC, PREAMBLE
+
+        encoded = json.dumps(header).encode()
+        content = PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(encoded), len(body))
+        content += encoded + bytes(body)
+        with open(path, "wb") as fp:
+            fp.write(content + hashlib.sha256(content).digest())
+
+    @staticmethod
+    def sections(path):
+        """``{section: (start, end)}`` byte ranges of a checkpoint file."""
+        from repro.state.checkpoint import PREAMBLE, TRAILER_BYTES
+
+        with open(path, "rb") as fp:
+            _, _, header_bytes, body_bytes = PREAMBLE.unpack(fp.read(PREAMBLE.size))
+        bounds = [0, PREAMBLE.size, PREAMBLE.size + header_bytes]
+        bounds.append(bounds[-1] + body_bytes)
+        bounds.append(bounds[-1] + TRAILER_BYTES)
+        names = ("preamble", "header", "body", "trailer")
+        return {name: (bounds[i], bounds[i + 1]) for i, name in enumerate(names)}
+
+    @classmethod
+    def edit_header(cls, path, mutate):
+        """Apply ``mutate(header)`` and re-seal: lengths and digest stay
+        consistent, so only the *meaning* of the header changed."""
+        from repro.state import read_checkpoint_header
+
+        header = read_checkpoint_header(path)
+        start, end = cls.sections(path)["body"]
+        with open(path, "rb") as fp:
+            body = fp.read()[start:end]
+        mutate(header)
+        cls.write(path, header, body)
+
+    @staticmethod
+    def flip_bit(path, offset, bit=0):
+        with open(path, "r+b") as fp:
+            fp.seek(offset)
+            byte = fp.read(1)[0]
+            fp.seek(offset)
+            fp.write(bytes([byte ^ (1 << bit)]))
+
+
+@pytest.fixture(scope="session")
+def checkpoint_files():
+    return CheckpointFiles

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.state import read_checkpoint_header
 
 
 @pytest.fixture()
@@ -185,7 +186,7 @@ class TestCheckpointRestore:
             ]
             + self.CLEAN_OPTS
         ) == 0
-        assert (ck / "manifest.json").exists()
+        assert read_checkpoint_header(ck)["epochs_processed"] == 20
         out = capsys.readouterr().out
         assert "checkpointed 20/" in out
         suffix = tmp_path / "suffix.csv"
@@ -244,7 +245,6 @@ class TestCheckpointRestore:
     ):
         """``--checkpoint-mode delta`` writes a chain (full rebase + delta
         links) that ``--resume`` transparently materializes."""
-        import json
         import os
 
         directory = tmp_path / "periodic"
@@ -264,7 +264,7 @@ class TestCheckpointRestore:
             + self.CLEAN_OPTS
         ) == 0
         kinds = [
-            json.loads((directory / name / "manifest.json").read_text())["kind"]
+            read_checkpoint_header(directory / name)["kind"]
             for name in sorted(os.listdir(directory))
             if name.startswith("epoch_")
         ]
@@ -302,7 +302,7 @@ class TestCheckpointRestore:
             )
 
     def test_restore_from_non_checkpoint_fails(self, trace_path, tmp_path):
-        with pytest.raises(SystemExit, match="manifest"):
+        with pytest.raises(SystemExit, match="neither a checkpoint file"):
             main(["restore", str(tmp_path), str(trace_path)])
 
     def test_checkpoint_refuses_existing_target_upfront(self, trace_path, tmp_path):

@@ -18,7 +18,6 @@ executors: every injected fault must either recover byte-identically
 silently diverge.
 """
 
-import json
 import os
 
 import numpy as np
@@ -38,6 +37,7 @@ from repro.runtime import ShardedRuntime
 from repro.state import (
     latest_checkpoint,
     load_checkpoint,
+    read_checkpoint_header,
     restore_runtime,
     save_checkpoint,
 )
@@ -238,15 +238,17 @@ def assert_latest_is_restorable(directory, model, trace, reference):
 class TestCrashMidCheckpoint:
     """Kill the writer at every stage of the save path.
 
-    The ``checkpoint.write`` fault point sits after each per-shard
-    ``.npz`` write; a counted injection there simulates the power failing
-    mid-checkpoint.  The directory-level atomicity contract says the crash
-    may lose the checkpoint being written, but never the previous one —
-    and LATEST (only moved after the atomic rename) must keep referencing
-    a complete chain.
+    The ``checkpoint.write`` fault point fires once per checkpoint, after
+    the whole payload is written to ``epoch_<n>.tmp`` and before it is
+    fsynced or renamed; a counted injection there simulates the power
+    failing mid-checkpoint.  The atomicity contract says the crash may lose
+    the checkpoint being written, but never the previous one — and LATEST
+    (only moved after the rename is durable) must keep referencing a
+    complete chain.  The scenario writes seven checkpoints (full, delta,
+    delta, full, …); the eighth hit never happens.
     """
 
-    @pytest.mark.parametrize("fail_on_call", [1, 2, 3, 4, 6, 7])
+    @pytest.mark.parametrize("fail_on_call", [1, 2, 3, 4, 5, 7, 8])
     def test_latest_never_references_a_torn_chain(
         self, ck_scenario, tmp_path, fail_on_call
     ):
@@ -275,7 +277,7 @@ class TestCrashMidCheckpoint:
             writes = faults.hits("checkpoint.write")
             faults.clear()
         assert crashed == (writes >= fail_on_call)
-        # No half-written checkpoint directory survives the crash...
+        # No half-written checkpoint file survives an in-process failure...
         for name in os.listdir(tmp_path):
             assert not name.endswith(".tmp"), f"torn write left {name}"
         # ...and whatever LATEST points at restores and resumes bitwise.
@@ -297,9 +299,7 @@ class TestCrashMidCheckpoint:
         latest = latest_checkpoint(tmp_path)
         assert latest is not None
         kinds = {
-            name: json.load(
-                open(os.path.join(tmp_path, name, "manifest.json"))
-            ).get("kind")
+            name: read_checkpoint_header(os.path.join(tmp_path, name))["kind"]
             for name in os.listdir(tmp_path)
             if name.startswith("epoch_")
         }
@@ -307,9 +307,51 @@ class TestCrashMidCheckpoint:
         resumed_from = assert_latest_is_restorable(tmp_path, model, trace, reference)
         assert resumed_from > 0
 
-    def test_stale_tmp_turd_is_ignored_everywhere(self, ck_scenario, tmp_path):
-        """A SIGKILL mid-write leaves an ``epoch_*.tmp`` directory: the
-        LATEST resolver, the loader, and rotation must all ignore it."""
+    def test_power_cut_leaves_previous_checkpoint_plus_a_tmp(
+        self, ck_scenario, tmp_path
+    ):
+        """``exit`` at the fault point is a power cut: the process vanishes
+        with the second checkpoint written but neither durable nor renamed.
+        Exactly the first checkpoint, LATEST naming it, and one ``.tmp``
+        remain; the resumed run restores bitwise and its first rotation
+        sweeps the ``.tmp`` away."""
+        import multiprocessing
+
+        model, trace, config, reference = ck_scenario
+        faults.install(
+            FaultPlan(rules=(FaultRule("checkpoint.write", nth=2, action="exit"),))
+        )
+        try:
+            runtime = ShardedRuntime(
+                model, config, _delta_runtime_config(tmp_path), CRASH_POLICY
+            )
+            child = multiprocessing.get_context("fork").Process(
+                target=runtime.run, args=(trace.epochs(),)
+            )
+            child.start()
+            child.join(60.0)
+            runtime.abort()
+        finally:
+            faults.clear()
+        assert child.exitcode == 43
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 3 and names[0] == "LATEST"
+        assert names[2].endswith(".tmp") and names[2] != names[1] + ".tmp"
+        assert latest_checkpoint(tmp_path) == os.path.join(tmp_path, names[1])
+        resumed_from = assert_latest_is_restorable(tmp_path, model, trace, reference)
+        assert resumed_from > 0
+        resumed, _ = restore_runtime(
+            latest_checkpoint(tmp_path),
+            model,
+            runtime_config=_delta_runtime_config(tmp_path),
+        )
+        resumed.run(trace.epochs(start=resumed_from))
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+
+    def test_stale_tmp_turd_is_ignored_then_swept(self, ck_scenario, tmp_path):
+        """A SIGKILL mid-write leaves an ``epoch_*.tmp`` file: the LATEST
+        resolver and the loader ignore it, and rotation removes it without
+        counting it as a checkpoint."""
         from repro.state import rotate_checkpoints
 
         model, trace, config, reference = ck_scenario
@@ -321,12 +363,12 @@ class TestCrashMidCheckpoint:
             runtime.step(epoch)
         runtime.abort()
         turd = tmp_path / "epoch_99999999.tmp"
-        os.makedirs(turd)
-        (turd / "manifest.json").write_text("{not json")
+        turd.write_bytes(b"RPROCKPT half a checkpoint")
         assert latest_checkpoint(tmp_path) is not None
         assert "tmp" not in os.path.basename(latest_checkpoint(tmp_path))
-        rotate_checkpoints(tmp_path, keep=2)
-        assert turd.is_dir()  # rotation only manages epoch_* directories
+        before = {n for n in os.listdir(tmp_path) if not n.endswith(".tmp")}
+        assert rotate_checkpoints(tmp_path, keep=2) == [str(turd)]
+        assert set(os.listdir(tmp_path)) == before
         assert_latest_is_restorable(tmp_path, model, trace, reference)
 
 
@@ -416,9 +458,7 @@ class TestChainBreakRecovery:
         runtime.finish()
         assert interloper_done
         kinds = [
-            json.load(open(os.path.join(directory, name, "manifest.json"))).get(
-                "kind"
-            )
+            read_checkpoint_header(os.path.join(directory, name))["kind"]
             for name in sorted(os.listdir(directory))
             if name.startswith("epoch_")
         ]
@@ -654,7 +694,7 @@ class TestServeKillNine:
             "before_checkpoint": lambda: log_size() > 0,
             # Deep mid-stream, checkpoints behind and emissions ahead.
             "mid_stream": lambda: log_size() >= 0.5 * len(baseline),
-            # Inside a checkpoint write (a half-written *.tmp directory) —
+            # Inside a checkpoint write (a half-written *.tmp file) —
             # rare to catch, so fall back to a late mid-stream kill.
             "mid_checkpoint": lambda: (
                 checkpoint_tmp_visible() or log_size() >= 0.6 * len(baseline)

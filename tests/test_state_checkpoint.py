@@ -8,15 +8,20 @@ The acceptance guarantees of the durable-state subsystem:
 * restoring a 4-shard checkpoint into 2 shards (elastic re-shard) completes
   the trace with the exact (time, tag) stream and positions within the
   sharded-parity tolerance (0.6 ft);
-* corruption — flipped npz bytes, edited manifests, wrong versions — fails
-  loudly with :class:`StateError` at load, never silently.
+* corruption — flipped body bytes, edited headers, wrong versions,
+  truncation, lying lengths — fails loudly with :class:`StateError` at
+  load, never silently and never as another exception type;
+* the write is ordered for power loss (payload fsync, rename, directory
+  fsync, pointer fsync, pointer replace) and rotation ignores crash debris.
 """
 
-import json
 import os
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import (
     InferenceConfig,
@@ -31,6 +36,7 @@ from repro.state import (
     checkpoint_size_bytes,
     latest_checkpoint,
     load_checkpoint,
+    read_checkpoint_header,
     restore_runtime,
     rotate_checkpoints,
     save_checkpoint,
@@ -137,42 +143,51 @@ class TestCheckpointFormat:
             save_checkpoint(runtime, path)
         runtime.abort()
 
-    def test_checksum_mismatch_detected(self, scenario, tmp_path):
+    def test_checksum_mismatch_detected(self, scenario, tmp_path, checkpoint_files):
         model, trace, config = scenario
         path = tmp_path / "ck"
         checkpoint_at(model, trace, config, 1, 5, path)
-        shard_file = path / "shard_0000.npz"
-        blob = bytearray(shard_file.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        shard_file.write_bytes(bytes(blob))
+        start, end = checkpoint_files.sections(path)["body"]
+        checkpoint_files.flip_bit(path, (start + end) // 2)
         with pytest.raises(StateError, match="checksum mismatch"):
             load_checkpoint(path)
 
-    def test_edited_manifest_config_detected(self, scenario, tmp_path):
+    def test_edited_header_config_detected(self, scenario, tmp_path, checkpoint_files):
+        """A tamperer who re-seals the file (lengths and digest consistent)
+        is still caught: the config hash covers the config payload."""
         model, trace, config = scenario
         path = tmp_path / "ck"
         checkpoint_at(model, trace, config, 1, 5, path)
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["inference_config"]["seed"] = 999  # tamper
-        manifest_path.write_text(json.dumps(manifest))
+
+        def tamper(header):
+            header["inference_config"]["seed"] = 999
+
+        checkpoint_files.edit_header(path, tamper)
         with pytest.raises(StateError, match="config hash"):
             restore_runtime(path, model)
 
     def test_unsupported_version_rejected(self, scenario, tmp_path):
+        from repro.state.checkpoint import MAGIC, PREAMBLE
+
         model, trace, config = scenario
         path = tmp_path / "ck"
         checkpoint_at(model, trace, config, 1, 5, path)
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
+        blob = path.read_bytes()
+        _, _, header_bytes, body_bytes = PREAMBLE.unpack(blob[: PREAMBLE.size])
+        path.write_bytes(
+            PREAMBLE.pack(MAGIC, FORMAT_VERSION + 1, header_bytes, body_bytes)
+            + blob[PREAMBLE.size :]
+        )
         with pytest.raises(StateError, match="version"):
             load_checkpoint(path)
 
-    def test_missing_manifest_rejected(self, tmp_path):
-        with pytest.raises(StateError, match="manifest"):
+    def test_version_1_directory_rejected(self, tmp_path):
+        """Format version 1 was a directory per checkpoint: refused, not
+        read by a second code path."""
+        with pytest.raises(StateError, match="version 1 is not supported"):
             load_checkpoint(tmp_path)
+        with pytest.raises(StateError, match="cannot open"):
+            load_checkpoint(tmp_path / "missing")
 
     def test_checkpoint_after_finish_raises_state_error(self, scenario, tmp_path):
         model, trace, config = scenario
@@ -227,6 +242,211 @@ class TestCheckpointFormat:
         with pytest.raises(StateError, match="undrained"):
             shard.snapshot()
         runtime.abort()
+
+
+@pytest.fixture(scope="module")
+def sample_checkpoint(scenario, tmp_path_factory, checkpoint_files):
+    """Bytes of a 2-shard checkpoint with a query-state blob, the state it
+    loads to, and the section boundaries tampering tests aim at."""
+    class Engine:
+        def snapshot_state(self):
+            return {"window": [(1.0, frozenset({"a", "b"}))], "ticks": 3}
+
+    model, trace, config = scenario
+    path = tmp_path_factory.mktemp("sample") / "ck"
+    runtime = ShardedRuntime(model, config, RuntimeConfig(n_shards=2), POLICY)
+    runtime.attach_query_engine("q", Engine())
+    for epoch in trace.epochs()[:12]:
+        runtime.step(epoch)
+    runtime.checkpoint(path)
+    runtime.abort()
+    return path.read_bytes(), load_checkpoint(path), checkpoint_files.sections(path)
+
+
+def manifests_equal(ours, reference):
+    return (
+        ours.epochs_processed == reference.epochs_processed
+        and ours.config == reference.config
+        and ours.query_states == reference.query_states
+        and len(ours.shard_states) == len(reference.shard_states)
+        and all(
+            tree_equal(a, b) is None
+            for a, b in zip(ours.shard_states, reference.shard_states)
+        )
+    )
+
+
+class TestMalformedFiles:
+    """Every way a file can lie raises :class:`StateError` — never another
+    exception type, never a wrong state."""
+
+    def test_round_trip_sections(self, sample_checkpoint):
+        blob, manifest, sections = sample_checkpoint
+        assert sections["trailer"][1] == len(blob)
+        assert sections["body"][1] > sections["body"][0]
+        assert manifest.query_states["q"]["ticks"] == 3
+
+    def test_truncation_at_every_section_boundary(self, sample_checkpoint, tmp_path):
+        blob, _, sections = sample_checkpoint
+        path = tmp_path / "ck"
+        cuts = {0, 1, len(blob) - 1}
+        for start, end in sections.values():
+            cuts.update((start, (start + end) // 2, end - 1))
+        for cut in sorted(cuts):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(StateError):
+                load_checkpoint(path)
+            with pytest.raises(StateError):
+                read_checkpoint_header(path)
+
+    @pytest.mark.parametrize("header_bytes,body_bytes", [
+        (1 << 20, None),  # header longer than the file
+        (None, 1 << 30),  # body longer than the file
+        (1 << 50, None),  # beyond the fixed cap
+        (None, (1 << 64) - 1),
+        (0, None),
+    ])
+    def test_lying_lengths_refused_before_allocation(
+        self, sample_checkpoint, tmp_path, monkeypatch, header_bytes, body_bytes
+    ):
+        from repro.state.checkpoint import MAGIC, PREAMBLE
+
+        blob, _, _ = sample_checkpoint
+        _, _, real_header, real_body = PREAMBLE.unpack(blob[: PREAMBLE.size])
+        path = tmp_path / "ck"
+        path.write_bytes(
+            PREAMBLE.pack(
+                MAGIC,
+                FORMAT_VERSION,
+                real_header if header_bytes is None else header_bytes,
+                real_body if body_bytes is None else body_bytes,
+            )
+            + blob[PREAMBLE.size :]
+        )
+        # Nothing may be sized from the lie: the refusal comes first.
+        monkeypatch.setattr(
+            np, "empty", lambda *a, **k: pytest.fail("allocated from a lying length")
+        )
+        with pytest.raises(StateError, match="preamble describes"):
+            load_checkpoint(path)
+
+    def test_unknown_magic_refused(self, sample_checkpoint, tmp_path):
+        blob, _, _ = sample_checkpoint
+        path = tmp_path / "ck"
+        path.write_bytes(b"NOTACKPT" + blob[8:])
+        with pytest.raises(StateError, match="not a repro checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [
+        ["<f8", [4], 1 << 40, 32],  # offset outside the body
+        ["<f8", [1 << 40], 0, 8 << 40],  # larger than the body
+        ["<f8", [4], 0, 16],  # nbytes disagrees with shape
+        ["<f8", [-4], 0, -32],
+        ["O", [4], 0, 32],  # object dtype
+        ["not-a-dtype", [4], 0, 32],
+        [7, [4], 0, 32],
+        ["<f8", "4", 0, 32.0],
+        "junk",
+    ])
+    def test_array_index_entry_outside_the_body(
+        self, sample_checkpoint, tmp_path, checkpoint_files, entry
+    ):
+        blob, _, _ = sample_checkpoint
+        path = tmp_path / "ck"
+        path.write_bytes(blob)
+
+        def tamper(header):
+            index = header["shards"][0]["arrays"]
+            index[next(iter(index))] = entry
+
+        checkpoint_files.edit_header(path, tamper)  # digest stays valid
+        with pytest.raises(StateError, match="malformed shard record"):
+            load_checkpoint(path)
+
+    def test_overlapping_and_gapped_indexes_refused(
+        self, sample_checkpoint, tmp_path, checkpoint_files
+    ):
+        blob, _, _ = sample_checkpoint
+        path = tmp_path / "ck"
+        for shift in (-8, 8):
+            path.write_bytes(blob)
+
+            def tamper(header):
+                for entry in header["shards"][1]["arrays"].values():
+                    entry[2] += shift
+
+            checkpoint_files.edit_header(path, tamper)
+            with pytest.raises(StateError, match="does not fit"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["header", "body", "query", "trailer"])
+    def test_one_flipped_bit(self, sample_checkpoint, tmp_path, checkpoint_files, section):
+        blob, _, sections = sample_checkpoint
+        path = tmp_path / "ck"
+        path.write_bytes(blob)
+        if section == "query":
+            offset = sections["body"][1] - 10  # inside the pickle blob
+        else:
+            start, end = sections[section]
+            offset = (start + end) // 2
+        checkpoint_files.flip_bit(path, offset, bit=3)
+        with pytest.raises(StateError):
+            load_checkpoint(path)
+
+    def test_query_blob_is_not_unpickled_before_the_digest_matches(
+        self, sample_checkpoint, tmp_path, checkpoint_files, monkeypatch
+    ):
+        import repro.state.checkpoint as checkpoint_module
+
+        blob, reference, sections = sample_checkpoint
+        path = tmp_path / "ck"
+        path.write_bytes(blob)
+        checkpoint_files.flip_bit(path, sections["body"][1] - 10)
+        unpickled = []
+        real_loads = pickle.loads
+
+        class Spy:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+            dumps = staticmethod(pickle.dumps)
+
+            @staticmethod
+            def loads(data):
+                unpickled.append(len(data))
+                return real_loads(data)
+
+        monkeypatch.setattr(checkpoint_module, "pickle", Spy)
+        with pytest.raises(StateError, match="checksum mismatch"):
+            load_checkpoint(path)
+        assert unpickled == []
+        path.write_bytes(blob)
+        assert manifests_equal(load_checkpoint(path), reference)
+        assert len(unpickled) == 1
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_random_damage_is_state_error_or_bitwise_equal(
+        self, sample_checkpoint, tmp_path, data
+    ):
+        """Random truncations and bit flips: the load either refuses with
+        ``StateError`` or returns exactly the state that was saved."""
+        blob, reference, _ = sample_checkpoint
+        damaged = bytearray(blob)
+        for _ in range(data.draw(st.integers(0, 3), label="flips")):
+            offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            damaged[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        if data.draw(st.booleans(), label="truncate"):
+            del damaged[data.draw(st.integers(0, len(blob)), label="cut") :]
+        path = tmp_path / "ck"
+        path.write_bytes(bytes(damaged))
+        try:
+            loaded = load_checkpoint(path)
+        except StateError:
+            return
+        assert manifests_equal(loaded, reference)
 
 
 class TestResumeParity:
@@ -394,7 +614,7 @@ class TestPeriodicCheckpoints:
 
     def test_rotate_checkpoints_orders_by_epoch(self, tmp_path):
         for n in (3, 1, 12):
-            os.makedirs(tmp_path / f"epoch_{n:08d}")
+            self._fake_checkpoint(tmp_path, n, "full")
         removed = rotate_checkpoints(tmp_path, keep=1)
         assert [os.path.basename(p) for p in removed] == [
             "epoch_00000001",
@@ -406,20 +626,23 @@ class TestPeriodicCheckpoints:
         """keep larger than the number of checkpoints on disk must delete
         nothing (a negative slice once deleted from the wrong end)."""
         for n in (1, 2, 3):
-            os.makedirs(tmp_path / f"epoch_{n:08d}")
+            self._fake_checkpoint(tmp_path, n, "full")
         assert rotate_checkpoints(tmp_path, keep=5) == []
         assert len(list(tmp_path.iterdir())) == 3
 
-    @staticmethod
-    def _fake_checkpoint(directory, n, kind, parent=None, base=None):
+    @pytest.fixture(autouse=True)
+    def _files(self, checkpoint_files):
+        self.files = checkpoint_files
+
+    def _fake_checkpoint(self, directory, n, kind, parent=None, base=None):
+        """A well-formed, empty checkpoint file carrying only chain links."""
         name = f"epoch_{n:08d}"
-        os.makedirs(directory / name)
-        manifest = {"format": "repro-checkpoint", "version": FORMAT_VERSION, "kind": kind}
+        header = {"kind": kind, "shards": [], "query_bytes": 0}
         if parent is not None:
-            manifest["parent"] = f"epoch_{parent:08d}"
+            header["parent"] = f"epoch_{parent:08d}"
         if base is not None:
-            manifest["base"] = f"epoch_{base:08d}"
-        (directory / name / "manifest.json").write_text(json.dumps(manifest))
+            header["base"] = f"epoch_{base:08d}"
+        self.files.write(directory / name, header)
         return name
 
     def test_rotation_never_deletes_a_base_a_retained_chain_needs(self, tmp_path):
@@ -454,19 +677,64 @@ class TestPeriodicCheckpoints:
         import repro.state.checkpoint as checkpoint_module
 
         for n in (1, 2, 3):
-            os.makedirs(tmp_path / f"epoch_{n:08d}")
-        real_rmtree = checkpoint_module.shutil.rmtree
+            self._fake_checkpoint(tmp_path, n, "full")
+        real_unlink = os.unlink
 
-        def racing_rmtree(path, *args, **kwargs):
+        def racing_unlink(path, *args, **kwargs):
             if os.path.basename(str(path)) == "epoch_00000001":
-                real_rmtree(path)  # the other rotation got there first
+                real_unlink(path)  # the other rotation got there first
                 raise FileNotFoundError(path)
-            return real_rmtree(path, *args, **kwargs)
+            return real_unlink(path, *args, **kwargs)
 
-        monkeypatch.setattr(checkpoint_module.shutil, "rmtree", racing_rmtree)
+        monkeypatch.setattr(checkpoint_module.os, "unlink", racing_unlink)
         removed = rotate_checkpoints(tmp_path, keep=1)
         assert [os.path.basename(p) for p in removed] == ["epoch_00000002"]
         assert sorted(os.listdir(tmp_path)) == ["epoch_00000003"]
+
+    def test_stale_tmp_never_counts_toward_keep_and_is_removed(self, tmp_path):
+        """A crash leaves ``epoch_3.tmp`` beside the finished ``epoch_3``;
+        it sorts after its namesake, and once stole a ``keep`` slot from a
+        restorable checkpoint."""
+        for n in (1, 2, 3):
+            self._fake_checkpoint(tmp_path, n, "full")
+        (tmp_path / "epoch_00000003.tmp").write_bytes(b"half a checkpoint")
+        removed = rotate_checkpoints(tmp_path, keep=2)
+        assert sorted(os.path.basename(p) for p in removed) == [
+            "epoch_00000001",
+            "epoch_00000003.tmp",
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["epoch_00000002", "epoch_00000003"]
+
+    def test_rotation_reads_no_header_its_caller_already_holds(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        """The periodic path hands rotation the heads it got back from its
+        own saves: a whole run of delta checkpoints parses no file."""
+        import repro.state.checkpoint as checkpoint_module
+
+        model, trace, config = scenario
+        reads = []
+        real = checkpoint_module.read_checkpoint_header
+        monkeypatch.setattr(
+            checkpoint_module,
+            "read_checkpoint_header",
+            lambda path: reads.append(path) or real(path),
+        )
+        runtime_config = RuntimeConfig(
+            n_shards=2,
+            checkpoint_every_s=8.0,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_keep=1,
+            checkpoint_mode="delta",
+            checkpoint_full_every=4,
+        )
+        ShardedRuntime(model, config, runtime_config, POLICY).run(trace.epochs())
+        assert len([n for n in os.listdir(tmp_path) if n.startswith("epoch_")]) >= 2
+        assert reads == []
+        # A fresh process (no heads) still rotates correctly from disk.
+        rotate_checkpoints(tmp_path, keep=1)
+        assert reads
+        load_checkpoint(latest_checkpoint(tmp_path))
 
     def test_latest_checkpoint_survives_a_torn_pointer(self, tmp_path):
         """A kill -9 can leave LATEST empty (torn mid-write) or pointing at
@@ -474,7 +742,7 @@ class TestPeriodicCheckpoints:
         are crash-consistent, so resolution falls back to the newest one."""
         self._fake_checkpoint(tmp_path, 3, "full")
         self._fake_checkpoint(tmp_path, 5, "full")
-        os.makedirs(tmp_path / "epoch_00000007.tmp")  # torn mid-save
+        (tmp_path / "epoch_00000007.tmp").write_bytes(b"RPRO")  # torn mid-save
 
         (tmp_path / "LATEST").write_text("")  # torn mid-write
         latest = latest_checkpoint(tmp_path)
@@ -493,8 +761,68 @@ class TestPeriodicCheckpoints:
         self._fake_checkpoint(tmp_path, 2, "full")
         assert os.path.basename(latest_checkpoint(tmp_path)) == "epoch_00000002"
         assert latest_checkpoint(tmp_path / "missing") is None
-        (tmp_path / "epoch_00000002" / "manifest.json").unlink()
+        (tmp_path / "epoch_00000002").unlink()
         assert latest_checkpoint(tmp_path) is None
+
+    def test_latest_checkpoint_skips_a_torn_newest_file(self, tmp_path):
+        """Power loss can leave the newest file (and a LATEST naming it)
+        shorter than its preamble says: resolution falls back to the
+        previous complete checkpoint instead of failing at load."""
+        self._fake_checkpoint(tmp_path, 3, "full")
+        self._fake_checkpoint(tmp_path, 5, "full")
+        whole = (tmp_path / "epoch_00000005").read_bytes()
+        (tmp_path / "LATEST").write_text("epoch_00000005\n")
+        for torn in (whole[:-1], whole[:20], b"", whole + b"x"):
+            (tmp_path / "epoch_00000005").write_bytes(torn)
+            assert os.path.basename(latest_checkpoint(tmp_path)) == "epoch_00000003"
+        (tmp_path / "epoch_00000005").write_bytes(whole)
+        assert os.path.basename(latest_checkpoint(tmp_path)) == "epoch_00000005"
+
+    def test_write_order_is_payload_rename_directory_pointer(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        """The durability contract, pinned call by call: the payload is
+        fsynced before it is renamed into place, the directory is fsynced
+        before LATEST may name the file, and LATEST.tmp is fsynced before
+        it replaces LATEST."""
+        model, trace, config = scenario
+        calls = []
+        real_fsync, real_rename, real_replace = os.fsync, os.rename, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))))
+            return real_fsync(fd)
+
+        def rename(src, dst):
+            calls.append(("rename", os.path.basename(src), os.path.basename(dst)))
+            return real_rename(src, dst)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(src), os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        directory = tmp_path / "ck"
+        runtime = ShardedRuntime(
+            model,
+            config,
+            RuntimeConfig(n_shards=2, checkpoint_dir=str(directory)),
+            POLICY,
+        )
+        for epoch in trace.epochs()[:5]:
+            runtime.step(epoch)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "rename", rename)
+        monkeypatch.setattr(os, "replace", replace)
+        runtime.write_periodic_checkpoint()
+        monkeypatch.undo()
+        runtime.abort()
+        assert calls == [
+            ("fsync", "epoch_00000005.tmp"),
+            ("rename", "epoch_00000005.tmp", "epoch_00000005"),
+            ("fsync", "ck"),
+            ("fsync", "LATEST.tmp"),
+            ("replace", "LATEST.tmp", "LATEST"),
+        ]
 
     def test_rotation_guard_end_to_end_with_periodic_deltas(
         self, scenario, tmp_path
@@ -515,10 +843,7 @@ class TestPeriodicCheckpoints:
         names = sorted(
             n for n in os.listdir(tmp_path) if n.startswith("epoch_")
         )
-        kinds = {
-            n: json.loads((tmp_path / n / "manifest.json").read_text()).get("kind")
-            for n in names
-        }
+        kinds = {n: read_checkpoint_header(tmp_path / n)["kind"] for n in names}
         latest = latest_checkpoint(tmp_path)
         manifest = load_checkpoint(latest)  # materializes: chain is whole
         if manifest.kind == "delta":

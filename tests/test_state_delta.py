@@ -18,7 +18,6 @@ The acceptance guarantees of the delta-checkpoint subsystem:
   spans the restore boundary (ROADMAP "Query-operator state", pinned here).
 """
 
-import json
 import os
 
 import numpy as np
@@ -34,7 +33,12 @@ from repro.errors import StateError
 from repro.inference.arena import BeliefArena
 from repro.inference.factored import FactoredParticleFilter
 from repro.runtime import EventBus, QueryBridge, ShardedRuntime
-from repro.state import load_checkpoint, restore_runtime, save_checkpoint
+from repro.state import (
+    load_checkpoint,
+    read_checkpoint_header,
+    restore_runtime,
+    save_checkpoint,
+)
 
 POLICY = OutputPolicyConfig(delay_s=20.0)
 
@@ -154,8 +158,10 @@ class TestArenaDirtyTracking:
         arena.remap_parents(np.arange(8), rng)
         delta = arena.delta_snapshot()
         assert delta["parents_dirty"]
-        # Object 1 is clean: only its (remapped) parent column ships.
+        # Object 1 is clean: only its (remapped) parent column ships, in
+        # the narrowest type that holds the pointers (one byte a row here).
         assert delta["clean_parents"].shape == (4,)
+        assert delta["clean_parents"].dtype == np.uint8
         np.testing.assert_array_equal(delta["clean_parents"], arena.parents(1))
 
 
@@ -251,7 +257,7 @@ class TestDeltaMaterialization:
         )
         base = load_checkpoint(paths[0])
         assert base.kind == "full" and base.chain == []
-        leaf_manifest = json.load(open(os.path.join(paths[2], "manifest.json")))
+        leaf_manifest = read_checkpoint_header(paths[2])
         assert leaf_manifest["kind"] == "delta"
         assert leaf_manifest["base"] == os.path.basename(paths[0])
         assert leaf_manifest["parent"] == os.path.basename(paths[1])
@@ -483,56 +489,49 @@ class TestTornChains:
         runtime.abort()
 
     def test_missing_base_fails_loudly(self, scenario, tmp_path):
-        import shutil
-
         model, trace, config = scenario
         paths, _ = write_chain(
             model, trace, config, RuntimeConfig(n_shards=2), [10, 15, 20],
             str(tmp_path), ["full", "delta", "delta"],
         )
-        shutil.rmtree(paths[0])
+        os.unlink(paths[0])
         with pytest.raises(StateError, match="parent"):
             load_checkpoint(paths[2])
 
     def test_missing_intermediate_link_fails_loudly(self, scenario, tmp_path):
-        import shutil
-
         model, trace, config = scenario
         paths, _ = write_chain(
             model, trace, config, RuntimeConfig(n_shards=2), [10, 15, 20],
             str(tmp_path), ["full", "delta", "delta"],
         )
-        shutil.rmtree(paths[1])
+        os.unlink(paths[1])
         with pytest.raises(StateError, match="parent"):
             load_checkpoint(paths[2])
         # The base itself still loads.
         assert load_checkpoint(paths[0]).epochs_processed == 10
 
-    def test_parent_cycle_detected(self, scenario, tmp_path):
+    def test_parent_cycle_detected(self, scenario, tmp_path, checkpoint_files):
         model, trace, config = scenario
         paths, _ = write_chain(
             model, trace, config, RuntimeConfig(), [10, 15],
             str(tmp_path), ["full", "delta"],
         )
-        manifest_path = os.path.join(paths[1], "manifest.json")
-        manifest = json.loads(open(manifest_path).read())
-        manifest["parent"] = os.path.basename(paths[1])  # points at itself
-        with open(manifest_path, "w") as fp:
-            json.dump(manifest, fp)
+
+        def point_at_itself(header):
+            header["parent"] = os.path.basename(paths[1])
+
+        checkpoint_files.edit_header(paths[1], point_at_itself)
         with pytest.raises(StateError, match="cycle"):
             load_checkpoint(paths[1])
 
-    def test_corrupt_delta_shard_detected(self, scenario, tmp_path):
+    def test_corrupt_delta_shard_detected(self, scenario, tmp_path, checkpoint_files):
         model, trace, config = scenario
         paths, _ = write_chain(
             model, trace, config, RuntimeConfig(), [10, 15],
             str(tmp_path), ["full", "delta"],
         )
-        shard_file = os.path.join(paths[1], "shard_0000.npz")
-        blob = bytearray(open(shard_file, "rb").read())
-        blob[len(blob) // 2] ^= 0xFF
-        with open(shard_file, "wb") as fp:
-            fp.write(bytes(blob))
+        start, end = checkpoint_files.sections(paths[1])["body"]
+        checkpoint_files.flip_bit(paths[1], (start + end) // 2)
         with pytest.raises(StateError, match="checksum mismatch"):
             load_checkpoint(paths[1])
 
