@@ -464,8 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--host",
         type=str,
         default="127.0.0.1",
-        help="interface to bind (default loopback; the transport trusts "
-        "its peers, so keep it on a private network)",
+        help="interface to bind (default loopback; the link is neither "
+        "authenticated nor encrypted, so keep it on a private network)",
     )
     shost.add_argument(
         "--port",

@@ -336,6 +336,19 @@ class InferenceConfig:
         )
 
 
+def inference_config_from_dict(data: dict) -> InferenceConfig:
+    """Inverse of ``dataclasses.asdict``; raises ``KeyError``/``TypeError``
+    on a malformed payload (checkpoint headers and worker boot documents
+    both come from outside the program and report either as their own
+    typed error)."""
+    data = dict(data)
+    data["compression"] = CompressionConfig(**data["compression"])
+    data["spatial_index"] = SpatialIndexConfig(**data["spatial_index"])
+    data["arena"] = ArenaConfig(**data["arena"])
+    data["budget"] = BudgetConfig(**data["budget"])
+    return InferenceConfig(**data)
+
+
 #: Partitioner names accepted by :class:`RuntimeConfig`.  The implementations
 #: live in ``repro.runtime.partition`` (which imports this tuple); the names
 #: are declared here so configuration validates without importing the runtime.
@@ -373,7 +386,7 @@ class SupervisorConfig:
     backoff_base_s: float = 0.05
     #: Ceiling for the exponential backoff between restarts.
     backoff_cap_s: float = 2.0
-    #: Deadline for a single worker pipe op (send→reply).  A worker whose
+    #: Deadline for a single worker link op (send→reply).  A worker whose
     #: heartbeats still flow but whose reply misses this deadline is
     #: declared hung (:class:`~repro.errors.WorkerTimeout`) and recycled.
     op_timeout_s: float = 30.0
@@ -430,7 +443,7 @@ class RuntimeConfig:
     #: in the calling thread; ``"thread"`` steps them concurrently in a
     #: thread pool (the numpy kernels release the GIL); ``"process"`` steps
     #: them on persistent worker processes (``repro.runtime.workers``) —
-    #: routed reads and emitted events cross pipes, belief arenas live in
+    #: routed reads and emitted events cross a socketpair, belief arenas live in
     #: per-worker shared memory, and the GIL stops being the scaling limit.
     #: Output is identical across executors at equal shard counts — shards
     #: share no mutable state and the merge is deterministic.

@@ -218,7 +218,7 @@ def run_sharded(
         "events_published": float(runtime.bus.published),
         # Deployment shape: worker processes backing the run (0 = in-process
         # executor).  Stats below still come from the live shards either way
-        # — proxies answer them over the worker pipe.
+        # — proxies answer them over the worker link.
         "worker_processes": float(
             runtime.n_shards if runtime_config.executor == "process" else 0
         ),

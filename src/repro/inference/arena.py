@@ -50,7 +50,7 @@ segment (:class:`SharedSlab`) instead of private heap pages.  The process
 executor's workers use this so the parent process can *read* belief state —
 attach with :func:`attach_shared_slab` using the ``(name, capacity, dtype)``
 triple from :meth:`BeliefArena.shared_segment` — without any array crossing
-a pipe.
+the worker link.
 Growing allocates a fresh segment and unlinks the old one, so a reader must
 re-attach whenever the advertised segment changes; :meth:`release` frees the
 segment at worker teardown (shared slabs are not reclaimed by the garbage

@@ -19,13 +19,14 @@ setting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..geometry.shapes import ShelfSet
+from ..geometry.box import Box
+from ..geometry.shapes import ShelfRegion, ShelfSet
 from ..geometry.vec import as_point, delta_range_bearing
 from ..streams.records import ReaderLocationReport, TagId, TagReading
 from ..streams.sources import GroundTruth, ObjectMove, Trace
@@ -79,6 +80,52 @@ class RFIDWorldModel:
             sensing=LocationSensingModel(sensing_params),
             objects=ObjectLocationModel(shelves, dynamics_params),
             shelf_tags=dict(shelf_tags or {}),
+        )
+
+    def to_dict(self) -> dict:
+        """Everything :meth:`build` needs, as JSON types (floats round-trip
+        exactly): the four parameter sets, the shelf boxes and S."""
+        return {
+            "sensor": asdict(self.sensor.params),
+            "motion": asdict(self.motion.params),
+            "sensing": asdict(self.sensing.params),
+            "dynamics": asdict(self.objects.params),
+            "shelves": [
+                [shelf.shelf_id, *map(float, shelf.box.lo), *map(float, shelf.box.hi)]
+                for shelf in self.shelves
+            ],
+            "shelf_tags": [
+                [number, *position.tolist()]
+                for number, position in self.shelf_tags.items()
+            ],
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "RFIDWorldModel":
+        """Inverse of :meth:`to_dict`; raises ``KeyError`` / ``TypeError`` /
+        ``ValueError`` on a malformed document."""
+
+        def params(cls, fields: dict):
+            # JSON turned the coefficient tuples into lists.
+            return cls(
+                **{
+                    key: tuple(value) if isinstance(value, list) else value
+                    for key, value in fields.items()
+                }
+            )
+
+        return RFIDWorldModel.build(
+            ShelfSet(
+                [
+                    ShelfRegion(int(shelf_id), Box((x0, y0, z0), (x1, y1, z1)))
+                    for shelf_id, x0, y0, z0, x1, y1, z1 in data["shelves"]
+                ]
+            ),
+            {int(number): (x, y, z) for number, x, y, z in data["shelf_tags"]},
+            params(SensorParams, data["sensor"]),
+            params(MotionParams, data["motion"]),
+            params(SensingNoiseParams, data["sensing"]),
+            params(ObjectDynamicsParams, data["dynamics"]),
         )
 
     def with_sensor(self, sensor: SensorModel) -> "RFIDWorldModel":

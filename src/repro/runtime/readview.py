@@ -6,11 +6,12 @@ belief arena:
 * **in-process shards** (serial/thread executors) — per-object accessors
   return numpy slices straight into the shard's
   :class:`~repro.inference.arena.BeliefArena` slab;
-* **process shards** — accessors go through
-  :meth:`~repro.runtime.workers.ShardWorkerProxy.arena_view`, a parent-side
-  attachment of the worker's shared-memory slab.
+* **worker shards** — accessors go through
+  :meth:`~repro.runtime.workers.ShardWorkerProxy.arena_view`: a parent-side
+  attachment of a local (``process``) worker's shared-memory slab, or the
+  blocks of a ``remote`` worker fetched once over its link.
 
-Either way no particle data is copied.  The view is stamped with
+Only the remote fetch copies particle data.  The view is stamped with
 ``runtime.epochs_processed`` at creation: workers only mutate their slabs
 while serving a step, so between steps every read is a consistent snapshot
 of the same epoch.  Accessing a view after the runtime has advanced raises
@@ -41,7 +42,7 @@ class RuntimeReadView:
         try:
             for shard in runtime.shards:
                 if hasattr(shard, "arena_view"):
-                    # Process executor: attach the worker's shared slab.
+                    # Worker executor: attach (or fetch) the worker's blocks.
                     self._views.append(shard.arena_view())
                     self._owned.append(True)
                 else:

@@ -50,7 +50,7 @@ class EpochRouter:
     def split_numbers(self, epoch: Epoch) -> List[List[int]]:
         """Per-shard owned object-tag *numbers* — the wire form of
         :meth:`split` for the process executor, which ships routed reads as
-        plain ints over a pipe instead of pickling per-shard epochs.  Each
+        plain ints over the worker link instead of whole per-shard epochs.  Each
         worker rebuilds its sub-epoch from these plus the broadcast context;
         the reconstructed content is identical to :meth:`split`'s (tag sets
         are unordered), so executor parity is unaffected.

@@ -13,7 +13,8 @@ derived deterministically from the root seed.  Per epoch the runtime:
    share no mutable state; the numpy kernels release the GIL), or on
    persistent worker *processes* (:mod:`~repro.runtime.workers`) that
    sidestep the GIL entirely — routed reads go out and emitted events come
-   back over pipes, belief state stays in per-worker shared-memory slabs;
+   back over framed stream sockets, belief state stays in per-worker
+   shared-memory slabs;
 3. **merges** — streams every shard's emitted events onto the
    :class:`~repro.runtime.bus.EventBus` via a ``(time, tag)``-keyed k-way
    merge of the per-shard (already time-ordered) event lists.
@@ -109,8 +110,8 @@ class ShardedRuntime:
         self.sink: EventSink = sink if sink is not None else CollectingSink()
         self.bus.subscribe_sink(self.sink)
         #: True for both worker-backed executors ("process" forks local
-        #: workers behind pipes; "remote" connects to `repro shard-host`
-        #: pools over TCP) — they share the whole proxy protocol.
+        #: workers behind socketpairs; "remote" connects to `repro
+        #: shard-host` pools over TCP) — they share one proxy and one link.
         self._process = runtime.executor in ("process", "remote")
         #: Self-healing layer (``repro.runtime.supervisor``): present only
         #: when RuntimeConfig.supervisor is set AND the executor is
@@ -120,8 +121,8 @@ class ShardedRuntime:
             # Persistent workers, one per shard, each owning a FilterShard
             # built from the same re-seeded config the local executors
             # would use — output parity is exact.  A custom engine_factory
-            # is forwarded (it must be picklable under a spawn start
-            # method or a remote boot; anything goes under fork).
+            # reaches local workers through the fork; it cannot cross a
+            # remote link and is refused there.
             self.shards: List = []
             try:
                 for index in range(runtime.n_shards):
@@ -226,44 +227,34 @@ class ShardedRuntime:
         (a reconnect boots a fresh worker there, so a remote respawn heals
         exactly like a local one).
         """
-        supervisor_config = self.runtime_config.supervisor
-        kwargs = dict(
-            initial_heading=self.initial_heading,
-            engine_factory=self._engine_factory,
-            op_timeout_s=(
-                supervisor_config.op_timeout_s
-                if supervisor_config is not None
-                else None
-            ),
-            heartbeat_interval_s=(
-                supervisor_config.heartbeat_interval_s
-                if supervisor_config is not None
-                else None
-            ),
-            heartbeat_grace_s=(
-                supervisor_config.heartbeat_grace_s
-                if supervisor_config is not None
-                else None
-            ),
+        supervisor = self.runtime_config.supervisor
+        timing = (
+            {}
+            if supervisor is None
+            else dict(
+                op_timeout_s=supervisor.op_timeout_s,
+                heartbeat_interval_s=supervisor.heartbeat_interval_s,
+                heartbeat_grace_s=supervisor.heartbeat_grace_s,
+            )
         )
         config = replace(
             self.config,
             seed=shard_seed(self.config.seed, index, self.runtime_config.n_shards),
         )
-        if self.runtime_config.executor == "remote":
-            from .transport import RemoteShardProxy  # deferred: no cycle
-
-            hosts = self.runtime_config.shard_hosts
-            return RemoteShardProxy(
-                index,
-                self.model,
-                config,
-                self.policy,
-                endpoint=hosts[index % len(hosts)],
-                **kwargs,
-            )
+        hosts = self.runtime_config.shard_hosts
         return ShardWorkerProxy(
-            index, self.model, config, self.policy, **kwargs
+            index,
+            self.model,
+            config,
+            self.policy,
+            endpoint=(
+                hosts[index % len(hosts)]
+                if self.runtime_config.executor == "remote"
+                else None
+            ),
+            initial_heading=self.initial_heading,
+            engine_factory=self._engine_factory,
+            **timing,
         )
 
     @property

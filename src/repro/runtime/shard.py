@@ -46,7 +46,7 @@ class FilterShard:
 
     # Engine queries, exposed at the shard boundary so callers (the runtime,
     # the state layer) never reach into ``.engine`` — the process executor's
-    # ShardWorkerProxy implements this same surface over a pipe.
+    # ShardWorkerProxy implements this same surface over the worker link.
     def known_objects(self) -> List[int]:
         return self.engine.known_objects()
 

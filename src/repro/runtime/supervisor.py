@@ -3,13 +3,13 @@
 The process executor's crash story through PR 4 was *containment*: a dead
 worker raised :class:`~repro.errors.WorkerError`, the runtime aborted, and
 a human restarted from the last checkpoint.  The supervisor closes that
-loop in-process.  When a worker dies (pipe EOF / silent heartbeat gap) or
+loop in-process.  When a worker dies (link EOF / silent heartbeat gap) or
 hangs (heartbeats flow, reply misses the op deadline), the supervisor:
 
 1. **kills + respawns** the worker process (fresh fork, same re-seeded
    shard config — determinism comes from the seed, not the process);
 2. **restores** just that shard from the last checkpoint's per-shard state
-   (``manifest.shard_states[index]`` over the pipe, exactly the restore
+   (``manifest.shard_states[index]`` over the link, exactly the restore
    path explicit resume uses) — or starts it fresh from the seed when no
    checkpoint exists yet;
 3. **replays** the journaled epoch suffix — every epoch routed since that
@@ -166,8 +166,8 @@ class ShardSupervisor:
         """
         recovered = []
         for index, proxy in enumerate(self.runtime.shards):
-            # Transport-agnostic liveness: local proxies check their forked
-            # process, remote proxies their socket (ShardProxyBase.is_alive).
+            # Link-agnostic liveness: the proxy checks its socket and, for a
+            # local worker, the forked process (ShardWorkerProxy.is_alive).
             if not proxy.is_alive():
                 self._recover(index, cause)
                 recovered.append(index)

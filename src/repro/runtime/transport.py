@@ -1,94 +1,99 @@
-"""Socket transport for shard workers: shards on remote hosts over TCP.
+"""The shard-worker link: framed bytes over one stream socket.
 
-The process executor's per-epoch protocol is already compact tuples
-(:mod:`repro.runtime.workers`); this module carries the same tuples over a
-length-prefixed binary framing — ``u32 length (big-endian) | u8 type |
-payload``, the exact shape of the ingest service's wire protocol
-(:mod:`repro.serve.protocol`) — so shards can run in a ``repro shard-host``
-worker pool on another machine.  Three rules keep the hot path binary and
-the cold path simple:
+Every worker executor speaks this link — ``process`` over a
+``socket.socketpair()`` to a forked child, ``remote`` over TCP to a
+``repro shard-host`` — so there is one codec, one connection class and one
+proxy (:class:`~repro.runtime.workers.ShardWorkerProxy`).  Frames are the
+package-wide ``u32 length | u8 kind | payload`` shape split by
+:mod:`repro.wire`; the link defines four kinds:
 
-* **Hot frames are struct-packed.**  ``step`` requests and ``events``
-  replies — the two frames exchanged every epoch — pack fixed-width fields
-  with :mod:`struct`, no pickling.  Floats cross as IEEE-754 f64, so a
-  remote shard's emissions are **bit-identical** to a local worker's.
-* **Control frames are pickled.**  Boot, snapshot/restore state trees,
-  stats, and final summaries are rare and structurally rich (nested dicts
-  of numpy arrays); they cross as pickle inside one control frame.  That
-  makes the transport exactly as trusting as ``multiprocessing`` pipes:
-  run shard hosts only on networks where every peer may execute code
-  (same trust model as the pipe transport's forked workers).
-* **Heartbeats are empty frames.**  The worker-side heartbeat thread's
-  ``("hb",)`` tuples become one-byte-payload frames, so the parent's
-  deadline-bounded receive loop (:class:`~repro.runtime.workers
-  .ShardProxyBase`) distinguishes a dead link from a slow reply over TCP
-  exactly as it does over a pipe.
+* ``STEP`` / ``EVENTS`` — the two frames exchanged every epoch — pack
+  fixed-width fields with :mod:`struct`.  Floats cross as IEEE-754 f64, so
+  a worker's emissions are **bit-identical** wherever it runs.  ``EVENTS``
+  also advertises a local worker's current shared-memory segment (the
+  parent's reclamation key if the worker dies uncleanly).
+* ``CONTROL`` — boot, snapshot/restore, stats, final summaries, ``ok`` /
+  ``error`` replies — carries an op name plus a *state tree*: the JSON
+  skeleton + indexed raw arrays that :mod:`repro.state.snapshot` produces
+  for checkpoint files, behind a CRC-32.  Trees that survive a checkpoint
+  survive the link bitwise, and nothing a peer sends is ever executed: a
+  frame is JSON plus raw array bytes, each index entry checked against the
+  payload before its array is allocated.
+* ``HB`` — an empty heartbeat frame, so the parent's deadline-bounded
+  receive loop distinguishes a dead link from a slow reply.
 
-Off-host there is no shared memory, so the proxy's ``arena_view`` becomes
-an explicit ``beliefs`` fetch: the worker packs every live particle block
-into contiguous arrays plus a slot table, and the parent reads the reply
-through :class:`FetchedArenaView` — the same read surface as the
-shared-slab :class:`~repro.runtime.workers.ArenaView`.
+Every decode failure leaves :func:`decode_payload` as
+:class:`~repro.errors.WorkerError`: to the supervisor a corrupt link is a
+dead worker, never a stray exception.
 
-The shard host (:class:`ShardHostServer`) forks one local worker per
-accepted connection — reusing :func:`~repro.runtime.workers._worker_main`
-verbatim, heartbeats and fault points included — and relays frames between
-the socket and the worker's pipe.  When the socket drops (parent gone, or
-a supervisor gave up on the link) the host kills the worker and reclaims
-its shared-memory segment: a shard host never accumulates orphans.
+The shard host (:class:`ShardHostServer`) accepts a connection, forks a
+worker **holding the accepted socket**, closes its own copy and reaps the
+child when it exits; the long-lived host process parses no peer bytes.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import os
-import pickle
 import select
 import socket
 import struct
 import threading
 import time as _time
+import zlib
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..config import InferenceConfig, OutputPolicyConfig
-from ..errors import InferenceError, WorkerError
-from ..inference.arena import attach_shared_slab
-from ..models.joint import RFIDWorldModel
-from .workers import (
-    ShardProxyBase,
-    _ensure_resource_tracker,
-    _worker_main,
-    worker_context,
-)
+from ..errors import StateError, WorkerError
+from ..streams.records import LocationEvent, LocationStatistics, TagId
+from ..wire import FrameSplitter, pack_frame
 
-# Frame type codes (u8 on the wire).
-T_CONTROL = 1  # pickled tuple: boot, snapshot/restore, stats, ok/error, ...
+# Frame kinds (u8 on the wire).
+T_CONTROL = 1  # op name + state tree: boot, snapshot/restore, stats, ok/error
 T_STEP = 2  # struct-packed step request (the parent→worker hot path)
 T_EVENTS = 3  # struct-packed events reply (the worker→parent hot path)
 T_HB = 4  # empty heartbeat frame
 
-_LEN = struct.Struct("!I")
+_FRAME_NAMES = {T_CONTROL: "CONTROL", T_STEP: "STEP", T_EVENTS: "EVENTS", T_HB: "HB"}
+
 #: time f64 | x y z f64 | flags u8 | heading f64 | n_obj u32 | n_shelf u32
 #: (flags bit 0: position present; bit 1: heading present — handheld
 #: readers report neither, positioning dropouts report no position)
 _STEP_HEAD = struct.Struct("!ddddBdII")
 _STEP_HAS_POSITION = 0x01
 _STEP_HAS_HEADING = 0x02
-_EVENTS_HEAD = struct.Struct("!I")
+#: event count u32 | segment advert bytes u16 (JSON ``[name, capacity,
+#: dtype]``; 0 when the worker's arena is private)
+_EVENTS_HEAD = struct.Struct("!IH")
 #: time f64 | tag number u32 | x y z f64 | has_stats u8
 _EVENT_FIXED = struct.Struct("!dIdddB")
 #: covariance 9×f64 (row-major) | confidence radius f64 | sample size u32
 _EVENT_STATS = struct.Struct("!9ddI")
+#: CRC-32 of everything after it u32 | JSON header bytes u32
+_CONTROL_HEAD = struct.Struct("!II")
 
 #: Frame-size guard.  Control frames carry whole checkpoint state trees
 #: (arena slabs included), so the ceiling is per-message memory, not a
 #: protocol limit.
 MAX_MESSAGE_BYTES = 1 << 30
 
-#: Default deadline for the TCP connect + boot of one remote shard.
+#: Frame-size guard until a worker has decoded a valid boot frame: boot
+#: documents are kilobytes, and an unauthenticated peer must not be able to
+#: make a fresh worker buffer a state-tree-sized frame.
+PRE_BOOT_MAX_BYTES = 1 << 20
+
+#: Deadline for the TCP connect + boot of one remote shard — and for a
+#: fresh worker to receive its boot frame before it drops the link.
 CONNECT_TIMEOUT_S = 10.0
+
+
+#: What decoding corrupt bytes can raise (struct, JSON, dtypes, index checks).
+_MALFORMED = (
+    WorkerError, StateError, struct.error, ValueError, TypeError, KeyError, OverflowError
+)
 
 
 def parse_endpoint(endpoint: str) -> Tuple[str, int]:
@@ -98,7 +103,7 @@ def parse_endpoint(endpoint: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Message codec: worker-protocol tuples <-> framed bytes
+# Message codec: worker-protocol tuples <-> frame payloads
 # ---------------------------------------------------------------------------
 def _encode_step(message: tuple) -> bytes:
     _, time, position, heading, object_numbers, shelf_numbers = message
@@ -120,131 +125,192 @@ def _encode_step(message: tuple) -> bytes:
         len(objects),
         len(shelves),
     )
-    body = struct.pack(f"!{len(objects)}I", *objects) + struct.pack(
-        f"!{len(shelves)}I", *shelves
-    )
-    return head + body
+    return head + struct.pack(f"!{len(objects) + len(shelves)}I", *objects, *shelves)
 
 
 def _decode_step(payload: bytes) -> tuple:
     time, x, y, z, flags, heading, n_obj, n_shelf = _STEP_HEAD.unpack_from(
         payload, 0
     )
-    offset = _STEP_HEAD.size
-    objects = list(struct.unpack_from(f"!{n_obj}I", payload, offset))
-    offset += 4 * n_obj
-    shelves = list(struct.unpack_from(f"!{n_shelf}I", payload, offset))
+    if _STEP_HEAD.size + 4 * (n_obj + n_shelf) != len(payload):
+        raise WorkerError(
+            f"header claims {n_obj}+{n_shelf} tags in a {len(payload)}-byte frame"
+        )
+    numbers = struct.unpack_from(f"!{n_obj + n_shelf}I", payload, _STEP_HEAD.size)
     return (
         "step",
         time,
         (x, y, z) if flags & _STEP_HAS_POSITION else None,
         heading if flags & _STEP_HAS_HEADING else None,
-        objects,
-        shelves,
+        list(numbers[:n_obj]),
+        list(numbers[n_obj:]),
     )
 
 
 def _encode_events(message: tuple) -> bytes:
-    # ("events", rows, segment) — the segment names worker-local shared
-    # memory, meaningless across hosts, so the wire drops it.
-    _, rows = message[0], message[1]
-    parts = [_EVENTS_HEAD.pack(len(rows))]
-    for time, number, position, stats in rows:
-        x, y, z = (float(v) for v in position)
+    _, events, segment = message
+    advert = b"" if segment is None else json.dumps(list(segment)).encode()
+    parts = [_EVENTS_HEAD.pack(len(events), len(advert)), advert]
+    for event in events:
+        x, y, z = (float(v) for v in event.position)
+        stats = event.statistics
         parts.append(
             _EVENT_FIXED.pack(
-                float(time), int(number), x, y, z, 0 if stats is None else 1
+                float(event.time), event.tag.number, x, y, z, 0 if stats is None else 1
             )
         )
         if stats is not None:
-            covariance, radius, sample_size = stats
-            flat = np.asarray(covariance, dtype=np.float64).reshape(9)
+            flat = np.asarray(stats.covariance, dtype=np.float64).reshape(9)
             parts.append(
                 _EVENT_STATS.pack(
-                    *(float(v) for v in flat), float(radius), int(sample_size)
+                    *flat.tolist(),
+                    float(stats.confidence_radius),
+                    int(stats.sample_size),
                 )
             )
     return b"".join(parts)
 
 
 def _decode_events(payload: bytes) -> tuple:
-    (count,) = _EVENTS_HEAD.unpack_from(payload, 0)
+    count, advert_bytes = _EVENTS_HEAD.unpack_from(payload, 0)
     offset = _EVENTS_HEAD.size
-    rows = []
+    segment = None
+    if advert_bytes:
+        name, capacity, dtype = json.loads(payload[offset : offset + advert_bytes])
+        segment = (str(name), int(capacity), str(dtype))
+        offset += advert_bytes
+    if count * _EVENT_FIXED.size > len(payload) - offset:
+        raise WorkerError(
+            f"header claims {count} events in a {len(payload)}-byte frame"
+        )
+    events: List[LocationEvent] = []
     for _ in range(count):
         time, number, x, y, z, has_stats = _EVENT_FIXED.unpack_from(payload, offset)
         offset += _EVENT_FIXED.size
-        stats = None
+        statistics = None
         if has_stats:
             values = _EVENT_STATS.unpack_from(payload, offset)
             offset += _EVENT_STATS.size
             # LocationStatistics.covariance is a flat row-major 9-tuple.
-            stats = (values[:9], values[9], int(values[10]))
-        rows.append(
-            (time, int(number), np.array((x, y, z), dtype=np.float64), stats)
+            statistics = LocationStatistics(values[:9], values[9], values[10])
+        events.append(
+            LocationEvent(
+                time, TagId.object(number), np.array((x, y, z)), statistics
+            )
         )
-    return ("events", rows, None)
+    if offset != len(payload):
+        raise WorkerError(f"{len(payload) - offset} bytes after the last event")
+    return ("events", events, segment)
+
+
+def _encode_control(message: tuple) -> bytes:
+    from ..state.snapshot import index_arrays, split_state_tree  # deferred: no cycle
+
+    skeleton, arrays = split_state_tree(list(message[1:]))
+    buffers: list = []
+    index, _ = index_arrays(arrays, 0, buffers)
+    header = json.dumps(
+        {"op": message[0], "args": skeleton, "arrays": index}, separators=(",", ":")
+    ).encode()
+    checked = [struct.pack("!I", len(header)), header, *buffers]
+    crc = 0
+    for part in checked:
+        crc = zlib.crc32(part, crc)
+    return b"".join([struct.pack("!I", crc), *checked])
+
+
+def _decode_control(payload: bytes) -> tuple:
+    from ..state.snapshot import join_state_tree, read_indexed_arrays
+
+    crc, header_bytes = _CONTROL_HEAD.unpack_from(payload, 0)
+    if zlib.crc32(memoryview(payload)[4:]) != crc:
+        raise WorkerError("checksum mismatch")
+    body_at = _CONTROL_HEAD.size + header_bytes
+    if body_at > len(payload):
+        raise WorkerError(
+            f"{header_bytes}-byte header overruns its {len(payload)}-byte frame"
+        )
+    header = json.loads(payload[_CONTROL_HEAD.size : body_at])
+    op, args, index = header["op"], header["args"], header["arrays"]
+    if not (isinstance(op, str) and isinstance(args, list) and isinstance(index, dict)):
+        raise WorkerError("header members have the wrong types")
+    body = io.BytesIO(payload)
+    body.seek(body_at)
+    body_bytes = len(payload) - body_at
+    arrays, end = read_indexed_arrays(body, index, 0, body_bytes, lambda _: None)
+    if end != body_bytes:
+        raise WorkerError(f"{body_bytes - end} bytes after the last array")
+    return (op, *join_state_tree(args, arrays))
 
 
 def encode_message(message: tuple) -> bytes:
     """One worker-protocol tuple → one length-prefixed frame."""
     op = message[0]
     if op == "hb":
-        kind, payload = T_HB, b""
-    elif op == "step":
-        kind, payload = T_STEP, _encode_step(message)
-    elif op == "events":
-        kind, payload = T_EVENTS, _encode_events(message)
-    else:
-        kind, payload = T_CONTROL, pickle.dumps(
-            message, protocol=pickle.HIGHEST_PROTOCOL
-        )
-    return _LEN.pack(len(payload) + 1) + bytes([kind]) + payload
+        return pack_frame(T_HB)
+    if op == "step":
+        return pack_frame(T_STEP, _encode_step(message))
+    if op == "events":
+        return pack_frame(T_EVENTS, _encode_events(message))
+    return pack_frame(T_CONTROL, _encode_control(message))
 
 
 def decode_payload(kind: int, payload: bytes) -> tuple:
-    if kind == T_HB:
-        return ("hb",)
-    if kind == T_STEP:
-        return _decode_step(payload)
-    if kind == T_EVENTS:
-        return _decode_events(payload)
-    if kind == T_CONTROL:
-        return pickle.loads(payload)
-    raise WorkerError(f"unknown transport frame type {kind}")
+    """One frame's ``(kind, payload)`` → the worker-protocol tuple.
+
+    The one site where link bytes become values: every way a payload can
+    be malformed leaves here as :class:`WorkerError`.
+    """
+    try:
+        if kind == T_HB and not payload:
+            return ("hb",)
+        if kind == T_STEP:
+            return _decode_step(payload)
+        if kind == T_EVENTS:
+            return _decode_events(payload)
+        if kind == T_CONTROL:
+            return _decode_control(payload)
+        raise WorkerError("unknown kind or stray payload")
+    except _MALFORMED as exc:
+        raise WorkerError(
+            f"malformed {_FRAME_NAMES.get(kind, f'type {kind}')} frame: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
-# FramedConnection: the multiprocessing.Connection trio over a TCP socket
+# FramedConnection: whole protocol tuples over one stream socket
 # ---------------------------------------------------------------------------
 class FramedConnection:
-    """Blocking-socket message connection with the pipe ``Connection`` API.
+    """Blocking-socket message connection: ``send`` / ``recv`` / ``poll``.
 
-    ``send`` / ``recv`` / ``poll`` carry whole worker-protocol tuples, so
-    :class:`~repro.runtime.workers.ShardProxyBase` (and the shard host's
-    relay) drive a socket exactly as they drive a pipe.  A clean peer close
-    surfaces as :class:`EOFError` from ``recv`` — again matching the pipe.
+    Carries whole worker-protocol tuples over any stream socket (a
+    socketpair end, a TCP connection).  A clean peer close surfaces as
+    :class:`EOFError` from ``recv``; a frame that cannot be split or
+    decoded raises :class:`WorkerError` and poisons the connection — after
+    framing desynchronizes nothing that follows can be trusted.
 
     ``bytes_sent`` / ``bytes_received`` count framed wire bytes per link;
-    remote proxies surface them in shard stats so the serve STATS document
-    aggregates per-link wire cost for free.
+    proxies surface them in shard stats (and so in the serve STATS document).
     """
 
     def __init__(self, sock: socket.socket, max_message_bytes: int = MAX_MESSAGE_BYTES):
         sock.setblocking(True)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP sockets in tests
+        except OSError:  # a socketpair end: nothing to tune
             pass
         self._sock = sock
-        self._max = int(max_message_bytes)
-        self._buffer = bytearray()
+        self._splitter = FrameSplitter(max_message_bytes, WorkerError)
         self._frames: deque = deque()
         self._eof = False
         self._closed = False
         self._send_lock = threading.Lock()
         self.bytes_sent = 0
         self.bytes_received = 0
+
+    def raise_limit(self, max_message_bytes: int) -> None:
+        """Accept frames up to ``max_message_bytes`` from here on."""
+        self._splitter.max_frame_bytes = int(max_message_bytes)
 
     # -- sending -------------------------------------------------------
     def send(self, message: tuple) -> None:
@@ -256,32 +322,10 @@ class FramedConnection:
             self.bytes_sent += len(data)
 
     # -- receiving -----------------------------------------------------
-    def _drain_buffer(self) -> None:
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length < 1:
-                raise WorkerError("zero-length transport frame")
-            if length > self._max:
-                raise WorkerError(
-                    f"transport frame of {length} bytes exceeds the "
-                    f"{self._max}-byte limit"
-                )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
-                return
-            kind = self._buffer[_LEN.size]
-            payload = bytes(self._buffer[_LEN.size + 1 : end])
-            del self._buffer[:end]
-            self._frames.append(decode_payload(kind, payload))
-
     def poll(self, timeout: Optional[float] = 0.0) -> bool:
         """True when ``recv`` would not block (a frame — or EOF — is ready)."""
-        if self._frames or self._eof:
-            return True
-        if self._closed:
-            return True  # recv will raise promptly
+        if self._frames or self._eof or self._closed:
+            return True  # (closed: recv will raise promptly)
         deadline = None if timeout is None else _time.monotonic() + timeout
         while True:
             remaining = (
@@ -293,14 +337,18 @@ class FramedConnection:
             try:
                 chunk = self._sock.recv(1 << 16)
             except OSError:
-                self._eof = True
-                return True
+                chunk = b""
             if not chunk:
                 self._eof = True
                 return True
             self.bytes_received += len(chunk)
-            self._buffer.extend(chunk)
-            self._drain_buffer()
+            self._splitter.feed(chunk)
+            try:
+                for kind, payload in self._splitter.frames():
+                    self._frames.append(decode_payload(kind, payload))
+            except WorkerError:
+                self._eof = True
+                raise
             if self._frames:
                 return True
             if deadline is not None and _time.monotonic() >= deadline:
@@ -313,9 +361,6 @@ class FramedConnection:
             self.poll(None)
         return self._frames.popleft()
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
     @property
     def alive(self) -> bool:
         return not (self._eof or self._closed)
@@ -325,6 +370,8 @@ class FramedConnection:
             return
         self._closed = True
         try:
+            # Shut down, not just close: the peer sees EOF even while a
+            # forked sibling holds an inherited copy of this socket.
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
@@ -335,292 +382,8 @@ class FramedConnection:
 
 
 # ---------------------------------------------------------------------------
-# Parent side: the remote proxy
-# ---------------------------------------------------------------------------
-class FetchedArenaView:
-    """Point-in-time belief read over a ``beliefs`` fetch reply.
-
-    Same read surface as the shared-slab
-    :class:`~repro.runtime.workers.ArenaView`, but over arrays copied off
-    the wire — consistent by construction (the worker packs between steps)
-    and valid until the caller drops it.  ``close`` is a no-op; there is
-    no segment to detach.
-    """
-
-    def __init__(
-        self,
-        slots: Dict[int, Tuple[int, int]],
-        positions: np.ndarray,
-        parents: np.ndarray,
-        log_weights: np.ndarray,
-    ):
-        self.slots = slots
-        self._positions = positions
-        self._parents = parents
-        self._log_weights = log_weights
-
-    def object_ids(self) -> List[int]:
-        return list(self.slots)
-
-    def _slice(self, object_id: int) -> slice:
-        try:
-            start, count = self.slots[object_id]
-        except KeyError:
-            raise InferenceError(
-                f"object {object_id} has no block in the fetched beliefs"
-            ) from None
-        return slice(start, start + count)
-
-    def positions(self, object_id: int) -> np.ndarray:
-        return self._positions[self._slice(object_id)]
-
-    def parents(self, object_id: int) -> np.ndarray:
-        return self._parents[self._slice(object_id)]
-
-    def log_weights(self, object_id: int) -> np.ndarray:
-        return self._log_weights[self._slice(object_id)]
-
-    def close(self) -> None:
-        pass
-
-
-class RemoteShardProxy(ShardProxyBase):
-    """Handle to one shard worker running in a remote ``shard-host`` pool.
-
-    Connects, ships a ``boot`` control frame (model, re-seeded config,
-    policy, engine factory — the same recipe a local fork gets), and then
-    speaks the identical tuple protocol.  A refused or dropped connection
-    surfaces as :class:`~repro.errors.WorkerError`, so the supervisor's
-    respawn path retries through its usual backoff — reconnecting to a
-    restarted shard host heals a remote death exactly like a local one.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        model: RFIDWorldModel,
-        config: InferenceConfig,
-        policy: OutputPolicyConfig,
-        endpoint: str,
-        initial_heading: float = 0.0,
-        engine_factory=None,
-        op_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
-        heartbeat_grace_s: Optional[float] = None,
-        connect_timeout_s: float = CONNECT_TIMEOUT_S,
-    ):
-        self._init_protocol(
-            index, op_timeout_s, heartbeat_interval_s, heartbeat_grace_s
-        )
-        self.endpoint = str(endpoint)
-        self._conn: Optional[FramedConnection] = None
-        host, port = parse_endpoint(self.endpoint)
-        try:
-            sock = socket.create_connection((host, port), timeout=connect_timeout_s)
-        except OSError as exc:
-            raise WorkerError(
-                f"shard worker {index}: cannot reach shard host "
-                f"{self.endpoint}: {exc}"
-            ) from exc
-        sock.settimeout(None)
-        self._conn = FramedConnection(sock)
-        try:
-            self._conn.send(
-                (
-                    "boot",
-                    index,
-                    model,
-                    config,
-                    policy,
-                    float(initial_heading),
-                    engine_factory,
-                    self.heartbeat_interval_s,
-                )
-            )
-            self._handshake()
-        except BaseException:
-            self._conn.close()
-            raise
-
-    # -- liveness -------------------------------------------------------
-    def _transport_alive(self) -> bool:
-        return self._conn is not None and self._conn.alive
-
-    def _closed(self) -> bool:
-        return self._conn is None
-
-    def _death_detail(self) -> str:
-        return f" (shard host {self.endpoint})"
-
-    # -- belief reads ---------------------------------------------------
-    def arena_view(self) -> FetchedArenaView:
-        """Fetch the worker's live belief blocks over the wire.
-
-        The explicit off-host replacement for attaching the shared slab;
-        raises :class:`InferenceError` for engines without an arena.
-        """
-        payload = self._request(("beliefs",))[1]
-        if payload is None:
-            raise InferenceError(
-                f"shard worker {self.index} has no belief arena"
-            )
-        return FetchedArenaView(*payload)
-
-    # -- stats ----------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        row = dict(super().stats())
-        conn = self._conn
-        if conn is not None:
-            row["wire_bytes_sent"] = conn.bytes_sent
-            row["wire_bytes_recv"] = conn.bytes_received
-        return row
-
-    # -- teardown -------------------------------------------------------
-    def close(self, force: bool = False, timeout: float = 5.0) -> None:
-        """Close the link; the shard host reaps the worker on EOF.
-
-        Graceful by default (``stop``, drain to ``bye``); ``force`` skips
-        the goodbye.  Idempotent.
-        """
-        conn, self._conn = self._conn, None
-        if conn is None:
-            return
-        if not force and not self._dead and conn.alive:
-            try:
-                conn.send(("stop",))
-                deadline = _time.monotonic() + timeout
-                while _time.monotonic() < deadline and conn.poll(
-                    max(0.0, deadline - _time.monotonic())
-                ):
-                    if conn.recv()[0] == "bye":
-                        break
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-        conn.close()
-        self._dead = True
-
-
-# ---------------------------------------------------------------------------
 # Host side: the shard-host server
 # ---------------------------------------------------------------------------
-def _unlink_leaked_segment(segment: Optional[Tuple[str, int, str]]) -> None:
-    if segment is None:
-        return
-    name, capacity, dtype = segment
-    try:
-        slab = attach_shared_slab(name, capacity, dtype)
-    except FileNotFoundError:
-        return
-    slab.unlink()
-    slab.close()
-
-
-class _WorkerSession:
-    """One accepted connection: a forked worker plus two relay directions.
-
-    The socket→pipe direction runs on its own thread; the pipe→socket
-    direction runs on the connection's thread (it also tracks the last
-    arena segment the worker advertised, the reclamation key if the worker
-    dies uncleanly).  Either side breaking tears the whole session down:
-    worker terminated and joined, leaked segment unlinked, socket closed.
-    """
-
-    def __init__(self, conn: FramedConnection, boot: tuple):
-        (
-            _,
-            self.index,
-            model,
-            config,
-            policy,
-            initial_heading,
-            engine_factory,
-            heartbeat_interval_s,
-        ) = boot
-        self.conn = conn
-        self._segment: Optional[Tuple[str, int, str]] = None
-        self._torn_down = False
-        self._teardown_lock = threading.Lock()
-        ctx = worker_context()
-        _ensure_resource_tracker()
-        self._pipe, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.index,
-                model,
-                config,
-                policy,
-                float(initial_heading),
-                engine_factory,
-                float(heartbeat_interval_s),
-            ),
-            name=f"repro-shard-{self.index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def run(self) -> None:
-        """Relay until either end drops, then tear down."""
-        inbound = threading.Thread(
-            target=self._socket_to_pipe,
-            name=f"repro-host-{self.index}-in",
-            daemon=True,
-        )
-        inbound.start()
-        try:
-            self._pipe_to_socket()
-        finally:
-            self.teardown()
-            inbound.join(timeout=5.0)
-
-    def _socket_to_pipe(self) -> None:
-        try:
-            while True:
-                message = self.conn.recv()
-                self._pipe.send(message)
-        except (EOFError, OSError, WorkerError, pickle.UnpicklingError):
-            pass
-        finally:
-            # Parent gone (or the link desynchronized): reap the worker so
-            # the pipe side unblocks and the session tears down.
-            self.teardown()
-
-    def _pipe_to_socket(self) -> None:
-        try:
-            while True:
-                reply = self._pipe.recv()
-                if reply[0] == "ready":
-                    self._segment = reply[1]
-                elif reply[0] == "events":
-                    self._segment = reply[2]
-                self.conn.send(reply)
-        except (EOFError, OSError, BrokenPipeError):
-            pass
-
-    def teardown(self) -> None:
-        with self._teardown_lock:
-            if self._torn_down:
-                return
-            self._torn_down = True
-        process = self.process
-        if process is not None and process.is_alive():
-            process.terminate()
-        if process is not None:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck in a syscall
-                process.kill()
-                process.join(timeout=5.0)
-        try:
-            self._pipe.close()
-        except OSError:  # pragma: no cover
-            pass
-        _unlink_leaked_segment(self._segment)
-        self._segment = None
-        self.conn.close()
-
-
 class ShardHostServer:
     """A TCP worker pool: one forked shard worker per accepted connection.
 
@@ -628,11 +391,10 @@ class ShardHostServer:
     thread with ``port=0`` and read :attr:`address`.  The server holds no
     shard state of its own — all determinism lives in the booted config —
     so killing and restarting a shard host is exactly a worker death to
-    the connected runtime's supervisor.
-
-    Trust model: boot and control frames are pickled (same as
-    ``multiprocessing``), so bind only to networks where every peer is
-    trusted to execute code.
+    the connected runtime's supervisor.  It reads nothing from its peers:
+    each accepted socket goes straight to a forked
+    :func:`~repro.runtime.workers._worker_main`, which serves the link until
+    its peer closes it (and exits on its own if the host is killed).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -643,11 +405,10 @@ class ShardHostServer:
         #: The bound (host, port) — read this after ``port=0``.
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._stopping = threading.Event()
-        self._sessions: set = set()
-        self._sessions_lock = threading.Lock()
+        self._workers: list = []
         # Self-pipe: shutdown() writes a byte so the accept loop's select
         # wakes immediately instead of riding out its timeout slice.
-        self._wake_r, self._wake_w = os.pipe()
+        self._wake_r, self._wake_w = socket.socketpair()
         self._serve_thread: Optional[threading.Thread] = None
         self._done = threading.Event()
         self._done.set()  # not serving yet
@@ -657,11 +418,17 @@ class ShardHostServer:
         return self.address[1]
 
     def serve_forever(self) -> None:
-        """Accept and serve connections until :meth:`shutdown`."""
+        """Accept connections and fork workers until :meth:`shutdown`."""
+        from .workers import _worker_main, worker_context  # deferred: no cycle
+
+        context = worker_context()
+        wake = (self._wake_r, self._wake_w)
         self._serve_thread = threading.current_thread()
         self._done.clear()
         try:
             while not self._stopping.is_set():
+                # Reap exited workers (is_alive() waits on the child).
+                self._workers = [w for w in self._workers if w.is_alive()]
                 try:
                     readable, _, _ = select.select(
                         [self._listener, self._wake_r], [], [], 0.25
@@ -676,58 +443,28 @@ class ShardHostServer:
                     sock, _peer = self._listener.accept()
                 except OSError:
                     break
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(sock,),
-                    name="repro-host-conn",
+                # Private arena (nobody can attach a segment off-host, none
+                # can leak here); the child closes the listening side.
+                worker = context.Process(
+                    target=_worker_main,
+                    args=(sock, False, None, os.getpid(), (self._listener, *wake)),
+                    name="repro-host-worker",
                     daemon=True,
                 )
-                thread.start()
+                worker.start()
+                sock.close()  # the worker holds the link now
+                self._workers.append(worker)
         finally:
             # Close from the loop thread so the kernel socket is truly gone
             # (a close racing a concurrent select keeps the LISTEN entry
             # alive until the select returns — rebinding the port would
             # fail) before shutdown() returns to a waiting caller.
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
+            for sock in (self._listener, *wake):
+                sock.close()
             self._done.set()
 
-    def _serve_connection(self, sock: socket.socket) -> None:
-        conn = FramedConnection(sock)
-        session = None
-        try:
-            boot = conn.recv()
-            if not (isinstance(boot, tuple) and boot and boot[0] == "boot"):
-                conn.send(
-                    ("error", "WorkerError", "expected a boot frame first")
-                )
-                return
-            session = _WorkerSession(conn, boot)
-        except (EOFError, OSError, WorkerError, pickle.UnpicklingError):
-            conn.close()
-            return
-        except BaseException as exc:
-            try:
-                conn.send(("error", type(exc).__name__, str(exc)))
-            except OSError:
-                pass
-            conn.close()
-            return
-        with self._sessions_lock:
-            if self._stopping.is_set():
-                session.teardown()
-                return
-            self._sessions.add(session)
-        try:
-            session.run()
-        finally:
-            with self._sessions_lock:
-                self._sessions.discard(session)
-
     def shutdown(self, wait_s: float = 5.0) -> None:
-        """Stop accepting, kill every live worker, close every link.
+        """Stop accepting and kill every live worker (their links go EOF).
 
         Waits up to ``wait_s`` for the accept loop to exit so the listening
         port is genuinely free on return (safe to rebind immediately).  The
@@ -736,17 +473,21 @@ class ShardHostServer:
         """
         self._stopping.set()
         try:
-            os.write(self._wake_w, b"x")
+            self._wake_w.send(b"x")
         except OSError:  # pragma: no cover
             pass
         if threading.current_thread() is not self._serve_thread:
             self._done.wait(wait_s)
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-            self._sessions.clear()
-        for session in sessions:
-            session.teardown()
+        self._listener.close()
+        if self._done.is_set():  # not (or no longer) serving: nobody selects on these
+            self._wake_r.close()
+            self._wake_w.close()
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            if worker.is_alive():
+                worker.terminate()
+        for worker in workers:
+            worker.join(wait_s)
+            if worker.is_alive():  # pragma: no cover - stuck in a syscall
+                worker.kill()
+                worker.join(wait_s)

@@ -1,74 +1,92 @@
-"""Process executor workers: persistent shard processes behind pipes.
+"""Worker executors: persistent shard processes behind one framed link.
 
 The thread executor keeps every shard inside one interpreter, so routing,
 resampling bookkeeping, and event merging all contend for the GIL; only the
 numpy kernels overlap.  This module moves each
 :class:`~repro.runtime.shard.FilterShard` into its own long-lived worker
-process — spawned once at runtime construction, not per epoch — with two
-transport rules that keep the steady-state cost per epoch tiny:
+process — spawned once at runtime construction, not per epoch — behind the
+framed stream-socket link of :mod:`repro.runtime.transport`.
+``executor="process"`` forks the worker here, over a ``socket.socketpair()``;
+``executor="remote"`` connects to a ``repro shard-host``, which forks the
+same worker body holding the accepted socket.  Either way the parent holds
+one :class:`ShardWorkerProxy` and the worker runs one :func:`_worker_main`;
+opening the link is the only executor-specific code.  Two rules keep the
+steady-state cost per epoch tiny:
 
-* **Pipes carry control, not arrays.**  The per-epoch protocol is a compact
-  tuple per direction: the parent sends the routed object-tag *numbers* plus
-  the broadcast reader pose/shelf context (never a pickled
+* **The link carries control, not arrays.**  Per epoch the parent sends the
+  routed object-tag *numbers* plus the broadcast reader pose/shelf context
+  (one ``STEP`` frame, never a whole
   :class:`~repro.streams.records.Epoch`), and the worker replies with the
-  epoch's emitted events encoded as primitive tuples plus its current arena
-  segment.  Checkpoint state trees do cross the pipe, but only on explicit
-  ``snapshot`` / ``restore`` requests — never in the hot loop.
-* **Shared memory carries beliefs.**  Each worker's
+  epoch's emitted events (one ``EVENTS`` frame).  Checkpoint state trees do
+  cross the link, but only on explicit ``snapshot`` / ``restore`` requests —
+  never in the hot loop.
+* **Shared memory carries beliefs.**  A local worker's
   :class:`~repro.inference.arena.BeliefArena` is backed by a
-  :class:`~repro.inference.arena.SharedSlab`, so the parent can attach and
-  read particle blocks (:meth:`ShardWorkerProxy.arena_view`) without any
-  serialization, and stats collection stays scalar-only.
+  :class:`~repro.inference.arena.SharedSlab`, so the parent attaches and
+  reads particle blocks (:meth:`ShardWorkerProxy.arena_view`) without any
+  serialization.  A remote worker's arena is private — nobody can attach a
+  segment off-host — and the same call fetches its blocks over the link.
 
 Determinism: a worker builds its shard from exactly the same re-seeded
-config the in-process executors use, and reconstructs each epoch from the
-same routed content, so the process executor is **bitwise identical** to the
-serial executor at equal shard counts.
+config the in-process executors use (its boot document is that config, the
+policy and the world model as JSON — floats round-trip exactly) and
+reconstructs each epoch from the same routed content, so both worker
+executors are **bitwise identical** to the serial executor at equal shard
+counts.
 
-Lifecycle: ``ready`` handshake at spawn (carrying the initial arena segment
-so the parent can reclaim it even if the worker later dies uncleanly),
-graceful ``stop`` at teardown (the worker releases its own segment), and a
-parent-side unlink fallback keyed on the last segment each reply advertised.
+Lifecycle: ``boot`` → ``ready`` handshake (carrying the initial arena
+segment so the parent can reclaim it even if the worker later dies
+uncleanly), graceful ``stop`` at teardown (the worker releases its own
+segment), and a parent-side unlink fallback keyed on the last segment each
+reply advertised.
 
-Liveness: every worker runs a heartbeat thread that sends ``("hb",)``
-frames between replies, and every parent-side receive is deadline-bounded
-— there are no unbounded waits in this protocol.  A dead pipe or a silent
-worker (no frames within the heartbeat grace) surfaces promptly as
+Liveness: every worker runs a heartbeat thread that sends ``HB`` frames
+between replies (and exits the process if its forker vanishes), and every
+parent-side receive is deadline-bounded — there are no unbounded waits in
+this protocol.  A dead or corrupt link or a silent worker (no frames
+within the heartbeat grace) surfaces promptly as
 :class:`~repro.errors.WorkerError`; a worker whose heartbeats still flow
 but whose reply misses the op deadline surfaces as
 :class:`~repro.errors.WorkerTimeout` (hung, not dead).  Both subclass
 :class:`~repro.errors.InferenceError`, so without a supervisor the
 runtime's abort path reaps every worker exactly as before; with one
 (``RuntimeConfig.supervisor``) the shard is respawned and replayed.
-
-The ``fork`` start method is preferred (no pickling of the model or engine
-factory); on platforms without it the module falls back to ``spawn``, which
-additionally requires the engine factory to be picklable (the default
-:class:`FactoredEngineFactory` is).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
+import os
+import signal
+import socket
 import threading
 import time as _time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import InferenceConfig, OutputPolicyConfig
-from ..errors import InferenceError, StateError, WorkerError, WorkerTimeout
+from ..config import InferenceConfig, OutputPolicyConfig, inference_config_from_dict
+from ..errors import (
+    ConfigurationError,
+    InferenceError,
+    StateError,
+    WorkerError,
+    WorkerTimeout,
+)
 from ..faults import fault_point
 from ..inference.arena import SharedSlab, attach_shared_slab
 from ..inference.estimates import LocationEstimate
 from ..models.joint import RFIDWorldModel
-from ..streams.records import LocationEvent, LocationStatistics, TagId, make_epoch
+from ..streams.records import LocationEvent, make_epoch
+from . import transport
 from .shard import FilterShard
+from .transport import FramedConnection, parse_endpoint
 
 #: Cadence of worker heartbeat frames (and the parent's poll slice).
 HEARTBEAT_INTERVAL_S = 0.25
 #: No frame of any kind (reply or heartbeat) for this long ⇒ the worker is
-#: unreachable — declared dead even without an EOF on the pipe.
+#: unreachable — declared dead even without an EOF on the link.
 HEARTBEAT_GRACE_S = 10.0
 #: Per-op deadline when no supervisor sets a tighter one.  Generous — it
 #: exists to turn "hangs forever" into a typed error, not to race real ops.
@@ -99,11 +117,11 @@ def _ensure_resource_tracker() -> None:
 
 
 class FactoredEngineFactory:
-    """Picklable default engine factory for worker processes.
+    """Default engine factory for worker processes.
 
-    Builds a :class:`~repro.inference.factored.FactoredParticleFilter` with
-    a shared-memory arena, mirroring the runtime's default in-process
-    factory (which closes over the model and so cannot cross a ``spawn``).
+    Builds a :class:`~repro.inference.factored.FactoredParticleFilter`,
+    mirroring the runtime's default in-process factory; ``shared_arena``
+    backs its arena with shared memory (local workers only).
     """
 
     def __init__(
@@ -128,49 +146,6 @@ class FactoredEngineFactory:
 
 
 # ---------------------------------------------------------------------------
-# Wire encoding (events as primitive tuples — no dataclass pickling per event)
-# ---------------------------------------------------------------------------
-def encode_events(events: Sequence[LocationEvent]) -> List[tuple]:
-    rows = []
-    for event in events:
-        stats = event.statistics
-        rows.append(
-            (
-                event.time,
-                event.tag.number,
-                event.position,
-                None
-                if stats is None
-                else (stats.covariance, stats.confidence_radius, stats.sample_size),
-            )
-        )
-    return rows
-
-
-def decode_events(rows: Sequence[tuple]) -> List[LocationEvent]:
-    events = []
-    for time, number, position, stats in rows:
-        statistics = (
-            None
-            if stats is None
-            else LocationStatistics(
-                covariance=stats[0],
-                confidence_radius=stats[1],
-                sample_size=stats[2],
-            )
-        )
-        events.append(
-            LocationEvent(
-                time=time,
-                tag=TagId.object(number),
-                position=position,
-                statistics=statistics,
-            )
-        )
-    return events
-
-
-# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 def _segment_of(shard: FilterShard) -> Optional[Tuple[str, int, str]]:
@@ -188,99 +163,146 @@ def _release_arena(shard: Optional[FilterShard]) -> None:
         arena.release()
 
 
-def _pack_belief_fetch(arena):
-    """Pack every live block into contiguous arrays for a ``beliefs`` reply.
+def _belief_reply(shard: FilterShard) -> Optional[dict]:
+    """The ``beliefs`` reply: where the parent finds every live block.
 
-    Returns ``(slots, positions, parents, log_weights)`` where ``slots``
-    maps object id → (start, count) into the packed arrays — the same shape
-    a slot table has over the shared slab, so the fetched view and the
-    attached view read identically.
+    A shared arena names its segment and ships its slot table as parallel
+    ``ids`` / ``starts`` / ``counts`` arrays — the parent attaches the slab,
+    zero-copy.  A private arena ships :meth:`BeliefArena.snapshot`: the
+    blocks themselves, packed back to back in ``ids`` / ``counts`` order.
     """
-    ids = arena.object_ids()
-    slots: Dict[int, Tuple[int, int]] = {}
-    pos_parts, parent_parts, logw_parts = [], [], []
-    start = 0
-    for object_id in ids:
-        block = arena.positions(object_id)
-        slots[object_id] = (start, block.shape[0])
-        start += block.shape[0]
-        pos_parts.append(np.ascontiguousarray(block))
-        parent_parts.append(np.ascontiguousarray(arena.parents(object_id)))
-        logw_parts.append(np.ascontiguousarray(arena.log_weights(object_id)))
-    if not ids:
-        return (
-            slots,
-            np.zeros((0, 3), dtype=arena.dtype),
-            np.zeros(0, dtype=np.int32),
-            np.zeros(0, dtype=arena.dtype),
-        )
-    return (
-        slots,
-        np.concatenate(pos_parts, axis=0),
-        np.concatenate(parent_parts, axis=0),
-        np.concatenate(logw_parts, axis=0),
+    arena = getattr(shard.engine, "arena", None)
+    if arena is None:
+        return None
+    segment = arena.shared_segment()
+    if segment is None:
+        return arena.snapshot()
+    table = arena.slot_table()
+    spans = np.array(list(table.values()), dtype=np.int64).reshape(-1, 2)
+    return {
+        "segment": segment,
+        "ids": np.fromiter(table, dtype=np.int64, count=len(table)),
+        "starts": spans[:, 0],
+        "counts": spans[:, 1],
+    }
+
+
+def _final_reply(shard: FilterShard) -> dict:
+    """Bulk post-run summary: one reply instead of one round-trip per
+    object, so the parent can retire the worker while staying queryable
+    after finish().  The estimates ride as arrays parallel to ``known``."""
+    known = shard.known_objects()
+    estimates = [shard.object_estimate(number) for number in known]
+    return {
+        "stats": shard.stats(),
+        "known": known,
+        "means": np.array([e.mean for e in estimates], dtype=float).reshape(-1, 3),
+        "covariances": np.array(
+            [e.covariance for e in estimates], dtype=float
+        ).reshape(-1, 3, 3),
+        "sample_sizes": [e.sample_size for e in estimates],
+    }
+
+
+def _boot_shard(conn: FramedConnection, shared_arena: bool, engine_factory):
+    """Read the boot frame and build the shard it describes.
+
+    Until a valid boot frame is decoded the link is bounded in size (the
+    connection was opened with ``PRE_BOOT_MAX_BYTES``) and in time.
+    Returns ``(shard, heartbeat interval)``.
+    """
+    if not conn.poll(transport.CONNECT_TIMEOUT_S):
+        raise WorkerError(f"no boot frame within {transport.CONNECT_TIMEOUT_S:.1f}s")
+    message = conn.recv()
+    if message[0] != "boot" or len(message) != 2 or not isinstance(message[1], dict):
+        raise WorkerError("expected a boot frame first")
+    doc = message[1]
+    try:
+        model = RFIDWorldModel.from_dict(doc["model"])
+        config = inference_config_from_dict(doc["config"])
+        policy = OutputPolicyConfig(**doc["policy"])
+        index = int(doc["index"])
+        initial_heading = float(doc["initial_heading"])
+        heartbeat_interval_s = float(doc["heartbeat_interval_s"])
+        if not heartbeat_interval_s > 0.0:
+            raise ValueError("heartbeat_interval_s must be positive")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WorkerError(f"malformed boot document: {exc!r}") from exc
+    conn.raise_limit(transport.MAX_MESSAGE_BYTES)
+    factory = (
+        engine_factory
+        if engine_factory is not None
+        else FactoredEngineFactory(model, initial_heading, shared_arena)
     )
+    return FilterShard(index, factory(config), policy), heartbeat_interval_s
 
 
 def _worker_main(
-    conn,
-    shard_index: int,
-    model: RFIDWorldModel,
-    config: InferenceConfig,
-    policy: OutputPolicyConfig,
-    initial_heading: float,
-    engine_factory,
-    heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
+    sock: socket.socket,
+    shared_arena: bool,
+    engine_factory=None,
+    parent_pid: Optional[int] = None,
+    inherited: Sequence[socket.socket] = (),
 ) -> None:
-    """Body of one worker process: build the shard, serve the message loop.
+    """Body of one worker process: boot from the link, serve the message loop.
+
+    ``sock`` is the worker's end of the link (a socketpair end, or a
+    connection a shard host accepted); ``inherited`` are the forker's
+    sockets this process must not hold (the other socketpair end, a
+    listener) — closed first, so our copy cannot mask the peer's EOF.
+    ``shared_arena`` and ``engine_factory`` come from the forker, never
+    from the link.
 
     Request errors are caught and replied as ``("error", kind, text)`` so a
     failed snapshot (say, an engine without state capture) leaves the worker
     serving — matching the in-process executors, where a failed checkpoint
     does not kill the runtime.  Anything that escapes the loop (or the
-    process) surfaces to the parent as a dead pipe.
+    process) surfaces to the parent as a dead link.
     """
-    shard: Optional[FilterShard] = None
-    send_lock = threading.Lock()
-
-    def send(reply: tuple) -> None:
-        with send_lock:
-            conn.send(reply)
-
+    for other in inherited:
+        other.close()
     try:
-        factory = (
-            engine_factory
-            if engine_factory is not None
-            else FactoredEngineFactory(model, initial_heading)
-        )
-        shard = FilterShard(shard_index, factory(config), policy)
-        send(("ready", _segment_of(shard)))
-    except BaseException as exc:  # construction failed: report and bail
+        # Whatever handlers the forker installed, SIGTERM kills a worker.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except ValueError:  # pragma: no cover - not this process's main thread
+        pass
+    conn = FramedConnection(sock, transport.PRE_BOOT_MAX_BYTES)
+    shard: Optional[FilterShard] = None
+    try:
+        shard, heartbeat_interval_s = _boot_shard(conn, shared_arena, engine_factory)
+        conn.send(("ready", _segment_of(shard)))
+    except BaseException as exc:  # boot failed: one error frame, then close
         try:
             conn.send(("error", type(exc).__name__, str(exc)))
-        finally:
-            conn.close()
+        except OSError:
+            pass
+        _release_arena(shard)
+        conn.close()
         return
     # Heartbeats prove liveness between replies: the parent treats a silent
-    # pipe as a dead worker, and a heartbeating-but-late reply as a hang.
+    # link as a dead worker, and a heartbeating-but-late reply as a hang.
     hb_stop = threading.Event()
 
     def _heartbeat() -> None:
         while not hb_stop.wait(heartbeat_interval_s):
+            if parent_pid is not None and os.getppid() != parent_pid:
+                # The forker was SIGKILLed: nobody is left to stop or reap
+                # this process, so it must not outlive its owner.
+                os._exit(1)
             try:
-                send(("hb",))
+                conn.send(("hb",))
             except OSError:
                 return
 
-    hb_thread = threading.Thread(
-        target=_heartbeat, name=f"repro-shard-{shard_index}-hb", daemon=True
-    )
-    hb_thread.start()
+    threading.Thread(
+        target=_heartbeat, name=f"repro-shard-{shard.index}-hb", daemon=True
+    ).start()
+    send = conn.send
     try:
         while True:
             try:
                 message = conn.recv()
-            except EOFError:
+            except (EOFError, OSError, WorkerError):
                 break
             op = message[0]
             if op == "stop":
@@ -299,17 +321,12 @@ def _worker_main(
                             reported_heading=heading,
                         )
                     )
-                    send(
-                        ("events", encode_events(shard.drain()), _segment_of(shard))
-                    )
+                    send(("events", shard.drain(), _segment_of(shard)))
                 elif op == "finish":
                     shard.finish()
-                    send(
-                        ("events", encode_events(shard.drain()), _segment_of(shard))
-                    )
+                    send(("events", shard.drain(), _segment_of(shard)))
                 elif op == "snapshot":
-                    mode = message[1] if len(message) > 1 else "full"
-                    send(("ok", shard.snapshot(mode)))
+                    send(("ok", shard.snapshot(message[1])))
                 elif op == "restore":
                     shard.restore(message[1])
                     send(("ok", None))
@@ -318,48 +335,14 @@ def _worker_main(
                 elif op == "known":
                     send(("ok", shard.known_objects()))
                 elif op == "final":
-                    # Bulk post-run summary: one reply instead of one
-                    # round-trip per object, so the parent can retire the
-                    # worker while staying queryable after finish().
-                    known = shard.known_objects()
-                    estimates = {}
-                    for number in known:
-                        est = shard.object_estimate(number)
-                        estimates[number] = (
-                            est.mean,
-                            est.covariance,
-                            est.sample_size,
-                        )
-                    send(("ok", (shard.stats(), known, estimates)))
+                    send(("ok", _final_reply(shard)))
                 elif op == "estimate":
                     estimate = shard.object_estimate(message[1])
                     send(
-                        (
-                            "ok",
-                            (
-                                estimate.mean,
-                                estimate.covariance,
-                                estimate.sample_size,
-                            ),
-                        )
+                        ("ok", estimate.mean, estimate.covariance, estimate.sample_size)
                     )
-                elif op == "slots":
-                    arena = getattr(shard.engine, "arena", None)
-                    if arena is None:
-                        send(("ok", None))
-                    else:
-                        send(
-                            ("ok", (arena.shared_segment(), arena.slot_table()))
-                        )
                 elif op == "beliefs":
-                    # Explicit belief fetch: the off-host replacement for
-                    # attaching the shared slab.  Ships every live block
-                    # packed contiguously plus a slot table into the pack.
-                    arena = getattr(shard.engine, "arena", None)
-                    if arena is None:
-                        send(("ok", None))
-                    else:
-                        send(("ok", _pack_belief_fetch(arena)))
+                    send(("ok", _belief_reply(shard)))
                 else:
                     send(
                         ("error", "InferenceError", f"unknown worker op {op!r}")
@@ -376,18 +359,29 @@ def _worker_main(
 # Parent side
 # ---------------------------------------------------------------------------
 class ArenaView:
-    """Read-only view of a worker's belief slab, attached in the parent.
+    """Point-in-time read view of a worker's belief blocks.
 
-    Wraps the shared segment plus a point-in-time slot table; valid until
-    the worker grows its arena (re-fetch via
-    :meth:`ShardWorkerProxy.arena_view`) and must be :meth:`close`\\ d.
-    Reads are consistent between steps — the worker only mutates the slab
-    while serving a ``step``.
+    Three column arrays plus a slot table (object id → ``(start, count)``).
+    Over a local worker the arrays are its attached shared-memory slab —
+    zero-copy, valid until the worker grows its arena (re-fetch via
+    :meth:`ShardWorkerProxy.arena_view`) — and :meth:`close` detaches it;
+    over a remote worker they are copies fetched off the link.  Reads are
+    consistent between steps: a worker only mutates its arena in ``step``.
     """
 
-    def __init__(self, slab: SharedSlab, slots: Dict[int, Tuple[int, int]]):
-        self._slab = slab
+    def __init__(
+        self,
+        slots: Dict[int, Tuple[int, int]],
+        positions: np.ndarray,
+        parents: np.ndarray,
+        log_weights: np.ndarray,
+        slab: Optional[SharedSlab] = None,
+    ):
         self.slots = slots
+        self._positions = positions
+        self._parents = parents
+        self._log_weights = log_weights
+        self._slab = slab
 
     def object_ids(self) -> List[int]:
         return list(self.slots)
@@ -397,104 +391,161 @@ class ArenaView:
             start, count = self.slots[object_id]
         except KeyError:
             raise InferenceError(
-                f"object {object_id} has no block in the shared slab"
+                f"object {object_id} has no block in the worker's arena"
             ) from None
         return slice(start, start + count)
 
     def positions(self, object_id: int) -> np.ndarray:
-        return self._slab.positions[self._slice(object_id)]
+        return self._positions[self._slice(object_id)]
 
     def parents(self, object_id: int) -> np.ndarray:
-        return self._slab.parents[self._slice(object_id)]
+        return self._parents[self._slice(object_id)]
 
     def log_weights(self, object_id: int) -> np.ndarray:
-        return self._slab.log_weights[self._slice(object_id)]
+        return self._log_weights[self._slice(object_id)]
 
     def close(self) -> None:
-        self._slab.close()
+        self._positions = self._parents = self._log_weights = None
+        if self._slab is not None:
+            self._slab.close()
 
 
-class ShardProxyBase:
-    """The shard-worker protocol, independent of the transport underneath.
+class ShardWorkerProxy:
+    """Parent-side handle to one persistent shard worker, local or remote.
 
-    Everything that speaks the tuple protocol — the split-phase step, the
-    :class:`~repro.runtime.shard.FilterShard` query/snapshot surface, the
-    heartbeat-aware deadline-bounded receive — lives here and operates on
-    ``self._conn``, which only needs the ``multiprocessing.Connection``
-    trio ``send`` / ``recv`` / ``poll``.  :class:`ShardWorkerProxy` plugs
-    in a pipe to a forked local worker;
-    :class:`~repro.runtime.transport.RemoteShardProxy` plugs in a framed
-    TCP socket to a ``repro shard-host`` pool.
+    With ``endpoint=None`` the worker is forked here behind a socketpair;
+    with a ``host:port`` endpoint the link is a TCP connection to a ``repro
+    shard-host``, which forks it there.  Everything after opening the link
+    is shared: ship a ``boot`` frame, await ``ready``, then speak the
+    split-phase step protocol and the
+    :class:`~repro.runtime.shard.FilterShard` query/snapshot surface
+    through a heartbeat-aware, deadline-bounded receive.  A refused or
+    dropped connection surfaces as :class:`~repro.errors.WorkerError`, so
+    the supervisor's respawn path retries through its usual backoff —
+    reconnecting to a restarted shard host heals a remote death exactly
+    like a local one.  A custom ``engine_factory`` reaches a local worker
+    through the fork; it cannot cross a TCP link and is refused there.
     """
 
-    #: Local proxies hold the worker's ``multiprocessing.Process`` here;
-    #: remote proxies leave it ``None`` (liveness goes through
-    #: :meth:`is_alive` instead).
-    process = None
-
-    def _init_protocol(
+    def __init__(
         self,
         index: int,
-        op_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
-        heartbeat_grace_s: Optional[float] = None,
-    ) -> None:
+        model: RFIDWorldModel,
+        config: InferenceConfig,
+        policy: OutputPolicyConfig,
+        initial_heading: float = 0.0,
+        engine_factory=None,
+        endpoint: Optional[str] = None,
+        op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
+        heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
+        heartbeat_grace_s: float = HEARTBEAT_GRACE_S,
+    ):
         self.index = index
+        self.endpoint = None if endpoint is None else str(endpoint)
         #: Deadline for one op (send → final reply).  Supervised runtimes
-        #: tighten this from SupervisorConfig.op_timeout_s.
-        self.op_timeout_s = (
-            float(op_timeout_s) if op_timeout_s is not None else DEFAULT_OP_TIMEOUT_S
-        )
-        self.heartbeat_interval_s = (
-            float(heartbeat_interval_s)
-            if heartbeat_interval_s is not None
-            else HEARTBEAT_INTERVAL_S
-        )
-        self.heartbeat_grace_s = (
-            float(heartbeat_grace_s)
-            if heartbeat_grace_s is not None
-            else HEARTBEAT_GRACE_S
-        )
+        #: tighten this (and the heartbeat pair) from their SupervisorConfig.
+        self.op_timeout_s = float(op_timeout_s)
+        self.heartbeat_interval_s = float(heartbeat_interval_s)
+        self.heartbeat_grace_s = float(heartbeat_grace_s)
         self._dead = False
-        #: Last (name, capacity, dtype) the worker advertised — the
-        #: reclamation key if a local worker dies without releasing its own
-        #: segment (informational only for remote proxies).
+        #: Last (name, capacity, dtype) a local worker advertised — the
+        #: reclamation key if it dies without releasing its own segment.
         self._segment: Optional[Tuple[str, int, str]] = None
-
-    def _handshake(self) -> None:
-        reply = self._recv()  # ready handshake (or construction error)
-        if reply[0] != "ready":
-            raise InferenceError(
-                f"shard worker {self.index} sent {reply[0]!r} instead of ready"
+        #: The forked worker (local link) or ``None`` (remote link, where
+        #: the shard host owns the process) — and ``None`` once closed.
+        self.process: Optional[mp.process.BaseProcess] = None
+        self._conn: Optional[FramedConnection] = None
+        if self.endpoint is None:
+            self._fork_link(engine_factory)
+        elif engine_factory is not None:
+            raise ConfigurationError(
+                "a custom engine_factory cannot cross a remote link; run it "
+                'under executor="process" or build it into the shard host'
             )
-        self._segment = reply[1]
+        else:
+            self._connect_link()
+        try:
+            self._conn.send(
+                (
+                    "boot",
+                    {
+                        "index": index,
+                        "model": model.to_dict(),
+                        "config": dataclasses.asdict(config),
+                        "policy": dataclasses.asdict(policy),
+                        "initial_heading": float(initial_heading),
+                        "heartbeat_interval_s": self.heartbeat_interval_s,
+                    },
+                )
+            )
+            reply = self._recv()  # ready handshake (or construction error)
+            if reply[0] != "ready":
+                raise InferenceError(
+                    f"shard worker {index} sent {reply[0]!r} instead of ready"
+                )
+            self._note_segment(reply[1])
+        except BaseException:
+            self.close(force=True)
+            raise
+
+    # -- the two link openers -------------------------------------------
+    def _fork_link(self, engine_factory) -> None:
+        """Fork a local worker holding one end of a socketpair."""
+        _ensure_resource_tracker()
+        ours, theirs = socket.socketpair()
+        self.process = worker_context().Process(
+            target=_worker_main,
+            args=(theirs, True, engine_factory, os.getpid(), (ours,)),
+            name=f"repro-shard-{self.index}",
+            daemon=True,
+        )
+        self.process.start()
+        theirs.close()
+        self._conn = FramedConnection(ours)
+
+    def _connect_link(self) -> None:
+        """Connect to a shard host, which forks the worker on accept."""
+        try:
+            sock = socket.create_connection(
+                parse_endpoint(self.endpoint), timeout=transport.CONNECT_TIMEOUT_S
+            )
+        except OSError as exc:
+            raise WorkerError(
+                f"shard worker {self.index}: cannot reach shard host "
+                f"{self.endpoint}: {exc}"
+            ) from exc
+        sock.settimeout(None)
+        self._conn = FramedConnection(sock)
 
     # -- liveness -------------------------------------------------------
     def is_alive(self) -> bool:
         """Whether the worker behind this proxy is believed reachable."""
-        return not self._dead and self._transport_alive()
+        return (
+            not self._dead
+            and self._conn is not None
+            and self._conn.alive
+            and (self.process is None or self.process.is_alive())
+        )
 
-    def _transport_alive(self) -> bool:
-        raise NotImplementedError
+    def _where(self) -> str:
+        if self.endpoint is not None:
+            return f" (shard host {self.endpoint})"
+        return "" if self.process is None else f" (exit code {self.process.exitcode})"
 
-    def _closed(self) -> bool:
-        """Whether this proxy was torn down (weaker than ``not is_alive``:
-        a worker that just died still has an open transport until the next
-        send/recv surfaces the EOF as a typed error)."""
-        raise NotImplementedError
-
-    def _death_detail(self) -> str:
-        """Transport-specific suffix for death messages (may be empty)."""
-        return ""
+    def _note_segment(self, segment) -> None:
+        # Only a local worker's segment is ours to attach or reclaim; a
+        # name arriving over TCP is never looked up on this machine.
+        if self.endpoint is None:
+            self._segment = None if segment is None else tuple(segment)
 
     # -- plumbing ------------------------------------------------------
     def _send(self, message: tuple) -> None:
-        if self._dead or self._closed():
+        if self._dead or self._conn is None:
             raise WorkerError(f"shard worker {self.index} is not running")
         fault_point("worker.send")
         try:
             self._conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             self._dead = True
             raise WorkerError(
                 f"shard worker {self.index} died (connection closed on send)"
@@ -503,13 +554,16 @@ class ShardProxyBase:
     def _recv(self, timeout: Optional[float] = None) -> tuple:
         """Deadline-bounded receive; heartbeat frames are consumed silently.
 
-        Never blocks forever: a dead connection raises :class:`WorkerError`
-        immediately, a silent worker (no frame within
+        Never blocks forever: a dead or corrupt link raises
+        :class:`WorkerError` immediately, a silent worker (no frame within
         ``heartbeat_grace_s``) raises :class:`WorkerError`, and a worker
         whose heartbeats flow but whose reply misses the op deadline
-        raises :class:`WorkerTimeout`.
+        raises :class:`WorkerTimeout`.  All three mark the proxy dead.
         """
         fault_point("worker.recv")
+        conn = self._conn
+        if self._dead or conn is None:
+            raise WorkerError(f"shard worker {self.index} is not running")
         limit = self.op_timeout_s if timeout is None else float(timeout)
         start = _time.monotonic()
         last_frame = start
@@ -522,24 +576,22 @@ class ShardProxyBase:
                     f"{limit:.1f}s (heartbeats still arriving)"
                 )
             try:
-                if not self._conn.poll(
-                    min(self.heartbeat_interval_s, limit - (now - start))
-                ):
-                    if _time.monotonic() - last_frame >= self.heartbeat_grace_s:
-                        self._dead = True
-                        raise WorkerError(
-                            f"shard worker {self.index} died silently: no "
-                            f"frames for {self.heartbeat_grace_s:.1f}s"
-                            f"{self._death_detail()}"
-                        )
-                    continue
-                reply = self._conn.recv()
-            except (EOFError, OSError) as exc:
+                ready = conn.poll(min(self.heartbeat_interval_s, limit - (now - start)))
+                reply = conn.recv() if ready else None
+            except (EOFError, OSError, WorkerError) as exc:
                 self._dead = True
                 raise WorkerError(
-                    f"shard worker {self.index} died mid-request"
-                    f"{self._death_detail()}"
+                    f"shard worker {self.index} died mid-request{self._where()}"
+                    + (f": {exc}" if isinstance(exc, WorkerError) else "")
                 ) from exc
+            if reply is None:
+                if _time.monotonic() - last_frame >= self.heartbeat_grace_s:
+                    self._dead = True
+                    raise WorkerError(
+                        f"shard worker {self.index} died silently: no "
+                        f"frames for {self.heartbeat_grace_s:.1f}s{self._where()}"
+                    )
+                continue
             last_frame = _time.monotonic()
             if reply[0] == "hb":
                 continue
@@ -553,16 +605,6 @@ class ShardProxyBase:
     def _request(self, message: tuple) -> tuple:
         self._send(message)
         return self._recv()
-
-    def _collect_event_reply(self) -> List[LocationEvent]:
-        reply = self._recv()
-        if reply[0] != "events":
-            raise InferenceError(
-                f"shard worker {self.index} sent {reply[0]!r} instead of events"
-            )
-        _, rows, segment = reply
-        self._segment = segment
-        return decode_events(rows)
 
     # -- the split-phase epoch step ------------------------------------
     def step_async(
@@ -581,14 +623,21 @@ class ShardProxyBase:
         self._send(("finish",))
 
     def collect_events(self) -> List[LocationEvent]:
-        return self._collect_event_reply()
+        reply = self._recv()
+        if reply[0] != "events":
+            raise InferenceError(
+                f"shard worker {self.index} sent {reply[0]!r} instead of events"
+            )
+        _, events, segment = reply
+        self._note_segment(segment)
+        return events
 
     # -- FilterShard surface -------------------------------------------
     def known_objects(self) -> List[int]:
         return self._request(("known",))[1]
 
     def object_estimate(self, number: int) -> LocationEstimate:
-        mean, covariance, sample_size = self._request(("estimate", number))[1]
+        mean, covariance, sample_size = self._request(("estimate", number))[1:]
         return LocationEstimate(
             mean=np.asarray(mean, dtype=float),
             covariance=np.asarray(covariance, dtype=float),
@@ -596,24 +645,28 @@ class ShardProxyBase:
         )
 
     def stats(self) -> Dict[str, float]:
-        return self._request(("stats",))[1]
+        row = self._request(("stats",))[1]
+        row["wire_bytes_sent"] = self._conn.bytes_sent
+        row["wire_bytes_recv"] = self._conn.bytes_received
+        return row
 
     def final_async(self) -> None:
         self._send(("final",))
 
     def collect_final(self):
         """(stats, known objects, {number: LocationEstimate}) in one reply."""
-        stats, known, estimates = self._recv()[1]
+        final = self._recv()[1]
+        known = final["known"]
         return (
-            stats,
+            final["stats"],
             known,
             {
                 number: LocationEstimate(
-                    mean=np.asarray(mean, dtype=float),
-                    covariance=np.asarray(covariance, dtype=float),
-                    sample_size=int(sample_size),
+                    mean=mean, covariance=covariance, sample_size=int(sample_size)
                 )
-                for number, (mean, covariance, sample_size) in estimates.items()
+                for number, mean, covariance, sample_size in zip(
+                    known, final["means"], final["covariances"], final["sample_sizes"]
+                )
             },
         )
 
@@ -624,10 +677,10 @@ class ShardProxyBase:
         return self._recv()[1]
 
     def snapshot(self, mode: str = "full") -> dict:
-        """Capture the worker shard's state tree over the pipe.
+        """Capture the worker shard's state tree over the link.
 
         ``mode="delta"`` makes the worker ship only its dirty blocks —
-        delta-mode checkpoints cut pipe traffic the same way they cut disk
+        delta-mode checkpoints cut link traffic the same way they cut disk
         bytes.
         """
         self.snapshot_async(mode)
@@ -636,80 +689,27 @@ class ShardProxyBase:
     def restore(self, state: dict) -> None:
         self._request(("restore", state))
 
-
-class ShardWorkerProxy(ShardProxyBase):
-    """Parent-side handle to one persistent *local* shard worker.
-
-    Speaks the tuple protocol over a multiprocessing pipe to a worker
-    forked at construction, and reads beliefs zero-copy through the
-    worker's shared-memory slab (:meth:`arena_view`).
-    """
-
-    def __init__(
-        self,
-        index: int,
-        model: RFIDWorldModel,
-        config: InferenceConfig,
-        policy: OutputPolicyConfig,
-        initial_heading: float = 0.0,
-        engine_factory=None,
-        context: Optional[mp.context.BaseContext] = None,
-        op_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: Optional[float] = None,
-        heartbeat_grace_s: Optional[float] = None,
-    ):
-        self._init_protocol(
-            index, op_timeout_s, heartbeat_interval_s, heartbeat_grace_s
-        )
-        ctx = context if context is not None else worker_context()
-        _ensure_resource_tracker()
-        self._conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                index,
-                model,
-                config,
-                policy,
-                initial_heading,
-                engine_factory,
-                self.heartbeat_interval_s,
-            ),
-            name=f"repro-shard-{index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self._handshake()
-
-    # -- liveness -------------------------------------------------------
-    def _transport_alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def _closed(self) -> bool:
-        return self.process is None
-
-    def _death_detail(self) -> str:
-        process = self.process
-        if process is None:
-            return ""
-        return f" (exit code {process.exitcode})"
-
-    # -- shared-memory reads -------------------------------------------
+    # -- belief reads ---------------------------------------------------
     def arena_view(self) -> ArenaView:
-        """Attach to the worker's belief slab: zero-copy particle reads.
+        """Read the worker's live belief blocks.
 
-        Raises :class:`InferenceError` for engines without a shared arena.
+        A local worker's shared slab is attached (zero-copy particle
+        reads); a remote worker's blocks are fetched over the link.  Raises
+        :class:`InferenceError` for engines without an arena.
         """
-        payload = self._request(("slots",))[1]
-        if payload is None or payload[0] is None:
-            raise InferenceError(
-                f"shard worker {self.index} has no shared belief arena"
-            )
-        (name, capacity, dtype), slots = payload
-        self._segment = (name, capacity, dtype)
-        return ArenaView(attach_shared_slab(name, capacity, dtype), slots)
+        reply = self._request(("beliefs",))[1]
+        if reply is None:
+            raise InferenceError(f"shard worker {self.index} has no belief arena")
+        ids, counts = reply["ids"].tolist(), reply["counts"].tolist()
+        if self.endpoint is None and "segment" in reply:
+            self._note_segment(reply["segment"])
+            slab = attach_shared_slab(*self._segment)
+            starts = reply["starts"].tolist()
+            columns = (slab.positions, slab.parents, slab.log_weights, slab)
+        else:  # blocks packed back to back, in ``ids`` order
+            starts = np.cumsum([0] + counts[:-1]).tolist()
+            columns = (reply["positions"], reply["parents"], reply["log_weights"])
+        return ArenaView(dict(zip(ids, zip(starts, counts))), *columns)
 
     # -- teardown -------------------------------------------------------
     def _unlink_segment(self) -> None:
@@ -723,9 +723,8 @@ class ShardWorkerProxy(ShardProxyBase):
         segment, self._segment = self._segment, None
         if segment is None:
             return
-        name, capacity, dtype = segment
         try:
-            slab = attach_shared_slab(name, capacity, dtype)
+            slab = attach_shared_slab(*segment)
         except FileNotFoundError:
             return
         slab.unlink()
@@ -734,37 +733,40 @@ class ShardWorkerProxy(ShardProxyBase):
     def close(self, force: bool = False, timeout: float = 5.0) -> None:
         """Stop the worker and reclaim its resources.  Idempotent.
 
-        Graceful by default (``stop`` message, worker releases its own
-        segment); ``force`` (or an unresponsive worker) escalates to
-        ``terminate``.  Either way the process is joined and any leaked
-        shared-memory segment is unlinked.
+        Graceful by default (``stop``, drain to ``bye``, the worker
+        releases its own segment); ``force`` — or a dead link — skips the
+        goodbye and terminates a local worker at once.  Closing the link
+        stops a remote worker (its host reaps it); a local one is joined
+        here and any leaked shared-memory segment unlinked.
         """
-        if self.process is None:
+        conn, self._conn = self._conn, None
+        process, self.process = self.process, None
+        if conn is None:
             return
-        if not force and not self._dead and self.process.is_alive():
+        if not force and not self._dead and conn.alive:
             try:
-                self._conn.send(("stop",))
+                conn.send(("stop",))
                 # Drain queued replies (e.g. an uncollected step) and
                 # heartbeat frames until the goodbye; a deadline bounds a
                 # wedged worker even while its heartbeats keep arriving.
                 deadline = _time.monotonic() + timeout
-                while _time.monotonic() < deadline and self._conn.poll(
+                while _time.monotonic() < deadline and conn.poll(
                     max(0.0, deadline - _time.monotonic())
                 ):
-                    if self._conn.recv()[0] == "bye":
+                    if conn.recv()[0] == "bye":
                         break
-            except (BrokenPipeError, EOFError, OSError):
+            except (EOFError, OSError, WorkerError):
                 pass
-        elif self.process.is_alive():
-            # Forced (or already-dead-pipe) close: don't wait out a hung
+        elif process is not None and process.is_alive():
+            # Forced (or already-dead-link) close: don't wait out a hung
             # worker's join timeout before killing it — the caller already
             # decided this process is beyond talking to.
-            self.process.terminate()
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout)
-        self._conn.close()
-        self._unlink_segment()
-        self.process = None
+            process.terminate()
+        conn.close()
         self._dead = True
+        if process is not None:
+            process.join(timeout)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout)
+        self._unlink_segment()

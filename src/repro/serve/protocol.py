@@ -44,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ServeError
 from ..streams.records import ReaderLocationReport, TagId, TagKind, TagReading
+from ..wire import FrameSplitter, pack_frame
 
 # Frame type codes (u8 on the wire).
 HELLO = 1  # json: {role, source, kind?, last_seq?, from_offset?}
@@ -82,7 +83,6 @@ FRAME_NAMES = {
     RESHARD_ACK: "RESHARD_ACK",
 }
 
-_LEN = struct.Struct("!I")
 _READING = struct.Struct("!QdBI")
 _REPORT = struct.Struct("!QddddBd")
 _CREDIT = struct.Struct("!I")
@@ -126,12 +126,8 @@ class Frame:
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
-def _wrap(kind: int, payload: bytes = b"") -> bytes:
-    return _LEN.pack(len(payload) + 1) + bytes([kind]) + payload
-
-
 def _wrap_json(kind: int, doc: Dict[str, Any]) -> bytes:
-    return _wrap(kind, json.dumps(doc, sort_keys=True).encode())
+    return pack_frame(kind, json.dumps(doc, sort_keys=True).encode())
 
 
 def encode_hello(
@@ -156,7 +152,7 @@ def encode_hello_ack(**fields: Any) -> bytes:
 
 
 def encode_reading(seq: int, reading: TagReading) -> bytes:
-    return _wrap(
+    return pack_frame(
         READING,
         _READING.pack(
             seq,
@@ -170,7 +166,7 @@ def encode_reading(seq: int, reading: TagReading) -> bytes:
 def encode_report(seq: int, report: ReaderLocationReport) -> bytes:
     x, y, z = report.position
     has_heading = report.heading is not None
-    return _wrap(
+    return pack_frame(
         REPORT,
         _REPORT.pack(
             seq,
@@ -185,36 +181,36 @@ def encode_report(seq: int, report: ReaderLocationReport) -> bytes:
 
 
 def encode_source_end() -> bytes:
-    return _wrap(SOURCE_END)
+    return pack_frame(SOURCE_END)
 
 
 def encode_end_ack() -> bytes:
-    return _wrap(END_ACK)
+    return pack_frame(END_ACK)
 
 
 def encode_credit(n: int) -> bytes:
-    return _wrap(CREDIT, _CREDIT.pack(n))
+    return pack_frame(CREDIT, _CREDIT.pack(n))
 
 
 def encode_pause() -> bytes:
-    return _wrap(PAUSE)
+    return pack_frame(PAUSE)
 
 
 def encode_resume() -> bytes:
-    return _wrap(RESUME)
+    return pack_frame(RESUME)
 
 
 def encode_emit(offset: int, line: bytes, degraded: bool = False) -> bytes:
     flags = EMIT_FLAG_DEGRADED if degraded else 0
-    return _wrap(EMIT, _EMIT_HEAD.pack(offset, flags) + line)
+    return pack_frame(EMIT, _EMIT_HEAD.pack(offset, flags) + line)
 
 
 def encode_ack(offset: int) -> bytes:
-    return _wrap(ACK, _OFFSET.pack(offset))
+    return pack_frame(ACK, _OFFSET.pack(offset))
 
 
 def encode_stats_request() -> bytes:
-    return _wrap(STATS)
+    return pack_frame(STATS)
 
 
 def encode_stats_reply(stats: Dict[str, Any]) -> bytes:
@@ -290,29 +286,13 @@ class FrameDecoder:
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
-        self._buffer = bytearray()
-        self._max = int(max_frame_bytes)
+        self._splitter = FrameSplitter(max_frame_bytes, ServeError)
 
     def feed(self, chunk: bytes) -> None:
-        self._buffer.extend(chunk)
+        self._splitter.feed(chunk)
 
     def frames(self) -> Iterator[Frame]:
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length < 1:
-                raise ServeError("zero-length frame")
-            if length > self._max:
-                raise ServeError(
-                    f"frame of {length} bytes exceeds the {self._max}-byte limit"
-                )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
-                return
-            kind = self._buffer[_LEN.size]
-            payload = bytes(self._buffer[_LEN.size + 1 : end])
-            del self._buffer[:end]
+        for kind, payload in self._splitter.frames():
             yield _decode_payload(kind, payload)
 
     def feed_frames(self, chunk: bytes) -> List[Frame]:
@@ -322,7 +302,7 @@ class FrameDecoder:
 
     @property
     def buffered(self) -> int:
-        return len(self._buffer)
+        return self._splitter.buffered
 
 
 def decode_frames(data: bytes, max_frame_bytes: int = MAX_FRAME_BYTES) -> List[Frame]:

@@ -175,7 +175,7 @@ class ReproService:
         self._latencies: Deque[float] = deque(maxlen=4096)
         self._epochs_this_run = 0
         #: True while a supervised step runs off-loop in a worker thread;
-        #: guards the pipe protocol from concurrent stats() traffic.
+        #: guards the worker link from concurrent stats() traffic.
         self._step_running = False
         #: Offsets emitted during an epoch whose step recovered a shard —
         #: their EMIT frames carry the degraded flag until acked.
@@ -695,7 +695,7 @@ class ReproService:
         uptime = max(_time.perf_counter() - self._t0, 1e-9)
         latencies = sorted(self._latencies)
         if not self._step_running:
-            # Never interleave stats traffic with a step's pipe protocol;
+            # Never interleave stats traffic with a step's link protocol;
             # mid-step (or mid-recovery) requests serve the stale rows.
             try:
                 self._shard_stats_cache = self.runtime.shard_stats()

@@ -53,14 +53,11 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import (
-    ArenaConfig,
-    BudgetConfig,
-    CompressionConfig,
     InferenceConfig,
     OutputPolicyConfig,
     RuntimeConfig,
-    SpatialIndexConfig,
     SupervisorConfig,
+    inference_config_from_dict,
 )
 from ..errors import InferenceError, StateError
 from ..faults import fault_point
@@ -97,17 +94,6 @@ CHECKPOINT_KINDS = ("full", "delta")
 # ---------------------------------------------------------------------------
 # Config (de)serialization
 # ---------------------------------------------------------------------------
-def inference_config_from_dict(data: dict) -> InferenceConfig:
-    """Inverse of ``dataclasses.asdict``; raises ``KeyError``/``TypeError``
-    on a malformed payload (``load_checkpoint`` reports both)."""
-    data = dict(data)
-    data["compression"] = CompressionConfig(**data["compression"])
-    data["spatial_index"] = SpatialIndexConfig(**data["spatial_index"])
-    data["arena"] = ArenaConfig(**data["arena"])
-    data["budget"] = BudgetConfig(**data["budget"])
-    return InferenceConfig(**data)
-
-
 def runtime_config_from_dict(data: dict) -> RuntimeConfig:
     data = dict(data)
     try:
@@ -234,7 +220,7 @@ def _collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
     ``collect_snapshot`` pair; requesting all shards before collecting any
     lets the workers serialize their state trees concurrently instead of one
     at a time.  Every pending reply is always collected — even after a
-    failure — so the pipes stay in sync; the first error is re-raised once
+    failure — so the links stay in sync; the first error is re-raised once
     the sweep completes.
     """
     if len(shards) > 1 and all(hasattr(s, "snapshot_async") for s in shards):
@@ -247,7 +233,7 @@ def _collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
                 states.append(shard.collect_snapshot())
             except (StateError, InferenceError) as exc:
                 # Keep draining: a reply left behind on a healthy worker's
-                # pipe would be misread by the next request after the caller
+                # link would be misread by the next request after the caller
                 # handles this checkpoint failure and keeps streaming.
                 failure = failure if failure is not None else exc
                 states.append(None)

@@ -101,7 +101,7 @@ def restore_runtime(
         exactly; a different ``n_shards`` (or partitioner) triggers the
         elastic re-shard path.  The *executor* is a free choice either way:
         a checkpoint taken under the process executor restores into serial
-        shards and vice versa (state trees cross the worker pipe on the
+        shards and vice versa (state trees cross the worker link on the
         process path), and an exact restore stays bitwise regardless.
     verify:
         Check every file's SHA-256 trailer before applying its state.

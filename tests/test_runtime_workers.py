@@ -1,12 +1,16 @@
-"""Tests for the process executor: worker processes, shared-memory arenas,
-and the zero-copy epoch protocol.
+"""Tests for the worker executors' shared scenario set, bound to the local
+link (``executor="process"``), plus what only a local worker has:
+shared-memory belief reads, fork-inherited engine factories, and segment
+reclamation after a crash.
 
-The load-bearing guarantees, in order of importance:
+The scenarios live in ``tests/worker_links.py`` and run unchanged over the
+``remote`` link in ``tests/test_runtime_transport.py``.  The load-bearing
+guarantees, in order of importance:
 
-* **bitwise parity** — ``executor="process"`` emits exactly the serial
+* **bitwise parity** — a worker executor emits exactly the serial
   executor's event stream at the same shard count (same per-shard seeds,
   same routed epoch content, same merge);
-* **durability** — checkpoint -> kill -> restore under the process executor
+* **durability** — checkpoint -> kill -> restore under a worker executor
   resumes bitwise, and a checkpoint taken under one executor restores under
   another;
 * **containment** — a worker crash surfaces as :class:`InferenceError` and
@@ -17,27 +21,20 @@ import os
 
 import numpy as np
 import pytest
-
-from repro.config import (
-    InferenceConfig,
-    OutputPolicyConfig,
-    RuntimeConfig,
+from worker_links import (
+    POLICY,
+    check_belief_reads,
+    check_checkpoint_kill_restore,
+    check_cross_executor_restore,
+    check_parity,
+    check_queries,
 )
-from repro.errors import InferenceError
-from repro.inference.estimates import LocationEstimate
+
+from repro.config import InferenceConfig, RuntimeConfig
+from repro.errors import ConfigurationError, InferenceError
 from repro.inference.factored import FactoredParticleFilter
 from repro.runtime import ShardedRuntime
 from repro.state import restore_runtime
-
-POLICY = OutputPolicyConfig(delay_s=20.0)
-
-
-def assert_same_events(ours, reference):
-    assert len(ours) == len(reference)
-    for a, b in zip(ours, reference):
-        assert a.time == b.time and a.tag == b.tag
-        np.testing.assert_array_equal(a.position, b.position)
-        assert a.statistics == b.statistics
 
 
 def run_events(model, trace, config, runtime_config):
@@ -65,7 +62,7 @@ class _ExitingEngine:
 
 
 class ExitingEngineFactory:
-    """Top-level (picklable) factory for the crash tests."""
+    """Top-level factory for the crash tests."""
 
     def __init__(self, model, crash_at_step=3):
         self.model = model
@@ -94,71 +91,20 @@ def scenario():
 class TestProcessParity:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_process_matches_serial_bitwise(self, scenario, n_shards):
-        model, trace, config = scenario
-        _, serial = run_events(model, trace, config, RuntimeConfig(n_shards=n_shards))
-        runtime, process = run_events(
-            model,
-            trace,
-            config,
-            RuntimeConfig(n_shards=n_shards, executor="process"),
-        )
-        assert_same_events(process, serial)
+        runtime = check_parity(scenario, "process", n_shards)
         # Every worker was reaped by finish().
         assert all(proxy.process is None for proxy in runtime.shards)
 
     def test_single_shard_process_matches_unsharded_root_seed(self, scenario):
-        model, trace, config = scenario
-        _, serial = run_events(model, trace, config, RuntimeConfig(n_shards=1))
-        _, process = run_events(
-            model, trace, config, RuntimeConfig(n_shards=1, executor="process")
-        )
-        assert_same_events(process, serial)
+        check_parity(scenario, "process", 1)
 
     def test_process_runtime_answers_queries(self, scenario):
-        """known_objects / object_estimate / stats route over the pipe."""
-        model, trace, config = scenario
-        runtime = ShardedRuntime(
-            model, config, RuntimeConfig(n_shards=2, executor="process"), POLICY
-        )
-        try:
-            for epoch in trace.epochs()[:40]:
-                runtime.step(epoch)
-            known = runtime.known_objects()
-            assert known == sorted(set(known)) and known
-            for number in known:
-                estimate = runtime.object_estimate(number)
-                assert np.isfinite(estimate.mean).all()
-            stats = runtime.shard_stats()
-            assert sum(s["objects"] for s in stats) == len(known)
-            assert all(s["arena_used_rows"] > 0 for s in stats)
-        finally:
-            runtime.abort()
+        check_queries(scenario, "process")
 
     def test_arena_view_reads_worker_beliefs_zero_copy(self, scenario):
         """The parent attaches the worker's slab and reproduces its estimate
-        from the raw particle blocks — no arrays crossed the pipe."""
-        model, trace, config = scenario
-        runtime = ShardedRuntime(
-            model, config, RuntimeConfig(n_shards=2, executor="process"), POLICY
-        )
-        try:
-            for epoch in trace.epochs()[:40]:
-                runtime.step(epoch)
-            view = runtime.shards[0].arena_view()
-            try:
-                assert view.object_ids()
-                for number in view.object_ids():
-                    positions = view.positions(number)
-                    assert positions.shape == (config.object_particles, 3)
-                    from_slab = LocationEstimate.robust_from_particles(
-                        positions, view.log_weights(number)
-                    )
-                    from_worker = runtime.shards[0].object_estimate(number)
-                    np.testing.assert_array_equal(from_slab.mean, from_worker.mean)
-            finally:
-                view.close()
-        finally:
-            runtime.abort()
+        from the raw particle blocks — no arrays crossed the link."""
+        check_belief_reads(scenario, "process")
 
 
 class TestHarnessIntegration:
@@ -189,48 +135,11 @@ class TestHarnessIntegration:
 
 class TestProcessDurability:
     def test_checkpoint_kill_restore_is_bitwise(self, scenario, tmp_path):
-        model, trace, config = scenario
-        runtime_config = RuntimeConfig(n_shards=2, executor="process")
-        _, reference = run_events(model, trace, config, runtime_config)
-
-        epochs = trace.epochs()
-        cut = len(epochs) // 2
-        runtime = ShardedRuntime(model, config, runtime_config, POLICY)
-        for epoch in epochs[:cut]:
-            runtime.step(epoch)
-        runtime.checkpoint(tmp_path / "ck")
-        prefix = list(runtime.sink.events)
-        runtime.abort()  # the "kill": workers reaped, nothing flushed
-        assert all(proxy.process is None for proxy in runtime.shards)
-
-        resumed, manifest = restore_runtime(tmp_path / "ck", model)
-        assert resumed.runtime_config.executor == "process"
-        assert manifest.epochs_processed == cut
-        resumed.run(trace.epochs(start=cut))
-        assert_same_events(prefix + list(resumed.sink.events), reference)
+        check_checkpoint_kill_restore(scenario, "process", tmp_path)
 
     def test_cross_executor_restore_is_bitwise(self, scenario, tmp_path):
-        """Executor is a deployment choice: process checkpoints restore into
-        serial shards (and the output stays bitwise-identical)."""
-        model, trace, config = scenario
-        _, reference = run_events(model, trace, config, RuntimeConfig(n_shards=2))
-
-        epochs = trace.epochs()
-        cut = len(epochs) // 2
-        runtime = ShardedRuntime(
-            model, config, RuntimeConfig(n_shards=2, executor="process"), POLICY
-        )
-        for epoch in epochs[:cut]:
-            runtime.step(epoch)
-        runtime.checkpoint(tmp_path / "ck")
-        prefix = list(runtime.sink.events)
-        runtime.abort()
-
-        resumed, manifest = restore_runtime(
-            tmp_path / "ck", model, runtime_config=RuntimeConfig(n_shards=2)
-        )
-        resumed.run(trace.epochs(start=cut))
-        assert_same_events(prefix + list(resumed.sink.events), reference)
+        """Process checkpoints restore into serial shards."""
+        check_cross_executor_restore(scenario, "process", "serial", tmp_path)
 
     def test_elastic_reshard_into_process_executor(self, scenario, tmp_path):
         """A 2-shard checkpoint re-shards onto 4 process workers; event
@@ -286,7 +195,7 @@ class TestWorkerCrash:
     def test_failed_snapshot_leaves_workers_serving(self, scenario, tmp_path):
         """A non-StateError snapshot failure must drain every worker's
         pending reply — the runtime keeps streaming afterwards with the
-        pipes still in sync (the documented checkpoint contract)."""
+        links still in sync (the documented checkpoint contract)."""
         model, trace, config = scenario
         runtime = ShardedRuntime(
             model,
@@ -301,7 +210,7 @@ class TestWorkerCrash:
                 runtime.step(epoch)
             with pytest.raises(InferenceError, match="snapshot exploded"):
                 runtime.checkpoint(tmp_path / "ck")
-            # Pipes are in sync: subsequent steps and queries still work.
+            # Links are in sync: subsequent steps and queries still work.
             for epoch in epochs[5:10]:
                 runtime.step(epoch)
             assert runtime.known_objects()
@@ -349,3 +258,19 @@ class TestWorkerCrash:
         runtime.abort()
         with pytest.raises(InferenceError):
             runtime.step(epochs[1])
+
+    def test_engine_factory_cannot_cross_a_remote_link(self, scenario):
+        """A factory reaches a local worker through the fork; there is no
+        such path to a shard host, so asking for one fails at construction
+        (before any connection is attempted)."""
+        model, trace, config = scenario
+        with pytest.raises(ConfigurationError, match="engine_factory"):
+            ShardedRuntime(
+                model,
+                config,
+                RuntimeConfig(
+                    n_shards=2, executor="remote", shard_hosts=("127.0.0.1:9",)
+                ),
+                POLICY,
+                engine_factory=ExitingEngineFactory(model),
+            )
