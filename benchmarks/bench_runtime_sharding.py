@@ -4,15 +4,14 @@ PR 1 made the single engine fast (batched kernels over one arena); this
 benchmark measures the next axis — partitioning the tag population across
 independent filter shards (``repro.runtime.ShardedRuntime``).  It drives the
 full runtime (router -> shards -> merged event bus) in steady state over
-2000 active tags at shard counts {1, 2, 4} with the serial, thread-pool, and
+2000 active tags at shard counts {1, 2, 4} with the serial executor and
 both worker executors (``process`` over socketpairs, ``remote`` over loopback
 TCP to an in-process shard host — one proxy, one link codec), plus
 10000-tag scaling rows.
 
 What the executors can and cannot show in one container: sharding is a
 *distribution* mechanism — total kernel work is constant — so serial rows
-measure partitioning/merge overhead staying small; thread rows measure how
-much of the kernel time runs with the GIL released; process rows measure the
+measure partitioning/merge overhead staying small; process rows measure the
 full scale-out path (persistent workers, framed link, shared-memory
 arenas), whose speedup is bounded by ``cpu_count`` — on a single-core
 runner the process rows price the IPC overhead instead (the recorded
@@ -178,7 +177,7 @@ def _plan(quick: bool):
     timed = 3 if quick else 20
     rows = [(N_TAGS, 1, "serial", timed)]
     for n_shards in SHARD_COUNTS[1:]:
-        for executor in ("serial", "thread", "process", "remote"):
+        for executor in ("serial", "process", "remote"):
             rows.append((N_TAGS, n_shards, executor, timed))
     if not quick:
         # Scaling-headroom rows: the worker executors at 5x the population.
@@ -270,8 +269,7 @@ def main() -> None:
             "the median of `epochs_per_sec_runs` (repeats interleaved across "
             "rows); min/max are the row's own spread.  Serial rows measure "
             "partitioning+merge overhead (total kernel work is constant "
-            "in-process); thread rows measure GIL-released kernel "
-            "concurrency; process rows measure the worker scale-out path "
+            "in-process); process rows measure the worker scale-out path "
             "(socketpair link + shared-memory arenas), remote rows the same "
             "proxy over loopback TCP to an in-process shard host; the worker "
             "executors' speedup ceiling is cpu_count."

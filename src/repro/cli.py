@@ -36,25 +36,29 @@ ingest service over a unix socket (``replay`` feeds it a recorded trace as
 K concurrent sources, ``tail`` follows its emission log exactly-once, and
 ``serve-stats`` fetches one JSON metrics snapshot).
 
-Unknown subcommands exit with status 2 and a usage message on stderr.
+Unknown subcommands and invalid flag values (an unknown choice, or a value
+the config dataclasses reject) exit with status 2 and a usage message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+import typing
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .baselines import SmurfLocationConfig, UniformConfig
 from .config import (
-    ARENA_DTYPES,
-    EXECUTOR_NAMES,
+    CHECKPOINT_MODES,
     InferenceConfig,
     OutputPolicyConfig,
     RuntimeConfig,
+    ServeConfig,
     SupervisorConfig,
 )
+from .errors import ConfigurationError
 from .faults import install_from_env
 from .eval import run_factored, run_smurf, run_uniform
 from .eval.report import format_table
@@ -70,7 +74,227 @@ from .simulation import (
     WarehouseConfig,
     WarehouseSimulator,
 )
-from .streams import CollectingSink, CsvSink, TeeSink, Trace
+from .streams import CollectingSink, CsvSink, Trace
+
+
+@dataclass(frozen=True)
+class _FlagGroup:
+    """CLI flags projected from the fields of one config dataclass.
+
+    ``flags`` maps a field (``"a.b"`` reaches into the sub-config ``a``) to
+    ``("--flag [METAVAR]", help)``.  Type, default and choices are read off
+    ``default`` — the CLI's default instance of the dataclass — so a knob
+    is declared in ``config.py`` and only *spelled* here.
+    """
+
+    default: Any
+    flags: Dict[str, Tuple[str, str]]
+
+    def add_to(self, parser, only=None, suppress: bool = False) -> None:
+        """Register the group's flags (or the ``only`` subset of its fields)
+        on ``parser``; ``suppress`` leaves an ungiven flag off the namespace
+        instead of filling in the default."""
+        for path, (spec, help_text) in self.flags.items():
+            if only is not None and path not in only:
+                continue
+            head, _, leaf = path.rpartition(".")
+            owner = getattr(self.default, head) if head else self.default
+            hint = typing.get_type_hints(type(owner))[leaf]
+            if typing.get_origin(hint) is typing.Union:  # Optional[X] -> X
+                hint = next(a for a in typing.get_args(hint) if a is not type(None))
+            default = argparse.SUPPRESS if suppress else getattr(owner, leaf)
+            flag, _, metavar = spec.partition(" ")
+            if hint is bool:
+                parser.add_argument(
+                    flag, action="store_true", default=default, help=help_text
+                )
+                continue
+            repeatable = typing.get_origin(hint) is tuple  # Tuple[X, ...]
+            (field,) = (f for f in fields(owner) if f.name == leaf)
+            parser.add_argument(
+                flag,
+                action="append" if repeatable else "store",
+                type=typing.get_args(hint)[0] if repeatable else hint,
+                default=default,
+                choices=field.metadata.get("choices"),
+                metavar=metavar or None,
+                help=help_text,
+            )
+
+    def given(self, args: argparse.Namespace, base=None) -> Dict[str, Any]:
+        """``replace()`` keyword arguments for every flag of the group that
+        ``args`` carries, applied over ``base`` (the default instance)."""
+        base = self.default if base is None else base
+        updates: Dict[str, Any] = {}
+        for path, (spec, _) in self.flags.items():
+            dest = spec.partition(" ")[0].lstrip("-").replace("-", "_")
+            if not hasattr(args, dest):
+                continue
+            value = getattr(args, dest)
+            if isinstance(value, list):
+                value = tuple(value)
+            head, _, leaf = path.rpartition(".")
+            if head:  # a sub-config's field: fold into one replace of the sub-config
+                value = replace(updates.get(head, getattr(base, head)), **{leaf: value})
+            updates[head or leaf] = value
+        return updates
+
+    def build(self, args: argparse.Namespace):
+        return replace(self.default, **self.given(args))
+
+
+_ENGINE = _FlagGroup(
+    InferenceConfig(reader_particles=120, object_particles=400),
+    {
+        "object_particles": ("--particles", "particles per object"),
+        "reader_particles": ("--reader-particles", "reader particles"),
+        "spatial_index.enabled": ("--index", "enable spatial index"),
+        "compression.enabled": ("--compress", "enable compression"),
+        "budget.enabled": (
+            "--adaptive",
+            "adaptive particle budgets: settled unread tags decay through "
+            "parked tiers to Gaussians and skip the per-epoch kernels; any "
+            "read revives them to the full budget",
+        ),
+        "arena.dtype": (
+            "--arena-dtype",
+            "belief-arena storage precision (float32 halves kernel "
+            "memory bandwidth at ~1e-3 ft estimate tolerance)",
+        ),
+    },
+)
+
+_POLICY = _FlagGroup(
+    OutputPolicyConfig(delay_s=30.0), {"delay_s": ("--delay", "output delay (s)")}
+)
+
+_RUNTIME = _FlagGroup(
+    RuntimeConfig(),
+    {
+        "n_shards": (
+            "--shards",
+            "partition the tag population across N filter shards",
+        ),
+        "partitioner": ("--partitioner", "tag-to-shard assignment scheme"),
+        "executor": (
+            "--executor",
+            "how shards advance each epoch: serial, process (persistent "
+            "workers with shared-memory arenas), or remote (workers on "
+            "`repro shard-host` endpoints over TCP; output is identical "
+            "across executors)",
+        ),
+        "shard_hosts": (
+            "--shard-host HOST:PORT",
+            "with --executor remote: a `repro shard-host` endpoint to run "
+            "shard workers on (repeat for multiple hosts; shards round-robin "
+            "across them)",
+        ),
+    },
+)
+
+_CHECKPOINTS = _FlagGroup(
+    RuntimeConfig(),
+    {
+        "checkpoint_every_s": (
+            "--checkpoint-every S",
+            "take a durable checkpoint every S seconds of stream time",
+        ),
+        "checkpoint_dir": (
+            "--checkpoint-dir",
+            "directory for periodic checkpoints (required with "
+            "--checkpoint-every)",
+        ),
+        "checkpoint_mode": (
+            "--checkpoint-mode",
+            "periodic-checkpoint persistence: full snapshots, or "
+            "differential ones (dirty object blocks only) chained to the last "
+            "full rebase",
+        ),
+        "checkpoint_full_every": (
+            "--checkpoint-full-every N",
+            "in delta mode, rebase with a full checkpoint every Nth "
+            "periodic checkpoint",
+        ),
+    },
+)
+
+_SUPERVISOR = _FlagGroup(
+    SupervisorConfig(),
+    {
+        "max_restarts": (
+            "--max-restarts N",
+            "per-shard restart budget before the supervisor aborts the run",
+        ),
+        "op_timeout_s": (
+            "--op-timeout S",
+            "deadline for one worker protocol op under supervision; a "
+            "hung-but-alive worker past it is killed and respawned",
+        ),
+    },
+)
+
+_SERVE = _FlagGroup(
+    ServeConfig(),
+    {
+        "epoch_length": ("--epoch-length", "epoch width (s)"),
+        "max_sources": ("--max-sources", "admission-control limit"),
+        "queue_capacity": (
+            "--queue-capacity",
+            "per-source credit window (frames in flight)",
+        ),
+        "credit_batch": ("--credit-batch", "minimum CREDIT grant"),
+        "pause_high_water": (
+            "--pause-high-water",
+            "total buffered frames that PAUSE every source",
+        ),
+        "pause_low_water": (
+            "--pause-low-water",
+            "backlog at which paused sources RESUME",
+        ),
+        "fsync": (
+            "--fsync",
+            "fsync the emission log per epoch (power-loss durability; "
+            "kill -9 safety does not need it)",
+        ),
+    },
+)
+
+
+def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
+    _RUNTIME.add_to(parser)
+    parser.add_argument(
+        "--supervise",
+        action="store_true",
+        help="self-heal dead or hung shard workers (--executor process): "
+        "respawn, restore from the last checkpoint, replay the event "
+        "suffix, and continue — output stays byte-identical",
+    )
+    _SUPERVISOR.add_to(parser)
+
+
+def _add_standing_queries_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--standing-queries",
+        type=int,
+        default=0,
+        metavar="N",
+        help="fan out N standing region-watch queries tiling the floor; "
+        "structurally identical windows are deduplicated into shared "
+        "incremental operators (repro.query.multiplexer)",
+    )
+
+
+def _add_socket_client_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--socket", type=str, required=True, help="the service's unix socket path"
+    )
+    parser.add_argument(
+        "--connect-retries",
+        type=int,
+        default=0,
+        metavar="N",
+        help="retry a refused/missing socket N times with backoff",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a warehouse trace")
+    def verb(name: str, handler, help: str) -> argparse.ArgumentParser:
+        # The verb's own parser reports its usage errors (`repro <verb>: error`).
+        verb_parser = sub.add_parser(name, help=help)
+        verb_parser.set_defaults(handler=handler, usage_error=verb_parser.error)
+        return verb_parser
+
+    sim = verb("simulate", _cmd_simulate, "generate a warehouse trace")
     sim.add_argument("--objects", type=int, default=16)
     sim.add_argument("--spacing", type=float, default=0.5, help="object spacing (ft)")
     sim.add_argument("--shelf-tags", type=int, default=4)
@@ -92,45 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", type=str, required=True, help="trace output path")
 
-    clean = sub.add_parser("clean", help="clean a trace into location events")
+    clean = verb("clean", _cmd_clean, "clean a trace into location events")
     clean.add_argument("trace", type=str)
     clean.add_argument("--events", type=str, default=None, help="CSV output path")
-    clean.add_argument("--particles", type=int, default=400)
-    clean.add_argument("--reader-particles", type=int, default=120)
-    clean.add_argument("--delay", type=float, default=30.0, help="output delay (s)")
-    clean.add_argument("--index", action="store_true", help="enable spatial index")
-    clean.add_argument("--compress", action="store_true", help="enable compression")
-    _add_engine_arguments(clean)
-    clean.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=None,
-        metavar="S",
-        help="take a durable checkpoint every S seconds of stream time",
-    )
-    clean.add_argument(
-        "--checkpoint-dir",
-        type=str,
-        default=None,
-        help="directory for periodic checkpoints (required with --checkpoint-every)",
-    )
-    clean.add_argument(
-        "--checkpoint-mode",
-        type=str,
-        default="full",
-        choices=["full", "delta"],
-        help="periodic-checkpoint persistence: full snapshots, or "
-        "differential ones (dirty object blocks only) chained to the last "
-        "full rebase",
-    )
-    clean.add_argument(
-        "--checkpoint-full-every",
-        type=int,
-        default=8,
-        metavar="N",
-        help="in delta mode, rebase with a full checkpoint every Nth "
-        "periodic checkpoint (default 8)",
-    )
+    _ENGINE.add_to(clean)
+    _POLICY.add_to(clean)
+    _CHECKPOINTS.add_to(clean)
     clean.add_argument(
         "--resume",
         type=str,
@@ -140,11 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "instead of starting at epoch 0 "
         "(engine options come from the checkpoint header, not the flags)",
     )
-    _add_runtime_arguments(clean)
+    _add_sharding_arguments(clean)
 
-    ckpt = sub.add_parser(
+    ckpt = verb(
         "checkpoint",
-        help="run a trace prefix and write one durable snapshot",
+        _cmd_checkpoint,
+        "run a trace prefix and write one durable snapshot",
     )
     ckpt.add_argument("trace", type=str)
     ckpt.add_argument("--out", type=str, required=True, help="checkpoint file to write")
@@ -157,17 +355,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ckpt.add_argument(
         "--events", type=str, default=None, help="CSV path for the prefix's events"
     )
-    ckpt.add_argument("--particles", type=int, default=400)
-    ckpt.add_argument("--reader-particles", type=int, default=120)
-    ckpt.add_argument("--delay", type=float, default=30.0, help="output delay (s)")
-    ckpt.add_argument("--index", action="store_true", help="enable spatial index")
-    ckpt.add_argument("--compress", action="store_true", help="enable compression")
-    _add_engine_arguments(ckpt)
-    _add_runtime_arguments(ckpt)
+    _ENGINE.add_to(ckpt)
+    _POLICY.add_to(ckpt)
+    _add_sharding_arguments(ckpt)
 
-    restore = sub.add_parser(
+    restore = verb(
         "restore",
-        help="resume a checkpointed run to the end of its trace",
+        _cmd_restore,
+        "resume a checkpointed run to the end of its trace (sharding flags "
+        "given here override the recorded layout: elastic re-shard)",
     )
     restore.add_argument(
         "checkpoint",
@@ -178,34 +374,21 @@ def _build_parser() -> argparse.ArgumentParser:
     restore.add_argument(
         "--events", type=str, default=None, help="CSV path for the resumed events"
     )
-    restore.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="elastically re-shard to this many shards (default: recorded layout)",
-    )
-    restore.add_argument(
-        "--partitioner",
-        type=str,
-        default=None,
-        choices=["hash", "mod"],
-        help="partitioner for the re-sharded layout",
-    )
-    _add_executor_arguments(restore)
+    _RUNTIME.add_to(restore, suppress=True)
     restore.add_argument(
         "--no-verify",
         action="store_true",
         help="skip checkpoint checksum verification",
     )
 
-    query = sub.add_parser(
+    query = verb(
         "query",
-        help="clean a trace and run continuous queries over the event bus",
+        _cmd_query,
+        "clean a trace and run continuous queries over the event bus",
     )
     query.add_argument("trace", type=str)
-    query.add_argument("--particles", type=int, default=400)
-    query.add_argument("--reader-particles", type=int, default=120)
-    query.add_argument("--delay", type=float, default=30.0, help="output delay (s)")
+    _ENGINE.add_to(query)
+    _POLICY.add_to(query)
     query.add_argument(
         "--weight-lbs",
         type=float,
@@ -221,15 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--window", type=float, default=5.0, help="fire-code window (s)"
     )
-    query.add_argument(
-        "--standing-queries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan out N standing region-watch queries tiling the floor; "
-        "structurally identical windows are deduplicated into shared "
-        "incremental operators (repro.query.multiplexer)",
-    )
+    _add_standing_queries_argument(query)
     query.add_argument(
         "--queries-file",
         type=str,
@@ -260,13 +435,13 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="directory for --checkpoint-at snapshots (one epoch_NNNNNNNN "
-        "subdirectory per cut, plus a LATEST pointer)",
+        "file per cut, plus a LATEST pointer)",
     )
     query.add_argument(
         "--checkpoint-mode",
         type=str,
-        default="full",
-        choices=["full", "delta"],
+        default=CHECKPOINT_MODES[0],
+        choices=CHECKPOINT_MODES,
         help="persistence for --checkpoint-at: full snapshots, or a delta "
         "chain (first cut full, later cuts dirty blocks only)",
     )
@@ -279,12 +454,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "query operator state restore exactly (register the same queries "
         "via the same flags)",
     )
-    _add_engine_arguments(query)
-    _add_runtime_arguments(query)
+    _add_sharding_arguments(query)
 
-    serve = sub.add_parser(
+    serve = verb(
         "serve",
-        help="run the online ingest service (sockets in, emission log out)",
+        _cmd_serve,
+        "run the online ingest service (sockets in, emission log out)",
     )
     serve.add_argument(
         "model_trace",
@@ -303,109 +478,29 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="JSONL",
         help="durable emission log (recovered, never truncated, on restart)",
     )
-    serve.add_argument("--particles", type=int, default=400)
-    serve.add_argument("--reader-particles", type=int, default=120)
-    serve.add_argument("--delay", type=float, default=30.0, help="output delay (s)")
-    serve.add_argument("--index", action="store_true", help="enable spatial index")
-    serve.add_argument("--compress", action="store_true", help="enable compression")
-    serve.add_argument(
-        "--standing-queries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan out N standing region-watch queries over a fixed floor "
-        "tiling in addition to location_updates",
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=None,
-        metavar="S",
-        help="periodic mid-stream checkpoints every S seconds of stream time",
-    )
-    serve.add_argument(
-        "--checkpoint-dir",
-        type=str,
-        default=None,
-        help="checkpoint directory (required with --checkpoint-every or "
-        "--resume; the SIGTERM drain also writes its final cut here)",
-    )
-    serve.add_argument(
-        "--checkpoint-mode",
-        type=str,
-        default="full",
-        choices=["full", "delta"],
-        help="periodic-checkpoint persistence (full snapshots or delta chains)",
-    )
-    serve.add_argument(
-        "--checkpoint-full-every",
-        type=int,
-        default=8,
-        metavar="N",
-        help="in delta mode, rebase with a full checkpoint every Nth cut",
-    )
+    _ENGINE.add_to(serve)
+    _POLICY.add_to(serve)
+    _add_standing_queries_argument(serve)
+    _CHECKPOINTS.add_to(serve)
     serve.add_argument(
         "--resume",
         action="store_true",
-        help="resume from --checkpoint-dir's LATEST checkpoint when present",
+        help="resume from --checkpoint-dir's LATEST checkpoint when present "
+        "(the SIGTERM drain also writes its final cut to --checkpoint-dir)",
     )
-    serve.add_argument(
-        "--epoch-length", type=float, default=1.0, help="epoch width (s)"
-    )
-    serve.add_argument(
-        "--max-sources", type=int, default=64, help="admission-control limit"
-    )
-    serve.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=1024,
-        help="per-source credit window (frames in flight)",
-    )
-    serve.add_argument(
-        "--credit-batch", type=int, default=64, help="minimum CREDIT grant"
-    )
-    serve.add_argument(
-        "--pause-high-water",
-        type=int,
-        default=8192,
-        help="total buffered frames that PAUSE every source",
-    )
-    serve.add_argument(
-        "--pause-low-water",
-        type=int,
-        default=2048,
-        help="backlog at which paused sources RESUME",
-    )
-    serve.add_argument(
-        "--fsync",
-        action="store_true",
-        help="fsync the emission log per epoch (power-loss durability; "
-        "kill -9 safety does not need it)",
-    )
+    _SERVE.add_to(serve)
     serve.add_argument(
         "--stay-up",
         action="store_true",
         help="keep serving stats after every source ended (default: exit 0)",
     )
-    _add_runtime_arguments(serve)
-    serve.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive particle budgets (see `clean --adaptive`)",
-    )
-    serve.add_argument(
-        "--arena-dtype",
-        type=str,
-        default="float64",
-        choices=list(ARENA_DTYPES),
-        help="belief-arena storage precision",
-    )
+    _add_sharding_arguments(serve)
 
-    replay = sub.add_parser(
-        "replay", help="stream a stored trace into a running ingest service"
+    replay = verb(
+        "replay", _cmd_replay, "stream a stored trace into a running ingest service"
     )
     replay.add_argument("trace", type=str)
-    replay.add_argument("--socket", type=str, required=True)
+    _add_socket_client_arguments(replay)
     replay.add_argument(
         "--sources",
         type=int,
@@ -420,18 +515,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="per-source records/second pacing (0 = as fast as credit allows)",
     )
-    replay.add_argument(
-        "--connect-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a refused/missing socket N times with backoff",
-    )
 
-    tail = sub.add_parser(
-        "tail", help="subscribe to a service's emission stream into a file"
+    tail = verb(
+        "tail", _cmd_tail, "subscribe to a service's emission stream into a file"
     )
-    tail.add_argument("--socket", type=str, required=True)
+    _add_socket_client_arguments(tail)
     tail.add_argument(
         "--out",
         type=str,
@@ -447,17 +535,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "to N consecutive times with backoff, resuming from the output "
         "file's line count (any delivered line refills the budget)",
     )
-    tail.add_argument(
-        "--connect-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a refused/missing socket N times with backoff",
-    )
 
-    shost = sub.add_parser(
+    shost = verb(
         "shard-host",
-        help="run a shard-worker host: remote executors boot filter shards "
+        _cmd_shard_host,
+        "run a shard-worker host: remote executors boot filter shards "
         "here over TCP",
     )
     shost.add_argument(
@@ -474,160 +556,38 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TCP port to listen on (default: an ephemeral port, printed)",
     )
 
-    sstats = sub.add_parser(
-        "serve-stats", help="print a running service's metrics snapshot"
+    sstats = verb(
+        "serve-stats", _cmd_serve_stats, "print a running service's metrics snapshot"
     )
-    sstats.add_argument("--socket", type=str, required=True)
-    sstats.add_argument(
-        "--connect-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a refused/missing socket N times with backoff",
-    )
+    _add_socket_client_arguments(sstats)
 
-    sresh = sub.add_parser(
+    sresh = verb(
         "serve-reshard",
-        help="re-shard a running service live (applied at the next epoch boundary)",
+        _cmd_serve_reshard,
+        "re-shard a running service live (applied at the next epoch boundary)",
     )
-    sresh.add_argument("--socket", type=str, required=True)
+    _add_socket_client_arguments(sresh)
     sresh.add_argument(
         "--shards", type=int, required=True, metavar="N",
         help="target shard count to migrate the running runtime to",
     )
-    sresh.add_argument(
-        "--connect-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a refused/missing socket N times with backoff",
-    )
 
-    ev = sub.add_parser("evaluate", help="score ours vs SMURF vs uniform on a trace")
+    ev = verb("evaluate", _cmd_evaluate, "score ours vs SMURF vs uniform on a trace")
     ev.add_argument("trace", type=str)
-    ev.add_argument("--particles", type=int, default=400)
+    _ENGINE.add_to(ev, only=("object_particles",))
 
-    lab = sub.add_parser("lab", help="run the Fig 6(b)-style lab comparison")
+    lab = verb("lab", _cmd_lab, "run the Fig 6(b)-style lab comparison")
     lab.add_argument("--timeout", type=float, default=0.25, choices=[0.25, 0.5, 0.75])
     lab.add_argument("--seed", type=int, default=5)
     return parser
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive particle budgets: settled unread tags decay through "
-        "parked tiers to Gaussians and skip the per-epoch kernels; any "
-        "read revives them to the full budget",
-    )
-    parser.add_argument(
-        "--arena-dtype",
-        type=str,
-        default="float64",
-        choices=list(ARENA_DTYPES),
-        help="belief-arena storage precision (float32 halves kernel "
-        "memory bandwidth at ~1e-3 ft estimate tolerance)",
-    )
-
-
-def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the tag population across N filter shards",
-    )
-    parser.add_argument(
-        "--partitioner",
-        type=str,
-        default="hash",
-        choices=["hash", "mod"],
-        help="tag-to-shard assignment scheme",
-    )
-    parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="self-heal dead or hung shard workers (--executor process): "
-        "respawn, restore from the last checkpoint, replay the event "
-        "suffix, and continue — output stays byte-identical",
-    )
-    parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="per-shard restart budget before the supervisor aborts the run",
-    )
-    parser.add_argument(
-        "--op-timeout",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="deadline for one worker protocol op under supervision; a "
-        "hung-but-alive worker past it is killed and respawned",
-    )
-    _add_executor_arguments(parser)
-
-
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor",
-        type=str,
-        default=None,
-        choices=list(EXECUTOR_NAMES),
-        help="how shards advance each epoch: serial (default), thread "
-        "(GIL-sharing pool), process (persistent workers with "
-        "shared-memory arenas), or remote (workers on `repro shard-host` "
-        "endpoints over TCP; output is identical across executors)",
-    )
-    parser.add_argument(
-        "--threads",
-        action="store_true",
-        help="deprecated alias for --executor thread",
-    )
-    parser.add_argument(
-        "--shard-host",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --executor remote: a `repro shard-host` endpoint to run "
-        "shard workers on (repeat for multiple hosts; shards round-robin "
-        "across them)",
-    )
-
-
-def _resolve_executor(args: argparse.Namespace, default: str = "serial") -> str:
-    """Executor name from ``--executor``, falling back to legacy ``--threads``."""
-    if args.executor is not None:
-        return args.executor
-    if args.threads:
-        print(
-            "warning: --threads is deprecated; use --executor thread",
-            file=sys.stderr,
-        )
-        return "thread"
-    return default
-
-
 def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
-    supervisor = None
-    if getattr(args, "supervise", False):
-        supervisor = SupervisorConfig(
-            max_restarts=args.max_restarts,
-            op_timeout_s=args.op_timeout,
-        )
-    shard_hosts = getattr(args, "shard_host", None)
-    return RuntimeConfig(
-        n_shards=args.shards,
-        partitioner=args.partitioner,
-        executor=_resolve_executor(args),
-        shard_hosts=tuple(shard_hosts) if shard_hosts else None,
-        checkpoint_every_s=getattr(args, "checkpoint_every", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_mode=getattr(args, "checkpoint_mode", "full"),
-        checkpoint_full_every=getattr(args, "checkpoint_full_every", 8),
-        supervisor=supervisor,
+    return replace(
+        RuntimeConfig(),
+        **_RUNTIME.given(args),
+        **_CHECKPOINTS.given(args),
+        supervisor=_SUPERVISOR.build(args) if args.supervise else None,
     )
 
 
@@ -662,12 +622,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _default_model(trace: Trace):
     """Inference model for a stored trace: supervised sensor fit when ground
     truth is available, library defaults otherwise."""
-    from .models import (
-        DEFAULT_SENSOR_PARAMS,
-        MotionParams,
-        RFIDWorldModel,
-        SensingNoiseParams,
-    )
+    from .models import RFIDWorldModel, SensingNoiseParams
     from .geometry import Box, ShelfRegion, ShelfSet
     from .learning import initial_motion_guess
 
@@ -705,23 +660,14 @@ def _load_trace(path: str) -> Trace:
 
 
 def _engine_config(args: argparse.Namespace, sensor) -> InferenceConfig:
-    config = config_for_sensor(
-        InferenceConfig(
-            reader_particles=args.reader_particles, object_particles=args.particles
-        ),
-        sensor,
-    )
-    if args.index:
-        config = config.with_index()
-    if args.compress:
-        config = config.with_compression()
-    if getattr(args, "adaptive", False):
-        config = config.with_budget()
-    if getattr(args, "arena_dtype", "float64") != "float64":
-        from dataclasses import replace
+    return config_for_sensor(_ENGINE.build(args), sensor)
 
-        config = replace(config, arena=replace(config.arena, dtype=args.arena_dtype))
-    return config
+
+def _new_runtime(args: argparse.Namespace, model, sensor) -> ShardedRuntime:
+    """A fresh runtime configured by the verb's engine, sharding and policy flags."""
+    return ShardedRuntime(
+        model, _engine_config(args, sensor), _runtime_config(args), _POLICY.build(args)
+    )
 
 
 def _resolve_checkpoint(path: str) -> str:
@@ -760,47 +706,22 @@ def _cmd_clean(args: argparse.Namespace) -> int:
         raise SystemExit("--checkpoint-every requires --checkpoint-dir")
     trace = _load_trace(args.trace)
     model, _, sensor = _default_model(trace)
+    start, resumed = 0, ""
     if args.resume is not None:
         from .state import restore_runtime
 
         runtime, manifest = restore_runtime(_resolve_checkpoint(args.resume), model)
-        runtime.run(trace.epochs(start=manifest.epochs_processed))
-        assert isinstance(runtime.sink, CollectingSink)
-        _print_or_write_events(
-            runtime.sink.events,
-            args.events,
-            f"(resumed from epoch {manifest.epochs_processed}, "
-            f"{runtime.n_shards} shard{'s' if runtime.n_shards != 1 else ''})",
-        )
-        return 0
-    config = _engine_config(args, sensor)
-    collector = CollectingSink()
-    sink = collector
-    handle = None
-    try:
-        if args.events:
-            handle = open(args.events, "w")
-            sink = TeeSink([collector, CsvSink(handle)])
-        runtime = ShardedRuntime(
-            model,
-            config,
-            _runtime_config(args),
-            OutputPolicyConfig(delay_s=args.delay),
-            sink=sink,
-        )
-        runtime.run(trace.epochs())
-    finally:
-        if handle is not None:
-            handle.close()
-    if args.events:
-        print(
-            f"wrote {args.events}: {len(collector.events)} events "
-            f"({args.shards} shard{'s' if args.shards != 1 else ''})"
-        )
+        start = manifest.epochs_processed
+        resumed = f"resumed from epoch {start}, "
     else:
-        for event in collector.events:
-            x, y, _ = event.position
-            print(f"{event.time:9.1f}  {str(event.tag):>12}  ({x:7.3f}, {y:7.3f})")
+        runtime = _new_runtime(args, model, sensor)
+    runtime.run(trace.epochs(start=start))
+    assert isinstance(runtime.sink, CollectingSink)
+    _print_or_write_events(
+        runtime.sink.events,
+        args.events,
+        f"({resumed}{runtime.n_shards} shard{'s' if runtime.n_shards != 1 else ''})",
+    )
     return 0
 
 
@@ -813,19 +734,13 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         raise SystemExit(f"checkpoint target already exists: {args.out}")
     trace = _load_trace(args.trace)
     model, _, sensor = _default_model(trace)
-    config = _engine_config(args, sensor)
     epochs = trace.epochs()
     if not (0 < args.epochs <= len(epochs)):
         raise SystemExit(
             f"--epochs must be in [1, {len(epochs)}] for this trace, "
             f"got {args.epochs}"
         )
-    runtime = ShardedRuntime(
-        model,
-        config,
-        _runtime_config(args),
-        OutputPolicyConfig(delay_s=args.delay),
-    )
+    runtime = _new_runtime(args, model, sensor)
     try:
         for epoch in epochs[: args.epochs]:
             runtime.step(epoch)
@@ -835,7 +750,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     finally:
         # The run is *not* finished: no scan-complete flush — this snapshot
         # is the state a crash-resumed run would continue from.  abort()
-        # releases the thread pool and closes the bus on both paths.
+        # releases the workers and closes the bus on both paths.
         runtime.abort()
     if args.events:
         _print_or_write_events(events, args.events, "(prefix)")
@@ -848,8 +763,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    from dataclasses import replace as dc_replace
-
     from .state import read_checkpoint_header, restore_runtime
     from .state.checkpoint import runtime_config_from_dict
 
@@ -857,23 +770,12 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     model, _, _ = _default_model(trace)
     recorded = runtime_config_from_dict(read_checkpoint_header(path)["runtime_config"])
-    executor = _resolve_executor(args, default=recorded.executor)
-    shard_hosts = (
-        tuple(args.shard_host)
-        if getattr(args, "shard_host", None)
-        else recorded.shard_hosts
-    )
-    target = dc_replace(
-        recorded,
-        n_shards=args.shards if args.shards is not None else recorded.n_shards,
-        partitioner=(
-            args.partitioner if args.partitioner is not None else recorded.partitioner
-        ),
-        executor=executor,
-        # A remote checkpoint restored onto a local executor (or vice
-        # versa) must not drag stale endpoints along.
-        shard_hosts=shard_hosts if executor == "remote" else None,
-    )
+    given = _RUNTIME.given(args)
+    if given.get("executor", recorded.executor) != "remote":
+        # A remote checkpoint restored onto a local executor must not drag
+        # stale endpoints along.
+        given["shard_hosts"] = None
+    target = replace(recorded, **given)
     runtime, manifest = restore_runtime(
         path, model, runtime_config=target, verify=not args.no_verify
     )
@@ -962,15 +864,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         queries_from_spec,
         standing_region_queries,
     )
+    from .state import write_latest_pointer
 
     trace = _load_trace(args.trace)
     model, _, sensor = _default_model(trace)
-    config = config_for_sensor(
-        InferenceConfig(
-            reader_particles=args.reader_particles, object_particles=args.particles
-        ),
-        sensor,
-    )
     epochs = trace.epochs()
     cuts = None
     if args.checkpoint_at is not None:
@@ -1022,12 +919,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"({bridge.tuples_pushed} tuples bridged)"
         )
     else:
-        runtime = ShardedRuntime(
-            model,
-            config,
-            _runtime_config(args),
-            OutputPolicyConfig(delay_s=args.delay),
-        )
+        runtime = _new_runtime(args, model, sensor)
         bridge = QueryBridge(engine, runtime.bus, runtime=runtime)
         if cuts is not None:
             parent = None
@@ -1049,8 +941,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 if args.emissions:
                     n = _write_emissions(engine, args.emissions)
                     print(f"wrote {args.emissions}: {n} emissions (prefix)")
-                with open(os.path.join(args.checkpoint_out, "LATEST"), "w") as fp:
-                    fp.write(os.path.basename(parent) + "\n")
+                write_latest_pointer(args.checkpoint_out, os.path.basename(parent))
             finally:
                 runtime.abort()
             print(
@@ -1097,7 +988,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .config import ServeConfig
     from .serve import ReproService
 
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
@@ -1110,16 +1000,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         model,
         inference=_engine_config(args, sensor),
         runtime=_runtime_config(args),
-        policy=OutputPolicyConfig(delay_s=args.delay),
-        serve=ServeConfig(
-            epoch_length=args.epoch_length,
-            max_sources=args.max_sources,
-            queue_capacity=args.queue_capacity,
-            credit_batch=args.credit_batch,
-            pause_high_water=args.pause_high_water,
-            pause_low_water=args.pause_low_water,
-            fsync=args.fsync,
-        ),
+        policy=_POLICY.build(args),
+        serve=_SERVE.build(args),
         socket_path=args.socket,
         emissions_path=args.emissions,
         standing_queries=args.standing_queries,
@@ -1242,12 +1124,8 @@ def _cmd_serve_reshard(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     model, shelves, sensor = _default_model(trace)
-    config = config_for_sensor(
-        InferenceConfig(object_particles=args.particles, reader_particles=120),
-        sensor,
-    )
     _, cone_range = initialization_geometry(sensor)
-    ours = run_factored(trace, model, config)
+    ours = run_factored(trace, model, _engine_config(args, sensor))
     smurf = run_smurf(
         trace, shelves, SmurfLocationConfig(read_range_ft=cone_range)
     )
@@ -1310,22 +1188,11 @@ def _cmd_lab(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     install_from_env()  # REPRO_FAULTS: deterministic fault injection (CI)
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "clean": _cmd_clean,
-        "checkpoint": _cmd_checkpoint,
-        "restore": _cmd_restore,
-        "query": _cmd_query,
-        "serve": _cmd_serve,
-        "replay": _cmd_replay,
-        "tail": _cmd_tail,
-        "shard-host": _cmd_shard_host,
-        "serve-stats": _cmd_serve_stats,
-        "serve-reshard": _cmd_serve_reshard,
-        "evaluate": _cmd_evaluate,
-        "lab": _cmd_lab,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        # An out-of-range or inconsistent flag value is a usage error.
+        args.usage_error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -9,7 +9,7 @@ parameter fails at construction, not after minutes of filtering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from .errors import ConfigurationError
@@ -160,6 +160,18 @@ class BudgetConfig:
             )
 
 
+def _check_choices(config) -> None:
+    """Enforce every field declared with ``metadata={"choices": ...}`` (the
+    same metadata the CLI reads its ``choices=`` from)."""
+    for spec in fields(config):
+        choices = spec.metadata.get("choices")
+        if choices is not None and getattr(config, spec.name) not in choices:
+            raise ConfigurationError(
+                f"unknown {spec.name} {getattr(config, spec.name)!r}; "
+                f"expected one of {choices}"
+            )
+
+
 #: Floating dtypes accepted by :class:`ArenaConfig`.
 ARENA_DTYPES: Tuple[str, ...] = ("float64", "float32")
 
@@ -186,15 +198,12 @@ class ArenaConfig:
     #: halves the slab's memory footprint and bandwidth; likelihood and
     #: normalization arithmetic still runs in float64, so only the stored
     #: representation is rounded.
-    dtype: str = "float64"
+    dtype: str = field(default="float64", metadata={"choices": ARENA_DTYPES})
 
     def __post_init__(self) -> None:
         if self.initial_capacity < 1:
             raise ConfigurationError("initial_capacity must be >= 1")
-        if self.dtype not in ARENA_DTYPES:
-            raise ConfigurationError(
-                f"unknown arena dtype {self.dtype!r}; expected one of {ARENA_DTYPES}"
-            )
+        _check_choices(self)
         if self.growth_factor <= 1.0:
             raise ConfigurationError("growth_factor must be > 1")
         if not (0.0 < self.compaction_threshold <= 1.0):
@@ -357,7 +366,7 @@ PARTITIONER_NAMES: Tuple[str, ...] = ("hash", "mod")
 #: Executor names accepted by :class:`RuntimeConfig`.  ``"remote"`` runs
 #: each shard on a ``repro shard-host`` worker pool over TCP
 #: (``repro.runtime.transport``); it needs :attr:`RuntimeConfig.shard_hosts`.
-EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "thread", "process", "remote")
+EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "process", "remote")
 
 #: Checkpoint modes accepted by :class:`RuntimeConfig`: every periodic
 #: checkpoint is a full snapshot, or a differential one chained to the last
@@ -438,25 +447,25 @@ class RuntimeConfig:
     #: mix, robust to strided/clustered tag numbering) or ``"mod"`` (plain
     #: ``number % n_shards``; transparent, but strided tag populations all
     #: land on one shard).
-    partitioner: str = "hash"
+    partitioner: str = field(default="hash", metadata={"choices": PARTITIONER_NAMES})
     #: How shards advance within one epoch: ``"serial"`` steps them in order
-    #: in the calling thread; ``"thread"`` steps them concurrently in a
-    #: thread pool (the numpy kernels release the GIL); ``"process"`` steps
-    #: them on persistent worker processes (``repro.runtime.workers``) —
-    #: routed reads and emitted events cross a socketpair, belief arenas live in
-    #: per-worker shared memory, and the GIL stops being the scaling limit.
+    #: in the calling thread; ``"process"`` steps them on persistent worker
+    #: processes (``repro.runtime.workers``) — routed reads and emitted
+    #: events cross a socketpair, belief arenas live in per-worker shared
+    #: memory, and the GIL stops being the scaling limit; ``"remote"`` runs
+    #: the same workers on ``shard_hosts`` over TCP.
     #: Output is identical across executors at equal shard counts — shards
     #: share no mutable state and the merge is deterministic.
-    executor: str = "serial"
+    executor: str = field(default="serial", metadata={"choices": EXECUTOR_NAMES})
     #: Take a coordinated checkpoint of every shard (``repro.state``) once
     #: at least this much *stream time* has elapsed since the previous one,
     #: measured on epoch timestamps at epoch boundaries.  ``None`` disables
     #: periodic checkpointing; :meth:`ShardedRuntime.checkpoint` can still
     #: be called explicitly.
     checkpoint_every_s: Optional[float] = None
-    #: Directory that periodic checkpoints are written into (one
-    #: subdirectory per checkpoint, ``epoch_<n>``, plus a ``LATEST``
-    #: pointer file).  Required when ``checkpoint_every_s`` is set.
+    #: Directory that periodic checkpoints are written into (one file per
+    #: checkpoint, ``epoch_<n>``, plus a ``LATEST`` pointer file).
+    #: Required when ``checkpoint_every_s`` is set.
     checkpoint_dir: Optional[str] = None
     #: Periodic checkpoints retained before the oldest is deleted (chain
     #: dependencies — the full base a retained delta needs — are always
@@ -466,7 +475,7 @@ class RuntimeConfig:
     #: snapshot every time; ``"delta"`` writes only the object blocks dirtied
     #: since the previous checkpoint, chained to the last full rebase —
     #: much cheaper in bytes and latency when few tags moved.
-    checkpoint_mode: str = "full"
+    checkpoint_mode: str = field(default="full", metadata={"choices": CHECKPOINT_MODES})
     #: In delta mode, rebase with a full checkpoint every Nth periodic
     #: checkpoint (1 = every checkpoint is full).  Bounds restore time
     #: (base + at most N-1 delta replays) and lets rotation reclaim space.
@@ -494,23 +503,9 @@ class RuntimeConfig:
             )
         if self.checkpoint_keep < 1:
             raise ConfigurationError("checkpoint_keep must be >= 1")
-        if self.checkpoint_mode not in CHECKPOINT_MODES:
-            raise ConfigurationError(
-                f"unknown checkpoint_mode {self.checkpoint_mode!r}; "
-                f"expected one of {CHECKPOINT_MODES}"
-            )
+        _check_choices(self)
         if self.checkpoint_full_every < 1:
             raise ConfigurationError("checkpoint_full_every must be >= 1")
-        if self.partitioner not in PARTITIONER_NAMES:
-            raise ConfigurationError(
-                f"unknown partitioner {self.partitioner!r}; "
-                f"expected one of {PARTITIONER_NAMES}"
-            )
-        if self.executor not in EXECUTOR_NAMES:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_NAMES}"
-            )
         if self.supervisor is not None and not isinstance(
             self.supervisor, SupervisorConfig
         ):

@@ -3,7 +3,7 @@
 A :class:`RuntimeReadView` is an epoch-stamped window onto every shard's
 belief arena:
 
-* **in-process shards** (serial/thread executors) — per-object accessors
+* **in-process shards** (the serial executor) — per-object accessors
   return numpy slices straight into the shard's
   :class:`~repro.inference.arena.BeliefArena` slab;
 * **worker shards** — accessors go through

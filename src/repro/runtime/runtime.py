@@ -9,12 +9,11 @@ derived deterministically from the root seed.  Per epoch the runtime:
 1. **routes** — splits the epoch's object-tag reads by shard ownership
    while broadcasting the reader pose and shelf-tag reads to every shard
    (:class:`~repro.runtime.router.EpochRouter`);
-2. **steps** — advances every shard: serially, on a thread pool (the shards
-   share no mutable state; the numpy kernels release the GIL), or on
-   persistent worker *processes* (:mod:`~repro.runtime.workers`) that
-   sidestep the GIL entirely — routed reads go out and emitted events come
-   back over framed stream sockets, belief state stays in per-worker
-   shared-memory slabs;
+2. **steps** — advances every shard: serially in the calling thread, or
+   on persistent worker *processes* (:mod:`~repro.runtime.workers`, local
+   or behind ``repro shard-host``) that step concurrently — routed reads
+   go out and emitted events come back over framed stream sockets, belief
+   state stays in per-worker shared-memory slabs;
 3. **merges** — streams every shard's emitted events onto the
    :class:`~repro.runtime.bus.EventBus` via a ``(time, tag)``-keyed k-way
    merge of the per-shard (already time-ordered) event lists.
@@ -33,7 +32,6 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -159,12 +157,6 @@ class ShardedRuntime:
                 )
                 for index in range(runtime.n_shards)
             ]
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if runtime.executor == "thread" and runtime.n_shards > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=runtime.n_shards,
-                thread_name_prefix="repro-shard",
-            )
         self._finished = False
         #: Post-finish query caches for the process executor: ``finish()``
         #: retires the workers, so it first captures each shard's stats,
@@ -350,19 +342,8 @@ class ShardedRuntime:
                 per_shard = [shard.collect_events() for shard in self.shards]
         else:
             sub_epochs = self.router.split(epoch)
-            if self._pool is not None:
-                # Shards share no mutable state, so concurrent steps are safe
-                # and — because the merge below is deterministic — the output
-                # is identical to serial execution.
-                futures = [
-                    self._pool.submit(shard.step, sub)
-                    for shard, sub in zip(self.shards, sub_epochs)
-                ]
-                for future in futures:
-                    future.result()
-            else:
-                for shard, sub in zip(self.shards, sub_epochs):
-                    shard.step(sub)
+            for shard, sub in zip(self.shards, sub_epochs):
+                shard.step(sub)
             per_shard = [shard.drain() for shard in self.shards]
         self.epochs_processed += 1
         self._merge(per_shard)
@@ -414,7 +395,11 @@ class ShardedRuntime:
         write never interrupts a ``step()`` mid-epoch.  Returns the
         checkpoint path.
         """
-        from ..state.checkpoint import rotate_checkpoints, save_checkpoint
+        from ..state.checkpoint import (
+            rotate_checkpoints,
+            save_checkpoint,
+            write_latest_pointer,
+        )
 
         if self._finished:
             raise StateError("cannot checkpoint a finished runtime")
@@ -466,14 +451,8 @@ class ShardedRuntime:
                 self._supervisor.recover_dead_shards(exc)
         self._chain_head = self._chain_heads[name] = head
         # The checkpoint is durable (file fsync, rename, directory fsync);
-        # only now move the pointer, atomically: a kill -9 between truncate
-        # and write would otherwise leave an empty LATEST and strand resume.
-        pointer_tmp = os.path.join(directory, "LATEST.tmp")
-        with open(pointer_tmp, "w") as fp:
-            fp.write(name + "\n")
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(pointer_tmp, os.path.join(directory, "LATEST"))
+        # only now move the pointer.
+        write_latest_pointer(directory, name)
         rotate_checkpoints(directory, config.checkpoint_keep, self._chain_heads)
         if stream_time is not None:
             self._last_checkpoint_time = stream_time
@@ -582,13 +561,6 @@ class ShardedRuntime:
         if self._process:
             for shard in old_shards:
                 shard.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self.runtime_config.executor == "thread" and n_shards > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=n_shards, thread_name_prefix="repro-shard"
-            )
         # 4. Bookkeeping: the old delta chain describes the old layout, and
         # post-finish caches/baselines must not outlive the migration.
         self._chain_head = None
@@ -632,9 +604,9 @@ class ShardedRuntime:
     def abort(self) -> None:
         """Tear down without flushing shard output.
 
-        Releases the executor (thread pool, or worker processes — stopped
-        gracefully so they free their shared-memory slabs, escalating to
-        terminate if unresponsive) and closes the bus (close hooks run, so
+        Releases the worker processes, if any (stopped gracefully so they
+        free their shared-memory slabs, escalating to terminate if
+        unresponsive), and closes the bus (close hooks run, so
         bridged query engines and bus-owned sinks still see end-of-stream)
         but does NOT emit the shards' pending events — the stream failed,
         and publishing a scan-complete flush after an error would present a
@@ -654,9 +626,6 @@ class ShardedRuntime:
             self._aborting = False
 
     def _release_executors(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._process:
             for shard in self.shards:
                 shard.close()
@@ -664,9 +633,9 @@ class ShardedRuntime:
     def run(self, epochs: Iterable[Epoch]) -> EventSink:
         """Convenience: process every epoch then finish; returns the sink.
 
-        On error the runtime is aborted (thread pool released, bus closed)
+        On error the runtime is aborted (workers released, bus closed)
         before the exception propagates, so a failed run does not leak
-        worker threads or leave subscribers waiting for a close.
+        worker processes or leave subscribers waiting for a close.
         """
         try:
             for epoch in epochs:

@@ -1,8 +1,7 @@
 """Worker executors: persistent shard processes behind one framed link.
 
-The thread executor keeps every shard inside one interpreter, so routing,
-resampling bookkeeping, and event merging all contend for the GIL; only the
-numpy kernels overlap.  This module moves each
+Shards that share one interpreter share its GIL, so routing, resampling
+bookkeeping, and event merging cannot overlap.  This module moves each
 :class:`~repro.runtime.shard.FilterShard` into its own long-lived worker
 process — spawned once at runtime construction, not per epoch — behind the
 framed stream-socket link of :mod:`repro.runtime.transport`.

@@ -41,6 +41,7 @@ from .checkpoint import (
     read_checkpoint_header,
     rotate_checkpoints,
     save_checkpoint,
+    write_latest_pointer,
 )
 from .delta import apply_shard_delta, is_delta_state
 from .restore import apply_query_states, reshard_states, restore_runtime
@@ -74,4 +75,5 @@ __all__ = [
     "rotate_checkpoints",
     "save_checkpoint",
     "split_state_tree",
+    "write_latest_pointer",
 ]

@@ -59,7 +59,7 @@ from ..config import (
     SupervisorConfig,
     inference_config_from_dict,
 )
-from ..errors import InferenceError, StateError
+from ..errors import ConfigurationError, InferenceError, StateError
 from ..faults import fault_point
 from .delta import apply_shard_delta, is_delta_state
 from .snapshot import (
@@ -105,8 +105,12 @@ def runtime_config_from_dict(data: dict) -> RuntimeConfig:
         # JSON round-trips tuples as lists.
         if data.get("shard_hosts") is not None:
             data["shard_hosts"] = tuple(data["shard_hosts"])
+        # Checkpoints written before the thread executor was removed: all
+        # executors are bitwise-interchangeable at equal shard counts.
+        if data.get("executor") == "thread":
+            data["executor"] = "serial"
         return RuntimeConfig(**data)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise StateError(f"checkpoint runtime config is invalid: {exc}") from exc
 
 
@@ -577,6 +581,21 @@ def load_checkpoint(path, verify: bool = True) -> CheckpointManifest:
 def checkpoint_size_bytes(path) -> int:
     """On-disk size of a checkpoint file."""
     return os.path.getsize(path)
+
+
+def write_latest_pointer(directory, name: str) -> None:
+    """Point ``LATEST`` at the (already durable) checkpoint ``name``.
+
+    Atomic (tmp + fsync + replace): a kill -9 between a truncate and a
+    write would otherwise leave an empty LATEST and strand resume.
+    """
+    directory = os.fspath(directory)
+    pointer_tmp = os.path.join(directory, "LATEST.tmp")
+    with open(pointer_tmp, "w") as fp:
+        fp.write(name + "\n")
+        fp.flush()
+        os.fsync(fp.fileno())
+    os.replace(pointer_tmp, os.path.join(directory, "LATEST"))
 
 
 def latest_checkpoint(directory) -> Optional[str]:

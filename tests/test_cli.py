@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.state import read_checkpoint_header
 
@@ -105,20 +108,6 @@ class TestExecutorFlag:
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_bare_threads_flag_is_deprecated_alias(self, trace_path, tmp_path, capsys):
-        events = tmp_path / "events.csv"
-        assert self._clean(trace_path, events, "--threads") == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--executor thread" in captured.err
-
-    def test_executor_flag_silences_threads_deprecation(
-        self, trace_path, tmp_path, capsys
-    ):
-        events = tmp_path / "events.csv"
-        assert self._clean(trace_path, events, "--executor", "thread") == 0
-        assert "deprecated" not in capsys.readouterr().err
-
 
 class TestEvaluate:
     def test_scores_three_systems(self, trace_path, capsys):
@@ -157,6 +146,190 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
+
+
+# flag -> (argv, config it lands in, field path, value the field must hold)
+CONFIG_FLAGS = {
+    "--particles": (["--particles", "77"], "inference", "object_particles", 77),
+    "--reader-particles": (
+        ["--reader-particles", "33"], "inference", "reader_particles", 33
+    ),
+    "--index": (["--index"], "inference", "spatial_index.enabled", True),
+    "--compress": (["--compress"], "inference", "compression.enabled", True),
+    "--adaptive": (["--adaptive"], "inference", "budget.enabled", True),
+    "--arena-dtype": (["--arena-dtype", "float32"], "inference", "arena.dtype", "float32"),
+    "--delay": (["--delay", "12.5"], "policy", "delay_s", 12.5),
+    "--shards": (["--shards", "3"], "runtime", "n_shards", 3),
+    "--partitioner": (["--partitioner", "mod"], "runtime", "partitioner", "mod"),
+    "--executor": (["--executor", "process"], "runtime", "executor", "process"),
+    "--shard-host": (
+        ["--executor", "remote", "--shard-host", "10.0.0.1:7000", "--shard-host", "10.0.0.2:7000"],
+        "runtime",
+        "shard_hosts",
+        ("10.0.0.1:7000", "10.0.0.2:7000"),
+    ),
+    "--checkpoint-every": (
+        ["--checkpoint-every", "2.5", "--checkpoint-dir", "ck"], "runtime", "checkpoint_every_s", 2.5
+    ),
+    "--checkpoint-dir": (["--checkpoint-dir", "ck"], "runtime", "checkpoint_dir", "ck"),
+    "--checkpoint-mode": (["--checkpoint-mode", "delta"], "runtime", "checkpoint_mode", "delta"),
+    "--checkpoint-full-every": (
+        ["--checkpoint-full-every", "5"], "runtime", "checkpoint_full_every", 5
+    ),
+    "--supervise": (["--supervise"], "runtime", "supervisor.max_restarts", 3),
+    "--max-restarts": (
+        ["--supervise", "--max-restarts", "9"], "runtime", "supervisor.max_restarts", 9
+    ),
+    "--op-timeout": (
+        ["--supervise", "--op-timeout", "1.5"], "runtime", "supervisor.op_timeout_s", 1.5
+    ),
+    "--epoch-length": (["--epoch-length", "0.5"], "serve", "epoch_length", 0.5),
+    "--max-sources": (["--max-sources", "5"], "serve", "max_sources", 5),
+    "--queue-capacity": (["--queue-capacity", "500"], "serve", "queue_capacity", 500),
+    "--credit-batch": (["--credit-batch", "16"], "serve", "credit_batch", 16),
+    "--pause-high-water": (["--pause-high-water", "9000"], "serve", "pause_high_water", 9000),
+    "--pause-low-water": (["--pause-low-water", "100"], "serve", "pause_low_water", 100),
+    "--fsync": (["--fsync"], "serve", "fsync", True),
+}
+FLAG_GROUPS = [g for g in vars(cli).values() if isinstance(g, cli._FlagGroup)]
+#: The verbs that build configs (serve-reshard's --shards is a request field).
+CONFIG_VERBS = ("clean", "checkpoint", "restore", "query", "serve", "evaluate")
+
+
+def _verb_parsers():
+    (sub,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices
+
+
+VERB_PARSERS = _verb_parsers()
+
+
+def _follow(config, path):
+    for name in path.split("."):
+        config = getattr(config, name)
+    return config
+
+
+class _Handover(Exception):
+    """Raised in place of the engine a verb hands its configs to."""
+
+
+class TestConfigFlags:
+    """Every knob is declared in ``config.py`` and only spelled in ``cli.py``:
+    whatever verb accepts a config-backed flag delivers its value."""
+
+    @pytest.fixture()
+    def verb_argv(self, trace_path, tmp_path):
+        """The shortest valid argv of each config-building verb."""
+        trace = str(trace_path)
+        new_ckpt = ["--epochs", "3", "--out", str(tmp_path / "run.ckpt")]
+
+        def argv(verb):
+            if verb == "restore":  # needs something to restore
+                assert main(["checkpoint", trace, "--particles", "60", *new_ckpt]) == 0
+                return ["restore", new_ckpt[-1], trace]
+            required = {
+                "checkpoint": new_ckpt,
+                "serve": ["--socket", str(tmp_path / "s"), "--emissions", str(tmp_path / "e")],
+            }
+            return [verb, trace, *required.get(verb, [])]
+
+        return argv
+
+    @pytest.fixture()
+    def handed_over(self, monkeypatch, verb_argv):
+        """Run a verb up to where it hands its configs to the engine."""
+
+        def stop(*args, **kwargs):
+            raise _Handover(args, kwargs)
+
+        def run(verb, flags):
+            argv = verb_argv(verb) + flags  # restore's checkpoint needs the real engine
+            monkeypatch.setattr(cli, "ShardedRuntime", stop)  # clean, checkpoint, query
+            monkeypatch.setattr(cli, "run_factored", stop)  # evaluate
+            monkeypatch.setattr("repro.serve.ReproService", stop)
+            monkeypatch.setattr("repro.state.restore_runtime", stop)
+            with pytest.raises(_Handover) as handover:
+                main(argv)
+            args, kwargs = handover.value.args
+            if argv[0] == "serve":
+                return kwargs
+            if argv[0] == "restore":
+                return {"runtime": kwargs["runtime_config"]}
+            if argv[0] == "evaluate":
+                return {"inference": args[2]}
+            return dict(zip(("inference", "runtime", "policy"), args[1:]))
+
+        return run
+
+    def test_table_covers_every_config_backed_flag(self):
+        declared = {
+            spec.split()[0] for group in FLAG_GROUPS for spec, _ in group.flags.values()
+        }
+        assert declared | {"--supervise"} == set(CONFIG_FLAGS)
+
+    @pytest.mark.parametrize(
+        "verb,flag",
+        [
+            (verb, flag)
+            for verb in CONFIG_VERBS
+            for flag in CONFIG_FLAGS
+            if flag in VERB_PARSERS[verb]._option_string_actions
+        ],
+    )
+    def test_flag_reaches_the_verbs_config(self, verb, flag, handed_over):
+        argv, section, path, expected = CONFIG_FLAGS[flag]
+        configs = handed_over(verb, argv)
+        assert _follow(configs[section], path) == expected
+
+    def test_parser_defaults_are_the_default_instances_fields(self):
+        for group in FLAG_GROUPS:
+            for path, (spec, _) in group.flags.items():
+                for verb in CONFIG_VERBS:
+                    action = VERB_PARSERS[verb]._option_string_actions.get(spec.split()[0])
+                    if action is None or (verb, action.dest) == ("query", "checkpoint_mode"):
+                        continue
+                    if verb == "restore":  # only what was given overrides the record
+                        assert action.default is argparse.SUPPRESS
+                    else:
+                        assert action.default == _follow(group.default, path)
+
+    def test_cli_profile(self, verb_argv):
+        args = cli._build_parser().parse_args(verb_argv("clean"))
+        assert (args.particles, args.reader_particles, args.delay) == (400, 120, 30.0)
+        assert (args.executor, args.shards, args.shard_host) == ("serial", 1, None)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clean", "--shards", "0"],
+            ["serve", "--socket", "s", "--emissions", "e", "--credit-batch", "5000"],
+            ["clean", "--adaptive", "--particles", "40"],
+            ["clean", "--executor", "remote"],
+            ["clean", "--executor", "thread"],
+        ],
+    )
+    def test_invalid_value_is_a_usage_error_not_a_traceback(
+        self, trace_path, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(trace_path), *argv[1:]])
+        assert excinfo.value.code == 2
+        assert f"repro {argv[0]}: error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", sorted(VERB_PARSERS))
+    def test_help_exits_0(self, verb, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--help"])
+        assert excinfo.value.code == 0
+        assert f"usage: repro {verb}" in capsys.readouterr().out
+
+    def test_thirteen_verbs(self):
+        assert len(VERB_PARSERS) == 13
 
 
 class TestCheckpointRestore:
@@ -402,7 +575,9 @@ class TestQueryServing:
             ]
             + self.QUERY_OPTS
         ) == 0
-        assert (ck / "LATEST").exists()
+        # The pointer is moved atomically (tmp + replace), never truncated.
+        assert sorted(p.name for p in ck.iterdir()) == ["LATEST", "epoch_00000020"]
+        assert (ck / "LATEST").read_text() == "epoch_00000020\n"
         assert "checkpointed at epoch 20" in capsys.readouterr().out
         resumed = tmp_path / "resumed.jsonl"
         assert main(

@@ -46,7 +46,8 @@ CASES = {
     ),
     "adaptive-float32-2shards": (
         (SWAP,),
-        ["query", "--adaptive", "--arena-dtype", "float32", "--shards", "2"],
+        # Adaptive budgets need more particles than the largest parked tier (50).
+        ["query", "--adaptive", "--arena-dtype", "float32", "--shards", "2", "--particles", "60"],
         "--emissions",
     ),
 }
@@ -87,6 +88,7 @@ def test_output_identical_across_hash_seeds(case, tmp_path):
     digests = []
     for hash_seed in (1, 2):
         out_path = tmp_path / f"out-{hash_seed}"
-        argv = [command[0], str(trace_path), *command[1:], *PARTICLES, out_flag, str(out_path)]
+        # The case's own flags come last: a repeated flag overrides PARTICLES.
+        argv = [command[0], str(trace_path), *PARTICLES, *command[1:], out_flag, str(out_path)]
         digests.append(_digest(argv, out_path, hash_seed))
     assert digests[0] == digests[1]

@@ -153,8 +153,9 @@ class TestCliRoundTrip:
         assert "location_updates:" in out
 
     def test_clean_handle_closed_on_failure(self, tmp_path, monkeypatch):
-        """The --events handle must be closed even when the run raises
-        (the satellite leak fix)."""
+        """The --events handle must be closed even when the command raises
+        while it is open (``clean`` writes the CSV after the run, so the
+        failure is injected into the write)."""
         import repro.cli as cli_module
 
         trace = tmp_path / "trace.jsonl"
@@ -171,11 +172,11 @@ class TestCliRoundTrip:
         monkeypatch.setattr("builtins.open", tracking_open)
 
         def boom(*args, **kwargs):
-            raise RuntimeError("mid-run failure")
+            raise RuntimeError("mid-write failure")
 
-        monkeypatch.setattr(cli_module.ShardedRuntime, "run", boom)
+        monkeypatch.setattr(cli_module.CsvSink, "emit", boom)
         events = tmp_path / "events.csv"
-        with pytest.raises(RuntimeError, match="mid-run failure"):
+        with pytest.raises(RuntimeError, match="mid-write failure"):
             main(["clean", str(trace), "--events", str(events)])
         event_handles = [h for h in handles if h.name == str(events)]
         assert event_handles and all(h.closed for h in event_handles)

@@ -462,6 +462,38 @@ class TestResumeParity:
         sink = runtime.run(trace.epochs(start=split))
         assert_bitwise_equal(prefix + sink.events, reference)
 
+    def test_recorded_thread_executor_resumes_as_serial(
+        self, scenario, tmp_path, checkpoint_files
+    ):
+        """Checkpoints written under the since-removed thread executor still
+        restore (executors are interchangeable at equal shard counts); any
+        other unknown recorded executor is a StateError, not a bare
+        ConfigurationError."""
+        from repro.state.checkpoint import runtime_config_from_dict
+
+        model, trace, config = scenario
+        reference = run_full(model, trace, config, 2)
+        split = len(trace.epochs()) // 2
+        path = tmp_path / "ck"
+        prefix = checkpoint_at(model, trace, config, 2, split, path)
+
+        def record_executor(name):
+            def mutate(header):
+                header["runtime_config"]["executor"] = name
+
+            checkpoint_files.edit_header(path, mutate)
+
+        record_executor("thread")
+        runtime, manifest = restore_runtime(path, model)
+        assert manifest.runtime.executor == "serial"
+        sink = runtime.run(trace.epochs(start=split))
+        assert_bitwise_equal(prefix + sink.events, reference)
+        record_executor("fiber")
+        with pytest.raises(StateError, match="runtime config is invalid"):
+            runtime_config_from_dict(read_checkpoint_header(path)["runtime_config"])
+        with pytest.raises(StateError):
+            restore_runtime(path, model)
+
     def test_resume_with_compression_is_bitwise_identical(self, scenario, tmp_path):
         from dataclasses import replace
 

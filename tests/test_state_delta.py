@@ -7,8 +7,8 @@ The acceptance guarantees of the delta-checkpoint subsystem:
   order included) to a full checkpoint written at the same epoch by an
   identical run with the same capture cadence;
 * restoring the leaf (or any intermediate link) of a delta chain resumes
-  bitwise-identically to the uninterrupted run — under the serial, thread,
-  and process executors, with compression/compaction on or off;
+  bitwise-identically to the uninterrupted run — under the serial and
+  process executors, with compression/compaction on or off;
 * torn chains — an interloper capture between deltas, a deleted base or
   intermediate link, a cycle — fail loudly with :class:`StateError` at save
   or load, never materialize a half-right state;
@@ -401,7 +401,7 @@ class TestCleanLinkMarkers:
 
 
 class TestDeltaAcrossExecutors:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_chain_restore_bitwise_across_executors(
         self, scenario, tmp_path, executor
     ):
@@ -574,7 +574,7 @@ class TestQueryOperatorStateAcrossRestore:
             for t in engine.outputs[name]
         ]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_windows_resume_exactly_across_restore(
         self, scenario, tmp_path, executor
     ):
@@ -663,7 +663,7 @@ class TestAdaptiveBudgetCheckpoints:
             settle_error_sq_ft=1000.0,
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_mid_decay_chain_restores_bitwise(self, scenario, tmp_path, executor):
         model, trace, base_config = scenario
         config = self.budget_config(base_config)
@@ -758,7 +758,7 @@ class TestFloat32ArenaCheckpoints:
             assert np.asarray(arena["positions"]).dtype == np.float32
             assert np.asarray(arena["log_weights"]).dtype == np.float32
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_float32_restore_bitwise_across_executors(
         self, scenario, tmp_path, executor
     ):
