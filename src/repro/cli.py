@@ -43,6 +43,7 @@ the config dataclasses reject) exit with status 2 and a usage message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import typing
 from dataclasses import dataclass, fields, replace
@@ -77,6 +78,10 @@ from .simulation import (
 from .streams import CollectingSink, CsvSink, Trace
 
 
+#: Resolved once per config dataclass, not once per flag per verb.
+_type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
+
+
 @dataclass(frozen=True)
 class _FlagGroup:
     """CLI flags projected from the fields of one config dataclass.
@@ -99,7 +104,7 @@ class _FlagGroup:
                 continue
             head, _, leaf = path.rpartition(".")
             owner = getattr(self.default, head) if head else self.default
-            hint = typing.get_type_hints(type(owner))[leaf]
+            hint = _type_hints(type(owner))[leaf]
             if typing.get_origin(hint) is typing.Union:  # Optional[X] -> X
                 hint = next(a for a in typing.get_args(hint) if a is not type(None))
             default = argparse.SUPPRESS if suppress else getattr(owner, leaf)

@@ -43,6 +43,7 @@ from ..models.sensing import SensingNoiseParams
 from ..models.sensor import SensorParams, DEFAULT_SENSOR_PARAMS
 from ..streams.records import Epoch, TagId, TagReading
 from ..streams.sources import Trace
+from .examples import sensor_examples
 from .logistic import fit_sensor_model
 from .motion_fit import fit_motion_params, fit_sensing_params
 
@@ -157,39 +158,11 @@ def fit_sensor_supervised(
     (d, theta, read?) example per (epoch, tag) pair — negatives only within
     the cutoff — and runs IRLS.
     """
-    epochs = trace.epochs()
-    if len(epochs) > reader_path.shape[0]:
-        epochs = epochs[: reader_path.shape[0]]
-    ds: List[float] = []
-    thetas: List[float] = []
-    labels: List[float] = []
-    for t, epoch in enumerate(epochs):
-        pose = reader_path[t]
-        heading = float(reader_headings[t])
-        read_numbers = {tag.number for tag in epoch.object_tags} | {
-            tag.number for tag in epoch.shelf_tags
-        }
-        for number, position in tag_positions.items():
-            position = as_point(position)
-            is_read = number in read_numbers
-            delta = position - pose
-            d = float(np.linalg.norm(delta))
-            if not is_read and d > negative_cutoff_ft:
-                continue
-            planar = float(np.hypot(delta[0], delta[1]))
-            if planar < 1e-12:
-                theta = 0.0
-            else:
-                cos_t = (delta[0] * np.cos(heading) + delta[1] * np.sin(heading)) / planar
-                theta = float(np.arccos(np.clip(cos_t, -1.0, 1.0)))
-            ds.append(d)
-            thetas.append(theta)
-            labels.append(1.0 if is_read else 0.0)
-    if not ds:
-        raise LearningError("no training examples (trace empty or all tags far)")
-    return fit_sensor_model(
-        np.asarray(ds), np.asarray(thetas), np.asarray(labels), ridge=ridge, initial=initial
-    )
+    epochs = trace.epochs()[: reader_path.shape[0]]
+    n = len(epochs)
+    poses = np.column_stack([reader_path[:n], reader_headings[:n]])[:, None]
+    examples = sensor_examples(epochs, poses, tag_positions, negative_cutoff_ft)
+    return fit_sensor_model(*examples, ridge=ridge, initial=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +281,8 @@ def _e_step(
     config: EMConfig,
     initial_heading: float,
     rng: np.random.Generator,
-) -> Tuple[List[np.ndarray], np.ndarray, Dict[int, np.ndarray]]:
-    """Run the filter; return per-epoch pose samples, the filtered mean
+) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    """Run the filter; return (T, S, 4) per-epoch pose samples, the filtered mean
     trajectory, and final location estimates for unknown tags.
 
     The E-step filter gets extra *exploration*: a wide initial particle
@@ -340,7 +313,7 @@ def _e_step(
         initial_heading=initial_heading,
         position_spread=0.4,
     )
-    pose_samples: List[np.ndarray] = []
+    pose_samples = np.empty((len(epochs), config.posterior_samples, 4))  # x, y, z, phi
     reader_means = np.zeros((len(epochs), 3))
     for t, epoch in enumerate(epochs):
         filter_.step(epoch)
@@ -350,10 +323,8 @@ def _e_step(
         assert positions is not None and headings is not None and log_w is not None
         p, _ = normalize_log_weights(log_w)
         idx = rng.choice(positions.shape[0], size=config.posterior_samples, p=p)
-        sample = np.concatenate(
-            [positions[idx], headings[idx][:, None]], axis=1
-        )  # (S, 4): x, y, z, phi
-        pose_samples.append(sample)
+        pose_samples[t, :, :3] = positions[idx]
+        pose_samples[t, :, 3] = headings[idx]
         reader_means[t] = p @ positions
     tag_estimates = {
         number: filter_.object_estimate(number).mean
@@ -364,49 +335,12 @@ def _e_step(
 
 def _assemble_sensor_dataset(
     epochs: Sequence[Epoch],
-    pose_samples: List[np.ndarray],
+    pose_samples: np.ndarray,
     known_positions: Dict[int, np.ndarray],
     tag_estimates: Dict[int, np.ndarray],
     config: EMConfig,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build the weighted (d, theta, read?) dataset for the sensor M-step."""
-    all_tags: Dict[int, np.ndarray] = dict(tag_estimates)
-    all_tags.update(known_positions)  # known anchors override estimates
-    ds: List[float] = []
-    thetas: List[float] = []
-    labels: List[float] = []
-    weights: List[float] = []
-    sample_weight = 1.0 / config.posterior_samples
-    for t, epoch in enumerate(epochs):
-        read_numbers = {tag.number for tag in epoch.object_tags} | {
-            tag.number for tag in epoch.shelf_tags
-        }
-        for pose in pose_samples[t]:
-            position = pose[:3]
-            heading = float(pose[3])
-            for number, tag_position in all_tags.items():
-                is_read = number in read_numbers
-                delta = tag_position - position
-                d = float(np.linalg.norm(delta))
-                if not is_read and d > config.negative_cutoff_ft:
-                    continue
-                planar = float(np.hypot(delta[0], delta[1]))
-                if planar < 1e-12:
-                    theta = 0.0
-                else:
-                    cos_t = (
-                        delta[0] * np.cos(heading) + delta[1] * np.sin(heading)
-                    ) / planar
-                    theta = float(np.arccos(np.clip(cos_t, -1.0, 1.0)))
-                ds.append(d)
-                thetas.append(theta)
-                labels.append(1.0 if is_read else 0.0)
-                weights.append(sample_weight)
-    if not ds:
-        raise LearningError("E-step produced no sensor training examples")
-    return (
-        np.asarray(ds),
-        np.asarray(thetas),
-        np.asarray(labels),
-        np.asarray(weights),
-    )
+    tags = {**tag_estimates, **known_positions}  # known anchors override estimates
+    examples = sensor_examples(epochs, pose_samples, tags, config.negative_cutoff_ft)
+    return (*examples, np.full_like(examples[0], 1.0 / config.posterior_samples))

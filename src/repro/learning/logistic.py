@@ -96,7 +96,10 @@ def fit_logistic(
         if initial_weights is None
         else np.asarray(initial_weights, dtype=float).copy()
     )
-    prev_ll = -np.inf
+    # Each candidate's log-likelihood is evaluated once and carried: ``raw``
+    # is the accepted ``w``'s, ``ll`` its ridge-penalized value.
+    raw = weighted_log_likelihood(w, X, y, sw)
+    ll = raw - 0.5 * ridge * float(w @ w)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -111,29 +114,23 @@ def fit_logistic(
             step = np.linalg.solve(hessian, gradient)
         except np.linalg.LinAlgError as exc:
             raise LearningError("singular IRLS system") from exc
-        # Backtracking keeps IRLS monotone on nasty posteriors.
+        # Backtracking keeps IRLS monotone on nasty posteriors; when all 30
+        # halvings are refused the next, untried, one is taken regardless.
         scale = 1.0
-        ll = weighted_log_likelihood(w, X, y, sw) - 0.5 * ridge * float(w @ w)
-        for _ in range(30):
-            cand = w + scale * step
-            cand_ll = weighted_log_likelihood(cand, X, y, sw) - 0.5 * ridge * float(
-                cand @ cand
-            )
-            if cand_ll >= ll - 1e-12:
+        for attempt in range(31):
+            w_new = w + scale * step
+            raw = weighted_log_likelihood(w_new, X, y, sw)
+            new_ll = raw - 0.5 * ridge * float(w_new @ w_new)
+            if new_ll >= ll - 1e-12 or attempt == 30:
                 break
             scale *= 0.5
-        w = w + scale * step
-        new_ll = weighted_log_likelihood(w, X, y, sw) - 0.5 * ridge * float(w @ w)
-        if abs(new_ll - prev_ll) < tol * (abs(prev_ll) + 1.0):
-            converged = True
-            prev_ll = new_ll
+        # The first step has no previous step's objective to compare with.
+        converged = iterations > 1 and abs(new_ll - ll) < tol * (abs(ll) + 1.0)
+        w, ll = w_new, new_ll
+        if converged:
             break
-        prev_ll = new_ll
     return LogisticFitResult(
-        weights=w,
-        converged=converged,
-        iterations=iterations,
-        final_log_likelihood=float(weighted_log_likelihood(w, X, y, sw)),
+        weights=w, converged=converged, iterations=iterations, final_log_likelihood=raw
     )
 
 

@@ -296,6 +296,19 @@ class TestConfigFlags:
                     else:
                         assert action.default == _follow(group.default, path)
 
+    def test_type_hints_resolved_once_per_config_class(self):
+        cli._type_hints.cache_clear()
+        cli._build_parser()
+        first = cli._type_hints.cache_info()
+        owners = set()  # the dataclass each flag's field belongs to
+        for group in FLAG_GROUPS:
+            for path in group.flags:
+                head = path.rpartition(".")[0]  # "a.b" is a field of the sub-config a
+                owners.add(type(_follow(group.default, head) if head else group.default))
+        assert first.misses == len(owners) < first.hits
+        cli._build_parser()
+        assert cli._type_hints.cache_info().misses == first.misses
+
     def test_cli_profile(self, verb_argv):
         args = cli._build_parser().parse_args(verb_argv("clean"))
         assert (args.particles, args.reader_particles, args.delay) == (400, 120, 30.0)
