@@ -1127,15 +1127,8 @@ class FactoredParticleFilter:
         anchors = np.asarray(beliefs["anchors"], dtype=float)
         gauss_mean = np.asarray(beliefs["gauss_mean"], dtype=float)
         gauss_cov = np.asarray(beliefs["gauss_cov"], dtype=float)
-        # Budget columns default to "engaged, never parked" for snapshots
-        # taken before adaptive budgets existed.
-        settled = np.asarray(
-            beliefs.get("settled", np.zeros(ids.size, dtype=bool)), dtype=bool
-        )
-        budget_epoch = np.asarray(
-            beliefs.get("budget_epoch", np.zeros(ids.size, dtype=np.int64)),
-            dtype=np.int64,
-        )
+        settled = np.asarray(beliefs["settled"], dtype=bool)
+        budget_epoch = np.asarray(beliefs["budget_epoch"], dtype=np.int64)
         self._beliefs = {}
         self._engaged = set()
         self._parked = set()

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from ..errors import QueryError, StateError
 from .relops import RelOp
 from .stream_ops import Rstream, StreamOp
-from .tuples import StreamTuple
+from .tuples import StreamTuple, decode_tuples, encode_tuples, expect_tags
 from .windows import Window
 
 
@@ -61,25 +61,26 @@ class ContinuousQuery:
         """Capture window + streamer (and nested downstream) state.
 
         Relational operators are pure per-tick functions and carry no state.
-        The returned tree is plain python containing :class:`StreamTuple`
-        values — picklable, suitable for the checkpoint layer.
+        The returned tree is a plain state tree (see :mod:`.tuples`); a
+        tuple value it cannot hold is a :class:`StateError` naming this
+        query and the attribute.
         """
-        return {
-            "name": self.name,
-            "window": self.window.snapshot_state(),
-            "streamer": self.streamer.snapshot_state(),
-            "downstream": (
-                self._downstream.snapshot_state()
-                if self._downstream is not None
-                else None
-            ),
-        }
+        try:
+            return {
+                "name": self.name,
+                "window": self.window.snapshot_state(),
+                "streamer": self.streamer.snapshot_state(),
+                "downstream": (
+                    self._downstream.snapshot_state()
+                    if self._downstream is not None
+                    else None
+                ),
+            }
+        except StateError as exc:
+            raise StateError(f"query {self.name!r}: {exc}") from exc
 
     def restore_state(self, state: dict) -> None:
-        if state.get("name") != self.name:
-            raise StateError(
-                f"query state is for {state.get('name')!r}, not {self.name!r}"
-            )
+        expect_tags(state, name=self.name)
         if (state.get("downstream") is None) != (self._downstream is None):
             raise StateError(
                 f"query {self.name!r} downstream shape differs from the snapshot"
@@ -184,28 +185,29 @@ class QueryEngine:
             "engine": "query",
             "ticks": self._ticks,
             "pending_time": self._pending_time,
-            "pending": list(self._pending),
+            "pending": encode_tuples(self._pending),
             "queries": {
                 name: q.snapshot_state() for name, q in self._queries.items()
             },
         }
 
     def restore_state(self, state: dict) -> None:
-        if state.get("engine") != "query":
-            raise StateError(
-                f"expected a query-engine state, got {state.get('engine')!r}"
-            )
+        expect_tags(state, engine="query")
         saved = state["queries"]
-        if set(saved) != set(self._queries):
-            missing = sorted(set(saved) - set(self._queries))
-            extra = sorted(set(self._queries) - set(saved))
-            raise StateError(
-                "registered queries differ from the snapshot "
-                f"(missing: {missing}, unexpected: {extra}); register the "
-                "same standing queries before restoring"
-            )
+        _check_same_queries(saved, self._queries)
         for name, query in self._queries.items():
             query.restore_state(saved[name])
         self._ticks = state.get("ticks", 0)
         self._pending_time = state["pending_time"]
-        self._pending = list(state["pending"])
+        self._pending = decode_tuples(state["pending"])
+
+
+def _check_same_queries(saved, registered) -> None:
+    if set(saved) != set(registered):
+        missing = sorted(set(saved) - set(registered))
+        extra = sorted(set(registered) - set(saved))
+        raise StateError(
+            "registered queries differ from the snapshot "
+            f"(missing: {missing}, unexpected: {extra}); register the "
+            "same standing queries before restoring"
+        )

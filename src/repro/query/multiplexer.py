@@ -53,7 +53,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryError, StateError
-from .engine import ContinuousQuery, QueryEngine
+from .engine import ContinuousQuery, QueryEngine, _check_same_queries
 from .relops import (
     Extend,
     GroupBy,
@@ -64,7 +64,7 @@ from .relops import (
     Select,
 )
 from .stream_ops import Dstream, Istream, KeyedRelation, Position, Rstream
-from .tuples import StreamTuple
+from .tuples import StreamTuple, decode_tuples, encode_tuples, expect_tags
 from .windows import (
     NowWindow,
     PartitionRowsWindow,
@@ -704,69 +704,58 @@ class MultiplexedQueryEngine(QueryEngine):
 
     # State capture -------------------------------------------------------
     def snapshot_state(self) -> dict:
-        windows = []
-        for shared in self._windows.values():
-            served = sorted(
-                name for name, plan in self._plans.items() if plan.shared is shared
-            )
-            windows.append(
-                {
-                    "queries": served,
-                    "state": shared.window.snapshot_state(),
-                    "version": shared.version,
-                    "ticks": shared.ticks,
-                }
-            )
-        queries = {}
+        """Shared windows in creation order, each with the plans it serves
+        in registration order, as *runs*: consecutive plans whose state is
+        equal share one record (of a thousand region watchers most are), so
+        the tree grows with what plans hold, not with how many there are."""
+        runs: Dict[int, List[dict]] = {id(s): [] for s in self._windows.values()}
         for name, plan in self._plans.items():
             downstream = plan.query._downstream
-            queries[name] = {
-                "streamer": plan.streamer.snapshot_state(),
-                "downstream": (
-                    downstream.snapshot_state() if downstream is not None else None
-                ),
-                "subset_version": plan.subset_version,
-                "last_version": plan.last_version,
-            }
+            try:
+                record = {
+                    "streamer": plan.streamer.snapshot_state(),
+                    "downstream": (
+                        downstream.snapshot_state() if downstream is not None else None
+                    ),
+                    "subset_version": plan.subset_version,
+                    "last_version": plan.last_version,
+                }
+            except StateError as exc:
+                raise StateError(f"query {name!r}: {exc}") from exc
+            served = runs[id(plan.shared)]
+            if served and served[-1]["state"] == record:
+                served[-1]["queries"].append(name)
+            else:
+                served.append({"queries": [name], "state": record})
         return {
             "engine": "query-multiplexed",
             "ticks": self._ticks,
             "pending_time": self._pending_time,
-            "pending": list(self._pending),
-            "windows": windows,
-            "queries": queries,
+            "pending": encode_tuples(self._pending),
+            "windows": [
+                {
+                    "state": shared.window.snapshot_state(),
+                    "version": shared.version,
+                    "ticks": shared.ticks,
+                    "plans": runs[id(shared)],
+                }
+                for shared in self._windows.values()
+            ],
         }
 
     def restore_state(self, state: dict) -> None:
-        if state.get("engine") != "query-multiplexed":
-            raise StateError(
-                "expected a multiplexed query-engine state, got "
-                f"{state.get('engine')!r}"
-            )
-        saved = state["queries"]
-        if set(saved) != set(self._plans):
-            missing = sorted(set(saved) - set(self._plans))
-            extra = sorted(set(self._plans) - set(saved))
-            raise StateError(
-                "registered queries differ from the snapshot "
-                f"(missing: {missing}, unexpected: {extra}); register the "
-                "same standing queries before restoring"
-            )
-        for record in state["windows"]:
-            group = record["queries"]
-            shares = {id(self._plans[name].shared) for name in group}
-            if len(shares) != 1:
-                raise StateError(
-                    f"queries {group} no longer share one window; register "
-                    "queries in the same grouping as the checkpointed run"
-                )
+        expect_tags(state, engine="query-multiplexed")
+        groups = [
+            [name for run in record["plans"] for name in run["queries"]]
+            for record in state["windows"]
+        ]
+        _check_same_queries([n for group in groups for n in group], self._plans)
+        for record, group in zip(state["windows"], groups):
             shared = self._plans[group[0]].shared
-            full_group = sorted(
-                name for name, plan in self._plans.items() if plan.shared is shared
-            )
-            if full_group != group:
+            served = [n for n, plan in self._plans.items() if plan.shared is shared]
+            if sorted(served) != sorted(group):
                 raise StateError(
-                    f"window group mismatch: snapshot {group}, engine {full_group}"
+                    f"window group mismatch: snapshot {group}, engine {served}"
                 )
             shared.window.restore_state(record["state"])
             shared.version = record["version"]
@@ -774,26 +763,27 @@ class MultiplexedQueryEngine(QueryEngine):
             shared.added = []
             shared.removed = []
             shared.invalidate_caches()
-        for name, record in saved.items():
-            plan = self._plans[name]
-            plan.streamer.restore_state(record["streamer"])
-            downstream = plan.query._downstream
-            if (record["downstream"] is None) != (downstream is None):
-                raise StateError(
-                    f"query {name!r} downstream shape differs from the snapshot"
-                )
-            if downstream is not None:
-                downstream.restore_state(record["downstream"])
-            plan.subset_version = record["subset_version"]
-            plan.last_version = record["last_version"]
-            if plan.keyed is not None:
-                plan.keyed = self._keyed_relation(plan)
+            for run in record["plans"]:
+                saved = run["state"]
+                for plan in map(self._plans.__getitem__, run["queries"]):
+                    plan.streamer.restore_state(saved["streamer"])
+                    downstream = plan.query._downstream
+                    if (saved["downstream"] is None) != (downstream is None):
+                        raise StateError(
+                            f"query {plan.name!r} downstream differs from the snapshot"
+                        )
+                    if downstream is not None:
+                        downstream.restore_state(saved["downstream"])
+                    plan.subset_version = saved["subset_version"]
+                    plan.last_version = saved["last_version"]
+                    if plan.keyed is not None:
+                        plan.keyed = self._keyed_relation(plan)
         self._postop_cache.clear()
         self._candidates_memo.clear()
         self._lookup_version.clear()
         self._ticks = state.get("ticks", 0)
         self._pending_time = state["pending_time"]
-        self._pending = list(state["pending"])
+        self._pending = decode_tuples(state["pending"])
 
 
 # ---------------------------------------------------------------------------

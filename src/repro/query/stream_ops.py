@@ -26,7 +26,14 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import StateError
-from .tuples import StreamTuple
+from .tuples import (
+    StreamTuple,
+    decode_tuples,
+    decode_value,
+    encode_attributes,
+    encode_tuples,
+    expect_tags,
+)
 
 
 def _value_key(t: StreamTuple) -> Tuple:
@@ -89,11 +96,6 @@ class StreamOp:
             f"stream operator {type(self).__name__} does not support state capture"
         )
 
-    def restore_state(self, state: dict) -> None:
-        raise StateError(
-            f"stream operator {type(self).__name__} does not support state restore"
-        )
-
 
 class Rstream(StreamOp):
     """Emit the full relation at every tick."""
@@ -105,8 +107,7 @@ class Rstream(StreamOp):
         return {"streamer": "rstream"}
 
     def restore_state(self, state: dict) -> None:
-        if state.get("streamer") != "rstream":
-            raise StateError(f"expected Rstream state, got {state.get('streamer')!r}")
+        expect_tags(state, streamer="rstream")
 
 
 class Istream(StreamOp):
@@ -166,12 +167,16 @@ class Istream(StreamOp):
         return [t.extended(time=time) for _, t in emitted]
 
     def snapshot_state(self) -> dict:
-        return {"streamer": "istream", "previous": dict(self._previous)}
+        # The value-key Counter as an ordered [attributes, count] list.
+        previous = [[encode_attributes(key), n] for key, n in self._previous.items()]
+        return {"streamer": "istream", "previous": previous}
 
     def restore_state(self, state: dict) -> None:
-        if state.get("streamer") != "istream":
-            raise StateError(f"expected Istream state, got {state.get('streamer')!r}")
-        self._previous = Counter(state["previous"])
+        expect_tags(state, streamer="istream")
+        self._previous = Counter()
+        for key, count in state["previous"]:
+            key = tuple(sorted((k, decode_value(v)) for k, v in key.items()))
+            self._previous[key] = int(count)
 
 
 class Dstream(StreamOp):
@@ -196,14 +201,10 @@ class Dstream(StreamOp):
         return out
 
     def snapshot_state(self) -> dict:
-        return {
-            "streamer": "dstream",
-            "previous": dict(self._previous),
-            "previous_tuples": list(self._previous_tuples),
-        }
+        tuples = encode_tuples(self._previous_tuples)  # ``_previous`` counts them
+        return {"streamer": "dstream", "previous_tuples": tuples}
 
     def restore_state(self, state: dict) -> None:
-        if state.get("streamer") != "dstream":
-            raise StateError(f"expected Dstream state, got {state.get('streamer')!r}")
-        self._previous = Counter(state["previous"])
-        self._previous_tuples = list(state["previous_tuples"])
+        expect_tags(state, streamer="dstream")
+        self._previous_tuples = decode_tuples(state["previous_tuples"])
+        self._previous = Counter(_value_key(t) for t in self._previous_tuples)

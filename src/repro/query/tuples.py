@@ -12,13 +12,25 @@ run them (and queries like them) over our location events:
 
 Tuples are immutable mappings plus a timestamp.  Equality/hashing is by value
 (needed by Istream's relation differencing).
+
+Operator state is checkpointed as a plain state tree (:mod:`repro.state
+.snapshot`), so tuple values have a small tagged encoding here: ``None`` /
+bool / int / str / finite float stand for themselves (numpy scalars for the
+Python scalar they equal); ``["float", "nan"]``, ``["tuple", [...]]`` and
+``["frozenset", [...]]`` (in a canonical order: the bytes must not depend on
+``PYTHONHASHSEED``) cover the rest.  Anything else is a :class:`StateError`
+when the state is captured.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping
+import json
+import math
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from ..errors import QueryError
+import numpy as np
+
+from ..errors import QueryError, StateError
 from ..streams.records import LocationEvent
 
 
@@ -77,6 +89,76 @@ class StreamTuple(Mapping[str, Any]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         return f"StreamTuple(t={self._time}, {inner})"
+
+
+# ---------------------------------------------------------------------------
+# State-tree encoding of tuples and the values they hold
+# ---------------------------------------------------------------------------
+_SELF_ENCODED = (type(None), bool, int, str)
+
+
+def encode_value(value: Any) -> Any:
+    """Plain-tree form of one tuple value (see the module docstring)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    kind = type(value)
+    if kind in _SELF_ENCODED:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else ["float", repr(value)]
+    if kind is tuple:
+        return ["tuple", [encode_value(v) for v in value]]
+    if kind is frozenset:
+        return ["frozenset", sorted(map(encode_value, value), key=json.dumps)]
+    raise StateError(f"a {kind.__name__}, which a checkpoint cannot encode")
+
+
+def decode_value(node: Any) -> Any:
+    """Inverse of :func:`encode_value`; anything else is a ``StateError``."""
+    kind = type(node)
+    if kind in _SELF_ENCODED or kind is float:
+        return node
+    if kind is list and len(node) == 2:
+        tag, payload = node
+        if tag == "float" and payload in ("nan", "inf", "-inf"):
+            return float(payload)
+        if tag in ("tuple", "frozenset") and type(payload) is list:
+            members = map(decode_value, payload)
+            return tuple(members) if tag == "tuple" else frozenset(members)
+    raise StateError(f"not an encoded tuple value: {node!r:.80}")
+
+
+def encode_attributes(items: Iterable[Tuple[str, Any]]) -> Dict[str, Any]:
+    """``{attribute: encoded value}``, naming the attribute that cannot be."""
+    encoded = dict(items)
+    for name, value in encoded.items():
+        kind = type(value)
+        if kind not in _SELF_ENCODED and not (kind is float and math.isfinite(value)):
+            try:
+                encoded[name] = encode_value(value)
+            except StateError as exc:
+                raise StateError(f"attribute {name!r} holds {exc}") from None
+    if not all(type(name) is str for name in encoded):
+        raise StateError(f"attribute names {list(encoded)} are not all strings")
+    return encoded
+
+
+def encode_tuples(tuples: Iterable[StreamTuple]) -> List[list]:
+    return [[encode_value(t._time), encode_attributes(t._values)] for t in tuples]
+
+
+def decode_tuples(nodes: Any) -> List[StreamTuple]:
+    return [
+        StreamTuple(decode_value(t), {k: decode_value(v) for k, v in attrs.items()})
+        for t, attrs in nodes
+    ]
+
+
+def expect_tags(state: Any, **tags: Any) -> None:
+    """Refuse a state tree captured from a differently-shaped operator."""
+    found = {key: state.get(key) for key in tags}
+    if found != tags:
+        raise StateError(f"state mismatch: expected {tags}, got {found}")
 
 
 def tuple_from_event(event: LocationEvent) -> StreamTuple:

@@ -20,7 +20,8 @@ Windows also expose an incremental surface used by the multiplexer
 * ``signature()`` is a structural identity (type + parameters) for window
   dedup — ``None`` means "not shareable" (custom subclasses);
 * ``snapshot_state()`` / ``restore_state(state)`` capture the window for
-  checkpointing (plain-python trees of :class:`StreamTuple`, picklable).
+  checkpointing as a plain state tree (tuples through
+  :func:`~repro.query.tuples.encode_tuples`).
 """
 
 from __future__ import annotations
@@ -29,16 +30,26 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, StateError
-from .tuples import StreamTuple
+from .tuples import (
+    StreamTuple,
+    decode_tuples,
+    decode_value,
+    encode_tuples,
+    encode_value,
+    expect_tags,
+)
 
 ChangeList = Tuple[List[StreamTuple], List[StreamTuple]]
 
 
 class Window:
-    """Interface: push a tick's batch, get the current relation."""
+    """Interface: push a tick's batch, get the current relation.  The stock
+    windows implement ``ingest`` + ``relation``; a custom one may override
+    ``push`` alone (it is then served through full pushes)."""
 
     def push(self, time: float, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
-        raise NotImplementedError
+        self.ingest(time, batch)
+        return self.relation()
 
     def signature(self) -> Optional[Tuple]:
         """Structural identity for dedup; ``None`` = never share."""
@@ -49,21 +60,12 @@ class Window:
             f"window {type(self).__name__} does not support state capture"
         )
 
-    def restore_state(self, state: dict) -> None:
-        raise StateError(
-            f"window {type(self).__name__} does not support state restore"
-        )
-
 
 class NowWindow(Window):
     """``[Now]``: the relation is exactly this tick's arrivals."""
 
     def __init__(self) -> None:
         self._current: List[StreamTuple] = []
-
-    def push(self, time: float, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
-        self.ingest(time, batch)
-        return self.relation()
 
     def ingest(self, time: float, batch: Sequence[StreamTuple]) -> ChangeList:
         removed = self._current
@@ -79,12 +81,11 @@ class NowWindow(Window):
         return ("now",)
 
     def snapshot_state(self) -> dict:
-        return {"window": "now", "current": list(self._current)}
+        return {"window": "now", "current": encode_tuples(self._current)}
 
     def restore_state(self, state: dict) -> None:
-        if state.get("window") != "now":
-            raise StateError(f"expected a [Now] window state, got {state.get('window')!r}")
-        self._current = list(state["current"])
+        expect_tags(state, window="now")
+        self._current = decode_tuples(state["current"])
 
 
 class RangeWindow(Window):
@@ -99,10 +100,6 @@ class RangeWindow(Window):
         self.range_s = float(range_s)
         self._buffer: Deque[StreamTuple] = deque()
         self._last_time = -float("inf")
-
-    def push(self, time: float, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
-        self.ingest(time, batch)
-        return self.relation()
 
     def ingest(self, time: float, batch: Sequence[StreamTuple]) -> ChangeList:
         if time < self._last_time:
@@ -129,18 +126,14 @@ class RangeWindow(Window):
         return {
             "window": "range",
             "range_s": self.range_s,
-            "buffer": list(self._buffer),
-            "last_time": self._last_time,
+            "buffer": encode_tuples(self._buffer),
+            "last_time": encode_value(self._last_time),
         }
 
     def restore_state(self, state: dict) -> None:
-        if state.get("window") != "range" or state.get("range_s") != self.range_s:
-            raise StateError(
-                f"window state mismatch: expected [Range {self.range_s}], "
-                f"got {state.get('window')!r}/{state.get('range_s')!r}"
-            )
-        self._buffer = deque(state["buffer"])
-        self._last_time = state["last_time"]
+        expect_tags(state, window="range", range_s=self.range_s)
+        self._buffer = deque(decode_tuples(state["buffer"]))
+        self._last_time = float(decode_value(state["last_time"]))
 
 
 class UnboundedWindow(Window):
@@ -148,10 +141,6 @@ class UnboundedWindow(Window):
 
     def __init__(self) -> None:
         self._buffer: List[StreamTuple] = []
-
-    def push(self, time: float, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
-        self.ingest(time, batch)
-        return self.relation()
 
     def ingest(self, time: float, batch: Sequence[StreamTuple]) -> ChangeList:
         self._buffer.extend(batch)
@@ -166,14 +155,11 @@ class UnboundedWindow(Window):
         return ("unbounded",)
 
     def snapshot_state(self) -> dict:
-        return {"window": "unbounded", "buffer": list(self._buffer)}
+        return {"window": "unbounded", "buffer": encode_tuples(self._buffer)}
 
     def restore_state(self, state: dict) -> None:
-        if state.get("window") != "unbounded":
-            raise StateError(
-                f"expected an [Unbounded] window state, got {state.get('window')!r}"
-            )
-        self._buffer = list(state["buffer"])
+        expect_tags(state, window="unbounded")
+        self._buffer = decode_tuples(state["buffer"])
 
 
 class PartitionRowsWindow(Window):
@@ -201,10 +187,6 @@ class PartitionRowsWindow(Window):
 
     def partition_seq(self, key: Tuple) -> int:
         return self._seq[key]
-
-    def push(self, time: float, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
-        self.ingest(time, batch)
-        return self.relation()
 
     def ingest(self, time: float, batch: Sequence[StreamTuple]) -> ChangeList:
         removed: List[StreamTuple] = []
@@ -234,23 +216,17 @@ class PartitionRowsWindow(Window):
     def snapshot_state(self) -> dict:
         return {
             "window": "partition",
-            "keys": self.keys,
+            "keys": list(self.keys),
             "rows": self.rows,
-            "partitions": [(key, list(dq)) for key, dq in self._partitions.items()],
+            # First-seen order; a partition's key is read off its rows.
+            "partitions": [encode_tuples(dq) for dq in self._partitions.values()],
         }
 
     def restore_state(self, state: dict) -> None:
-        if (
-            state.get("window") != "partition"
-            or tuple(state.get("keys", ())) != self.keys
-            or state.get("rows") != self.rows
-        ):
-            raise StateError(
-                "window state mismatch: expected "
-                f"[Partition By {self.keys} Rows {self.rows}]"
-            )
+        expect_tags(state, window="partition", keys=list(self.keys), rows=self.rows)
+        partitions = map(decode_tuples, state["partitions"])
         self._partitions = OrderedDict(
-            (tuple(key), deque(rows, maxlen=self.rows))
-            for key, rows in state["partitions"]
+            (self.partition_key(rows[0]), deque(rows, maxlen=self.rows))
+            for rows in partitions
         )
         self._seq = {key: i for i, key in enumerate(self._partitions)}

@@ -5,8 +5,9 @@ package makes its state survive the process.  A *checkpoint* is a
 coordinated, versioned, integrity-checked snapshot of every filter shard —
 belief-arena slabs (compacted on write), RNG bit-generator states, reader
 beliefs, output-policy bookkeeping, and the stream offset — written as one
-file: a fixed preamble, a compact JSON header, every shard's arrays as raw
-bytes, the query-operator state, and a SHA-256 trailer over all of it.  The
+file: a fixed preamble, a compact JSON header (shard and query-operator
+state trees as skeletons), every array as raw bytes, and a SHA-256 trailer
+over all of it — nothing in it is executed on load.  The
 write is ordered for power loss: payload ``fsync`` → ``rename`` → directory
 ``fsync``, and only then does the runtime move its ``LATEST`` pointer
 (``LATEST.tmp`` ``fsync`` → ``replace``).
@@ -48,8 +49,6 @@ from .restore import apply_query_states, reshard_states, restore_runtime
 from .snapshot import (
     generator_from_state,
     join_state_tree,
-    jsonable_to_rng_state,
-    rng_state_to_jsonable,
     split_state_tree,
 )
 
@@ -65,13 +64,11 @@ __all__ = [
     "is_delta_state",
     "generator_from_state",
     "join_state_tree",
-    "jsonable_to_rng_state",
     "latest_checkpoint",
     "load_checkpoint",
     "read_checkpoint_header",
     "reshard_states",
     "restore_runtime",
-    "rng_state_to_jsonable",
     "rotate_checkpoints",
     "save_checkpoint",
     "split_state_tree",

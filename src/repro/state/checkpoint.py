@@ -3,11 +3,11 @@
 One checkpoint is one file::
 
     preamble   magic | format version | header bytes | body bytes
-    header     compact JSON: configs, offsets, chain links and, per shard,
-               a state-tree skeleton plus an array index
+    header     compact JSON: configs, offsets, chain links and, per shard
+               and once for the attached query engines, a state-tree
+               skeleton plus an array index
                {key: [dtype, shape, offset, nbytes]} into the body
-    body       every shard's arrays as raw contiguous bytes in index order,
-               then the pickled query-operator state
+    body       every indexed array as raw contiguous bytes, in index order
     trailer    SHA-256 of everything before it
 
 The header is the source of truth: it embeds the full
@@ -15,11 +15,14 @@ The header is the source of truth: it embeds the full
 :class:`RuntimeConfig` as JSON (so a restore rebuilds *exactly* the
 configuration the state was captured under), the stream offset
 (``epochs_processed`` — the resume seek position), the event-bus watermark,
-and per-shard JSON skeletons whose array leaves point into the body.  The
-digest is computed while writing and checked while reading; a flipped bit
-fails loudly at load, not as a silently wrong posterior three thousand
-epochs later, and every length a reader acts on is checked against the
-file's real size before anything is allocated.
+and the JSON skeletons — per shard, and one ``{engine name: operator
+state}`` tree for the query engines — whose array leaves point into the
+body: all state goes through one codec (:mod:`.snapshot`, also the worker
+link's).  The digest is computed while writing and checked while reading; a
+flipped bit fails loudly at load, not as a silently wrong posterior three
+thousand epochs later.  A checkpoint is JSON plus raw arrays: every length
+is checked against the file's real size before anything is allocated, and
+nothing in the file is executed — the format asks for no trust.
 
 Writes are atomic and durable: content lands in a ``<name>.tmp`` sibling
 that is fsynced, renamed into place, and made durable by a directory fsync,
@@ -45,7 +48,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -59,21 +61,20 @@ from ..config import (
     SupervisorConfig,
     inference_config_from_dict,
 )
-from ..errors import ConfigurationError, InferenceError, StateError
+from ..errors import ConfigurationError, InferenceError, QueryError, StateError
 from ..faults import fault_point
 from .delta import apply_shard_delta, is_delta_state
 from .snapshot import (
     index_arrays,
     join_state_tree,
-    jsonable_to_rng_state,
     read_indexed_arrays,
-    rng_state_to_jsonable,
     split_state_tree,
 )
 
 #: Bump when the file layout, header or state-tree layout changes
-#: incompatibly.  Version 1 was a directory per checkpoint.
-FORMAT_VERSION = 2
+#: incompatibly.  Version 1 was a directory per checkpoint; version 2 put
+#: the query-operator state after the arrays in a format that executes.
+FORMAT_VERSION = 3
 
 MAGIC = b"RPROCKPT"
 
@@ -89,6 +90,13 @@ MAX_SECTION_BYTES = 1 << 40
 #: Header ``kind`` values: a self-contained snapshot, or a differential
 #: one that must be materialized against its ``parent``/``base`` chain.
 CHECKPOINT_KINDS = ("full", "delta")
+
+#: What decoding a wrongly-shaped header or state tree raises; it leaves
+#: this package as ``StateError``.
+_MALFORMED = (
+    AttributeError, LookupError, TypeError, ValueError, OverflowError,
+    RecursionError, ConfigurationError, QueryError,
+)  # fmt: skip
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +187,9 @@ class CheckpointManifest:
     shard_states: List[dict]
     kind: str = "full"
     chain: List[str] = dataclasses.field(default_factory=list)
-    #: Operator state of each query engine attached to the runtime at
-    #: capture time, by attachment name.  Apply via
-    #: ``engine.restore_state(manifest.query_states[name])`` after
-    #: registering the same standing queries.
+    #: Operator state tree of each query engine attached to the runtime at
+    #: capture time, by attachment name: register the same standing queries,
+    #: then :func:`~repro.state.apply_query_states`.
     query_states: Dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Free-form JSON payload captured from ``runtime.manifest_extras()``
     #: at save time (empty when the runtime declares none).  The ingest
@@ -199,19 +206,34 @@ class CheckpointManifest:
 
 @dataclass(frozen=True)
 class ChainHead:
-    """A checkpoint file's path and JSON header, held in memory.
-
-    :func:`save_checkpoint` returns the head of the file it just wrote, so
-    the periodic path hands it back as the next delta's ``parent`` (and to
-    :func:`rotate_checkpoints`) without re-reading its own output.
+    """A checkpoint file's path and what chaining and rotation read of its
+    header (``kind`` / ``parent`` / ``base`` / ``chain_index`` /
+    ``config_hash`` / per-shard ``capture_serials``; no state skeleton), held
+    in memory: :func:`save_checkpoint` returns the head of the file it just
+    wrote, so the periodic path hands it back as the next delta's ``parent``
+    (and to :func:`rotate_checkpoints`) without re-reading its own output.
     """
 
     path: str
     header: dict
 
     @classmethod
+    def of(cls, path: str, header: dict) -> "ChainHead":
+        keys = ("kind", "parent", "base", "chain_index", "config_hash")
+        parts = ("engine", "pipeline")
+        try:
+            links = {key: header[key] for key in keys if key in header}
+            links["capture_serials"] = [
+                {p: record["state"].get(p, {}).get("capture_serial") for p in parts}
+                for record in header["shards"]
+            ]
+        except _MALFORMED as exc:
+            raise StateError(f"{path}: malformed shard record: {exc!r}") from exc
+        return cls(path, links)
+
+    @classmethod
     def read(cls, path) -> "ChainHead":
-        return cls(os.fspath(path), read_checkpoint_header(path))
+        return cls.of(os.fspath(path), read_checkpoint_header(path))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +273,20 @@ def _check_delta_chains(parent: ChainHead, states: List[dict]) -> None:
     """Prove each delta capture chains onto the parent checkpoint's capture.
 
     Compares the per-shard ``parent_capture_serial`` of the fresh delta
-    trees against the ``capture_serial`` recorded in the parent header's
-    skeletons.  A mismatch means a capture happened between the parent
-    checkpoint and this one (an explicit ``checkpoint()`` call, a test
-    snapshot, …) — writing the delta anyway would persist a torn chain.
+    trees against the ``capture_serial`` the parent recorded.  A mismatch
+    means a capture happened between the parent checkpoint and this one (an
+    explicit ``checkpoint()`` call, a test snapshot, …) — writing the delta
+    anyway would persist a torn chain.
     """
-    parents = parent.header["shards"]
+    parents = parent.header["capture_serials"]
     if len(parents) != len(states):
         raise StateError(
             f"delta checkpoint has {len(states)} shards but its parent "
             f"{parent.path} has {len(parents)}"
         )
-    for index, (record, state) in enumerate(zip(parents, states)):
+    for index, (serials, state) in enumerate(zip(parents, states)):
         for part in ("engine", "pipeline"):
-            have = record["state"].get(part, {}).get("capture_serial")
+            have = serials[part]
             want = state[part].get("parent_capture_serial")
             if have is None or want != have:
                 raise StateError(
@@ -319,36 +341,30 @@ def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> ChainHead
         header["base"] = parent.header.get("base", header["parent"])
         header["chain_index"] = int(parent.header.get("chain_index", 0)) + 1
 
+    # Query-engine operator state (shared windows, streamer counters,
+    # pending tick), one tree per attached engine.  Captured whole in every
+    # link (small next to the shard slabs), and before the shards: a tuple
+    # value the codec refuses fails the save with no capture serial moved.
+    engines = getattr(runtime, "query_engines", None) or {}
+    queries = {name: e.snapshot_state() for name, e in sorted(engines.items())}
     states = _collect_shard_snapshots(runtime.shards, mode=mode)
     if mode == "delta":
         _check_delta_chains(parent, states)
-    # Every array of every shard goes into the body back to back, written
+    # Every array of every tree goes into the body back to back, written
     # straight from its own buffer; the header indexes them.
     buffers: List[np.ndarray] = []
-    header["shards"] = []
+    records = []
     cursor = 0
-    for state in states:
-        engine = dict(state["engine"])  # the RNG leaf is normalized to JSON
-        engine["rng_state"] = rng_state_to_jsonable(engine["rng_state"])
-        skeleton, arrays = split_state_tree({**state, "engine": engine})
+    for state in (*states, queries):
+        skeleton, arrays = split_state_tree(state)
         index, cursor = index_arrays(arrays, cursor, buffers)
-        header["shards"].append({"state": skeleton, "arrays": index})
-    # Query-engine operator state (shared windows, streamer counters,
-    # pending tick).  Captured whole in every link — it is small next to
-    # the shard slabs and holds arbitrary hashable tuple values (frozensets,
-    # nested tuples), so it ships as one pickle blob after the arrays.
-    engines = getattr(runtime, "query_engines", None)
-    blob = b""
-    if engines:
-        blob = pickle.dumps(
-            {name: engine.snapshot_state() for name, engine in sorted(engines.items())},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        records.append({"state": skeleton, "arrays": index})
     header.update(
+        shards=records[:-1],
+        queries=records[-1],
         epochs_processed=int(runtime.epochs_processed),
         bus_last_time=runtime.bus.last_time,
         bus_published=int(runtime.bus.published),
-        query_bytes=len(blob),
     )
     # Runtime-attached extras (duck-typed like the rest of the runtime
     # surface): a serving layer hangs a callable off the runtime to record
@@ -372,10 +388,10 @@ def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> ChainHead
     os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
     digest = hashlib.sha256()
-    preamble = PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(encoded), cursor + len(blob))
+    preamble = PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(encoded), cursor)
     try:
         with open(tmp, "wb") as fp:
-            for chunk in (preamble, encoded, *buffers, blob):
+            for chunk in (preamble, encoded, *buffers):
                 fp.write(chunk)
                 digest.update(chunk)
             fp.write(digest.digest())
@@ -395,7 +411,7 @@ def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> ChainHead
         os.fsync(fd)
     finally:
         os.close(fd)
-    return ChainHead(path, header)
+    return ChainHead.of(path, header)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +430,7 @@ def _read_head(fp, path: str) -> Tuple[bytes, dict, int]:
     if version != FORMAT_VERSION:
         raise StateError(
             f"checkpoint format version {version} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads version {FORMAT_VERSION} only)"
         )
     expected = PREAMBLE.size + header_bytes + body_bytes + TRAILER_BYTES
     actual = os.fstat(fp.fileno()).st_size
@@ -449,7 +465,7 @@ def _open_checkpoint(path: str):
 def read_checkpoint_header(path) -> dict:
     """A checkpoint's JSON header, without reading its body: ``kind``, the
     three configs, ``epochs_processed``, chain links (``parent`` / ``base``
-    / ``chain_index``), ``extras`` and the per-shard skeletons.  Lengths are
+    / ``chain_index``), ``extras`` and the shard / query skeletons.  Lengths are
     validated against the file size; the digest is *not* checked — use
     :func:`load_checkpoint` for a verified read."""
     path = os.fspath(path)
@@ -457,10 +473,11 @@ def read_checkpoint_header(path) -> dict:
         return _read_head(fp, path)[1]
 
 
-def _load_file(path: str, verify: bool) -> Tuple[dict, List[dict], bytes]:
-    """Read one file: ``(header, the full or delta trees it holds, query
-    blob)``.  With ``verify`` the digest accumulates while reading and must
-    match the trailer before anything is returned."""
+def _load_file(path: str, verify: bool) -> Tuple[dict, List[dict], dict]:
+    """Read one file: ``(header, the full or delta shard trees it holds,
+    {engine name: query state tree})``.  With ``verify`` the digest
+    accumulates while reading and must match the trailer before anything is
+    returned."""
     digest = hashlib.sha256()
     update = digest.update if verify else (lambda chunk: None)
     states = []
@@ -468,32 +485,31 @@ def _load_file(path: str, verify: bool) -> Tuple[dict, List[dict], bytes]:
         raw, header, body_bytes = _read_head(fp, path)
         update(raw)
         cursor = 0
-        for record in header["shards"]:
+        for record in (*header["shards"], header.get("queries")):
             try:
                 arrays, cursor = read_indexed_arrays(
                     fp, record["arrays"], cursor, body_bytes, update
                 )
                 state = join_state_tree(record["state"], arrays)
-                state["engine"]["rng_state"] = jsonable_to_rng_state(
-                    state["engine"]["rng_state"]
-                )
-            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise StateError(f"{path}: malformed shard record: {exc!r}") from exc
+                if not isinstance(state, dict):
+                    raise TypeError(f"state is a {type(state).__name__}, not a dict")
+            except _MALFORMED as exc:
+                what = "shard" if len(states) < len(header["shards"]) else "query"
+                raise StateError(f"{path}: malformed {what} record: {exc!r}") from exc
             states.append(state)
-        if header.get("query_bytes") != body_bytes - cursor:
+        if cursor != body_bytes:
             raise StateError(
-                f"{path}: {cursor} array bytes + query_bytes "
-                f"{header.get('query_bytes')!r} is not the {body_bytes}-byte body"
+                f"{path}: the array indexes cover {cursor} of the "
+                f"{body_bytes}-byte body"
             )
-        blob = fp.read(body_bytes - cursor)
-        update(blob)
         trailer = fp.read(TRAILER_BYTES)
     if verify and trailer != digest.digest():
         raise StateError(
             f"checksum mismatch for {path}: trailer says "
             f"{trailer.hex()[:12]}…, content is {digest.hexdigest()[:12]}…"
         )
-    return header, states, blob
+    query_states = states.pop()
+    return header, states, query_states
 
 
 def load_checkpoint(path, verify: bool = True) -> CheckpointManifest:
@@ -508,51 +524,52 @@ def load_checkpoint(path, verify: bool = True) -> CheckpointManifest:
     a cycle, a root that is not full, a configuration or shard-count change
     mid-chain — raises :class:`StateError`, never a half-right state.
 
-    ``verify`` checks each file's SHA-256 trailer (skippable for speed when
-    the storage is trusted); the query blob is only unpickled once verified.
+    ``verify`` checks each file's SHA-256 trailer.  Skipping it can change
+    *what* state a damaged file loads as (or which ``StateError`` refuses
+    it), never whether anything in the file is executed: nothing is.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    header, states, blob = _load_file(path, verify)
-    kind = header.get("kind")
-    if kind not in CHECKPOINT_KINDS:
-        raise StateError(f"unknown checkpoint kind {kind!r} at {path}")
-    chain = [os.path.basename(os.path.abspath(path))]
-    overlays = []  # delta trees still to replay, newest first
-    link_path, link = path, header
-    while link.get("kind") == "delta":
-        name = link.get("parent")
-        if not isinstance(name, str) or not name or os.path.basename(name) != name:
-            raise StateError(f"delta checkpoint {link_path} has no valid parent")
-        if name in chain:
-            raise StateError(f"delta checkpoint chain at {path} contains a cycle")
-        parent_path = os.path.join(directory, name)
-        try:
-            parent, parent_states, _ = _load_file(parent_path, verify)
-        except StateError as exc:
-            raise StateError(
-                f"delta checkpoint {link_path} needs its parent "
-                f"{parent_path}, which cannot be read: {exc}"
-            ) from exc
-        if parent.get("config_hash") != header.get("config_hash"):
-            raise StateError(
-                f"delta chain at {path} crosses a configuration change "
-                f"(at {parent_path})"
-            )
-        if len(parent_states) != len(states):
-            raise StateError(
-                f"delta checkpoint {link_path} changes the shard count mid-chain"
-            )
-        chain.append(name)
-        overlays.append(states)
-        link_path, link, states = parent_path, parent, parent_states
-    if link.get("kind") != "full" or any(is_delta_state(s) for s in states):
-        raise StateError(
-            f"delta chain at {path} does not terminate in a full checkpoint"
-        )
-    for deltas in reversed(overlays):
-        states = [apply_shard_delta(s, d) for s, d in zip(states, deltas)]
+    header, states, query_states = _load_file(path, verify)
     try:
+        kind = header.get("kind")
+        if kind not in CHECKPOINT_KINDS:
+            raise StateError(f"unknown checkpoint kind {kind!r} at {path}")
+        chain = [os.path.basename(os.path.abspath(path))]
+        overlays = []  # delta trees still to replay, newest first
+        link_path, link = path, header
+        while link.get("kind") == "delta":
+            name = link.get("parent")
+            if not isinstance(name, str) or not name or os.path.basename(name) != name:
+                raise StateError(f"delta checkpoint {link_path} has no valid parent")
+            if name in chain:
+                raise StateError(f"delta checkpoint chain at {path} contains a cycle")
+            parent_path = os.path.join(directory, name)
+            try:
+                parent, parent_states, _ = _load_file(parent_path, verify)
+            except StateError as exc:
+                raise StateError(
+                    f"delta checkpoint {link_path} needs its parent "
+                    f"{parent_path}, which cannot be read: {exc}"
+                ) from exc
+            if parent.get("config_hash") != header.get("config_hash"):
+                raise StateError(
+                    f"delta chain at {path} crosses a configuration change "
+                    f"(at {parent_path})"
+                )
+            if len(parent_states) != len(states):
+                raise StateError(
+                    f"delta checkpoint {link_path} changes the shard count mid-chain"
+                )
+            chain.append(name)
+            overlays.append(states)
+            link_path, link, states = parent_path, parent, parent_states
+        if link.get("kind") != "full" or any(is_delta_state(s) for s in states):
+            raise StateError(
+                f"delta chain at {path} does not terminate in a full checkpoint"
+            )
+        for deltas in reversed(overlays):
+            states = [apply_shard_delta(s, d) for s, d in zip(states, deltas)]
         return CheckpointManifest(
             version=FORMAT_VERSION,
             config=inference_config_from_dict(header["inference_config"]),
@@ -566,13 +583,11 @@ def load_checkpoint(path, verify: bool = True) -> CheckpointManifest:
             shard_states=states,
             kind=kind,
             chain=chain[::-1] if kind == "delta" else [],
-            query_states=pickle.loads(blob) if blob else {},
+            query_states=query_states,
             extras=dict(header.get("extras", {})),
         )
-    except StateError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - a bad pickle fails any way it likes
-        raise StateError(f"{path}: malformed header or query blob: {exc!r}") from exc
+    except _MALFORMED as exc:
+        raise StateError(f"{path}: malformed header: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from ..errors import StateError
 from ..models.joint import RFIDWorldModel
 from ..runtime import EventBus, ShardedRuntime
 from ..streams.sinks import EventSink
-from .checkpoint import CheckpointManifest, config_hash, load_checkpoint
+from .checkpoint import _MALFORMED, CheckpointManifest, config_hash, load_checkpoint
 
 #: Fallback selector snapshot for re-sharded engines whose source shard
 #: carries no selector state: structurally valid, semantically empty.
@@ -183,7 +183,10 @@ def apply_query_states(runtime: ShardedRuntime, manifest: CheckpointManifest) ->
                 "engine with that name is attached to the runtime; attach "
                 "it before applying query states"
             )
-        engine.restore_state(state)
+        try:
+            engine.restore_state(state)
+        except _MALFORMED as exc:  # the tree came from a file: any shape it likes
+            raise StateError(f"malformed query-engine state {name!r}: {exc!r}") from exc
         restored.append(name)
     return restored
 
@@ -216,14 +219,8 @@ def _belief_entries(engine_state: dict) -> List[dict]:
     blocks = _arena_blocks(engine_state["arena"])
     ids = np.asarray(beliefs["ids"], dtype=np.int64)
     compressed = np.asarray(beliefs["compressed"], dtype=bool)
-    # Budget columns default to "never parked" for pre-adaptive checkpoints.
-    settled = np.asarray(
-        beliefs.get("settled", np.zeros(ids.size, dtype=bool)), dtype=bool
-    )
-    budget_epoch = np.asarray(
-        beliefs.get("budget_epoch", np.zeros(ids.size, dtype=np.int64)),
-        dtype=np.int64,
-    )
+    settled = np.asarray(beliefs["settled"], dtype=bool)
+    budget_epoch = np.asarray(beliefs["budget_epoch"], dtype=np.int64)
     entries = []
     for i, number in enumerate(ids):
         number = int(number)

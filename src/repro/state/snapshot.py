@@ -16,10 +16,10 @@ and joins them back on load.  Keeping the split generic means the engines
 describe *what* their state is while this layer owns *how* it is persisted —
 new engine fields serialize without touching the format code.
 
-The RNG codec is here too: :class:`numpy.random.Generator` bit-generator
-state is a nested dict whose leaves may be Python ints of arbitrary size
-(PCG64 carries 128-bit words) or numpy integers; the codec normalizes it to
-pure JSON types and back, for any bit-generator family.
+A :class:`numpy.random.Generator` bit-generator state is such a tree as it
+stands, for every bit-generator family: Python ints of any size (PCG64
+carries 128-bit words) are JSON numbers, numpy integers become ints, and
+word pools (MT19937's key, Philox's counter) are ordinary array leaves.
 """
 
 from __future__ import annotations
@@ -36,39 +36,8 @@ ARRAY_MARKER = "__array__"
 
 
 # ---------------------------------------------------------------------------
-# RNG bit-generator state codec
+# RNG bit-generator state
 # ---------------------------------------------------------------------------
-def rng_state_to_jsonable(state: Any) -> Any:
-    """Normalize a ``Generator.bit_generator.state`` tree to JSON types.
-
-    Numpy integers and integer arrays (some bit generators keep their word
-    pool as a uint array) become Python ints / lists of ints; containers
-    recurse; everything else must already be JSON-able.
-    """
-    if isinstance(state, dict):
-        return {str(k): rng_state_to_jsonable(v) for k, v in state.items()}
-    if isinstance(state, (list, tuple)):
-        return [rng_state_to_jsonable(v) for v in state]
-    if isinstance(state, np.ndarray):
-        return {"__ndarray_int__": [int(v) for v in state.ravel()]}
-    if isinstance(state, (np.integer, np.bool_)):
-        return int(state)
-    if isinstance(state, (int, float, str, bool)) or state is None:
-        return state
-    raise StateError(f"cannot serialize RNG state leaf of type {type(state)!r}")
-
-
-def jsonable_to_rng_state(state: Any) -> Any:
-    """Inverse of :func:`rng_state_to_jsonable`."""
-    if isinstance(state, dict):
-        if set(state) == {"__ndarray_int__"}:
-            return np.asarray(state["__ndarray_int__"], dtype=np.uint64)
-        return {k: jsonable_to_rng_state(v) for k, v in state.items()}
-    if isinstance(state, list):
-        return [jsonable_to_rng_state(v) for v in state]
-    return state
-
-
 def generator_from_state(state: dict) -> np.random.Generator:
     """Rebuild a :class:`numpy.random.Generator` from a captured state dict.
 
@@ -97,13 +66,11 @@ def split_state_tree(tree: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     """
     arrays: Dict[str, np.ndarray] = {}
     # Plain scalars are most of a skeleton (region object lists, counters):
-    # containers pass them through without a call or a path string each.
+    # containers pass them through without a call or a path string each,
+    # and are themselves — most of what is left — told first.
     plain = (int, float, str, bool, type(None))
 
     def walk(node: Any, path: str) -> Any:
-        if isinstance(node, np.ndarray):
-            arrays[path] = node
-            return {ARRAY_MARKER: path}
         if isinstance(node, dict):
             if ARRAY_MARKER in node:
                 raise StateError(f"state tree at {path!r} uses the reserved key")
@@ -118,13 +85,12 @@ def split_state_tree(tree: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
                 v if type(v) in plain else walk(v, f"{path}/{i}")
                 for i, v in enumerate(node)
             ]
-        if isinstance(node, (np.integer,)):
-            return int(node)
-        if isinstance(node, (np.floating,)):
-            return float(node)
-        if isinstance(node, (np.bool_,)):
-            return bool(node)
-        if isinstance(node, (int, float, str, bool)) or node is None:
+        if isinstance(node, np.ndarray):
+            arrays[path] = node
+            return {ARRAY_MARKER: path}
+        if isinstance(node, np.generic):
+            node = node.item()
+        if isinstance(node, plain):
             return node
         raise StateError(
             f"cannot serialize state leaf of type {type(node)!r} at {path!r}"
@@ -152,26 +118,6 @@ def join_state_tree(skeleton: Any, arrays: Dict[str, np.ndarray]) -> Any:
         return node
 
     return walk(skeleton)
-
-
-def missing_array_keys(skeleton: Any, arrays: Dict[str, np.ndarray]) -> List[str]:
-    """Array placeholders in ``skeleton`` with no backing entry (test hook)."""
-    missing: List[str] = []
-
-    def walk(node: Any) -> None:
-        if isinstance(node, dict):
-            if set(node) == {ARRAY_MARKER}:
-                if node[ARRAY_MARKER] not in arrays:
-                    missing.append(node[ARRAY_MARKER])
-                return
-            for v in node.values():
-                walk(v)
-        elif isinstance(node, list):
-            for v in node:
-                walk(v)
-
-    walk(skeleton)
-    return missing
 
 
 # ---------------------------------------------------------------------------

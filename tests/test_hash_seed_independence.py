@@ -8,6 +8,10 @@ emissions (the pipeline's visit table) makes a seeded run reproducible only
 when the hash seed is pinned too.  Each case runs the CLI over one stored
 trace in two subprocesses with different hash seeds and compares the bytes
 it wrote.
+
+A checkpoint file is such bytes too: query-operator state may hold
+``frozenset`` values, which the state-tree encoding writes in a canonical
+order (a pickled ``frozenset`` was written in iteration order).
 """
 
 import hashlib
@@ -53,25 +57,27 @@ CASES = {
 }
 
 
-def _digest(argv, out_path, hash_seed):
+def _run(python_argv, hash_seed):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
+        [sys.executable, *python_argv],
         env=env,
         check=True,
         capture_output=True,
         timeout=120,
     )
+
+
+def _digest(argv, out_path, hash_seed):
+    _run(["-m", "repro", *argv], hash_seed)
     with open(out_path, "rb") as handle:
         data = handle.read()
     assert data, "the run wrote no output"
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_output_identical_across_hash_seeds(case, tmp_path):
-    moves, command, out_flag = CASES[case]
+def _write_trace(tmp_path, moves=()):
     simulator = WarehouseSimulator(
         WarehouseConfig(
             layout=LayoutConfig(
@@ -85,6 +91,13 @@ def test_output_identical_across_hash_seeds(case, tmp_path):
     trace_path = tmp_path / "trace.json"
     with open(trace_path, "w") as handle:
         simulator.generate().dump(handle)
+    return trace_path
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_identical_across_hash_seeds(case, tmp_path):
+    moves, command, out_flag = CASES[case]
+    trace_path = _write_trace(tmp_path, moves)
     digests = []
     for hash_seed in (1, 2):
         out_path = tmp_path / f"out-{hash_seed}"
@@ -92,3 +105,90 @@ def test_output_identical_across_hash_seeds(case, tmp_path):
         argv = [command[0], str(trace_path), *PARTICLES, *command[1:], out_flag, str(out_path)]
         digests.append(_digest(argv, out_path, hash_seed))
     assert digests[0] == digests[1]
+
+
+# What each subprocess runs: standing queries (one whose rows carry a
+# ``frozenset`` of strings) over a 2-shard runtime, stopped with a tick
+# pending (``save``), picked up again (``resume``) or never stopped (``full``).
+CHECKPOINT_SCRIPT = """
+import json, sys
+from repro import cli
+from repro.config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
+from repro.query import (
+    ContinuousQuery, Extend, Istream, MultiplexedQueryEngine, PartitionRowsWindow,
+    Project, location_update_query, standing_region_queries,
+)
+from repro.runtime import QueryBridge, ShardedRuntime
+from repro.state import apply_query_states, restore_runtime
+
+mode, trace_path, checkpoint, out = sys.argv[1:]
+trace = cli._load_trace(trace_path)
+model, _, _ = cli._default_model(trace)
+epochs = trace.epochs()
+engine = MultiplexedQueryEngine()
+engine.register(location_update_query())
+for query in standing_region_queries(16, cli._trace_bounds(epochs)):
+    engine.register(query)
+engine.register(ContinuousQuery(
+    PartitionRowsWindow(("tag_id",), rows=1),
+    [
+        Extend(labels=lambda t: frozenset({t["tag_id"], "seen", "warm", "shelf-%d" % t["y"]})),
+        Project("labels"),
+    ],
+    Istream(),
+    name="labelled",
+))
+if mode == "resume":
+    runtime, manifest = restore_runtime(checkpoint, model)
+    QueryBridge(engine, runtime.bus, runtime=runtime)
+    apply_query_states(runtime, manifest)
+    runtime.run(epochs[manifest.epochs_processed:])
+else:
+    runtime = ShardedRuntime(
+        model,
+        InferenceConfig(reader_particles=40, object_particles=40, seed=3),
+        RuntimeConfig(n_shards=2),
+        OutputPolicyConfig(delay_s=5.0),
+    )
+    QueryBridge(engine, runtime.bus, runtime=runtime)
+    if mode == "save":
+        for epoch in epochs[:150]:
+            runtime.step(epoch)
+        assert engine.snapshot_state()["pending"], "no tick pending at the cut"
+        runtime.checkpoint(checkpoint)
+    else:
+        runtime.run(epochs)
+with open(out, "w") as handle:
+    for name, tuples in sorted(engine.outputs.items()):
+        for t in tuples:
+            row = {k: sorted(v) if isinstance(v, frozenset) else v for k, v in t.items()}
+            handle.write(json.dumps([name, t.time, row], sort_keys=True) + "\\n")
+if mode == "save":
+    runtime.abort()
+"""
+
+
+def test_checkpoint_file_identical_across_hash_seeds_and_resumes_under_another(tmp_path):
+    trace_path = _write_trace(tmp_path)
+    script = tmp_path / "standing.py"
+    script.write_text(CHECKPOINT_SCRIPT)
+
+    def run(mode, hash_seed, checkpoint, out):
+        out = tmp_path / out
+        _run([str(script), mode, str(trace_path), str(checkpoint), str(out)], hash_seed)
+        return out.read_text()
+
+    full = run("full", 3, "unused", "full.jsonl")
+    prefixes = [
+        run("save", seed, tmp_path / f"ck-{seed}", f"prefix-{seed}.jsonl") for seed in (1, 2)
+    ]
+    saved = [(tmp_path / f"ck-{seed}").read_bytes() for seed in (1, 2)]
+    assert saved[0] == saved[1]
+    assert b'"frozenset"' in saved[0]
+    assert prefixes[0] == prefixes[1] and prefixes[0]
+    # Written under one seed, resumed under another.
+    tails = [
+        run("resume", seed, tmp_path / f"ck-{3 - seed}", f"tail-{seed}.jsonl") for seed in (1, 2)
+    ]
+    assert tails[0] == tails[1] and tails[0]
+    assert sorted((prefixes[0] + tails[0]).splitlines()) == sorted(full.splitlines())

@@ -15,8 +15,10 @@ The acceptance guarantees of the durable-state subsystem:
   fsync, pointer fsync, pointer replace) and rotation ignores crash debris.
 """
 
+import hashlib
+import json
 import os
-import pickle
+import pickle  # only to forge the version-2 file this build must refuse
 
 import numpy as np
 import pytest
@@ -30,9 +32,26 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError, StateError, StreamError
 from repro.inference.naive import NaiveParticleFilter
-from repro.runtime import EventBus, ShardedRuntime
+from repro.query import (
+    ContinuousQuery,
+    Dstream,
+    Extend,
+    Istream,
+    MultiplexedQueryEngine,
+    PartitionRowsWindow,
+    Project,
+    QueryEngine,
+    RangeWindow,
+    fire_code_query,
+    location_update_query,
+    standing_region_queries,
+)
+from repro.query.tuples import encode_value
+from repro.runtime import EventBus, QueryBridge, ShardedRuntime
 from repro.state import (
     FORMAT_VERSION,
+    CheckpointManifest,
+    apply_query_states,
     checkpoint_size_bytes,
     latest_checkpoint,
     load_checkpoint,
@@ -184,7 +203,7 @@ class TestCheckpointFormat:
     def test_version_1_directory_rejected(self, tmp_path):
         """Format version 1 was a directory per checkpoint: refused, not
         read by a second code path."""
-        with pytest.raises(StateError, match="version 1 is not supported"):
+        with pytest.raises(StateError, match="version 1 is not supported.*reads version 3"):
             load_checkpoint(tmp_path)
         with pytest.raises(StateError, match="cannot open"):
             load_checkpoint(tmp_path / "missing")
@@ -246,11 +265,16 @@ class TestCheckpointFormat:
 
 @pytest.fixture(scope="module")
 def sample_checkpoint(scenario, tmp_path_factory, checkpoint_files):
-    """Bytes of a 2-shard checkpoint with a query-state blob, the state it
-    loads to, and the section boundaries tampering tests aim at."""
+    """Bytes of a 2-shard checkpoint with a query section (array leaf
+    included), the state it loads to, and the section boundaries tampering
+    tests aim at."""
     class Engine:
         def snapshot_state(self):
-            return {"window": [(1.0, frozenset({"a", "b"}))], "ticks": 3}
+            return {
+                "window": [encode_value((1.0, frozenset({"a", "b"})))],
+                "ticks": 3,
+                "weights": np.arange(4.0),
+            }
 
     model, trace, config = scenario
     path = tmp_path_factory.mktemp("sample") / "ck"
@@ -267,7 +291,7 @@ def manifests_equal(ours, reference):
     return (
         ours.epochs_processed == reference.epochs_processed
         and ours.config == reference.config
-        and ours.query_states == reference.query_states
+        and tree_equal(ours.query_states, reference.query_states) is None
         and len(ours.shard_states) == len(reference.shard_states)
         and all(
             tree_equal(a, b) is None
@@ -285,6 +309,10 @@ class TestMalformedFiles:
         assert sections["trailer"][1] == len(blob)
         assert sections["body"][1] > sections["body"][0]
         assert manifest.query_states["q"]["ticks"] == 3
+        assert manifest.query_states["q"]["window"] == [
+            ["tuple", [1.0, ["frozenset", ["a", "b"]]]]
+        ]
+        np.testing.assert_array_equal(manifest.query_states["q"]["weights"], np.arange(4.0))
 
     def test_truncation_at_every_section_boundary(self, sample_checkpoint, tmp_path):
         blob, _, sections = sample_checkpoint
@@ -385,7 +413,8 @@ class TestMalformedFiles:
         path = tmp_path / "ck"
         path.write_bytes(blob)
         if section == "query":
-            offset = sections["body"][1] - 10  # inside the pickle blob
+            offset = blob.index(b'"frozenset"') + 3  # inside the query skeleton
+            assert sections["header"][0] < offset < sections["header"][1]
         else:
             start, end = sections[section]
             offset = (start + end) // 2
@@ -393,34 +422,86 @@ class TestMalformedFiles:
         with pytest.raises(StateError):
             load_checkpoint(path)
 
-    def test_query_blob_is_not_unpickled_before_the_digest_matches(
-        self, sample_checkpoint, tmp_path, checkpoint_files, monkeypatch
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_hostile_version_2_file_never_runs_its_pickle(
+        self, sample_checkpoint, tmp_path, verify
     ):
-        import repro.state.checkpoint as checkpoint_module
+        """A version-2 file carried its query state as a pickle after the
+        arrays.  This one is complete — real configs, real shard records and
+        arrays, a valid digest (whoever can write the file can write a
+        matching one) — so the build that wrote version 2 unpickles it, with
+        or without ``verify``.  This build refuses the version before
+        reading anything else: the payload's side effect never happens."""
+        from repro.state.checkpoint import MAGIC, PREAMBLE
 
-        blob, reference, sections = sample_checkpoint
+        blob, _, sections = sample_checkpoint
+        victim = tmp_path / "pwned"
+
+        class Payload:
+            def __reduce__(self):
+                return (os.mkdir, (str(victim),))
+
+        header = json.loads(blob[slice(*sections["header"])])
+        del header["queries"]
+        shard_bytes = sum(
+            entry[3] for record in header["shards"] for entry in record["arrays"].values()
+        )
+        pickled = pickle.dumps({"q": Payload()})
+        header["query_bytes"] = len(pickled)
+        body = blob[sections["body"][0] :][:shard_bytes] + pickled
+        encoded = json.dumps(header).encode()
+        content = PREAMBLE.pack(MAGIC, 2, len(encoded), len(body)) + encoded + body
+        path = tmp_path / "epoch_00000012"
+        path.write_bytes(content + hashlib.sha256(content).digest())
+        (tmp_path / "LATEST").write_text("epoch_00000012\n")
+
+        with pytest.raises(StateError, match="version 2 is not supported.*reads version 3"):
+            load_checkpoint(path, verify=verify)
+        with pytest.raises(StateError, match="version 2 is not supported"):
+            read_checkpoint_header(path)
+        assert latest_checkpoint(tmp_path) is None
+        assert not victim.exists()
+
+    @pytest.mark.parametrize("tamper", [
+        lambda header: header.pop("queries"),
+        lambda header: header.update(queries=[]),
+        lambda header: header.update(queries="junk"),
+        lambda header: header["queries"].pop("arrays"),
+        lambda header: header["queries"].update(state=[1, 2]),
+        lambda header: header["queries"].update(state=None),
+        lambda header: header["queries"]["arrays"].update(extra=["<f8", [2], 0, 16]),
+        lambda header: header["queries"]["state"]["q"].update(
+            weights={"__array__": "q/nowhere"}
+        ),
+    ], ids=[
+        "missing", "list", "string", "no-index", "state-list", "state-null",
+        "index-past-body", "array-without-entry",
+    ])
+    def test_malformed_query_section(
+        self, sample_checkpoint, tmp_path, checkpoint_files, tamper
+    ):
+        blob, _, _ = sample_checkpoint
         path = tmp_path / "ck"
         path.write_bytes(blob)
-        checkpoint_files.flip_bit(path, sections["body"][1] - 10)
-        unpickled = []
-        real_loads = pickle.loads
+        checkpoint_files.edit_header(path, tamper)  # digest stays valid
+        for verify in (True, False):
+            with pytest.raises(StateError, match="query record|missing array"):
+                load_checkpoint(path, verify=verify)
 
-        class Spy:
-            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
-            dumps = staticmethod(pickle.dumps)
-
-            @staticmethod
-            def loads(data):
-                unpickled.append(len(data))
-                return real_loads(data)
-
-        monkeypatch.setattr(checkpoint_module, "pickle", Spy)
-        with pytest.raises(StateError, match="checksum mismatch"):
-            load_checkpoint(path)
-        assert unpickled == []
+    def test_body_bytes_no_index_covers_are_refused(
+        self, sample_checkpoint, tmp_path, checkpoint_files
+    ):
+        blob, _, _ = sample_checkpoint
+        path = tmp_path / "ck"
         path.write_bytes(blob)
-        assert manifests_equal(load_checkpoint(path), reference)
-        assert len(unpickled) == 1
+
+        def tamper(header):
+            del header["queries"]["arrays"]["q/weights"]
+            header["queries"]["state"]["q"]["weights"] = None
+
+        checkpoint_files.edit_header(path, tamper)
+        with pytest.raises(StateError, match="cover .* of the"):
+            load_checkpoint(path)
 
     @settings(
         max_examples=120,
@@ -431,8 +512,10 @@ class TestMalformedFiles:
     def test_random_damage_is_state_error_or_bitwise_equal(
         self, sample_checkpoint, tmp_path, data
     ):
-        """Random truncations and bit flips: the load either refuses with
-        ``StateError`` or returns exactly the state that was saved."""
+        """Random truncations and bit flips: the verified load either
+        refuses with ``StateError`` or returns exactly the state that was
+        saved; the unverified one may load *different* state, but ends in
+        ``StateError`` or a manifest — never another exception type."""
         blob, reference, _ = sample_checkpoint
         damaged = bytearray(blob)
         for _ in range(data.draw(st.integers(0, 3), label="flips")):
@@ -443,10 +526,215 @@ class TestMalformedFiles:
         path = tmp_path / "ck"
         path.write_bytes(bytes(damaged))
         try:
+            unverified = load_checkpoint(path, verify=False)
+        except StateError:
+            unverified = None
+        assert unverified is None or isinstance(unverified, CheckpointManifest)
+        try:
             loaded = load_checkpoint(path)
         except StateError:
             return
         assert manifests_equal(loaded, reference)
+        assert unverified is not None and manifests_equal(unverified, reference)
+
+
+def tagged_queries():
+    """Standing queries whose operator state holds every value kind the
+    codec knows: tuples (``area``), frozensets, numpy scalars, Counters of
+    value keys (Istream / Dstream) and a nested query's window."""
+    return [
+        location_update_query(),
+        fire_code_query(lambda _: 90.0, 100.0, 5.0),
+        *standing_region_queries(4, ((1.0, -1.0), (3.0, 3.0))),
+        ContinuousQuery(
+            PartitionRowsWindow(("tag_id",), rows=2),
+            [
+                Extend(
+                    cell=lambda t: (np.int64(np.floor(t["x"])), np.float64(round(t["y"]))),
+                    seen=lambda t: frozenset({t["tag_id"], np.int64(1), None}),
+                    odd=lambda t: float("inf") if t["y"] > 1.0 else np.bool_(True),
+                ),
+                Project("cell", "seen", "odd"),
+            ],
+            Istream(),
+            name="tagged",
+        ),
+        ContinuousQuery(
+            RangeWindow(6.0),
+            [Extend(row=lambda t: int(round(t["y"]))), Project("row")],
+            Dstream(),
+            name="left",
+        ),
+    ]
+
+
+def emissions_of(engine):
+    return {
+        name: [(t.time, sorted(t.items(), key=lambda kv: kv[0])) for t in tuples]
+        for name, tuples in engine.outputs.items()
+    }
+
+
+def serve_queries(model, trace, config, engine, queries, upto=None, runtime=None):
+    """Feed ``engine`` from a 2-shard runtime (a fresh one unless given)."""
+    for query in queries:
+        engine.register(query)
+    if runtime is None:
+        runtime = ShardedRuntime(model, config, RuntimeConfig(n_shards=2), POLICY)
+    QueryBridge(engine, runtime.bus, runtime=runtime)
+    for epoch in trace.epochs(start=runtime.epochs_processed)[:upto]:
+        runtime.step(epoch)
+    return runtime
+
+
+@pytest.mark.parametrize("engine_cls", [QueryEngine, MultiplexedQueryEngine])
+class TestQuerySection:
+    """Query-operator state rides in the header as a plain state tree."""
+
+    SPLIT = 40  # five of the scenario's eight events are out, a tick pending
+
+    def _checkpoint(self, scenario, engine_cls, path):
+        model, trace, config = scenario
+        engine = engine_cls()
+        runtime = serve_queries(model, trace, config, engine, tagged_queries(), self.SPLIT)
+        runtime.checkpoint(path)
+        prefix = emissions_of(engine)
+        runtime.abort()
+        return prefix
+
+    def _resume(self, scenario, engine_cls, path):
+        model, trace, config = scenario
+        runtime, manifest = restore_runtime(path, model)
+        engine = engine_cls()
+        serve_queries(model, trace, config, engine, tagged_queries(), 0, runtime)
+        apply_query_states(runtime, manifest)
+        runtime.run(trace.epochs(start=manifest.epochs_processed))
+        return engine
+
+    def test_resume_emits_what_the_uninterrupted_run_does(
+        self, scenario, tmp_path, engine_cls
+    ):
+        """Numpy scalars are saved as the Python scalars they equal (and
+        hash like), so differencing and emissions are unchanged."""
+        model, trace, config = scenario
+        reference = engine_cls()
+        serve_queries(model, trace, config, reference, tagged_queries()).finish()
+        full = emissions_of(reference)
+        assert all(full[name] for name in ("tagged", "left", "fire_code")), full.keys()
+
+        prefix = self._checkpoint(scenario, engine_cls, tmp_path / "ck")
+        header = read_checkpoint_header(tmp_path / "ck")
+        text = json.dumps(header["queries"], allow_nan=False)  # strict JSON
+        for tag in ('["tuple"', '["frozenset"', '["float","inf"]'):
+            assert tag in text.replace(" ", "")
+        resumed = self._resume(scenario, engine_cls, tmp_path / "ck")
+        tail = emissions_of(resumed)
+        assert any(prefix.values()) and any(tail.values())
+        assert {name: prefix[name] + tail[name] for name in full} == full
+        assert tree_equal(resumed.snapshot_state(), reference.snapshot_state()) is None
+
+    def test_unencodable_value_fails_the_save_by_name(
+        self, scenario, tmp_path, monkeypatch, engine_cls
+    ):
+        """The query runs; the checkpoint refuses, naming query and
+        attribute, before any shard is captured or anything is written —
+        and the runtime goes on."""
+        import repro.state.checkpoint as checkpoint_module
+
+        model, trace, config = scenario
+        monkeypatch.setattr(
+            checkpoint_module,
+            "_collect_shard_snapshots",
+            lambda *args, **kwargs: pytest.fail("captured shards for a refused save"),
+        )
+
+        class Opaque:
+            pass
+
+        opaque = Opaque()
+        for name, value in (("raw", b"bytes"), ("thing", opaque), ("deep", (1, frozenset({b"x"})))):
+            engine = engine_cls()
+            query = ContinuousQuery(
+                PartitionRowsWindow(("tag_id",), rows=1),
+                [Extend(**{name: lambda t, value=value: value}), Project("tag_id", name)],
+                Istream(),
+                name="narrow",
+            )
+            runtime = serve_queries(model, trace, config, engine, [query], self.SPLIT)
+            assert engine.outputs["narrow"]  # it runs fine
+            directory = tmp_path / name
+            directory.mkdir()
+            with pytest.raises(StateError, match=f"query 'narrow'.*attribute '{name}'"):
+                runtime.checkpoint(directory / "ck")
+            assert os.listdir(directory) == []  # no file, no .tmp
+            runtime.step(trace.epochs()[self.SPLIT])
+            runtime.abort()
+
+    @pytest.mark.parametrize("damage", [
+        lambda state: state.update(engine="other"),
+        lambda state: state.update(pending=7),
+        lambda state: state.update(pending=[[1.0]]),
+        lambda state: state.update(pending=[[1.0, {"x": ["set", [1]]}]]),
+        lambda state: state.update(pending=[[1.0, {"x": ["tuple", 3]}]]),
+        lambda state: state.update(pending=[[1.0, {"x": {"a": 1}}]]),
+        lambda state: state.update(pending=[["soon", {"x": 1}]]),
+        lambda state: state.pop("pending_time"),
+    ], ids=[
+        "wrong-engine-tag", "pending-not-a-list", "tuple-without-attributes",
+        "unknown-value-tag", "tuple-tag-without-list", "dict-value", "time-not-a-number",
+        "missing-key",
+    ])
+    def test_malformed_engine_state_is_state_error(
+        self, scenario, tmp_path, checkpoint_files, engine_cls, damage
+    ):
+        self._damaged_restore(scenario, tmp_path, checkpoint_files, engine_cls, damage)
+
+    @pytest.mark.parametrize("where,value", [
+        ("window", {"window": "bogus"}),
+        ("window", 5),
+        ("partitions", 5),
+        ("partitions", [[]]),
+        ("partitions", [[[0.0, {"no_key": 1}]]]),
+        ("previous", {"a": 1}),
+        ("previous", [[{"v": 1}, 1, 2]]),
+        ("previous", [[5, 1]]),
+        ("previous", [[{"v": ["frozenset", "ab"]}, 1]]),
+        ("streamer", {"streamer": "rstream"}),
+    ])
+    def test_malformed_operator_state_is_state_error(
+        self, scenario, tmp_path, checkpoint_files, engine_cls, where, value
+    ):
+        def damage(state):
+            # The location-update query's record and its window's.
+            if engine_cls is QueryEngine:
+                record = holder = state["queries"]["location_updates"]
+                key = "window"
+            else:
+                holder, key = state["windows"][0], "state"
+                record = holder["plans"][0]["state"]
+            if where == "window":
+                holder[key] = value
+            elif where == "partitions":
+                holder[key]["partitions"] = value
+            elif where == "previous":
+                record["streamer"]["previous"] = value
+            else:
+                record["streamer"] = value
+
+        self._damaged_restore(scenario, tmp_path, checkpoint_files, engine_cls, damage)
+
+    def _damaged_restore(self, scenario, tmp_path, checkpoint_files, engine_cls, damage):
+        model, trace, config = scenario
+        path = tmp_path / "ck"
+        self._checkpoint(scenario, engine_cls, path)
+        checkpoint_files.edit_header(
+            path, lambda header: damage(header["queries"]["state"]["query"])
+        )
+        runtime, manifest = restore_runtime(path, model)  # the file itself is sound
+        serve_queries(model, trace, config, engine_cls(), tagged_queries(), 0, runtime)
+        with pytest.raises(StateError):
+            apply_query_states(runtime, manifest)
+        runtime.abort()
 
 
 class TestResumeParity:
@@ -669,7 +957,7 @@ class TestPeriodicCheckpoints:
     def _fake_checkpoint(self, directory, n, kind, parent=None, base=None):
         """A well-formed, empty checkpoint file carrying only chain links."""
         name = f"epoch_{n:08d}"
-        header = {"kind": kind, "shards": [], "query_bytes": 0}
+        header = {"kind": kind, "shards": []}
         if parent is not None:
             header["parent"] = f"epoch_{parent:08d}"
         if base is not None:
@@ -767,6 +1055,35 @@ class TestPeriodicCheckpoints:
         rotate_checkpoints(tmp_path, keep=1)
         assert reads
         load_checkpoint(latest_checkpoint(tmp_path))
+
+    def test_chain_heads_hold_links_not_state(self, scenario, tmp_path):
+        """The rotation cache keeps ``checkpoint_keep`` heads alive: each
+        holds what chaining and rotation read, never the state skeletons —
+        a thousand-query server's query section is not pinned per head."""
+        from repro.state import ChainHead
+
+        model, trace, config = scenario
+        runtime_config = RuntimeConfig(
+            n_shards=2,
+            checkpoint_every_s=8.0,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_keep=3,
+            checkpoint_mode="delta",
+            checkpoint_full_every=4,
+        )
+        runtime = ShardedRuntime(model, config, runtime_config, POLICY)
+        engine = MultiplexedQueryEngine()
+        for query in standing_region_queries(50, ((1.0, -1.0), (3.0, 3.0))):
+            engine.register(query)
+        QueryBridge(engine, runtime.bus, runtime=runtime)
+        runtime.run(trace.epochs())
+        allowed = {"kind", "parent", "base", "chain_index", "config_hash", "capture_serials"}
+        assert len(runtime._chain_heads) >= 2
+        for name, head in runtime._chain_heads.items():
+            assert set(head.header) <= allowed, name
+            assert "region_0049" not in json.dumps(head.header)
+            assert head == ChainHead.read(tmp_path / name)  # same links from disk
+            assert "region_0049" in json.dumps(read_checkpoint_header(head.path)["queries"])
 
     def test_latest_checkpoint_survives_a_torn_pointer(self, tmp_path):
         """A kill -9 can leave LATEST empty (torn mid-write) or pointing at

@@ -1,4 +1,4 @@
-"""Unit tests for the durable-state primitives: the RNG codec, the state
+"""Unit tests for the durable-state primitives: RNG state through the state
 tree split/join, and the snapshot/restore hooks on the arena, region index,
 pipeline, and factored engine.
 
@@ -13,6 +13,7 @@ The load-bearing guarantees tested here:
   the slab compacted — continues bitwise-identically to one never stopped.
 """
 
+import io
 import json
 
 import numpy as np
@@ -30,22 +31,35 @@ from repro.spatial.region_index import SensingRegionIndex
 from repro.state import (
     generator_from_state,
     join_state_tree,
-    jsonable_to_rng_state,
-    rng_state_to_jsonable,
     split_state_tree,
 )
-from repro.state.snapshot import missing_array_keys
+from repro.state.snapshot import index_arrays, read_indexed_arrays
 from repro.streams.sinks import CollectingSink
 
 
+def through_the_format(tree):
+    """``tree`` as a checkpoint (or a CONTROL frame) carries it: skeleton as
+    JSON text, arrays as indexed raw bytes, and back."""
+    skeleton, arrays = split_state_tree(tree)
+    buffers = []
+    index, end = index_arrays(arrays, 0, buffers)
+    body = io.BytesIO(b"".join(bytes(b) for b in buffers))
+    wire = json.loads(json.dumps({"state": skeleton, "arrays": index}))
+    read, cursor = read_indexed_arrays(body, wire["arrays"], 0, end, lambda chunk: None)
+    assert cursor == end
+    return join_state_tree(wire["state"], read)
+
+
 class TestRngCodec:
+    """Bit-generator state needs no codec of its own: it is a state tree."""
+
     def test_pcg64_round_trip_next_1000_draws_match(self):
         rng = np.random.default_rng(1234)
         rng.normal(size=257)  # advance into a non-trivial state
         captured = rng.bit_generator.state
-        # Through the full snapshot format: JSON-able -> json text -> back.
-        wire = json.loads(json.dumps(rng_state_to_jsonable(captured)))
-        restored = generator_from_state(jsonable_to_rng_state(wire))
+        assert captured["state"]["state"] > 1 << 64  # 128-bit words, as ints
+        restored = generator_from_state(through_the_format(captured))
+        assert restored.bit_generator.state == captured
         np.testing.assert_array_equal(
             restored.normal(size=1000), rng.normal(size=1000)
         )
@@ -58,9 +72,24 @@ class TestRngCodec:
     def test_mt19937_state_with_array_leaf_round_trips(self):
         rng = np.random.Generator(np.random.MT19937(5))
         rng.random(size=3)
-        wire = json.loads(json.dumps(rng_state_to_jsonable(rng.bit_generator.state)))
-        restored = generator_from_state(jsonable_to_rng_state(wire))
+        wire = through_the_format(rng.bit_generator.state)
+        assert wire["state"]["key"].dtype == np.uint32
+        restored = generator_from_state(wire)
         np.testing.assert_array_equal(restored.random(size=64), rng.random(size=64))
+
+    @pytest.mark.parametrize("family", ["PCG64", "MT19937", "Philox", "SFC64"])
+    def test_every_bit_generator_family_rebuilds_an_identical_stream(self, family):
+        rng = np.random.Generator(getattr(np.random, family)(2 ** 100 + 17))
+        rng.normal(size=33)
+        rng.integers(0, 1 << 31, size=5)  # leaves a buffered 32-bit half
+        restored = generator_from_state(through_the_format(rng.bit_generator.state))
+        assert restored.bit_generator.state["bit_generator"] == family
+        np.testing.assert_array_equal(
+            restored.integers(0, 1 << 31, size=7), rng.integers(0, 1 << 31, size=7)
+        )
+        np.testing.assert_array_equal(
+            restored.normal(size=500), rng.normal(size=500)
+        )
 
     def test_unknown_bit_generator_rejected(self):
         with pytest.raises(StateError):
@@ -68,7 +97,7 @@ class TestRngCodec:
 
     def test_unserializable_leaf_rejected(self):
         with pytest.raises(StateError):
-            rng_state_to_jsonable({"bad": object()})
+            split_state_tree({"bit_generator": "PCG64", "state": {"bad": object()}})
 
 
 class TestStateTreeSplitJoin:
@@ -91,10 +120,9 @@ class TestStateTreeSplitJoin:
 
     def test_missing_array_detected(self):
         skeleton, arrays = split_state_tree({"x": np.ones(3)})
-        assert missing_array_keys(skeleton, arrays) == []
-        with pytest.raises(StateError):
+        assert list(arrays) == ["x"]
+        with pytest.raises(StateError, match="missing array 'x'"):
             join_state_tree(skeleton, {})
-        assert missing_array_keys(skeleton, {}) == ["x"]
 
     def test_reserved_key_rejected(self):
         with pytest.raises(StateError):
