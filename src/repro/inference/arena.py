@@ -557,20 +557,29 @@ class BeliefArena:
     # ------------------------------------------------------------------
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)
     # ------------------------------------------------------------------
-    def _ordered_slots(self) -> Tuple[list, np.ndarray, np.ndarray]:
-        """Slots in slot-start order plus their ids/counts arrays.
+    def _ordered_slots(self) -> list:
+        """``(id, (start, count))`` pairs in slot-start order.
 
         This ordering is the serialization contract shared by
         :meth:`snapshot` and :meth:`delta_snapshot` — a materialized
         base+delta state is only byte-identical to a full snapshot because
         both emit blocks in exactly this order.
         """
-        ordered = sorted(self._slots.items(), key=lambda item: item[1][0])
-        ids = np.fromiter((oid for oid, _ in ordered), dtype=np.int64, count=len(ordered))
-        counts = np.fromiter(
-            (slot[1] for _, slot in ordered), dtype=np.int64, count=len(ordered)
-        )
-        return ordered, ids, counts
+        return sorted(self._slots.items(), key=lambda item: item[1][0])
+
+    @staticmethod
+    def _block_rows(slots: list) -> Tuple[np.ndarray, np.ndarray]:
+        """``(counts, slab row indices)`` gathering the blocks of a subset of
+        :meth:`_ordered_slots` back to back — the one block gather every
+        capture (all blocks, dirty blocks, clean blocks' parents) goes through."""
+        n = len(slots)
+        starts = np.fromiter((slot[0] for _, slot in slots), dtype=np.int64, count=n)
+        counts = np.fromiter((slot[1] for _, slot in slots), dtype=np.int64, count=n)
+        return counts, segment_gather_indices(starts, counts)[0]
+
+    @staticmethod
+    def _slot_ids(slots: list) -> np.ndarray:
+        return np.fromiter((oid for oid, _ in slots), dtype=np.int64, count=len(slots))
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Copy the live slab content, compacted on write.
@@ -578,19 +587,16 @@ class BeliefArena:
         Blocks are emitted in slot-start order (the same order
         :meth:`compact` preserves), concatenated into contiguous arrays;
         holes and slack capacity are not serialized.  The arena itself is
-        not mutated.
+        not mutated.  The result is a block table (``repro.state.tables``).
         """
-        ordered, ids, counts = self._ordered_slots()
-        starts = np.fromiter(
-            (slot[0] for _, slot in ordered), dtype=np.int64, count=len(ordered)
-        )
-        idx, _ = segment_gather_indices(starts, counts)
+        ordered = self._ordered_slots()
+        counts, rows = self._block_rows(ordered)
         return {
-            "ids": ids,
+            "ids": self._slot_ids(ordered),
             "counts": counts,
-            "positions": self._positions[idx],
-            "parents": self._parents[idx],
-            "log_weights": self._log_weights[idx],
+            "positions": self._positions[rows],
+            "parents": self._parents[rows],
+            "log_weights": self._log_weights[rows],
         }
 
     def load_snapshot(self, state: Dict[str, np.ndarray]) -> None:
@@ -677,37 +683,24 @@ class BeliefArena:
         the smallest integer type that holds every pointer — one byte a row
         for up to 256 reader particles, instead of the full 36.
         """
-        ordered, ids, counts = self._ordered_slots()
-        dirty = [(oid, slot) for oid, slot in ordered if oid in self._dirty]
-        d_starts = np.fromiter(
-            (slot[0] for _, slot in dirty), dtype=np.int64, count=len(dirty)
-        )
-        d_counts = np.fromiter(
-            (slot[1] for _, slot in dirty), dtype=np.int64, count=len(dirty)
-        )
-        idx, _ = segment_gather_indices(d_starts, d_counts)
+        ordered = self._ordered_slots()
+        dirty = [item for item in ordered if item[0] in self._dirty]
+        _, rows = self._block_rows(dirty)
         state: Dict[str, object] = {
-            "ids": ids,
-            "counts": counts,
-            "dirty_ids": np.fromiter(
-                (oid for oid, _ in dirty), dtype=np.int64, count=len(dirty)
+            "ids": self._slot_ids(ordered),
+            "counts": np.fromiter(
+                (slot[1] for _, slot in ordered), dtype=np.int64, count=len(ordered)
             ),
-            "positions": self._positions[idx],
-            "parents": self._parents[idx],
-            "log_weights": self._log_weights[idx],
+            "dirty_ids": self._slot_ids(dirty),
+            "positions": self._positions[rows],
+            "parents": self._parents[rows],
+            "log_weights": self._log_weights[rows],
             "parents_dirty": bool(self._parents_dirty),
             "clean_parents": None,
         }
         if self._parents_dirty:
-            clean = [(oid, slot) for oid, slot in ordered if oid not in self._dirty]
-            c_starts = np.fromiter(
-                (slot[0] for _, slot in clean), dtype=np.int64, count=len(clean)
-            )
-            c_counts = np.fromiter(
-                (slot[1] for _, slot in clean), dtype=np.int64, count=len(clean)
-            )
-            c_idx, _ = segment_gather_indices(c_starts, c_counts)
-            parents = self._parents[c_idx]
+            clean = [item for item in ordered if item[0] not in self._dirty]
+            parents = self._parents[self._block_rows(clean)[1]]
             widest = int(parents.max()) if parents.size else 0
             state["clean_parents"] = parents.astype(np.min_scalar_type(widest))
         return state

@@ -26,8 +26,10 @@ write is ordered for power loss: payload ``fsync`` → ``rename`` → directory
   resume) at the recorded shard layout, or *elastically re-sharded* to a
   different shard count without replaying from epoch 0.
 
-See the module docstrings of :mod:`.checkpoint` (on-disk format) and
-:mod:`.restore` (resume/re-shard semantics and guarantees).
+See the module docstrings of :mod:`.checkpoint` (on-disk format),
+:mod:`.restore` (resume/re-shard semantics and guarantees) and
+:mod:`.tables` (the per-object table shape that delta overlay and re-shard
+both ``select`` + ``concat`` over, and its consistency check).
 """
 
 from .checkpoint import (

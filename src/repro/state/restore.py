@@ -11,11 +11,13 @@ every source of randomness and every piece of mutable state crosses the
 checkpoint boundary intact (the arena's parent remapping was made
 hole-layout-independent for exactly this reason).
 
-**Elastic re-shard** — different shard count (or partitioner).  Per-object
-state (particle blocks, belief metadata, visit bookkeeping) is repartitioned
-across the new shards with the new runtime's own partitioner, so a run can
-scale from N to M shards *without replaying from epoch 0*.  Three pieces of
-state cannot migrate exactly and are handled explicitly:
+**Elastic re-shard** — different shard count (or partitioner).  The
+per-object tables (:mod:`.tables` — particle blocks, belief metadata, visit
+bookkeeping) are repartitioned with the new layout's own partitioner: each
+new shard's table is what ``select`` picks for it out of the stack of every
+old shard's, so a run can scale from N to M shards *without replaying from
+epoch 0* — and a column added by a table's owner migrates unmentioned.
+Three pieces of state cannot migrate exactly and are handled explicitly:
 
 * **Reader beliefs** are duplicated per shard by design (each shard tracks
   the reader from the same broadcast evidence), so new shard ``m`` inherits
@@ -63,9 +65,10 @@ import numpy as np
 from ..config import RuntimeConfig
 from ..errors import StateError
 from ..models.joint import RFIDWorldModel
-from ..runtime import EventBus, ShardedRuntime
+from ..runtime import EpochRouter, EventBus, ShardedRuntime
 from ..streams.sinks import EventSink
 from .checkpoint import _MALFORMED, CheckpointManifest, config_hash, load_checkpoint
+from .tables import check, select
 
 #: Fallback selector snapshot for re-sharded engines whose source shard
 #: carries no selector state: structurally valid, semantically empty.
@@ -134,6 +137,24 @@ def restore_runtime(
             "engine_factory that builds NaiveParticleFilter shards"
         )
     target = runtime_config if runtime_config is not None else manifest.runtime
+    exact = (
+        target.n_shards == manifest.n_shards
+        and target.partitioner == manifest.runtime.partitioner
+    )
+    # Everything that can be refused is refused before a runtime (and, for
+    # the worker executors, its processes) exists.
+    if exact:
+        states = manifest.shard_states
+        _check_tables(states)
+    else:
+        states = reshard_states(
+            manifest.shard_states,
+            EpochRouter(target.n_shards, target.partitioner),
+            target.n_shards,
+            manifest.config.seed,
+            manifest.config.spatial_index.enabled,
+            manifest.epochs_processed,
+        )
     runtime = ShardedRuntime(
         model,
         manifest.config,
@@ -144,17 +165,16 @@ def restore_runtime(
         initial_heading=manifest.initial_heading,
         engine_factory=engine_factory,
     )
-    exact = (
-        target.n_shards == manifest.n_shards
-        and target.partitioner == manifest.runtime.partitioner
-    )
-    if exact:
-        for shard, state in zip(runtime.shards, manifest.shard_states):
+    try:
+        for shard, state in zip(runtime.shards, states):
             shard.restore(state)
-    else:
-        _reshard(runtime, manifest)
-    runtime.epochs_processed = manifest.epochs_processed
-    runtime.bus.resume_from(manifest.bus_last_time)
+        runtime.epochs_processed = manifest.epochs_processed
+        runtime.bus.resume_from(manifest.bus_last_time)
+    except BaseException as exc:
+        runtime.abort()  # a refused restore leaves no worker process behind
+        if isinstance(exc, StateError) or not isinstance(exc, Exception):
+            raise
+        raise StateError(f"{path}: shard state cannot be applied: {exc!r}") from exc
     if exact and runtime.supervisor is not None:
         # The restored-from checkpoint is the supervisor's recovery
         # baseline until the runtime writes its own (elastic restores
@@ -194,128 +214,28 @@ def apply_query_states(runtime: ShardedRuntime, manifest: CheckpointManifest) ->
 # ---------------------------------------------------------------------------
 # Elastic re-sharding
 # ---------------------------------------------------------------------------
-def _arena_blocks(
-    arena_state: dict,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-object ``(positions, parents, log_weights)`` views into a
-    snapshot's concatenated block arrays."""
-    counts = np.asarray(arena_state["counts"], dtype=np.int64)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    positions = np.asarray(arena_state["positions"])
-    parents = np.asarray(arena_state["parents"])
-    log_weights = np.asarray(arena_state["log_weights"])
-    blocks = {}
-    for i, oid in enumerate(np.asarray(arena_state["ids"], dtype=np.int64)):
-        block = slice(int(offsets[i]), int(offsets[i + 1]))
-        blocks[int(oid)] = (positions[block], parents[block], log_weights[block])
-    return blocks
-
-
-def _belief_entries(engine_state: dict) -> List[dict]:
-    """Flatten one engine snapshot into per-object records, preserving the
-    belief dict's insertion order (it is semantically load-bearing)."""
-    beliefs = engine_state["beliefs"]
-    blocks = _arena_blocks(engine_state["arena"])
-    ids = np.asarray(beliefs["ids"], dtype=np.int64)
-    compressed = np.asarray(beliefs["compressed"], dtype=bool)
-    settled = np.asarray(beliefs["settled"], dtype=bool)
-    budget_epoch = np.asarray(beliefs["budget_epoch"], dtype=np.int64)
-    entries = []
-    for i, number in enumerate(ids):
-        number = int(number)
-        entry = {
-            "number": number,
-            "created": int(beliefs["created"][i]),
-            "last_read": int(beliefs["last_read"][i]),
-            "last_split": int(beliefs["last_split"][i]),
-            "anchor": np.asarray(beliefs["anchors"][i], dtype=float),
-            "compressed": bool(compressed[i]),
-            "gauss_mean": np.asarray(beliefs["gauss_mean"][i], dtype=float),
-            "gauss_cov": np.asarray(beliefs["gauss_cov"][i], dtype=float),
-            "settled": bool(settled[i]),
-            "budget_epoch": int(budget_epoch[i]),
-            "block": None if compressed[i] else blocks.get(number),
-        }
-        if not entry["compressed"] and entry["block"] is None:
-            raise StateError(f"belief {number} has no arena block in checkpoint")
-        entries.append(entry)
-    return entries
-
-
-def _visit_entries(pipeline_state: dict) -> List[dict]:
-    visits = pipeline_state["visits"]
-    ids = np.asarray(visits["ids"], dtype=np.int64)
-    has_pos = np.asarray(visits["has_pos"], dtype=bool)
-    return [
-        {
-            "number": int(number),
-            "entered": float(visits["entered"][i]),
-            "last_read": float(visits["last_read"][i]),
-            "emitted": bool(visits["emitted"][i]),
-            "has_pos": bool(has_pos[i]),
-            "pos": np.asarray(visits["pos"][i], dtype=float),
-        }
-        for i, number in enumerate(ids)
-    ]
-
-
-def _pack_beliefs(entries: List[dict]) -> Tuple[dict, dict]:
-    """Reassemble per-object records into engine ``beliefs`` + ``arena``
-    snapshot trees (the inverse of :func:`_belief_entries`)."""
-    b = len(entries)
-    beliefs = {
-        "ids": np.asarray([e["number"] for e in entries], dtype=np.int64),
-        "created": np.asarray([e["created"] for e in entries], dtype=np.int64),
-        "last_read": np.asarray([e["last_read"] for e in entries], dtype=np.int64),
-        "last_split": np.asarray([e["last_split"] for e in entries], dtype=np.int64),
-        "anchors": (
-            np.stack([e["anchor"] for e in entries])
-            if entries
-            else np.zeros((0, 3))
-        ),
-        "compressed": np.asarray([e["compressed"] for e in entries], dtype=bool),
-        "gauss_mean": (
-            np.stack([e["gauss_mean"] for e in entries])
-            if entries
-            else np.zeros((0, 3))
-        ),
-        "gauss_cov": (
-            np.stack([e["gauss_cov"] for e in entries])
-            if entries
-            else np.zeros((0, 3, 3))
-        ),
-        "settled": np.asarray([e["settled"] for e in entries], dtype=bool),
-        "budget_epoch": np.asarray(
-            [e["budget_epoch"] for e in entries], dtype=np.int64
-        ),
+def _tables(state: dict) -> Dict[str, dict]:
+    """The per-object tables (:mod:`.tables`) of one factored shard tree."""
+    return {
+        "beliefs": state["engine"]["beliefs"],
+        "arena": state["engine"]["arena"],
+        "visits": state["pipeline"]["visits"],
     }
-    live = [e for e in entries if not e["compressed"]]
-    # Empty fallbacks take the source blocks' dtype so a float32-arena
-    # checkpoint re-shards without silently promoting to float64.
-    float_dtype = live[0]["block"][0].dtype if live else np.float64
-    arena = {
-        "ids": np.asarray([e["number"] for e in live], dtype=np.int64),
-        "counts": np.asarray(
-            [e["block"][0].shape[0] for e in live], dtype=np.int64
-        ),
-        "positions": (
-            np.concatenate([e["block"][0] for e in live])
-            if live
-            else np.zeros((0, 3), dtype=float_dtype)
-        ),
-        "parents": (
-            np.concatenate([e["block"][1] for e in live])
-            if live
-            else np.zeros(0, dtype=np.int32)
-        ),
-        "log_weights": (
-            np.concatenate([e["block"][2] for e in live])
-            if live
-            else np.zeros(0, dtype=float_dtype)
-        ),
-    }
-    return beliefs, arena
+
+
+def _check_tables(shard_states: List[dict]) -> None:
+    """Refuse inconsistent per-object tables before any shard sees them."""
+    for index, state in enumerate(shard_states):
+        if state["engine"].get("engine") == "factored":
+            for name, table in _tables(state).items():
+                check(table, f"shard {index} {name} table")
+
+
+def _owned_ids(table: dict, router, n_new: int) -> List[np.ndarray]:
+    """Per new shard, the ids of ``table`` it owns, in the table's order."""
+    ids = np.asarray(table["ids"])
+    owners = np.fromiter(map(router.shard_of, ids.tolist()), np.int64, ids.size)
+    return [ids[owners == m] for m in range(n_new)]
 
 
 def _reshard_rng_state(root_seed: int, shard_index: int, n_shards: int, offset: int) -> dict:
@@ -398,39 +318,46 @@ def reshard_states(
     for state in shard_states:
         if state["engine"].get("engine") != "factored":
             raise StateError("elastic re-shard supports the factored engine only")
+    _check_tables(shard_states)
 
-    # Per-object state from every old shard, tagged with its origin so the
-    # merged order is deterministic: old shard index, then original order.
-    beliefs_by_new: List[List[dict]] = [[] for _ in range(n_new)]
-    visits_by_new: List[List[dict]] = [[] for _ in range(n_new)]
-    emitted_by_new: List[set] = [set() for _ in range(n_new)]
-    for state in shard_states:
-        for entry in _belief_entries(state["engine"]):
-            beliefs_by_new[router.shard_of(entry["number"])].append(entry)
-        for visit in _visit_entries(state["pipeline"]):
-            visits_by_new[router.shard_of(visit["number"])].append(visit)
-        for number in np.asarray(state["pipeline"]["emitted_ever"]):
-            emitted_by_new[router.shard_of(int(number))].add(int(number))
+    # Every object's rows go to its new owner.  A new shard's tables hold
+    # its objects in a deterministic order: old shard index, then the old
+    # table's own order; arena blocks follow the belief order (a compressed
+    # belief has no block).
+    old = [_tables(state) for state in shard_states]
+    belief_ids = [_owned_ids(tables["beliefs"], router, n_new) for tables in old]
+    visit_ids = [_owned_ids(tables["visits"], router, n_new) for tables in old]
+    emitted_ids = [  # an id set: a table without columns
+        _owned_ids({"ids": state["pipeline"]["emitted_ever"]}, router, n_new)
+        for state in shard_states
+    ]
+
+    def gather(name: str, ids: List[np.ndarray]) -> dict:
+        return select([tables[name] for tables in old], np.concatenate(ids), name)
 
     out: List[dict] = []
     for m in range(n_new):
         source_index = (m * n_old) // n_new
         source = shard_states[source_index]
         engine_src = source["engine"]
-        beliefs, arena = _pack_beliefs(beliefs_by_new[m])
+        mine = [ids[m] for ids in belief_ids]
+        live = [
+            ids[np.isin(ids, tables["arena"]["ids"])] for ids, tables in zip(mine, old)
+        ]
+        beliefs = gather("beliefs", mine)
         engine_state = {
             "engine": "factored",
             "rng_state": _reshard_rng_state(
                 root_seed, m, n_new, epochs_processed
             ),
             "epoch_index": engine_src["epoch_index"],
-            "active_count": len(beliefs_by_new[m]),
+            "active_count": int(beliefs["ids"].size),
             "stats": dict(engine_src["stats"]),
             "arena_stats": {"grows": 0, "compactions": 0},
             "last_reported": engine_src["last_reported"],
             "last_reported_epoch": engine_src["last_reported_epoch"],
             "reader": engine_src["reader"],
-            "arena": arena,
+            "arena": gather("arena", live),
             "beliefs": beliefs,
             "selector": (
                 _migrate_selector(shard_states, source_index, router, m)
@@ -438,36 +365,10 @@ def reshard_states(
                 else None
             ),
         }
-        entries = visits_by_new[m]
         pipeline_state = {
-            "visits": {
-                "ids": np.asarray([v["number"] for v in entries], dtype=np.int64),
-                "entered": np.asarray([v["entered"] for v in entries]),
-                "last_read": np.asarray([v["last_read"] for v in entries]),
-                "emitted": np.asarray([v["emitted"] for v in entries], dtype=bool),
-                "has_pos": np.asarray([v["has_pos"] for v in entries], dtype=bool),
-                "pos": (
-                    np.stack([v["pos"] for v in entries])
-                    if entries
-                    else np.zeros((0, 3))
-                ),
-            },
-            "emitted_ever": np.asarray(sorted(emitted_by_new[m]), dtype=np.int64),
+            "visits": gather("visits", [ids[m] for ids in visit_ids]),
+            "emitted_ever": np.unique(np.concatenate([ids[m] for ids in emitted_ids])),
             "last_epoch_time": source["pipeline"]["last_epoch_time"],
         }
         out.append({"engine": engine_state, "pipeline": pipeline_state})
     return out
-
-
-def _reshard(runtime: ShardedRuntime, manifest: CheckpointManifest) -> None:
-    """Repartition N-shard checkpoint state onto the runtime's M shards."""
-    states = reshard_states(
-        manifest.shard_states,
-        runtime.router,
-        runtime.n_shards,
-        manifest.config.seed,
-        manifest.config.spatial_index.enabled,
-        manifest.epochs_processed,
-    )
-    for shard, state in zip(runtime.shards, states):
-        shard.restore(state)
