@@ -22,7 +22,12 @@ Standalone (no pytest-benchmark dependency) so CI can smoke-run it::
 
 Results are written to ``BENCH_hot_loop.json`` at the repo root alongside
 the recorded seed baseline, so the performance trajectory is tracked in
-version control.
+version control; every document is stamped with host class, ``cpu_count``,
+git sha and library versions.  ``--before OLD.json`` embeds the rows of a
+document an earlier commit's copy of this script wrote on the same host, so
+the recorded file carries a before/after pair taken on one machine::
+
+    PYTHONPATH=src python benchmarks/bench_hot_loop.py --before OLD.json
 
 ``--check BENCH_hot_loop.json`` turns the run into a regression guard: the
 measured epochs/sec at every tag count must stay within ``--check-tolerance``
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -51,6 +55,8 @@ from repro.models.motion import MotionParams
 from repro.models.sensing import SensingNoiseParams
 from repro.models.sensor import SensorParams
 from repro.streams.records import make_epoch
+
+from bench_query_serving import provenance
 
 #: Seed (pre-arena, per-object-loop) engine measured on the same scenario,
 #: same machine class, at commit 3957a76 — the baseline the acceptance
@@ -229,6 +235,14 @@ def main() -> None:
         "--no-write", action="store_true", help="print only, skip BENCH_hot_loop.json"
     )
     parser.add_argument(
+        "--before",
+        type=str,
+        default=None,
+        metavar="OLD_JSON",
+        help="embed an earlier commit's results document (same host) as the "
+        "'before' side of the recorded file",
+    )
+    parser.add_argument(
         "--check",
         type=str,
         default=None,
@@ -297,10 +311,17 @@ def main() -> None:
             "+ sliding-mover-window workload (<= 2% movers/epoch)."
         ),
         "quick": bool(args.quick),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "provenance": provenance(),
         "results": results,
     }
+    if args.before is not None:
+        with open(args.before) as fp:
+            before = json.load(fp)
+        payload["before"] = {
+            key: before[key]
+            for key in ("provenance", "python", "numpy", "quick", "results")
+            if key in before
+        }
     if not args.no_write:
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {RESULT_PATH}")

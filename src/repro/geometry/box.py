@@ -101,7 +101,7 @@ class Box:
         pts = as_points(points)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return np.logical_and.reduce((pts >= lo) & (pts <= hi), axis=1)
 
     def contains_box(self, other: "Box") -> bool:
         return bool(

@@ -97,16 +97,29 @@ def bearing(origin: ArrayLike, phi: float, target: ArrayLike) -> float:
     return math.acos(cos_theta)
 
 
+def _bearing(x: np.ndarray, y: np.ndarray, cos_phi, sin_phi) -> np.ndarray:
+    """The bearing tail of every batch kernel here, from planar offsets
+    ``x, y``: ``arccos`` of the boresight projection over the planar distance
+    clipped to ``[-1, 1]``; 0.0 within ``_EPS`` of straight above the reader."""
+    planar = np.hypot(x, y)
+    flat = planar < _EPS
+    degenerate = np.logical_or.reduce(flat, axis=None)
+    if degenerate:
+        planar[flat] = 1.0
+    cos_theta = x * cos_phi
+    cos_theta += y * sin_phi
+    cos_theta /= planar
+    np.minimum(np.maximum(cos_theta, -1.0, out=cos_theta), 1.0, out=cos_theta)
+    theta = np.arccos(cos_theta, out=cos_theta)
+    if degenerate:
+        theta[flat] = 0.0
+    return theta
+
+
 def bearings(origin: ArrayLike, phi: float, targets: np.ndarray) -> np.ndarray:
     """Vectorized :func:`bearing` for an ``(n, 3)`` batch of targets."""
-    pts = as_points(targets)
-    delta = pts - as_point(origin)[None, :]
-    d = np.hypot(delta[:, 0], delta[:, 1])
-    safe_d = np.where(d < _EPS, 1.0, d)
-    cos_theta = (delta[:, 0] * math.cos(phi) + delta[:, 1] * math.sin(phi)) / safe_d
-    cos_theta = np.clip(cos_theta, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    return np.where(d < _EPS, 0.0, theta)
+    delta = as_points(targets) - as_point(origin)
+    return _bearing(delta[:, 0], delta[:, 1], math.cos(phi), math.sin(phi))
 
 
 def delta_range_bearing(
@@ -116,7 +129,7 @@ def delta_range_bearing(
 
     The broadcast-friendly core shared by every likelihood kernel that
     scores tag positions against *per-hypothesis* reader poses: ``delta``
-    is ``(..., 3)`` (target minus reader) and ``cos_phi``/``sin_phi``
+    is a ``(..., 3)`` batch (target minus reader) and ``cos_phi``/``sin_phi``
     broadcast against its leading shape — per-row gathered trig for the
     factored filter's cross-object batches, a ``(J, 1)`` column for the
     naive filter's particle-by-object grid and for the particle-by-tag
@@ -124,13 +137,8 @@ def delta_range_bearing(
     cosine clip, and the bearing convention in one place is what lets those
     three callers stay in exact agreement.
     """
-    planar = np.hypot(delta[..., 0], delta[..., 1])
     d = np.sqrt(np.einsum("...i,...i->...", delta, delta))
-    safe = np.where(planar < _EPS, 1.0, planar)
-    cos_theta = (delta[..., 0] * cos_phi + delta[..., 1] * sin_phi) / safe
-    cos_theta = np.clip(cos_theta, -1.0, 1.0)
-    theta = np.where(planar < _EPS, 0.0, np.arccos(cos_theta))
-    return d, theta
+    return d, _bearing(delta[..., 0], delta[..., 1], cos_phi, sin_phi)
 
 
 def distances_and_bearings(
@@ -142,16 +150,10 @@ def distances_and_bearings(
     the read probability of every active particle, and both features derive
     from the same ``delta`` array.
     """
-    pts = as_points(targets)
-    origin3 = as_point(origin)
-    delta = pts - origin3[None, :]
-    planar = np.hypot(delta[:, 0], delta[:, 1])
-    d = np.linalg.norm(delta, axis=1)
-    safe = np.where(planar < _EPS, 1.0, planar)
-    cos_theta = (delta[:, 0] * math.cos(phi) + delta[:, 1] * math.sin(phi)) / safe
-    cos_theta = np.clip(cos_theta, -1.0, 1.0)
-    theta = np.where(planar < _EPS, 0.0, np.arccos(cos_theta))
-    return d, theta
+    delta = as_points(targets) - as_point(origin)
+    theta = _bearing(delta[:, 0], delta[:, 1], math.cos(phi), math.sin(phi))
+    # np.linalg.norm(delta, axis=1) without its dispatch.
+    return np.sqrt(np.add.reduce(np.square(delta, out=delta), axis=1)), theta
 
 
 def pairwise_distances_and_bearings(
@@ -170,15 +172,8 @@ def pairwise_distances_and_bearings(
             f"phis shape {phis.shape} does not match origins {orgs.shape[0]}"
         )
     delta = tgts[None, :, :] - orgs[:, None, :]
-    planar = np.hypot(delta[:, :, 0], delta[:, :, 1])
-    d = np.linalg.norm(delta, axis=2)
-    safe = np.where(planar < _EPS, 1.0, planar)
-    cos_theta = (
-        delta[:, :, 0] * np.cos(phis)[:, None] + delta[:, :, 1] * np.sin(phis)[:, None]
-    ) / safe
-    cos_theta = np.clip(cos_theta, -1.0, 1.0)
-    theta = np.where(planar < _EPS, 0.0, np.arccos(cos_theta))
-    return d, theta
+    theta = _bearing(delta[..., 0], delta[..., 1], np.cos(phis)[:, None], np.sin(phis)[:, None])
+    return np.linalg.norm(delta, axis=2), theta
 
 
 def wrap_angle(phi: float) -> float:

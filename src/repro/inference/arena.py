@@ -90,13 +90,9 @@ def segment_gather_indices(
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
-    total = int(lengths.sum())
-    batch_starts = np.zeros(lengths.size, dtype=np.int64)
-    if lengths.size:
-        np.cumsum(lengths[:-1], out=batch_starts[1:])
-    if total == 0:
-        return np.empty(0, dtype=np.int64), batch_starts
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - batch_starts, lengths)
+    batch_starts = np.add.accumulate(lengths) - lengths
+    idx = (starts - batch_starts).repeat(lengths)
+    idx += np.arange(idx.size, dtype=np.int64)
     return idx, batch_starts
 
 
@@ -430,13 +426,9 @@ class BeliefArena:
     # ------------------------------------------------------------------
     def segments(self, object_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Arena ``(starts, lengths)`` for an ordered list of objects."""
-        n = len(object_ids)
-        starts = np.empty(n, dtype=np.int64)
-        lengths = np.empty(n, dtype=np.int64)
         slots = self._slots
-        for i, object_id in enumerate(object_ids):
-            starts[i], lengths[i] = slots[object_id]
-        return starts, lengths
+        table = np.array([slots[oid] for oid in object_ids], dtype=np.int64)
+        return tuple(table.reshape(-1, 2).T.copy())
 
     def plan(
         self, object_ids: Sequence[int]
@@ -474,9 +466,9 @@ class BeliefArena:
         """
         idx, batch_starts, lengths = self.plan(object_ids)
         return (
-            self._positions[idx],
-            self._parents[idx],
-            self._log_weights[idx],
+            self._positions.take(idx, axis=0),
+            self._parents.take(idx),
+            self._log_weights.take(idx),
             idx,
             batch_starts,
             lengths,
@@ -494,7 +486,7 @@ class BeliefArena:
         """
         starts, lengths = self.segments(object_ids)
         idx, batch_starts = segment_gather_indices(starts, lengths)
-        return self._positions[idx], self._log_weights[idx], batch_starts, lengths
+        return self._positions.take(idx, axis=0), self._log_weights.take(idx), batch_starts, lengths
 
     def scatter(
         self,
@@ -539,12 +531,13 @@ class BeliefArena:
         """
         j = old_to_new.shape[0]
         rows = self._parents[: self._end]
-        remapped = old_to_new[rows]
+        remapped = old_to_new.take(rows)
         dropped = remapped < 0
         if self._free_rows:
             dropped &= self.live_row_mask()
-        if dropped.any():
-            remapped[dropped] = rng.integers(0, j, size=int(dropped.sum()))
+        n_dropped = int(np.add.reduce(dropped))
+        if n_dropped:
+            remapped[dropped] = rng.integers(0, j, size=n_dropped)
         # Holes may still hold a negative placeholder; clamp so the column
         # stays a valid index array (the values are dead either way).
         np.maximum(remapped, 0, out=remapped)

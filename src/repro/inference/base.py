@@ -16,6 +16,7 @@ segment's result matches calling the scalar helper on that segment alone
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -34,12 +35,12 @@ def normalize_log_weights(log_weights: np.ndarray) -> Tuple[np.ndarray, float]:
     lw = np.asarray(log_weights, dtype=float)
     if lw.size == 0:
         raise InferenceError("cannot normalize zero log-weights")
-    m = lw.max()
-    if not np.isfinite(m):
+    m = np.maximum.reduce(lw, axis=None)
+    if not math.isfinite(m):
         n = lw.size
         return np.full(n, 1.0 / n), -np.inf
     shifted = np.exp(lw - m)
-    total = shifted.sum()
+    total = np.add.reduce(shifted, axis=None)
     return shifted / total, float(m + np.log(total))
 
 
@@ -50,7 +51,7 @@ def effective_sample_size(log_weights: np.ndarray) -> float:
     resample when ESS falls below a configured fraction of n.
     """
     p, _ = normalize_log_weights(log_weights)
-    return float(1.0 / np.square(p).sum())
+    return float(1.0 / np.add.reduce(np.square(p)))
 
 
 def systematic_resample(
@@ -66,14 +67,14 @@ def systematic_resample(
         raise InferenceError(f"bad probability vector shape {p.shape}")
     if n < 1:
         raise InferenceError("n must be >= 1")
-    total = p.sum()
-    if not np.isfinite(total) or total <= 0:
+    total = np.add.reduce(p)
+    if not math.isfinite(total) or total <= 0:
         raise InferenceError("probabilities must sum to a positive finite value")
-    cdf = np.cumsum(p / total)
+    cdf = (p / total).cumsum()
     cdf[-1] = 1.0  # guard against floating-point shortfall
     u0 = rng.uniform(0.0, 1.0 / n)
     pointers = u0 + np.arange(n) / n
-    return np.searchsorted(cdf, pointers, side="left")
+    return cdf.searchsorted(pointers)
 
 
 def resample_log_weights(
@@ -106,15 +107,15 @@ def segmented_normalize(
         lw = lw.astype(float)
     m = np.maximum.reduceat(lw, starts)
     bad = ~np.isfinite(m)
-    if bad.any():
+    any_bad = np.logical_or.reduce(bad)
+    if any_bad:
         m = np.where(bad, 0.0, m)
-    shifted = np.exp(lw - np.repeat(m, lengths))
-    if bad.any():
-        shifted[np.repeat(bad, lengths)] = 1.0
-    totals = np.add.reduceat(shifted, starts)
-    p = shifted / np.repeat(totals, lengths)
-    log_norm = np.where(bad, -np.inf, m + np.log(totals))
-    return p, log_norm
+    p = np.exp(lw - m.repeat(lengths))
+    if any_bad:
+        p[bad.repeat(lengths)] = 1.0
+    totals = np.add.reduceat(p, starts)
+    p /= totals.repeat(lengths)
+    return p, np.where(bad, -np.inf, m + np.log(totals))
 
 
 def segmented_ess(

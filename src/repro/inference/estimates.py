@@ -21,20 +21,20 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..streams.records import LocationEvent, LocationStatistics, TagId
-from .base import weighted_mean_cov
+from .base import normalize_log_weights, weighted_mean_cov
 
 #: sqrt of the chi-square 95% quantile with 2 dof — scales the planar
 #: covariance's dominant std-dev into a ~95% confidence radius.
 _CHI2_95_2DOF_SQRT = math.sqrt(5.991)
 
 
-def _weighted_median(values: np.ndarray, probabilities: np.ndarray) -> float:
-    """Weighted median: smallest v with cumulative probability >= 0.5."""
-    order = np.argsort(values)
-    cumulative = np.cumsum(probabilities[order])
-    index = int(np.searchsorted(cumulative, 0.5))
-    index = min(index, len(values) - 1)
-    return float(values[order][index])
+def _weighted_medians(values: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """Per column of ``(n, k)`` values, the smallest v with cumulative
+    probability >= 0.5 (cumsums never decrease: a count is a searchsorted)."""
+    order = values.argsort(axis=0)
+    index = np.add.reduce(probabilities[order].cumsum(axis=0) < 0.5, axis=0)
+    columns = np.arange(values.shape[1])
+    return values[order[np.minimum(index, len(values) - 1), columns], columns]
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,23 @@ class LocationEstimate:
         moment-matching, which recovers the dominant mode while leaving
         genuinely unimodal clouds (median = mean, everything kept) intact.
         """
-        from .base import normalize_log_weights
-
         pts = np.asarray(points, dtype=float)
         p, _ = normalize_log_weights(log_weights)
-        center = np.array(
-            [_weighted_median(pts[:, axis], p) for axis in range(3)]
-        )
-        deviation = np.linalg.norm(pts[:, :2] - center[None, :2], axis=1)
-        mad = _weighted_median(deviation, p)
+        center = _weighted_medians(pts, p)
+        # np.linalg.norm(pts[:, :2] - center[:2], axis=1) without its dispatch.
+        deviation = np.sqrt(np.add.reduce(np.square(pts[:, :2] - center[:2]), axis=1))
+        mad = _weighted_medians(deviation[:, None], p)[0]
         if mad <= 1e-9:
             radius = np.inf  # degenerate cloud: keep everything
         else:
             radius = trim_mads * mad
         keep = deviation <= radius
-        if keep.sum() < max(4, 0.2 * pts.shape[0]) or keep.all():
+        kept = int(np.add.reduce(keep))
+        if kept < max(4, 0.2 * pts.shape[0]) or kept == keep.size:
             return LocationEstimate.from_particles(pts, log_weights)
         kept_lw = np.asarray(log_weights, dtype=float)[keep]
         mean, cov = weighted_mean_cov(pts[keep], kept_lw)
-        return LocationEstimate(mean=mean, covariance=cov, sample_size=int(keep.sum()))
+        return LocationEstimate(mean=mean, covariance=cov, sample_size=kept)
 
     @staticmethod
     def from_gaussian(mean: np.ndarray, covariance: np.ndarray) -> "LocationEstimate":

@@ -29,14 +29,15 @@ sensor-model call per tag.  What is batched:
   with per-column read flags;
 * the *re-detection decisions* of every read object — one segmented
   weighted mean over their arena blocks and one
-  :meth:`~repro.models.sensor.SensorModel.read_probability_at` call, with
-  only the thresholds applied per id.
+  :meth:`~repro.models.sensor.SensorModel.read_probability_at` call; only
+  ids read far from their belief, or as a surprise, are classified per id.
 
 The reader's heading trig and normalized weights are computed once per
 epoch and shared by both evidence kernels, the pose estimate and the
 reader-ESS test.  What remains per object: re-initialization (create /
-SPLIT / RESET / decompress / revive each draw that object's particles) and
-the resampling of segments whose ESS actually collapsed.  Read objects are
+SPLIT / RESET / decompress / revive each draw that object's particles),
+the resampling of segments whose ESS collapsed, and a compression-pass
+scan on the epochs some object can have come due.  Read objects are
 visited in tag-number order, so neither the RNG stream nor the output
 depends on the iteration order of the epoch's tag set (``PYTHONHASHSEED``).
 Semantics match the seed's per-object loops up to floating-point summation
@@ -185,7 +186,7 @@ def _segmented_reader_feedback(
     inc: np.ndarray,
     seg_starts: np.ndarray,
     lengths: np.ndarray,
-    seg_weighted: np.ndarray,
+    seg_weighted: np.ndarray | slice,
     n_readers: int,
 ) -> np.ndarray:
     """Sum over objects of the log mean-likelihood per reader.
@@ -194,20 +195,21 @@ def _segmented_reader_feedback(
     likelihood of those particles; readers with none get the object's
     overall mean (neutral — absence of pointers neither punishes nor
     rewards).  Segments with ``seg_weighted`` False (freshly created or
-    reinitialized this epoch) contribute nothing.  One pass of ``bincount``
-    over (segment, reader) keys replaces the seed's per-object loop.
+    reinitialized this epoch) contribute nothing; ``slice(None)`` keeps all.
+    One ``bincount`` pass over (segment, reader) keys replaces the seed's loop.
     """
-    lik = np.exp(np.clip(inc, -60.0, 0.0))
+    lik = np.maximum(inc, -60.0)
+    np.exp(np.minimum(lik, 0.0, out=lik), out=lik)
     n_seg = lengths.size
-    seg_ids = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
-    keys = seg_ids * n_readers + parents
     bins = n_seg * n_readers
+    keys = np.arange(0, bins, n_readers, dtype=np.int64).repeat(lengths)
+    keys += parents
     sums = np.bincount(keys, weights=lik, minlength=bins).reshape(n_seg, n_readers)
     counts = np.bincount(keys, minlength=bins).reshape(n_seg, n_readers)
     overall = np.add.reduceat(lik, seg_starts) / lengths
     means = np.where(counts > 0, sums / np.maximum(counts, 1), overall[:, None])
-    log_means = np.log(np.maximum(means, 1e-300))
-    return log_means[seg_weighted].sum(axis=0)
+    log_means = np.log(np.maximum(means, 1e-300, out=means), out=means)
+    return np.add.reduce(log_means[seg_weighted], axis=0)
 
 
 class FactoredParticleFilter:
@@ -288,6 +290,8 @@ class FactoredParticleFilter:
             ),
         )
         self._epoch_index = -1
+        #: First epoch at which a compression-pass scan can find a candidate.
+        self._compression_due = 0
         #: Adaptive-budget bookkeeping (inert unless ``config.budget.enabled``):
         #: ``_engaged`` are uncompressed, un-parked objects — the set the
         #: per-epoch kernels run over; ``_parked`` are settled objects whose
@@ -407,14 +411,15 @@ class FactoredParticleFilter:
                 negative_evidence_range=self.config.negative_evidence_range_ft,
             )
         )
-        self._reader_log_w -= self._reader_log_w.max()
+        self._reader_log_w -= np.maximum.reduce(self._reader_log_w)
         reader_p, _ = normalize_log_weights(self._reader_log_w)
 
         anchor, heading = self._reader_pose(reader_p, cos_headings, sin_headings)
-        sensing_cone = Cone.from_pose(
-            anchor, heading, self.config.init_cone_half_angle_rad, self._sensing_range
-        )
-        current_box = self._selector.sensing_box(sensing_cone) if self._selector.enabled else None
+        current_box = None  # the sensing region only feeds the spatial index
+        if self._selector.enabled:
+            current_box = self._selector.sensing_box(Cone.from_pose(
+                anchor, heading, self.config.init_cone_half_angle_rad, self._sensing_range
+            ))
 
         # --- active set (Cases 1 and 2) ----------------------------------
         # With adaptive budgets on, skip-propagation replaces the full-scan
@@ -486,22 +491,11 @@ class FactoredParticleFilter:
             self.stats["objects_skipped"] += skipped
             self.stats["objects_skipped_settled"] += len(self._parked)
         else:
-            batch_ids = [
-                n
-                for n in sorted(active)
-                if n in self._beliefs and not self._beliefs[n].compressed
-            ]
+            # Every read object has a belief by now, so ``active`` is known.
+            batch_ids = [n for n in sorted(active) if self._beliefs[n].gaussian is None]
         if batch_ids:
             pos, par, lw, rows, seg_starts, lengths = self.arena.gather(batch_ids)
             self.model.objects.propagate_many(pos, self._rng, in_place=True)
-
-            n_seg = len(batch_ids)
-            seg_read = np.fromiter(
-                (n in read_now for n in batch_ids), dtype=bool, count=n_seg
-            )
-            seg_weighted = np.fromiter(
-                (n not in skip_weighting for n in batch_ids), dtype=bool, count=n_seg
-            )
 
             # Fused likelihood: every particle against its own reader
             # hypothesis, per-row read flags expanded from per-segment ones.
@@ -511,14 +505,16 @@ class FactoredParticleFilter:
                 sin_headings,
                 pos,
                 par,
-                np.repeat(seg_read, lengths),
+                np.array([n in read_now for n in batch_ids]).repeat(lengths),
             )
-            if not seg_weighted.all():
+            seg_weighted = slice(None)
+            if skip_weighting:
                 # Freshly created / reinitialized objects keep their uniform
                 # weights this epoch (the seed's skip_weighting semantics).
-                inc[np.repeat(~seg_weighted, lengths)] = 0.0
+                seg_weighted = np.array([n not in skip_weighting for n in batch_ids])
+                inc[(~seg_weighted).repeat(lengths)] = 0.0
             lw += inc
-            lw -= np.repeat(np.maximum.reduceat(lw, seg_starts), lengths)
+            lw -= np.maximum.reduceat(lw, seg_starts).repeat(lengths)
 
             if self.config.reader_feedback:
                 feedback = _segmented_reader_feedback(
@@ -529,28 +525,28 @@ class FactoredParticleFilter:
             # Vectorized per-segment ESS; only collapsed segments resample.
             p, _ = segmented_normalize(lw, seg_starts, lengths)
             ess = 1.0 / np.add.reduceat(np.square(p), seg_starts)
-            need = np.flatnonzero(ess < self.config.ess_threshold * lengths)
-            for s in need:
-                seg = slice(int(seg_starts[s]), int(seg_starts[s] + lengths[s]))
-                chosen = systematic_resample(p[seg], int(lengths[s]), self._rng)
-                pos[seg] = pos[seg][chosen]
-                par[seg] = par[seg][chosen]
+            need = (ess < self.config.ess_threshold * lengths).nonzero()[0]
+            for start, k in zip(seg_starts[need].tolist(), lengths[need].tolist()):
+                seg = slice(start, start + k)
+                chosen = systematic_resample(p[seg], k, self._rng)
+                pos[seg] = pos[seg].take(chosen, axis=0)
+                par[seg] = par[seg].take(chosen)
                 lw[seg] = 0.0
-                p[seg] = 1.0 / lengths[s]
-            self.stats["object_resamples"] += int(need.size)
+                p[seg] = 1.0 / k
+            self.stats["object_resamples"] += need.size
 
             # --- record the sensing region (Fig 4b) -----------------------
-            if self._selector.enabled and current_box is not None:
+            if current_box is not None:
                 inside = current_box.contains_points(pos)
                 # Attach by weight mass: stray teleported particles must not
                 # pin an object to every region (see ActiveSetSelector).
                 mass = np.add.reduceat(p * inside, seg_starts)
-                attached = [batch_ids[s] for s in np.flatnonzero(mass >= 0.005)]
+                attached = [batch_ids[s] for s in (mass >= 0.005).nonzero()[0].tolist()]
                 self._selector.record_region(current_box, attached)
 
             self.arena.scatter(rows, pos, par, lw)
             self.arena.mark_dirty(batch_ids)
-        elif self._selector.enabled and current_box is not None:
+        elif current_box is not None:
             self._selector.record_region(current_box, [])
 
         # --- reader resampling --------------------------------------------
@@ -631,7 +627,7 @@ class FactoredParticleFilter:
         epoch's normalized reader weights) collapsed."""
         assert self._reader_log_w is not None
         j = self._reader_log_w.size
-        if 1.0 / np.square(reader_p).sum() >= self.config.ess_threshold * j:
+        if 1.0 / np.add.reduce(np.square(reader_p)) >= self.config.ess_threshold * j:
             return
         self.stats["reader_resamples"] += 1
         self._reader_dirty = True
@@ -640,13 +636,13 @@ class FactoredParticleFilter:
             selection_log_w = selection_log_w + feedback
         chosen = resample_log_weights(selection_log_w, j, self._rng)
         assert self._reader_positions is not None and self._reader_headings is not None
-        self._reader_positions = self._reader_positions[chosen]
-        self._reader_headings = self._reader_headings[chosen]
+        self._reader_positions = self._reader_positions.take(chosen, axis=0)
+        self._reader_headings = self._reader_headings.take(chosen)
         self._reader_log_w = np.zeros(j)
         # Remap parent pointers through the ancestor map.  All copies of a
         # surviving old reader are identical, so pointing at the last copy is
         # exact; dropped parents re-point to a random survivor.
-        old_to_new = np.full(j, -1, dtype=np.int64)
+        old_to_new = np.zeros(j, dtype=np.int64) - 1
         old_to_new[chosen] = np.arange(j)
         self.arena.remap_parents(old_to_new, self._rng)
 
@@ -688,21 +684,22 @@ class FactoredParticleFilter:
         means = np.add.reduceat(pos * p[:, None], seg_starts, axis=0)
         moved = np.hypot(anchor[0] - means[:, 0], anchor[1] - means[:, 1])
         p_read = self.model.sensor.read_probability_at(anchor, heading, means)
-        decisions = []
-        for number, distance, read_probability in zip(
-            numbers, moved.tolist(), p_read.tolist()
-        ):
-            decision = classify_redetection(distance, config)
+        # A read within the KEEP distance that is no surprise is a KEEP; only
+        # the others go through the per-id thresholds and the cool-down.
+        flagged = ~(moved <= config.reinit_near_ft) | (p_read < config.surprise_read_threshold)
+        decisions = [ReinitDecision.KEEP] * len(numbers)
+        for i in flagged.nonzero()[0].tolist():
+            decision = classify_redetection(float(moved[i]), config)
             if (
                 decision is ReinitDecision.KEEP
-                and read_probability < config.surprise_read_threshold
+                and p_read[i] < config.surprise_read_threshold
             ):
                 decision = ReinitDecision.SPLIT
             if decision is ReinitDecision.SPLIT:
-                since_split = self._epoch_index - self._beliefs[number].last_split_epoch
+                since_split = self._epoch_index - self._beliefs[numbers[i]].last_split_epoch
                 if since_split < config.split_cooldown_epochs:
                     decision = ReinitDecision.KEEP
-            decisions.append(decision)
+            decisions[i] = decision
         return decisions
 
     def _create_belief(self, number: int, anchor: np.ndarray, heading: float) -> None:
@@ -845,7 +842,8 @@ class FactoredParticleFilter:
                 forced.append(is_forced)
         if not candidates:
             return
-        pos, _, lw, _, seg_starts, lengths = self.arena.gather(candidates)
+        # A side read: it must not evict the main batch's cached gather plan.
+        pos, lw, seg_starts, lengths = self.arena.read_blocks(candidates)
         errors = segmented_compression_errors(pos, lw, seg_starts, lengths)
         ess = segmented_ess(lw, seg_starts, lengths)
         for i, number in enumerate(candidates):
@@ -918,23 +916,28 @@ class FactoredParticleFilter:
         self.stats["compressions"] += 1
 
     def _compression_pass(self) -> None:
+        """Compress what :func:`select_for_compression` picks.  Reads only move
+        ``last_read_epoch`` forward: nothing is due before ``_compression_due``."""
         config = self.config.compression
+        epoch = self._epoch_index
+        if epoch < self._compression_due:
+            return
+        self._compression_due = epoch + 1 + config.unread_epochs
         eligible: List[Tuple[int, int, int]] = []  # (number, unread, count)
         for number, belief in self._beliefs.items():
-            if belief.compressed:
+            if belief.gaussian is not None:
                 continue
-            unread = self._epoch_index - belief.last_read_epoch
-            if unread < config.unread_epochs:
+            ready = belief.last_read_epoch + config.unread_epochs
+            if ready > epoch:
+                self._compression_due = min(self._compression_due, ready)
                 continue
-            eligible.append((number, unread, belief.particle_count))
+            eligible.append((number, epoch - belief.last_read_epoch, belief.particle_count))
         if not eligible:
             return
         if config.kl_threshold is not None:
             # One segmented pass computes every candidate's compression
-            # error straight off the arena batch.
-            pos, _, lw, _, seg_starts, lengths = self.arena.gather(
-                [e[0] for e in eligible]
-            )
+            # error straight off the arena blocks.
+            pos, lw, seg_starts, lengths = self.arena.read_blocks([e[0] for e in eligible])
             errors = segmented_compression_errors(pos, lw, seg_starts, lengths)
         else:
             errors = np.zeros(len(eligible))
@@ -947,7 +950,10 @@ class FactoredParticleFilter:
             )
             for (number, unread, count), error in zip(eligible, errors)
         ]
-        for number in select_for_compression(candidates, config):
+        chosen = select_for_compression(candidates, config)
+        if len(chosen) < len(eligible):
+            self._compression_due = epoch + 1  # the rest stay eligible
+        for number in chosen:
             self._compress_belief(number)
 
     # ------------------------------------------------------------------
@@ -1167,6 +1173,7 @@ class FactoredParticleFilter:
                 self._engaged.add(number)
             self._beliefs[number] = belief
         self._known_cache = None
+        self._compression_due = 0
         self._selector = ActiveSetSelector(self.config.spatial_index)
         self._selector.load_snapshot(state["selector"])
         # Fresh delta baseline: the restored engine continues the capture

@@ -87,7 +87,7 @@ class ActiveSetSelector:
         # near the reader, never the known population.
         active = set(read_now)
         active.update(
-            n for n in self._index.case2_candidates(current_box) if n in known_objects
+            {n for n in self._index.case2_candidates(current_box) if n in known_objects}
         )
         return active
 

@@ -291,15 +291,15 @@ class RFIDWorldModel:
         offset = tags - anchor
         in_range = np.sqrt(np.einsum("ij,ij->i", offset, offset)) <= negative_evidence_range
         scored = read | in_range
-        if not scored.any():  # also a model without shelf tags
+        if not np.logical_or.reduce(scored):  # also a model without shelf tags
             return out
-        if not scored.all():
+        if not np.logical_and.reduce(scored):
             tags, read = tags[scored], read[scored]
         delta = tags[None, :, :] - reader_positions[:, None, :]  # (J, S, 3)
         d, theta = delta_range_bearing(
             delta, cos_headings[:, None], sin_headings[:, None]
         )
-        out += self.sensor.log_likelihood_rows(d, theta, read[None, :]).sum(axis=1)
+        out += np.add.reduce(self.sensor.log_likelihood_rows(d, theta, read[None, :]), axis=1)
         return out
 
     def object_evidence_log_likelihood(
@@ -323,8 +323,8 @@ class RFIDWorldModel:
         epoch (expand per-segment flags with ``np.repeat`` over the segment
         lengths).  Heading trig is precomputed once per epoch by the caller.
         """
-        delta = particles - reader_positions[parents]
+        delta = particles - reader_positions.take(parents, axis=0)
         d, theta = delta_range_bearing(
-            delta, cos_headings[parents], sin_headings[parents]
+            delta, cos_headings.take(parents), sin_headings.take(parents)
         )
         return self.sensor.log_likelihood_rows(d, theta, read_rows)

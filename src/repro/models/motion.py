@@ -55,6 +55,8 @@ class ReaderMotionModel:
 
     def __init__(self, params: MotionParams = MotionParams()):
         self.params = params
+        self._velocity = params.velocity_array
+        self._sigma = params.sigma_array
 
     def propagate(
         self,
@@ -71,12 +73,12 @@ class ReaderMotionModel:
         """
         n = positions.shape[0]
         velocity = (
-            self.params.velocity_array
+            self._velocity
             if velocity_override is None
             else np.asarray(velocity_override, dtype=float)
         )
-        noise = rng.normal(0.0, 1.0, size=(n, 3)) * self.params.sigma_array[None, :]
-        new_positions = positions + velocity[None, :] + noise
+        noise = rng.normal(0.0, 1.0, size=(n, 3)) * self._sigma
+        new_positions = positions + velocity + noise
         if self.params.heading_sigma > 0:
             new_headings = headings + rng.normal(0.0, self.params.heading_sigma, size=n)
         else:

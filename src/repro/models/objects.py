@@ -86,7 +86,7 @@ class ObjectLocationModel:
         alpha = self.params.move_probability
         if alpha > 0.0:
             moves = rng.uniform(size=n) < alpha
-            count = int(moves.sum())
+            count = int(np.add.reduce(moves))
             if count:
                 out[moves] = self.shelves.sample_uniform(rng, count)
         jitter = self.params.stationary_jitter

@@ -54,6 +54,10 @@ class LocationSensingModel:
 
     def __init__(self, params: SensingNoiseParams = SensingNoiseParams()):
         self.params = params
+        self._mean = params.mean_array
+        self._sigma = np.maximum(params.sigma_array, self._MIN_SIGMA)
+        self._log_norm = -np.log(self._sigma * math.sqrt(2.0 * math.pi))
+        self._zero_axes = [i for i, s in enumerate(params.sigma) if s < self._MIN_SIGMA]
 
     def observe(self, true_position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample a reported location for a true position (generative use)."""
@@ -68,19 +72,15 @@ class LocationSensingModel:
         ``reported`` is the single reported location for the epoch;
         ``true_positions`` an ``(n, 3)`` batch of reader-particle positions.
         """
-        reported = np.asarray(reported, dtype=float)
-        residual = reported[None, :] - true_positions - self.params.mean_array[None, :]
-        sigma = np.maximum(self.params.sigma_array, self._MIN_SIGMA)
-        z = residual / sigma[None, :]
+        residual = np.asarray(reported, dtype=float) - true_positions - self._mean
+        z = residual / self._sigma
+        per_axis = -0.5 * z * z + self._log_norm
         # Degenerate-z scenes: ignore axes where both sigma is ~0 and the
         # residual is ~0, otherwise they dominate with huge z-scores.
-        log_norm = -np.log(sigma * math.sqrt(2.0 * math.pi))
-        per_axis = -0.5 * z * z + log_norm[None, :]
-        degenerate = (self.params.sigma_array < self._MIN_SIGMA) & (
-            np.abs(residual).max(axis=0) < 1e-9
-        )
-        per_axis[:, degenerate] = 0.0
-        return per_axis.sum(axis=1)
+        for axis in self._zero_axes:
+            if np.maximum.reduce(np.abs(residual[:, axis])) < 1e-9:
+                per_axis[:, axis] = 0.0
+        return np.add.reduce(per_axis, axis=1)
 
     def corrected(self, reported: np.ndarray) -> np.ndarray:
         """Best single-point guess of the true location from a report alone:

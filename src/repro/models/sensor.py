@@ -35,21 +35,23 @@ _LOGIT_CLIP = 35.0
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically-stable logistic function."""
-    x = np.clip(x, -_LOGIT_CLIP, _LOGIT_CLIP)
-    return 1.0 / (1.0 + np.exp(-x))
+    # Clipped with the two ufuncs ``np.clip`` ends in.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -_LOGIT_CLIP), _LOGIT_CLIP)))
 
 
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """log(sigmoid(x)) computed without overflow."""
-    x = np.clip(x, -_LOGIT_CLIP, _LOGIT_CLIP)
-    return -np.logaddexp(0.0, -x)
+    return -np.logaddexp(0.0, -np.minimum(np.maximum(x, -_LOGIT_CLIP), _LOGIT_CLIP))
 
 
 def features(d: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Design matrix ``[1, d, d^2, theta, theta^2]`` (shape ``(n, 5)``)."""
     d = np.asarray(d, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return np.stack([np.ones_like(d), d, d * d, theta, theta * theta], axis=-1)
+    out = np.empty(d.shape + (5,))
+    out[..., 0], out[..., 1], out[..., 3] = 1.0, d, theta
+    np.multiply(out[..., 1::2], out[..., 1::2], out=out[..., 2::2])  # d^2, theta^2
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,7 @@ class SensorModel:
     def __init__(self, params: SensorParams = DEFAULT_SENSOR_PARAMS):
         self.params = params
         self._w = params.weights
+        self._coefficients = (*params.a, *params.b)
 
     # ------------------------------------------------------------------
     # Feature-space interface
@@ -134,14 +137,13 @@ class SensorModel:
         flags for a cross-object batch, per-column for a joint filter's
         particle-by-object grid or the shelf evidence's particle-by-tag one.
         """
-        a0, a1, a2 = self.params.a
-        b1, b2 = self.params.b
+        a0, a1, a2, b1, b2 = self._coefficients
         d = np.asarray(d, dtype=float)
         theta = np.asarray(theta, dtype=float)
         z = a0 + d * (a1 + a2 * d) + theta * (b1 + b2 * theta)
-        np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP, out=z)
-        sign = np.where(read, 1.0, -1.0)
-        return -np.logaddexp(0.0, -sign * z)
+        np.minimum(np.maximum(z, -_LOGIT_CLIP, out=z), _LOGIT_CLIP, out=z)
+        z *= np.where(read, -1.0, 1.0)
+        return np.negative(np.logaddexp(0.0, z, out=z), out=z)
 
     # ------------------------------------------------------------------
     # Pose-space interface

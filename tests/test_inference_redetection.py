@@ -168,6 +168,39 @@ class TestDecisionsMatchScalarOracle:
         assert engine.arena.plan([0, 1, 2, 3]) is plan
 
 
+class TestSideReadsKeepTheMainPlan:
+    """The adaptive budget's parking scan and the KL-threshold compression
+    pass also read candidate blocks beside the main batch; like the
+    re-detection pass they read through ``read_blocks``, so an epoch with
+    candidates leaves the main batch's cached gather plan untouched."""
+
+    @staticmethod
+    def _assert_plan_survives_scans(engine):
+        for t in range(3):
+            engine.step(make_epoch(float(t), (0.0, 3.0), object_tags=[0, 1, 2], reported_heading=0.0))
+        side_reads = []
+        read_blocks = engine.arena.read_blocks
+        engine.arena.read_blocks = lambda ids: side_reads.append(list(ids)) or read_blocks(ids)
+        batch = (0, 1, 2)
+        for t in range(3, 10):  # 0 stays read: the scans' candidates are 1 and 2
+            cached = engine.arena._plan_cache
+            engine.step(make_epoch(float(t), (0.0, 3.0), object_tags=[0], reported_heading=0.0))
+            assert engine.active_count == len(batch)  # nothing parked or compressed
+            assert engine.arena._plan_cache is cached  # no rebuild this epoch
+            assert cached[0] == engine.arena._layout_serial and cached[1] == batch
+        assert [1, 2] in side_reads  # the scans had candidates
+
+    def test_budget_parking_scan(self, small_model, fast_config):
+        config = fast_config.with_budget(
+            tiers=(10, 30), decay_after_epochs=2, decay_every_epochs=1, settle_error_sq_ft=1e-300
+        )
+        self._assert_plan_survives_scans(FactoredParticleFilter(small_model, config))
+
+    def test_kl_threshold_compression_scan(self, small_model, fast_config):
+        config = fast_config.with_compression(unread_epochs=2, kl_threshold=1e-300)
+        self._assert_plan_survives_scans(FactoredParticleFilter(small_model, config))
+
+
 class TestSameEpochReviveAndDecompress:
     """A read object that pass (A) decompressed gets no decision that
     epoch; one it revived gets its decision on the revived block."""
