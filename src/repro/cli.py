@@ -642,8 +642,11 @@ def _default_model(trace: Trace):
     lo = pts.min(axis=0) - 0.25
     hi = pts.max(axis=0) + np.array([1.0, 0.25, 0.0])
     shelves = ShelfSet([ShelfRegion(0, Box(tuple(lo), tuple(hi)))])
+    # Each epoch is fit against where the tags are then.  Shelf tags reuse
+    # object numbers 0..K-1 and win that clash, so their columns never move.
+    moves = [m for m in truth.moves if m.number not in truth.shelf_tag_positions]
     fit = fit_sensor_supervised(
-        trace, positions, truth.reader_path, truth.reader_headings
+        trace, positions, truth.reader_path, truth.reader_headings, moves=moves
     )
     motion = initial_motion_guess(trace)
     return (

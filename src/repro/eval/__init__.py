@@ -1,5 +1,5 @@
 """Evaluation: the paper's metrics, the experiment harness, and report
-formatting for the benchmark suite."""
+tables."""
 
 from .harness import (
     SystemResult,
@@ -17,18 +17,16 @@ from .metrics import (
     mean_error_reduction,
     within_accuracy,
 )
-from .report import format_series, format_table, paper_vs_measured
+from .report import format_table
 
 __all__ = [
     "ErrorSummary",
     "SystemResult",
     "error_reduction",
     "final_estimates_from_sink",
-    "format_series",
     "format_table",
     "inference_error",
     "mean_error_reduction",
-    "paper_vs_measured",
     "run_factored",
     "run_naive",
     "run_sharded",

@@ -1,9 +1,5 @@
-"""ASCII report tables for the benchmark harness.
-
-Every benchmark prints the same rows/series the corresponding paper table or
-figure reports, via these helpers, so ``pytest benchmarks/ --benchmark-only``
-output can be read side-by-side with the paper.
-"""
+"""ASCII report tables for the CLI's ``evaluate`` / ``lab`` verbs and the
+examples."""
 
 from __future__ import annotations
 
@@ -41,36 +37,3 @@ def format_table(
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_series(
-    x_label: str,
-    xs: Sequence[Any],
-    series: Sequence[tuple],
-    title: Optional[str] = None,
-) -> str:
-    """Render figure-style data: one x column plus one column per curve.
-
-    ``series`` is a sequence of ``(name, values)`` pairs, each ``values``
-    parallel to ``xs`` (``None`` marks a point that was not run, rendered
-    as ``-``).
-    """
-    headers = [x_label] + [name for name, _ in series]
-    rows = []
-    for i, x in enumerate(xs):
-        row: List[Any] = [x]
-        for _, values in series:
-            value = values[i]
-            row.append("-" if value is None else value)
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def paper_vs_measured(
-    title: str,
-    rows: Iterable[Sequence[Any]],
-) -> str:
-    """Table with (configuration, paper value, measured value) rows, used by
-    EXPERIMENTS.md generation and the benchmark output."""
-    return format_table(
-        ["configuration", "paper", "measured"], rows, title=title
-    )

@@ -42,7 +42,7 @@ from ..models.motion import MotionParams, ReaderMotionModel
 from ..models.sensing import SensingNoiseParams
 from ..models.sensor import SensorParams, DEFAULT_SENSOR_PARAMS
 from ..streams.records import Epoch, TagId, TagReading
-from ..streams.sources import Trace
+from ..streams.sources import ObjectMove, Trace
 from .examples import sensor_examples
 from .logistic import fit_sensor_model
 from .motion_fit import fit_motion_params, fit_sensing_params
@@ -150,10 +150,12 @@ def fit_sensor_supervised(
     negative_cutoff_ft: float = 12.0,
     ridge: float = 1e-3,
     initial: Optional[SensorParams] = None,
+    moves: Sequence[ObjectMove] = (),
 ):
     """Fit the sensor model with fully-known geometry.
 
-    ``tag_positions`` maps tag number to true location; ``reader_path`` /
+    ``tag_positions`` maps tag number to true location at the first epoch,
+    and ``moves`` (in epoch order) relocate tags later on; ``reader_path`` /
     ``reader_headings`` give the true reader pose per epoch.  Builds one
     (d, theta, read?) example per (epoch, tag) pair — negatives only within
     the cutoff — and runs IRLS.
@@ -161,7 +163,7 @@ def fit_sensor_supervised(
     epochs = trace.epochs()[: reader_path.shape[0]]
     n = len(epochs)
     poses = np.column_stack([reader_path[:n], reader_headings[:n]])[:, None]
-    examples = sensor_examples(epochs, poses, tag_positions, negative_cutoff_ft)
+    examples = sensor_examples(epochs, poses, tag_positions, negative_cutoff_ft, moves)
     return fit_sensor_model(*examples, ridge=ridge, initial=initial)
 
 

@@ -1,0 +1,24 @@
+"""The CI workflow parses, and every step does something."""
+
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+
+
+def test_every_step_has_run_or_uses():
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    assert doc["jobs"]
+    for job, spec in doc["jobs"].items():
+        assert spec["steps"], job
+        for step in spec["steps"]:
+            assert isinstance(step, dict) and ("run" in step or "uses" in step), (job, step)
+
+
+def test_the_fidelity_ledger_is_checked():
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "") for spec in doc["jobs"].values() for step in spec["steps"]]
+    assert any("benchmarks/fidelity.py --check BENCH_fidelity.json" in run for run in runs)

@@ -1,6 +1,6 @@
 """Tests for report-table formatting."""
 
-from repro.eval.report import format_series, format_table, paper_vs_measured
+from repro.eval.report import format_table
 
 
 class TestFormatTable:
@@ -26,23 +26,3 @@ class TestFormatTable:
         assert "1.2" in out
         assert "1.23" not in out
 
-
-class TestFormatSeries:
-    def test_curves_with_missing_points(self):
-        out = format_series(
-            "n", [10, 100], [("fast", [1.0, 2.0]), ("slow", [5.0, None])]
-        )
-        assert "fast" in out and "slow" in out
-        assert "-" in out.splitlines()[-1]
-
-    def test_row_count(self):
-        out = format_series("x", [1, 2, 3], [("y", [1, 2, 3])])
-        assert len(out.splitlines()) == 5  # header + sep + 3 rows
-
-
-class TestPaperVsMeasured:
-    def test_columns(self):
-        out = paper_vs_measured("T", [["cfg", 0.39, 0.43]])
-        assert "configuration" in out
-        assert "paper" in out
-        assert "measured" in out

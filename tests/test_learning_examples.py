@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import cli
 from repro.errors import LearningError
 from repro.geometry.vec import as_point
 from repro.learning import em, examples
@@ -29,8 +30,10 @@ from repro.streams.records import make_epoch
 # Oracles: the deleted loops
 # ---------------------------------------------------------------------------
 def scalar_supervised_examples(
-    trace, tag_positions, reader_path, reader_headings, negative_cutoff_ft=12.0
+    trace, tag_positions, reader_path, reader_headings, negative_cutoff_ft=12.0,
+    positions_at=None,
 ):
+    """``positions_at(t)``, when given, replaces ``tag_positions`` at epoch ``t``."""
     epochs = trace.epochs()
     if len(epochs) > reader_path.shape[0]:
         epochs = epochs[: reader_path.shape[0]]
@@ -41,6 +44,8 @@ def scalar_supervised_examples(
         read_numbers = {tag.number for tag in epoch.object_tags} | {
             tag.number for tag in epoch.shelf_tags
         }
+        if positions_at is not None:
+            tag_positions = positions_at(t)
         for number, position in tag_positions.items():
             position = as_point(position)
             is_read = number in read_numbers
@@ -108,10 +113,8 @@ def assert_same_examples(got, want):
         np.testing.assert_array_equal(got_column, want_column)
 
 
-def batched_supervised_examples(
-    trace, tag_positions, reader_path, reader_headings, negative_cutoff_ft=12.0
-):
-    """The ``(d, theta, label)`` that ``fit_sensor_supervised`` hands to IRLS."""
+def irls_examples(fit_call):
+    """The ``(d, theta, label)`` that ``fit_call()`` hands to IRLS, and its result."""
     captured = {}
 
     def capture(d, theta, label, **kwargs):
@@ -120,10 +123,19 @@ def batched_supervised_examples(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(em, "fit_sensor_model", capture)
-        fit = fit_sensor_supervised(
+        result = fit_call()
+    return captured["examples"], result
+
+
+def batched_supervised_examples(
+    trace, tag_positions, reader_path, reader_headings, negative_cutoff_ft=12.0
+):
+    """The ``(d, theta, label)`` that ``fit_sensor_supervised`` hands to IRLS."""
+    return irls_examples(
+        lambda: fit_sensor_supervised(
             trace, tag_positions, reader_path, reader_headings, negative_cutoff_ft
         )
-    return captured["examples"], fit
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +228,31 @@ class TestSupervisedAgainstScalarLoop:
         far = {9001: np.array([500.0, 500.0, 0.0])}
         with pytest.raises(LearningError):
             fit_sensor_supervised(trace, far, path, headings)
+
+
+class TestDefaultModelFollowsMoves:
+    """``cli._default_model`` fits each epoch against the tag locations true
+    at that epoch, not the trace's initial ones."""
+
+    # (5, 9): two plain objects.  (2, 9): object 2 shares its number with
+    # shelf tag 2, and the shelf tag keeps the column.
+    @pytest.mark.parametrize("pair", [(5, 9), (2, 9)])
+    def test_post_move_examples_use_the_moved_location(self, pair):
+        trace = _warehouse(12, 0.15, 3, moves=(_swap(*pair, 0.15, 40),))
+        truth = trace.truth
+
+        def known_at(t):
+            positions = truth.locations_at(t)
+            positions.update(truth.shelf_tag_positions)
+            return positions
+
+        path, headings = truth.reader_path, truth.reader_headings
+        got, _ = irls_examples(lambda: cli._default_model(trace))
+        assert_same_examples(
+            got, scalar_supervised_examples(trace, None, path, headings, positions_at=known_at)
+        )
+        stale = scalar_supervised_examples(trace, known_at(0), path, headings)
+        assert got[0].shape == stale[0].shape and not np.array_equal(got[0], stale[0])
 
 
 # ---------------------------------------------------------------------------
