@@ -459,9 +459,9 @@ class RuntimeConfig:
     executor: str = field(default="serial", metadata={"choices": EXECUTOR_NAMES})
     #: Take a coordinated checkpoint of every shard (``repro.state``) once
     #: at least this much *stream time* has elapsed since the previous one,
-    #: measured on epoch timestamps at epoch boundaries.  ``None`` disables
-    #: periodic checkpointing; :meth:`ShardedRuntime.checkpoint` can still
-    #: be called explicitly.
+    #: measured on epoch timestamps; ``ShardedRuntime.checkpoint_if_due()``
+    #: writes it after that epoch's ``step()`` (``repro serve``: after its
+    #: lines are flushed and delivered).  ``None`` disables periodic ones.
     checkpoint_every_s: Optional[float] = None
     #: Directory that periodic checkpoints are written into (one file per
     #: checkpoint, ``epoch_<n>``, plus a ``LATEST`` pointer file).

@@ -31,16 +31,17 @@ Actions:
 
 Fault-point catalogue (kept in sync with README):
 
-=================== =========================================================
-``worker.step``     inside the worker process, before executing a step op
-``worker.recv``     in the parent proxy, before receiving a reply
-``worker.send``     in the parent proxy, before sending a request
-``checkpoint.write`` once per checkpoint: payload written to its ``.tmp``
-                    (= path), before fsync/rename
-``serve.frame``     in the service, before dispatching a decoded frame
-``sink.append``     in the delivery sink, before appending a log line
-``client.connect``  in serve clients, before each connect attempt
-=================== =========================================================
+====================== ======================================================
+``worker.step``        inside the worker process, before executing a step op
+``worker.recv``        in the parent proxy, before receiving a reply
+``worker.send``        in the parent proxy, before sending a request
+``checkpoint.write``   once per checkpoint: payload written to its ``.tmp``
+                       (= path), before fsync/rename
+``checkpoint.durable`` once per periodic checkpoint, after ``LATEST`` moves
+``serve.frame``        in the service, before dispatching a decoded frame
+``sink.append``        in the delivery sink, before appending a log line
+``client.connect``     in serve clients, before each connect attempt
+====================== ======================================================
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ FAULT_POINTS = (
     "worker.recv",
     "worker.send",
     "checkpoint.write",
+    "checkpoint.durable",
     "serve.frame",
     "sink.append",
     "client.connect",

@@ -37,6 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from ..config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from ..errors import InferenceError, StateError, WorkerError
+from ..faults import fault_point
 from ..inference.estimates import LocationEstimate
 from ..inference.factored import FactoredParticleFilter
 from ..inference.pipeline import InferenceEngine
@@ -169,9 +170,10 @@ class ShardedRuntime:
         #: Epochs processed — also the stream offset recorded in checkpoints
         #: (resume seeks the epoch source to this index).
         self.epochs_processed = 0
-        #: Stream timestamp of the last periodic checkpoint (armed at the
-        #: first epoch so a checkpoint is not taken immediately at start).
+        #: Stream timestamps of the last periodic checkpoint (armed at the
+        #: first epoch) and of the epoch whose one is due but not yet written.
         self._last_checkpoint_time: Optional[float] = None
+        self._checkpoint_due: Optional[float] = None
         #: Delta-chain bookkeeping for periodic checkpoints: the in-memory
         #: :class:`~repro.state.ChainHead` of every periodic checkpoint this
         #: runtime wrote and rotation has not deleted, by file name — what
@@ -317,9 +319,14 @@ class ShardedRuntime:
 
     # ------------------------------------------------------------------
     def step(self, epoch: Epoch) -> None:
-        """Route one epoch to every shard, then merge onto the bus."""
+        """Route one epoch to every shard, then merge onto the bus.
+
+        Writes no checkpoint; stepping past a periodic one this made due
+        without :meth:`checkpoint_if_due` raises :class:`StateError`."""
         if self._finished:
             raise InferenceError("runtime already finished")
+        if self._checkpoint_due is not None:
+            raise StateError("call checkpoint_if_due() after every step()")
         if self._process:
             # Routed reads + broadcast pose out, events back: all workers
             # receive their sub-epoch before any reply is awaited, so the
@@ -347,8 +354,11 @@ class ShardedRuntime:
             per_shard = [shard.drain() for shard in self.shards]
         self.epochs_processed += 1
         self._merge(per_shard)
-        if self.runtime_config.checkpoint_every_s is not None:
-            self._maybe_checkpoint(epoch.time)
+        every = self.runtime_config.checkpoint_every_s
+        if every is not None and self._last_checkpoint_time is None:
+            self._last_checkpoint_time = epoch.time
+        elif every is not None and epoch.time - self._last_checkpoint_time >= every:
+            self._checkpoint_due = epoch.time
 
     # ------------------------------------------------------------------
     # Durability (``repro.state``)
@@ -375,14 +385,13 @@ class ShardedRuntime:
         if self._supervisor is not None:
             self._supervisor.note_checkpoint(path)
 
-    def _maybe_checkpoint(self, stream_time: float) -> None:
-        every = self.runtime_config.checkpoint_every_s
-        if self._last_checkpoint_time is None:
-            self._last_checkpoint_time = stream_time
-            return
-        if stream_time - self._last_checkpoint_time < every:
-            return
-        self.write_periodic_checkpoint(stream_time)
+    def checkpoint_if_due(self) -> Optional[str]:
+        """The one periodic trigger: write the checkpoint the last ``step()``
+        made due, returning its path (else ``None``).  Whoever owns the
+        epoch's output calls it after every ``step()`` — ``run()`` at once,
+        the ingest service once the emission log is flushed and delivered."""
+        due = self._checkpoint_due
+        return None if due is None else self.write_periodic_checkpoint(due)
 
     def write_periodic_checkpoint(self, stream_time: Optional[float] = None) -> str:
         """Write the next ``epoch_<n>`` checkpoint into ``checkpoint_dir`` now.
@@ -453,9 +462,11 @@ class ShardedRuntime:
         # The checkpoint is durable (file fsync, rename, directory fsync);
         # only now move the pointer.
         write_latest_pointer(directory, name)
+        fault_point("checkpoint.durable")
         rotate_checkpoints(directory, config.checkpoint_keep, self._chain_heads)
         if stream_time is not None:
             self._last_checkpoint_time = stream_time
+            self._checkpoint_due = None
         self.last_checkpoint_epoch = self.epochs_processed
         self.last_checkpoint_walltime = time.monotonic()
         if self._supervisor is not None:
@@ -633,13 +644,15 @@ class ShardedRuntime:
     def run(self, epochs: Iterable[Epoch]) -> EventSink:
         """Convenience: process every epoch then finish; returns the sink.
 
-        On error the runtime is aborted (workers released, bus closed)
-        before the exception propagates, so a failed run does not leak
-        worker processes or leave subscribers waiting for a close.
+        Each ``step()`` is followed by :meth:`checkpoint_if_due`.  On error
+        the runtime is aborted (workers released, bus closed) before the
+        exception propagates, so a failed run does not leak worker processes
+        or leave subscribers waiting for a close.
         """
         try:
             for epoch in epochs:
                 self.step(epoch)
+                self.checkpoint_if_due()
             self.finish()
         except BaseException:
             self.abort()

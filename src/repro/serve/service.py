@@ -11,11 +11,14 @@ process around the synchronous inference stack::
 
 Everything runs on the event loop thread.  Socket readers buffer frames into
 the :class:`~repro.serve.watermark.WatermarkAligner` and wake the *pump*
-task; the pump pulls watermark-complete epochs and drives the runtime
-synchronously — an epoch step never interleaves with another, so the
-periodic checkpoints taken inside ``step()`` are coordinated cuts of the
-entire pipeline: shard state, query-operator state, consumed source
-sequence numbers, and delivery-sink offsets all describe the same epoch.
+task; the pump pulls watermark-complete epochs and drives each one
+through **step → flush the log (fsync under ``fsync``) → deliver →
+periodic checkpoint** (``runtime.checkpoint_if_due()``).  An epoch never
+interleaves with another, so each checkpoint is a coordinated cut of the
+entire pipeline — shard state, query-operator state, consumed source
+sequence numbers, and delivery-sink offsets all describe the same epoch —
+and it is written only after the epoch's lines are on disk and delivered:
+durability work stays off the emission path.
 
 Crash contract (``kill -9`` at any point):
 
@@ -249,10 +252,11 @@ class ReproService:
             )
 
     def _manifest_extras(self) -> dict:
-        """Captured by ``save_checkpoint`` inside the step being persisted —
-        the pump refreshed the snapshot for exactly this epoch, and the sink
-        offsets already include the epoch's emissions (merge precedes the
-        periodic checkpoint in ``step()``)."""
+        """Captured by ``save_checkpoint`` right after the epoch being
+        persisted — the pump refreshed the snapshot for exactly this epoch,
+        and the sink offsets include the epoch's emissions, already flushed
+        and delivered (``acked_offset`` may include acks that arrived during
+        delivery; ``prime`` takes the max)."""
         return {
             "serve": {
                 **self._extras_snapshot,
@@ -293,50 +297,41 @@ class ReproService:
             try:
                 start = sub.sent + 1
                 if self._tail and self._tail[0][0] <= start:
-                    for offset, line in list(self._tail):
-                        if offset < start:
-                            continue
-                        sub.writer.write(
-                            protocol.encode_emit(
-                                offset, line, degraded=offset in self._degraded_offsets
-                            )
-                        )
-                        sub.sent = offset
+                    lines = [(o, line) for o, line in self._tail if o >= start]
                 else:  # subscriber is behind the in-memory tail
-                    for offset, line in self.sink.replay(sub.sent):
-                        sub.writer.write(
-                            protocol.encode_emit(
-                                offset, line, degraded=offset in self._degraded_offsets
-                            )
+                    lines = self.sink.replay(sub.sent)
+                for offset, line in lines:
+                    sub.writer.write(
+                        protocol.encode_emit(
+                            offset, line, degraded=offset in self._degraded_offsets
                         )
-                        sub.sent = offset
+                    )
+                    sub.sent = offset
                 await sub.writer.drain()
             except (ConnectionError, RuntimeError):
                 self._subscribers.discard(sub)
 
-    async def _step(self, epoch) -> None:
-        """Drive one runtime step; under supervision, off the loop thread.
+    async def _call(self, fn, *args, off_loop: bool = False):
+        """Run one runtime call; supervised (or ``off_loop``), in a thread.
 
-        A supervised step can stall for whole seconds while a dead shard is
-        respawned, restored, and replayed — and the service must keep
-        accepting frames and answering STATS meanwhile.  Only the step
-        itself moves off-loop: the pump still awaits it before delivering
-        emissions or granting credit, so epochs never interleave; the loop
-        merely stays responsive.  Unsupervised runtimes keep the
-        synchronous path (a worker death there is fatal anyway).
-        """
-        supervisor = self.runtime.supervisor
-        if supervisor is None:
-            self.runtime.step(epoch)
-            return
-        logged_before = self.sink.logged
-        degraded_before = supervisor.degraded_epochs
+        A supervised step or checkpoint can stall for seconds of shard
+        recovery, a re-shard always does: the loop keeps taking frames and
+        answering STATS (kept off the worker link by ``_step_running``)
+        while the pump awaits the call, so epochs never interleave."""
+        if not off_loop and self.runtime.supervisor is None:
+            return fn(*args)
         self._step_running = True
         try:
-            await asyncio.to_thread(self.runtime.step, epoch)
+            return await asyncio.to_thread(fn, *args)
         finally:
             self._step_running = False
-        if supervisor.degraded_epochs > degraded_before:
+
+    async def _step(self, epoch) -> None:
+        supervisor = self.runtime.supervisor
+        logged_before = self.sink.logged
+        degraded_before = 0 if supervisor is None else supervisor.degraded_epochs
+        await self._call(self.runtime.step, epoch)
+        if supervisor is not None and supervisor.degraded_epochs > degraded_before:
             # The epoch's emissions were computed through a restored shard:
             # the line bytes are still exact (replay is deterministic), but
             # subscribers see the freshness flag until they ack past it.
@@ -344,28 +339,22 @@ class ReproService:
             self._degraded_offsets.update(range(logged_before, self.sink.logged))
 
     async def _maybe_reshard(self) -> None:
-        """Apply a queued live re-shard at an epoch boundary.
+        """Apply a queued live re-shard at an epoch boundary, off the loop.
 
-        Runs off the loop thread (migration is seconds of snapshot +
-        restore traffic) under the ``_step_running`` guard, so STATS
-        requests serve stale shard rows instead of interleaving with the
-        worker protocol.  Ingest keeps flowing the whole time: sources keep
-        buffering into the aligner, only the epoch pump waits.  A failed
-        attempt leaves the runtime serving at the old layout (the runtime
-        rolls back internally) and surfaces the error in stats.
+        Ingest keeps flowing the whole time: sources keep buffering into
+        the aligner, only the epoch pump waits.  A failed attempt leaves the
+        runtime serving at the old layout (the runtime rolls back
+        internally) and surfaces the error in stats.
         """
         n = self._reshard_requested
         if n is None or self._stream_done:
             return
         self._reshard_requested = None
-        self._step_running = True
         try:
-            await asyncio.to_thread(self.runtime.reshard, n)
+            await self._call(self.runtime.reshard, n, off_loop=True)
             self._reshard_error = None
         except ReproError as exc:
             self._reshard_error = str(exc)
-        finally:
-            self._step_running = False
 
     # ------------------------------------------------------------------
     # The pump: watermark-released epochs -> runtime -> sink -> credits
@@ -385,10 +374,12 @@ class ReproService:
                     "source_seqs": dict(aligned.source_seqs),
                 }
                 await self._step(aligned.epoch)
-                self._latencies.append(_time.perf_counter() - aligned.stamp)
                 self._epochs_this_run += 1
                 self.sink.flush()
                 await self._deliver()
+                self._latencies.append(_time.perf_counter() - aligned.stamp)
+                # Only now are the offsets a checkpoint records on disk.
+                await self._call(self.runtime.checkpoint_if_due)
                 self._grant_credits()
                 self._update_pause()
                 if self._drain_requested:
@@ -416,14 +407,16 @@ class ReproService:
         change = self.ingest.note_buffered(self.aligner.total_buffered())
         if change is None:
             return
-        frame = protocol.encode_pause() if change else protocol.encode_resume()
+        self._broadcast(protocol.encode_pause() if change else protocol.encode_resume())
+        if change is False:
+            self._grant_withheld()
+
+    def _broadcast(self, frame: bytes) -> None:
         for writer in self._source_writers.values():
             try:
                 writer.write(frame)
             except (ConnectionError, RuntimeError):
                 continue
-        if change is False:
-            self._grant_withheld()
 
     def _release_pause_if_drained(self) -> None:
         """End of a pump pass: if nothing releasable remains, a standing
@@ -437,12 +430,7 @@ class ReproService:
             return
         if not self.ingest.force_resume():
             return
-        frame = protocol.encode_resume()
-        for writer in self._source_writers.values():
-            try:
-                writer.write(frame)
-            except (ConnectionError, RuntimeError):
-                continue
+        self._broadcast(protocol.encode_resume())
         self._grant_withheld()
 
     def _grant_withheld(self) -> None:
@@ -581,18 +569,14 @@ class ReproService:
             if buffered:
                 self._wake.set()
                 self._update_pause()
-                # The frame may have spent the client's last credit while a
-                # refill sat parked (batched, or withheld by a past pause);
-                # a starved client emits no further events, so offer now.
-                grant = self.ingest.on_consumed(name, 0)
-                if grant:
-                    writer.write(protocol.encode_credit(grant))
-            else:
-                # Return the dedupe's spent credit explicitly so the
-                # client's window view stays in lockstep with the gate's.
-                grant = self.ingest.on_consumed(name, 0)
-                if grant:
-                    writer.write(protocol.encode_credit(grant))
+            # A buffered frame may have spent the client's last credit while
+            # a refill sat parked (batched, or withheld by a past pause), and
+            # a starved client emits no further events: offer now.  A deduped
+            # frame's spent credit returns the same way, so the client's
+            # window view stays in lockstep with the gate's.
+            grant = self.ingest.on_consumed(name, 0)
+            if grant:
+                writer.write(protocol.encode_credit(grant))
             return
         if kind == protocol.SOURCE_END:
             if role != "source":

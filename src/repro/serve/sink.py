@@ -9,12 +9,12 @@ are durable on the subscriber side.
 
 How it survives ``kill -9`` anywhere:
 
-* **Append before checkpoint.** The runtime merges (and therefore the sink
-  logs) an epoch's emissions *before* ``step()`` takes its periodic
-  checkpoint, so a manifest recording ``next_offset = N`` proves offsets
-  ``< N`` are on disk.  The sink flushes to the OS per epoch batch — a
-  ``kill -9`` can only lose entries newer than the last flush, all of which
-  are *after* the last checkpoint and will be regenerated.
+* **Append, flush, fsync, deliver, checkpoint, ``LATEST``.** Per epoch the
+  service appends the emissions in ``step()``, flushes them to the OS
+  (``fsync`` if configured), delivers them, and only then writes a due
+  periodic checkpoint (``LATEST`` last), so a manifest recording
+  ``next_offset = N`` proves offsets ``< N`` are on disk.  A ``kill -9``
+  loses only entries after the last flush and checkpoint: regenerated.
 * **Torn tails are dropped.** Recovery scans the log; a trailing line that
   is incomplete (no newline) or unparsable — the write the kill landed in —
   is truncated away, WAL-style.  Interior corruption fails loudly.

@@ -7,14 +7,15 @@ belief-arena slabs (compacted on write), RNG bit-generator states, reader
 beliefs, output-policy bookkeeping, and the stream offset — written as one
 file: a fixed preamble, a compact JSON header (shard and query-operator
 state trees as skeletons), every array as raw bytes, and a SHA-256 trailer
-over all of it — nothing in it is executed on load.  The
-write is ordered for power loss: payload ``fsync`` → ``rename`` → directory
-``fsync``, and only then does the runtime move its ``LATEST`` pointer
-(``LATEST.tmp`` ``fsync`` → ``replace``).
+over all of it — nothing in it is executed on load.  Order: the epoch's
+output (the service's log flushed, fsynced, delivered), payload ``fsync`` →
+``rename`` → directory ``fsync``, then ``LATEST`` (``.tmp`` ``fsync`` →
+``replace``).
 
 * :func:`save_checkpoint` / :meth:`ShardedRuntime.checkpoint` write one;
-  ``RuntimeConfig(checkpoint_every_s=..., checkpoint_dir=...)`` makes the
-  runtime write them periodically at epoch boundaries, with rotation.
+  ``RuntimeConfig(checkpoint_every_s=..., checkpoint_dir=...)`` makes
+  :meth:`ShardedRuntime.checkpoint_if_due` write them periodically at
+  epoch boundaries, with rotation.
   ``checkpoint_mode="delta"`` turns the periodic checkpoints into
   *differential* chains — dirty object blocks only, rebased with a full
   snapshot every ``checkpoint_full_every``-th link (:mod:`.delta`).

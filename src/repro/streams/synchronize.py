@@ -89,34 +89,24 @@ class EpochSynchronizer:
     # Pushing raw records
     # ------------------------------------------------------------------
     def push_reading(self, reading: TagReading) -> None:
-        if self._flushed:
-            raise StreamError(
-                "synchronizer already flushed; push_reading after flush() "
-                "would corrupt epoch indexing"
-            )
-        if reading.time < self._last_reading_time:
-            raise StreamError(
-                f"reading stream went backwards: {reading.time} < "
-                f"{self._last_reading_time}"
-            )
+        self._admit("push_reading", "reading", reading.time, self._last_reading_time)
         self._last_reading_time = reading.time
-        self._maybe_set_start(reading.time)
         self._readings.append(reading)
 
     def push_report(self, report: ReaderLocationReport) -> None:
+        self._admit("push_report", "location", report.time, self._last_report_time)
+        self._last_report_time = report.time
+        self._reports.append(report)
+
+    def _admit(self, push: str, stream: str, time: float, last: float) -> None:
         if self._flushed:
             raise StreamError(
-                "synchronizer already flushed; push_report after flush() "
+                f"synchronizer already flushed; {push} after flush() "
                 "would corrupt epoch indexing"
             )
-        if report.time < self._last_report_time:
-            raise StreamError(
-                f"location stream went backwards: {report.time} < "
-                f"{self._last_report_time}"
-            )
-        self._last_report_time = report.time
-        self._maybe_set_start(report.time)
-        self._reports.append(report)
+        if time < last:
+            raise StreamError(f"{stream} stream went backwards: {time} < {last}")
+        self._maybe_set_start(time)
 
     def _maybe_set_start(self, time: float) -> None:
         candidate = float(np.floor(time / self._len) * self._len)
@@ -186,46 +176,54 @@ class EpochSynchronizer:
     def _epoch_end(self, index: int) -> float:
         return self._epoch_start(index) + self._len
 
+    @staticmethod
+    def _take(buffer: list, lo: float, hi: float) -> list:
+        """Pop ``buffer``'s records before ``hi``; return those from ``lo`` on.
+
+        Buffers are time-sorted (enforced on push), so each epoch is a
+        prefix split — scan from the front instead of re-filtering the
+        whole buffer (which would be quadratic over a long trace).
+        """
+        cut = 0
+        while cut < len(buffer) and buffer[cut].time < hi:
+            cut += 1
+        taken = [r for r in buffer[:cut] if r.time >= lo]
+        del buffer[:cut]
+        return taken
+
     def _emit(self, index: int) -> List[Epoch]:
         lo = self._epoch_start(index)
-        hi = self._epoch_end(index)
-        # Buffers are time-sorted (enforced on push), so each epoch is a
-        # prefix split — scan from the front instead of re-filtering the
-        # whole buffer (which would be quadratic over a long trace).
-        cut = 0
-        while cut < len(self._readings) and self._readings[cut].time < hi:
-            cut += 1
-        readings = [r for r in self._readings[:cut] if r.time >= lo]
-        del self._readings[:cut]
-        cut = 0
-        while cut < len(self._reports) and self._reports[cut].time < hi:
-            cut += 1
-        reports = [r for r in self._reports[:cut] if r.time >= lo]
-        del self._reports[:cut]
+        readings = self._take(self._readings, lo, self._epoch_end(index))
+        reports = self._take(self._reports, lo, self._epoch_end(index))
         if not readings and not reports and not self._emit_empty:
             return []
         position = None
         heading = None
         if reports:
-            position = tuple(
-                float(v) for v in np.mean([r.array for r in reports], axis=0)
-            )
+            # The IEEE operations of np.mean(axis=0) without its dispatch:
+            # a running sum from +0.0 in report order, then one division.
+            x = y = z = 0.0
+            for report in reports:
+                px, py, pz = report.position
+                x += float(px)
+                y += float(py)
+                z += float(pz)
+            n = len(reports)
+            position = (x / n, y / n, z / n)
             headings = [r.heading for r in reports if r.heading is not None]
             if headings:
                 # Circular mean keeps +pi/-pi reports from averaging to 0.
+                # ndarray.sum() is np.mean's own reduction (pairwise past 8).
+                k = len(headings)
                 heading = float(
-                    np.arctan2(
-                        np.mean(np.sin(headings)), np.mean(np.cos(headings))
-                    )
+                    np.arctan2(np.sin(headings).sum() / k, np.cos(headings).sum() / k)
                 )
-        object_tags = {r.tag for r in readings if r.tag.is_object}
-        shelf_tags = {r.tag for r in readings if r.tag.is_shelf}
         return [
             Epoch(
                 time=lo,
                 reported_position=position,
-                object_tags=frozenset(object_tags),
-                shelf_tags=frozenset(shelf_tags),
+                object_tags=frozenset({r.tag for r in readings if r.tag.is_object}),
+                shelf_tags=frozenset({r.tag for r in readings if r.tag.is_shelf}),
                 reported_heading=heading,
             )
         ]

@@ -295,6 +295,7 @@ class TestCrashMidCheckpoint:
         epochs = trace.epochs()
         for epoch in epochs[: int(len(epochs) * 0.8)]:
             runtime.step(epoch)
+            runtime.checkpoint_if_due()
         runtime.abort()  # simulated kill: no finish, no final flush
         latest = latest_checkpoint(tmp_path)
         assert latest is not None
@@ -361,6 +362,7 @@ class TestCrashMidCheckpoint:
         epochs = trace.epochs()
         for epoch in epochs[: len(epochs) // 2]:
             runtime.step(epoch)
+            runtime.checkpoint_if_due()
         runtime.abort()
         turd = tmp_path / "epoch_99999999.tmp"
         turd.write_bytes(b"RPROCKPT half a checkpoint")
@@ -430,6 +432,7 @@ class TestWorkerCrashMidCheckpoint:
         epochs = trace.epochs()
         for epoch in epochs[: int(len(epochs) * 0.8)]:
             runtime.step(epoch)
+            runtime.checkpoint_if_due()
         runtime.abort()
         resumed_from = assert_latest_is_restorable(tmp_path, model, trace, reference)
         assert resumed_from > 0
@@ -452,6 +455,7 @@ class TestChainBreakRecovery:
         interloper_done = False
         for epoch in epochs:
             runtime.step(epoch)
+            runtime.checkpoint_if_due()
             if not interloper_done and latest_checkpoint(directory) is not None:
                 runtime.checkpoint(tmp_path / "explicit")  # breaks the chain
                 interloper_done = True
@@ -573,12 +577,14 @@ _SERVE_FLAGS = [
 ]
 
 
-def _spawn_serve(trace_path, sock, log, out, *extra):
+def _spawn_serve(trace_path, sock, log, out, *extra, plan=None):
     import subprocess
     import sys
 
     env = dict(os.environ)
     env["PYTHONPATH"] = _src_dir()
+    if plan is not None:
+        env[faults.ENV_VAR] = plan.to_json()
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", str(trace_path),
          "--socket", str(sock), "--emissions", str(log),
@@ -643,7 +649,11 @@ class TestServeKillNine:
     def _replay(trace, sock, rate=0.0):
         from repro.serve import ReplaySource
 
-        return ReplaySource(str(sock), trace, n_sources=3, rate=rate).run()
+        # The socket file appears at bind(), a moment before listen():
+        # a connect in between is refused, so allow a few retries.
+        return ReplaySource(
+            str(sock), trace, n_sources=3, rate=rate, connect_retries=3
+        ).run()
 
     @staticmethod
     def _kill_when(server, condition, timeout=90.0):
@@ -757,3 +767,36 @@ class TestServeKillNine:
         # The rerun was a replay, not a fresh stream: every record either
         # skipped client-side (acked sequence) or deduped server-side.
         assert all(r["sent"] <= r["records"] for r in report.values())
+
+    def test_exit_right_after_a_durable_checkpoint_resumes_byte_identical(
+        self, serve_env, tmp_path
+    ):
+        """The window a polling killer cannot aim at: ``checkpoint.durable``
+        vanishes the process (``os._exit``, unflushed buffers lost as under
+        SIGKILL) the moment the eighth checkpoint's LATEST lands — mid-stream,
+        a few lines into the log.  Its sink offset must already be on disk,
+        so the resume is accepted and the final log is byte-identical."""
+        from repro.errors import ServeError
+
+        trace, trace_path, baseline = serve_env
+        sock, log, ck = tmp_path / "serve.sock", tmp_path / "log.jsonl", tmp_path / "ck"
+        out = tmp_path / "serve.out"
+        flags = ["--checkpoint-every", "3.0", "--checkpoint-dir", str(ck)]
+        plan = FaultPlan(rules=(FaultRule("checkpoint.durable", nth=8, action="exit"),))
+        server = _spawn_serve(trace_path, sock, log, out, *flags, plan=plan)
+        _wait_for_socket(sock)
+        try:
+            self._replay(trace, sock)
+        except ServeError:
+            pass  # the server vanished under the clients
+        assert server.wait(timeout=120) == 43, out.read_text()
+        manifest = load_checkpoint(latest_checkpoint(ck))
+        on_disk = log.read_bytes().count(b"\n")
+        assert 0 < manifest.extras["serve"]["sink"]["next_offset"] <= on_disk
+
+        os.unlink(sock)
+        server = _spawn_serve(trace_path, sock, log, out, *flags, "--resume")
+        _wait_for_socket(sock)
+        self._replay(trace, sock)
+        assert server.wait(timeout=120) == 0, out.read_text()
+        assert log.read_bytes() == baseline

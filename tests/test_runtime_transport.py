@@ -728,6 +728,7 @@ class TestNoOrphans:
         try:
             for epoch in epochs[: len(epochs) // 2]:
                 runtime.step(epoch)
+                runtime.checkpoint_if_due()
             workers = _children_of(host.pid)
             assert len(workers) == 2
             os.kill(host.pid, signal.SIGKILL)
@@ -741,6 +742,7 @@ class TestNoOrphans:
             second, _ = _spawn_host(port)
             for epoch in epochs[len(epochs) // 2 :]:
                 runtime.step(epoch)
+                runtime.checkpoint_if_due()
             runtime.finish()
             assert runtime.supervisor_stats()["restarts"] >= 2
         finally:
@@ -855,12 +857,14 @@ class TestSupervisedRecovery:
             try:
                 for epoch in epochs[: len(epochs) // 2]:
                     runtime.step(epoch)
+                    runtime.checkpoint_if_due()
                 # The whole host dies: every worker is killed, both
                 # worker sockets go EOF.
                 first.shutdown()
                 with shard_host(port=port) as second:  # noqa: F841
                     for epoch in epochs[len(epochs) // 2 :]:
                         runtime.step(epoch)
+                        runtime.checkpoint_if_due()
                     runtime.finish()
                     stats = runtime.supervisor_stats()
                     assert stats["restarts"] >= 2  # both shards died

@@ -237,6 +237,50 @@ class TestEndToEnd:
         assert stats["uptime_s"] > 0
 
 
+class TestCheckpointOrdering:
+    """Flush, deliver, then checkpoint: a periodic checkpoint may only
+    record sink offsets whose lines are already in the emission file —
+    otherwise a kill -9 right after it leaves a log the resumed service
+    refuses as a log/checkpoint mismatch."""
+
+    @pytest.mark.parametrize("fsync", [False, True])
+    def test_checkpoint_offsets_are_on_disk(
+        self, scenario, expected_log, tmp_path, monkeypatch, fsync
+    ):
+        import repro.state.checkpoint as checkpoint_module
+
+        trace, _, _ = scenario
+        log = tmp_path / "emissions.jsonl"
+        claims = []  # (checkpointed next_offset, complete lines on disk)
+        real_save = checkpoint_module.save_checkpoint
+
+        def save(runtime, path, **kwargs):
+            offsets = runtime.manifest_extras()["serve"]["sink"]
+            claims.append((offsets["next_offset"], log.read_bytes().count(b"\n")))
+            return real_save(runtime, path, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "save_checkpoint", save)
+        service = make_service(
+            scenario,
+            tmp_path,
+            serve=ServeConfig(
+                epoch_length=1.0, queue_capacity=64, credit_batch=8, fsync=fsync
+            ),
+            runtime=RuntimeConfig(
+                n_shards=2,
+                checkpoint_every_s=1.0,  # every epoch: each emitting one too
+                checkpoint_dir=str(tmp_path / "ck"),
+            ),
+        )
+        replay = ReplaySource(service.socket_path, trace, n_sources=3)
+        asyncio.run(serve_and_replay(service, replay.run_async()))
+
+        assert log.read_bytes() == expected_log
+        assert any(claimed for claimed, _ in claims)  # not vacuous
+        ahead = [(c, disk) for c, disk in claims if c > disk]
+        assert not ahead, f"{len(ahead)}/{len(claims)} checkpoints claim lines not on disk"
+
+
 async def wait_for_condition(condition, timeout, poll=0.01):
     """Yield to the loop until ``condition()`` holds; fail on timeout."""
     loop = asyncio.get_running_loop()

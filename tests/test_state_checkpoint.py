@@ -924,6 +924,55 @@ class TestPeriodicCheckpoints:
         tail = [e for e in reference if e.time > (manifest.bus_last_time or -1)]
         assert_bitwise_equal(sink.events, tail)
 
+    def test_run_writes_the_same_periodic_checkpoints(self, scenario, tmp_path):
+        """``run()`` takes every due checkpoint right after its step: the
+        names, kinds and LATEST a delta-chained run leaves are the ones the
+        checkpoint-inside-step() runtime wrote."""
+        model, trace, config = scenario
+        runtime_config = RuntimeConfig(
+            n_shards=2,
+            checkpoint_every_s=8.0,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_keep=100,
+            checkpoint_mode="delta",
+            checkpoint_full_every=4,
+        )
+        ShardedRuntime(model, config, runtime_config, POLICY).run(trace.epochs())
+        names = sorted(n for n in os.listdir(tmp_path) if n.startswith("epoch_"))
+        kinds = [read_checkpoint_header(tmp_path / n)["kind"] for n in names]
+        assert names == [f"epoch_{n:08d}" for n in (9, 17, 25, 33, 41, 49)]
+        assert kinds == ["full", "delta", "delta", "delta", "full", "delta"]
+        assert os.path.basename(latest_checkpoint(tmp_path)) == names[-1]
+
+    def test_step_refuses_to_pass_a_due_checkpoint(self, scenario, tmp_path):
+        """``step()`` never writes a periodic checkpoint; a driver that steps
+        on without taking the due one gets a StateError, not silently lost
+        durability."""
+        model, trace, config = scenario
+        runtime = ShardedRuntime(
+            model,
+            config,
+            RuntimeConfig(
+                n_shards=2, checkpoint_every_s=8.0, checkpoint_dir=str(tmp_path)
+            ),
+            POLICY,
+        )
+        epochs = trace.epochs()
+        try:
+            for epoch in epochs[:9]:  # the 9th epoch is 8 s past the first
+                runtime.step(epoch)
+            assert os.listdir(tmp_path) == []
+            with pytest.raises(StateError, match="checkpoint_if_due"):
+                runtime.step(epochs[9])
+            assert runtime.epochs_processed == 9  # the refused epoch never ran
+            path = runtime.checkpoint_if_due()
+            assert os.path.basename(path) == "epoch_00000009"
+            assert runtime.checkpoint_if_due() is None  # taken: not due again
+            runtime.step(epochs[9])
+            assert runtime.checkpoint_if_due() is None
+        finally:
+            runtime.abort()
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(checkpoint_every_s=0.0, checkpoint_dir="x")

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StreamError
-from repro.streams.records import ReaderLocationReport, TagId, TagReading
+from repro.streams.records import Epoch, ReaderLocationReport, TagId, TagReading
 from repro.streams.synchronize import EpochSynchronizer, synchronize
 
 
@@ -198,3 +201,108 @@ class TestExternalWatermark:
         assert sync.ready_epochs(upto=2.0) == []
         epochs = sync.flush()
         assert {t.number for t in epochs[-1].object_tags} == {1}
+
+
+class ParentEmitSynchronizer(EpochSynchronizer):
+    """The replaced ``_emit`` body, verbatim: the oracle the lean one must
+    match bit for bit (np.mean wrappers over a list of fresh arrays)."""
+
+    def _emit(self, index):
+        lo = self._epoch_start(index)
+        hi = self._epoch_end(index)
+        cut = 0
+        while cut < len(self._readings) and self._readings[cut].time < hi:
+            cut += 1
+        readings = [r for r in self._readings[:cut] if r.time >= lo]
+        del self._readings[:cut]
+        cut = 0
+        while cut < len(self._reports) and self._reports[cut].time < hi:
+            cut += 1
+        reports = [r for r in self._reports[:cut] if r.time >= lo]
+        del self._reports[:cut]
+        if not readings and not reports and not self._emit_empty:
+            return []
+        position = None
+        heading = None
+        if reports:
+            position = tuple(
+                float(v) for v in np.mean([r.array for r in reports], axis=0)
+            )
+            headings = [r.heading for r in reports if r.heading is not None]
+            if headings:
+                heading = float(
+                    np.arctan2(
+                        np.mean(np.sin(headings)), np.mean(np.cos(headings))
+                    )
+                )
+        object_tags = {r.tag for r in readings if r.tag.is_object}
+        shelf_tags = {r.tag for r in readings if r.tag.is_shelf}
+        return [
+            Epoch(
+                time=lo,
+                reported_position=position,
+                object_tags=frozenset(object_tags),
+                shelf_tags=frozenset(shelf_tags),
+                reported_heading=heading,
+            )
+        ]
+
+
+def _bits(value):
+    """Exact identity of a float (or None / tuple of floats): -0.0 != 0.0."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    assert type(value) is float
+    return value.hex()
+
+
+_coordinate = st.one_of(
+    st.floats(-60.0, 60.0), st.integers(-60, 60), st.just(-0.0)
+)
+_heading = st.one_of(
+    st.none(),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([math.pi, -math.pi]).flatmap(
+        lambda c: st.floats(c - 1e-6, c + 1e-6)
+    ),
+)
+_epoch = st.tuples(
+    # (offset in the epoch, x, y, z, heading) reports: none, a few, or
+    # enough to reach numpy's pairwise summation (> 8)
+    st.lists(
+        st.tuples(st.floats(0.0, 0.999), _coordinate, _coordinate, _coordinate, _heading),
+        max_size=10,
+    ),
+    # (offset, tag number, is shelf) readings
+    st.lists(
+        st.tuples(st.floats(0.0, 0.999), st.integers(0, 6), st.booleans()),
+        max_size=5,
+    ),
+)
+
+
+class TestLeanEmitMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(epochs=st.lists(_epoch, min_size=1, max_size=6), emit_empty=st.booleans())
+    def test_epochs_are_bitwise_equal(self, epochs, emit_empty):
+        syncs = [
+            cls(epoch_length=1.0, start_time=0.0, emit_empty=emit_empty)
+            for cls in (EpochSynchronizer, ParentEmitSynchronizer)
+        ]
+        for index, (reports, readings) in enumerate(epochs):
+            for sync in syncs:
+                for offset, x, y, z, heading in sorted(reports, key=lambda r: r[0]):
+                    sync.push_report(
+                        ReaderLocationReport(index + offset, (x, y, z), heading=heading)
+                    )
+                for offset, number, shelf in sorted(readings, key=lambda r: r[0]):
+                    sync.push_reading(reading(index + offset, number, shelf))
+        ours, oracle = (sync.ready_epochs() + sync.flush() for sync in syncs)
+        assert ours == oracle
+        for a, b in zip(ours, oracle):
+            assert _bits(a.reported_position) == _bits(b.reported_position)
+            assert _bits(a.reported_heading) == _bits(b.reported_heading)
+            assert list(a.object_tags) == list(b.object_tags)
+            assert list(a.shelf_tags) == list(b.shelf_tags)
