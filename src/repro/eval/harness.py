@@ -217,40 +217,29 @@ def run_sharded(
         "n_shards": float(runtime.n_shards),
         "events_published": float(runtime.bus.published),
         # Deployment shape: worker processes backing the run (0 = in-process
-        # executor).  Stats below still come from the live shards either way
-        # — proxies answer them over the worker link.
+        # executor; local and remote shards are both worker processes).
+        # Stats below come from the shards either way — worker proxies
+        # answer from what they cached at finish.
         "worker_processes": float(
-            runtime.n_shards if runtime_config.executor == "process" else 0
+            runtime.n_shards if runtime_config.executor != "serial" else 0
         ),
     }
-    total_memory = 0.0
-    # Aggregate arena health across shards (grows/compactions are churn
-    # indicators; memory bytes bound the checkpoint payload size), plus the
-    # adaptive-budget tier census when shards report one.
-    arena_totals = {"arena_grows": 0.0, "arena_compactions": 0.0, "arena_memory_bytes": 0.0}
-    budget_totals: Dict[str, float] = {}
-    budget_keys = (
-        "objects_skipped_settled",
-        "budget_decays",
-        "budget_revives",
-        "objects_full",
-        "objects_parked",
-        "objects_compressed",
-        "particles_full",
-        "particles_parked",
-    )
-    for row in runtime.shard_stats():
-        index = int(row.pop("shard"))
-        total_memory += row.get("belief_memory_bytes", 0.0)
-        for key in arena_totals:
-            arena_totals[key] += row.get(key, 0.0)
+    rows = runtime.shard_stats()
+    for row in rows:
+        index = int(row["shard"])
         for key, value in row.items():
-            if key in budget_keys or key.startswith("objects_tier_"):
-                budget_totals[key] = budget_totals.get(key, 0.0) + value
-            extra[f"shard{index}_{key}"] = value
-    extra["belief_memory_bytes"] = total_memory
-    extra.update(arena_totals)
-    extra.update(budget_totals)
+            if key != "shard":
+                extra[f"shard{index}_{key}"] = value
+    # Whole-run totals of every per-shard key (arena health, the adaptive
+    # budget's tier census, …); memory and arena churn are reported even
+    # for engines without an arena.
+    extra.update(
+        belief_memory_bytes=0.0,
+        arena_grows=0.0,
+        arena_compactions=0.0,
+        arena_memory_bytes=0.0,
+    )
+    extra.update(runtime.shard_totals(rows))
     if query_engine is not None:
         extra.update(_query_extras(query_engine))
     return SystemResult(

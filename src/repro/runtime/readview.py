@@ -1,15 +1,16 @@
 """Snapshot-isolated, zero-copy belief reads for the query layer.
 
 A :class:`RuntimeReadView` is an epoch-stamped window onto every shard's
-belief arena:
+belief arena, one ``shard.arena_view()`` per shard, closed with the view:
 
 * **in-process shards** (the serial executor) — per-object accessors
   return numpy slices straight into the shard's
-  :class:`~repro.inference.arena.BeliefArena` slab;
-* **worker shards** — accessors go through
-  :meth:`~repro.runtime.workers.ShardWorkerProxy.arena_view`: a parent-side
-  attachment of a local (``process``) worker's shared-memory slab, or the
-  blocks of a ``remote`` worker fetched once over its link.
+  :class:`~repro.inference.arena.BeliefArena` slab, and closing releases
+  nothing (:class:`~repro.runtime.shard.LiveArenaView`);
+* **worker shards** —
+  :meth:`~repro.runtime.workers.ShardWorkerProxy.arena_view` is a
+  parent-side attachment of a local (``process``) worker's shared-memory
+  slab, or the blocks of a ``remote`` worker fetched once over its link.
 
 Only the remote fetch copies particle data.  The view is stamped with
 ``runtime.epochs_processed`` at creation: workers only mutate their slabs
@@ -38,18 +39,9 @@ class RuntimeReadView:
         self.epoch = int(runtime.epochs_processed)
         self._closed = False
         self._views: List[Optional[object]] = []
-        self._owned: List[bool] = []
         try:
             for shard in runtime.shards:
-                if hasattr(shard, "arena_view"):
-                    # Worker executor: attach (or fetch) the worker's blocks.
-                    self._views.append(shard.arena_view())
-                    self._owned.append(True)
-                else:
-                    # In-process shard: read the live arena directly (not
-                    # owned — closing it would tear down the engine's slab).
-                    self._views.append(getattr(shard.engine, "arena", None))
-                    self._owned.append(False)
+                self._views.append(shard.arena_view())
         except BaseException:
             self.close()
             raise
@@ -113,8 +105,7 @@ class RuntimeReadView:
         if self._closed:
             return
         self._closed = True
-        for view, owned in zip(self._views, self._owned):
-            if owned and view is not None:
+        for view in self._views:
+            if view is not None:
                 view.close()
         self._views = []
-        self._owned = []

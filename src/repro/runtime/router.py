@@ -46,19 +46,3 @@ class EpochRouter:
         return [
             replace(epoch, object_tags=frozenset(bucket)) for bucket in buckets
         ]
-
-    def split_numbers(self, epoch: Epoch) -> List[List[int]]:
-        """Per-shard owned object-tag *numbers* — the wire form of
-        :meth:`split` for the process executor, which ships routed reads as
-        plain ints over the worker link instead of whole per-shard epochs.  Each
-        worker rebuilds its sub-epoch from these plus the broadcast context;
-        the reconstructed content is identical to :meth:`split`'s (tag sets
-        are unordered), so executor parity is unaffected.
-        """
-        buckets: List[List[int]] = [[] for _ in range(self.n_shards)]
-        if self.n_shards == 1:
-            buckets[0] = [tag.number for tag in epoch.object_tags]
-            return buckets
-        for tag in epoch.object_tags:
-            buckets[self._partition(tag.number)].append(tag.number)
-        return buckets

@@ -9,11 +9,14 @@ derived deterministically from the root seed.  Per epoch the runtime:
 1. **routes** — splits the epoch's object-tag reads by shard ownership
    while broadcasting the reader pose and shelf-tag reads to every shard
    (:class:`~repro.runtime.router.EpochRouter`);
-2. **steps** — advances every shard: serially in the calling thread, or
-   on persistent worker *processes* (:mod:`~repro.runtime.workers`, local
-   or behind ``repro shard-host``) that step concurrently — routed reads
-   go out and emitted events come back over framed stream sockets, belief
-   state stays in per-worker shared-memory slabs;
+2. **steps** — sends every shard its sub-epoch, then collects every
+   shard's events.  A shard is an in-process
+   :class:`~repro.runtime.shard.FilterShard` (the serial executor: each
+   request runs at once) or a :class:`~repro.runtime.workers.ShardWorkerProxy`
+   for a persistent worker *process* (local or behind ``repro
+   shard-host``; all workers step concurrently, belief state stays in
+   per-worker shared-memory slabs).  Both speak one split-phase surface, so
+   the executor is read once, where shards (and the supervisor) are built;
 3. **merges** — streams every shard's emitted events onto the
    :class:`~repro.runtime.bus.EventBus` via a ``(time, tag)``-keyed k-way
    merge of the per-shard (already time-ordered) event lists.
@@ -101,72 +104,30 @@ class ShardedRuntime:
         self.runtime_config = runtime
         self.policy = policy
         self.initial_heading = float(initial_heading)
-        #: Kept for worker respawns (the supervisor re-forks a shard with
-        #: exactly the construction-time factory and re-seeded config).
+        #: Kept for every later shard build (reshard, supervisor respawn):
+        #: exactly the construction-time factory and re-seeded config.
         self._engine_factory = engine_factory
         self.router = EpochRouter(runtime.n_shards, runtime.partitioner)
         self.bus = bus if bus is not None else EventBus()
         self.sink: EventSink = sink if sink is not None else CollectingSink()
         self.bus.subscribe_sink(self.sink)
-        #: True for both worker-backed executors ("process" forks local
-        #: workers behind socketpairs; "remote" connects to `repro
-        #: shard-host` pools over TCP) — they share one proxy and one link.
-        self._process = runtime.executor in ("process", "remote")
+        self.shards: List = []
+        try:
+            for index in range(runtime.n_shards):
+                self.shards.append(self._new_shard(index))
+        except BaseException:
+            for shard in self.shards:
+                shard.close(force=True)
+            raise
         #: Self-healing layer (``repro.runtime.supervisor``): present only
-        #: when RuntimeConfig.supervisor is set AND the executor is
-        #: worker-backed — in-process shards cannot crash independently.
+        #: when RuntimeConfig.supervisor is set AND the shards are workers
+        #: — in-process shards cannot crash independently.
         self._supervisor = None
-        if self._process:
-            # Persistent workers, one per shard, each owning a FilterShard
-            # built from the same re-seeded config the local executors
-            # would use — output parity is exact.  A custom engine_factory
-            # reaches local workers through the fork; it cannot cross a
-            # remote link and is refused there.
-            self.shards: List = []
-            try:
-                for index in range(runtime.n_shards):
-                    self.shards.append(self.spawn_worker(index))
-            except BaseException:
-                for proxy in self.shards:
-                    proxy.close(force=True)
-                raise
-            if runtime.supervisor is not None:
-                from .supervisor import ShardSupervisor  # deferred: no cycle
+        if runtime.supervisor is not None and runtime.executor != "serial":
+            from .supervisor import ShardSupervisor  # deferred: no cycle
 
-                self._supervisor = ShardSupervisor(self, runtime.supervisor)
-        else:
-            factory: EngineFactory = (
-                engine_factory
-                if engine_factory is not None
-                else lambda cfg: FactoredParticleFilter(
-                    model, cfg, initial_heading=initial_heading
-                )
-            )
-            #: Kept so a live reshard() can build in-process shards from
-            #: the same recipe the constructor used.
-            self._inproc_factory = factory
-            self.shards = [
-                FilterShard(
-                    index,
-                    factory(
-                        replace(
-                            config,
-                            seed=shard_seed(config.seed, index, runtime.n_shards),
-                        )
-                    ),
-                    policy,
-                )
-                for index in range(runtime.n_shards)
-            ]
+            self._supervisor = ShardSupervisor(self, runtime.supervisor)
         self._finished = False
-        #: Post-finish query caches for the process executor: ``finish()``
-        #: retires the workers, so it first captures each shard's stats,
-        #: known objects, and final estimates (one bulk reply per worker) —
-        #: the runtime stays queryable after the run exactly like the
-        #: in-process executors, whose shards simply outlive the run.
-        self._final_stats: Optional[List[Dict[str, float]]] = None
-        self._final_known: Optional[set] = None
-        self._final_estimates: Optional[Dict[int, LocationEstimate]] = None
         #: Epochs processed — also the stream offset recorded in checkpoints
         #: (resume seeks the epoch source to this index).
         self.epochs_processed = 0
@@ -210,17 +171,34 @@ class ShardedRuntime:
         self.last_reshard_ms: Optional[float] = None
         self.migrated_objects_total = 0
 
-    def spawn_worker(self, index: int):
-        """Start one shard worker from the construction-time recipe.
+    def _new_shard(self, index: int):
+        """Build shard ``index`` of the current layout from the
+        construction-time recipe — at construction, on a live reshard, and
+        when the supervisor respawns a dead or hung worker.
 
-        Used at construction and by the supervisor to respawn a dead or
-        hung worker — determinism lives in the re-seeded config, so a
-        respawned worker restored from a checkpoint is byte-identical to
-        the one it replaces.  ``executor="process"`` forks a local worker;
-        ``executor="remote"`` connects to ``shard_hosts[index % len]``
-        (a reconnect boots a fresh worker there, so a remote respawn heals
-        exactly like a local one).
+        Determinism lives in the re-seeded config, so every executor's
+        shard is byte-identical to the serial one, and a respawned worker
+        restored from a checkpoint to the one it replaces.
+        ``executor="serial"`` builds an in-process :class:`FilterShard`;
+        ``"process"`` forks a local worker (a custom ``engine_factory``
+        reaches it through the fork); ``"remote"`` connects to
+        ``shard_hosts[index % len]`` (a reconnect boots a fresh worker
+        there, so a remote respawn heals exactly like a local one).
         """
+        config = replace(
+            self.config,
+            seed=shard_seed(self.config.seed, index, self.runtime_config.n_shards),
+        )
+        executor = self.runtime_config.executor
+        if executor == "serial":
+            engine = (
+                FactoredParticleFilter(
+                    self.model, config, initial_heading=self.initial_heading
+                )
+                if self._engine_factory is None
+                else self._engine_factory(config)
+            )
+            return FilterShard(index, engine, self.policy)
         supervisor = self.runtime_config.supervisor
         timing = (
             {}
@@ -231,21 +209,13 @@ class ShardedRuntime:
                 heartbeat_grace_s=supervisor.heartbeat_grace_s,
             )
         )
-        config = replace(
-            self.config,
-            seed=shard_seed(self.config.seed, index, self.runtime_config.n_shards),
-        )
         hosts = self.runtime_config.shard_hosts
         return ShardWorkerProxy(
             index,
             self.model,
             config,
             self.policy,
-            endpoint=(
-                hosts[index % len(hosts)]
-                if self.runtime_config.executor == "remote"
-                else None
-            ),
+            endpoint=hosts[index % len(hosts)] if executor == "remote" else None,
             initial_heading=self.initial_heading,
             engine_factory=self._engine_factory,
             **timing,
@@ -295,8 +265,6 @@ class ShardedRuntime:
 
     def known_objects(self) -> List[int]:
         """Sorted union of every shard's known objects."""
-        if self._final_known is not None:
-            return sorted(self._final_known)
         known: set = set()
         for shard in self.shards:
             known.update(shard.known_objects())
@@ -304,54 +272,63 @@ class ShardedRuntime:
 
     def object_estimate(self, number: int) -> LocationEstimate:
         """Delegate to the shard that owns the tag."""
-        if self._final_estimates is not None:
-            try:
-                return self._final_estimates[number]
-            except KeyError:
-                raise InferenceError(f"unknown object {number}") from None
         shard = self.shards[self.router.shard_of(number)]
         return shard.object_estimate(number)
 
     def shard_stats(self) -> List[Dict[str, float]]:
-        if self._final_stats is not None:
-            return [dict(row) for row in self._final_stats]
         return [shard.stats() for shard in self.shards]
+
+    def shard_totals(
+        self, rows: Optional[List[Dict[str, float]]] = None
+    ) -> Dict[str, float]:
+        """Every per-shard stats key summed across shards (the ``shard``
+        index excepted); ``rows`` defaults to a fresh :meth:`shard_stats`."""
+        totals: Dict[str, float] = {}
+        for row in self.shard_stats() if rows is None else rows:
+            for key, value in row.items():
+                if key != "shard":
+                    totals[key] = totals.get(key, 0.0) + float(value)
+        return totals
 
     # ------------------------------------------------------------------
     def step(self, epoch: Epoch) -> None:
         """Route one epoch to every shard, then merge onto the bus.
 
-        Writes no checkpoint; stepping past a periodic one this made due
-        without :meth:`checkpoint_if_due` raises :class:`StateError`."""
+        Every shard receives its sub-epoch before any reply is collected,
+        so worker shards compute concurrently.  A worker that dies or hangs
+        is handed, with its sub-epoch, to the supervisor, whose replayed
+        events stand in for the lost reply; unsupervised, the error
+        propagates.  Writes no checkpoint; stepping past a periodic one
+        this made due without :meth:`checkpoint_if_due` raises
+        :class:`StateError`."""
         if self._finished:
             raise InferenceError("runtime already finished")
         if self._checkpoint_due is not None:
             raise StateError("call checkpoint_if_due() after every step()")
-        if self._process:
-            # Routed reads + broadcast pose out, events back: all workers
-            # receive their sub-epoch before any reply is awaited, so the
-            # shards compute concurrently across processes.
-            buckets = self.router.split_numbers(epoch)
-            shelf_numbers = [tag.number for tag in epoch.shelf_tags]
-            if self._supervisor is not None:
-                per_shard = self._supervisor.step_shards(
-                    epoch, buckets, shelf_numbers
+        sub_epochs = self.router.split(epoch)
+        failed: Dict[int, WorkerError] = {}
+        for index, shard in enumerate(self.shards):
+            try:
+                shard.step_async(sub_epochs[index])
+            except WorkerError as exc:
+                if self._supervisor is None:
+                    raise
+                failed[index] = exc
+        per_shard: List[List[LocationEvent]] = []
+        for index, shard in enumerate(self.shards):
+            try:
+                per_shard.append([] if index in failed else shard.collect_events())
+            except WorkerError as exc:
+                if self._supervisor is None:
+                    raise
+                failed[index] = exc
+                per_shard.append([])
+        if self._supervisor is not None:
+            for index in sorted(failed):
+                per_shard[index] = self._supervisor.recover(
+                    index, failed[index], sub_epochs[index]
                 )
-            else:
-                for shard, numbers in zip(self.shards, buckets):
-                    shard.step_async(
-                        epoch.time,
-                        epoch.reported_position,
-                        epoch.reported_heading,
-                        numbers,
-                        shelf_numbers,
-                    )
-                per_shard = [shard.collect_events() for shard in self.shards]
-        else:
-            sub_epochs = self.router.split(epoch)
-            for shard, sub in zip(self.shards, sub_epochs):
-                shard.step(sub)
-            per_shard = [shard.drain() for shard in self.shards]
+            self._supervisor.record(epoch)
         self.epochs_processed += 1
         self._merge(per_shard)
         every = self.runtime_config.checkpoint_every_s
@@ -495,7 +472,8 @@ class ShardedRuntime:
         the new layout); without one, recovery escalates loudly until the
         next checkpoint lands (see :meth:`ShardSupervisor.note_reshard`).
         """
-        from ..state.restore import reshard_states  # deferred: no cycle
+        from ..state.checkpoint import collect_shard_snapshots  # deferred: no cycle
+        from ..state.restore import reshard_states
 
         if self._finished:
             raise StateError("cannot reshard a finished runtime")
@@ -511,12 +489,7 @@ class ShardedRuntime:
             return
         started = time.monotonic()
         # 1. Coordinated full snapshot of the running shards.
-        if self._process:
-            for shard in self.shards:
-                shard.snapshot_async("full")
-            old_states = [shard.collect_snapshot() for shard in self.shards]
-        else:
-            old_states = [shard.snapshot("full") for shard in self.shards]
+        old_states = collect_shard_snapshots(self.shards, "full")
         # 2. Repartition onto the new layout.
         new_router = EpochRouter(n_shards, new_partitioner)
         new_states = reshard_states(
@@ -543,37 +516,19 @@ class ShardedRuntime:
         self.router = new_router
         new_shards: List = []
         try:
-            if self._process:
-                for index in range(n_shards):
-                    new_shards.append(self.spawn_worker(index))
-                for shard, state in zip(new_shards, new_states):
-                    shard.restore(state)
-            else:
-                for index in range(n_shards):
-                    shard = FilterShard(
-                        index,
-                        self._inproc_factory(
-                            replace(
-                                self.config,
-                                seed=shard_seed(self.config.seed, index, n_shards),
-                            )
-                        ),
-                        self.policy,
-                    )
-                    shard.restore(new_states[index])
-                    new_shards.append(shard)
+            for index in range(n_shards):
+                new_shards.append(self._new_shard(index))
+            for shard, state in zip(new_shards, new_states):
+                shard.restore(state)
         except BaseException:
             for shard in new_shards:
-                if self._process:
-                    shard.close(force=True)
+                shard.close(force=True)
             self.runtime_config, self.router = old_config, old_router
             raise
         self.shards = new_shards
-        if self._process:
-            for shard in old_shards:
-                shard.close()
-        # 4. Bookkeeping: the old delta chain describes the old layout, and
-        # post-finish caches/baselines must not outlive the migration.
+        for shard in old_shards:
+            shard.close()
+        # 4. Bookkeeping: the old delta chain describes the old layout.
         self._chain_head = None
         self.reshards_total += 1
         self.migrated_objects_total += migrated
@@ -584,29 +539,15 @@ class ShardedRuntime:
             self.write_periodic_checkpoint()
 
     def finish(self) -> None:
-        """Flush every shard's pending events and close the bus."""
+        """Flush every shard's pending events and close the bus.
+
+        The runtime stays queryable afterwards: in-process shards outlive
+        the run, and a worker proxy caches its answers before it retires."""
         if self._finished:
             return
-        if self._process:
-            for shard in self.shards:
-                shard.finish_async()
-            per_shard = [shard.collect_events() for shard in self.shards]
-            # Capture the post-run query surface before retiring the
-            # workers (pipelined: all requests in flight, then collect).
-            for shard in self.shards:
-                shard.final_async()
-            self._final_stats = []
-            self._final_known = set()
-            self._final_estimates = {}
-            for shard in self.shards:
-                stats, known, estimates = shard.collect_final()
-                self._final_stats.append(stats)
-                self._final_known.update(known)
-                self._final_estimates.update(estimates)
-        else:
-            for shard in self.shards:
-                shard.finish()
-            per_shard = [shard.drain() for shard in self.shards]
+        for shard in self.shards:
+            shard.finish_async()
+        per_shard = [shard.collect_events() for shard in self.shards]
         self._merge(per_shard)
         self._finished = True
         self._release_executors()
@@ -637,9 +578,8 @@ class ShardedRuntime:
             self._aborting = False
 
     def _release_executors(self) -> None:
-        if self._process:
-            for shard in self.shards:
-                shard.close()
+        for shard in self.shards:
+            shard.close()
 
     def run(self, epochs: Iterable[Epoch]) -> EventSink:
         """Convenience: process every epoch then finish; returns the sink.

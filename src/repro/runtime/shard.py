@@ -11,17 +11,39 @@ Events emitted during a step land in a private buffer that the runtime
 drains after all shards have advanced, so the cross-shard merge happens in
 one place (:class:`~repro.runtime.runtime.ShardedRuntime`) with the full
 epoch's output in hand.
+
+The runtime speaks one split-phase surface to every shard — send a request
+(``step_async`` / ``finish_async`` / ``snapshot_async``), then collect its
+reply (``collect_events`` / ``collect_snapshot``), plus ``arena_view`` and
+``close`` — whether the shard lives here or behind a worker link
+(:class:`~repro.runtime.workers.ShardWorkerProxy`).  Here a request runs at
+once, through ``step`` / ``finish`` / ``snapshot`` by name, and the collect
+hands back what it left behind.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..config import OutputPolicyConfig
 from ..errors import StateError
 from ..inference.pipeline import CleaningPipeline, InferenceEngine
 from ..streams.records import Epoch, LocationEvent
 from ..streams.sinks import CollectingSink
+
+
+class LiveArenaView:
+    """A read view that does not own the arena it reads: the arena's own
+    zero-copy accessors, and a :meth:`close` that releases nothing."""
+
+    def __init__(self, arena):
+        self.positions = arena.positions
+        self.parents = arena.parents
+        self.log_weights = arena.log_weights
+        self.object_ids = arena.object_ids
+
+    def close(self) -> None:
+        pass
 
 
 class FilterShard:
@@ -37,6 +59,7 @@ class FilterShard:
         self.engine = engine
         self._buffer = CollectingSink()
         self.pipeline = CleaningPipeline(engine, policy, self._buffer)
+        self._snapshot: Optional[Dict[str, dict]] = None
 
     def step(self, epoch: Epoch) -> None:
         self.pipeline.step(epoch)
@@ -44,9 +67,34 @@ class FilterShard:
     def finish(self) -> None:
         self.pipeline.finish()
 
+    # The split-phase surface (see the module docstring).
+    def step_async(self, epoch: Epoch) -> None:
+        self.step(epoch)
+
+    def finish_async(self) -> None:
+        self.finish()
+
+    def collect_events(self) -> List[LocationEvent]:
+        return self.drain()
+
+    def snapshot_async(self, mode: str = "full") -> None:
+        self._snapshot = self.snapshot(mode)
+
+    def collect_snapshot(self) -> Dict[str, dict]:
+        state, self._snapshot = self._snapshot, None
+        return state
+
+    def arena_view(self) -> Optional[LiveArenaView]:
+        """Zero-copy reads of the live arena (``None`` without one)."""
+        arena = getattr(self.engine, "arena", None)
+        return None if arena is None else LiveArenaView(arena)
+
+    def close(self, force: bool = False) -> None:
+        """Nothing to release: the engine's arena lives as long as the shard."""
+
     # Engine queries, exposed at the shard boundary so callers (the runtime,
-    # the state layer) never reach into ``.engine`` — the process executor's
-    # ShardWorkerProxy implements this same surface over the worker link.
+    # the state layer) never reach into ``.engine`` — ShardWorkerProxy
+    # implements this same surface over the worker link.
     def known_objects(self) -> List[int]:
         return self.engine.known_objects()
 

@@ -16,8 +16,13 @@ hangs (heartbeats flow, reply misses the op deadline), the supervisor:
    checkpoint — through the router to the one recovered shard, discarding
    the replayed events (they were already published; the replay is
    deterministic, so they are byte-identical duplicates);
-4. **re-issues** the in-flight epoch and returns its events, so the
+4. **re-issues** the in-flight sub-epoch and returns its events, so the
    merged output stream is byte-identical to a run that never crashed.
+
+There is one step loop, the runtime's (:meth:`ShardedRuntime.step`): it
+sends every shard its sub-epoch, collects every reply, hands each
+:class:`WorkerError` with that shard's sub-epoch to :meth:`recover`, and
+journals the epoch (:meth:`record`) once every shard's events are in.
 
 Respawns happen under capped exponential backoff with a per-shard restart
 budget (:class:`~repro.config.SupervisorConfig`); an exhausted budget or
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..config import SupervisorConfig
 from ..errors import WorkerError
@@ -117,47 +122,6 @@ class ShardSupervisor:
             return
         self._journal.append(epoch)
 
-    def step_shards(
-        self, epoch: Epoch, buckets: Sequence[Sequence[int]], shelf_numbers: List[int]
-    ) -> List[list]:
-        """The supervised flavour of the runtime's process-executor step.
-
-        Sends the routed sub-epochs to every worker, collects replies, and
-        recovers any shard that died or hung — the returned per-shard event
-        lists are byte-identical to a crash-free step.
-        """
-        shards = self.runtime.shards
-        failures: Dict[int, WorkerError] = {}
-        for index, (shard, numbers) in enumerate(zip(shards, buckets)):
-            try:
-                shard.step_async(
-                    epoch.time,
-                    epoch.reported_position,
-                    epoch.reported_heading,
-                    numbers,
-                    shelf_numbers,
-                )
-            except WorkerError as exc:
-                failures[index] = exc
-        per_shard: List[list] = [[] for _ in shards]
-        for index, shard in enumerate(shards):
-            if index in failures:
-                continue
-            try:
-                per_shard[index] = shard.collect_events()
-            except WorkerError as exc:
-                failures[index] = exc
-        for index in sorted(failures):
-            per_shard[index] = self._recover(
-                index,
-                failures[index],
-                epoch=epoch,
-                numbers=buckets[index],
-                shelf_numbers=shelf_numbers,
-            )
-        self.record(epoch)
-        return per_shard
-
     def recover_dead_shards(self, cause: WorkerError) -> List[int]:
         """Respawn + catch up every dead worker (no in-flight epoch).
 
@@ -169,7 +133,7 @@ class ShardSupervisor:
             # Link-agnostic liveness: the proxy checks its socket and, for a
             # local worker, the forked process (ShardWorkerProxy.is_alive).
             if not proxy.is_alive():
-                self._recover(index, cause)
+                self.recover(index, cause)
                 recovered.append(index)
         if not recovered:
             raise cause  # the failure was not a dead worker after all
@@ -190,18 +154,15 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _recover(
-        self,
-        index: int,
-        cause: WorkerError,
-        epoch: Optional[Epoch] = None,
-        numbers: Optional[Sequence[int]] = None,
-        shelf_numbers: Optional[List[int]] = None,
+    def recover(
+        self, index: int, cause: WorkerError, sub_epoch: Optional[Epoch] = None
     ) -> list:
-        """Respawn shard ``index``, catch it up, re-issue the failed epoch.
+        """Respawn shard ``index``, catch it up, re-issue its in-flight
+        ``sub_epoch`` (the runtime's step hands over the one it routed).
 
-        Returns the in-flight epoch's events (empty list when recovering
-        without one).  Loops under backoff until success or escalation.
+        Returns the re-issued sub-epoch's events — byte-identical to the
+        lost reply — or an empty list when recovering without one.  Loops
+        under backoff until success or escalation.
         """
         if self._journal_broken:
             self._escalate(index, cause, self._broken_reason)
@@ -223,17 +184,10 @@ class ShardSupervisor:
                 try:
                     self._respawn(index)
                     self._catch_up(index)
-                    if epoch is None:
-                        events: list = []
-                    else:
+                    events: list = []
+                    if sub_epoch is not None:
                         proxy = self.runtime.shards[index]
-                        proxy.step_async(
-                            epoch.time,
-                            epoch.reported_position,
-                            epoch.reported_heading,
-                            numbers,
-                            shelf_numbers,
-                        )
+                        proxy.step_async(sub_epoch)
                         events = proxy.collect_events()
                 except WorkerError as exc:
                     cause = exc  # died again: next lap, fatter backoff
@@ -258,7 +212,7 @@ class ShardSupervisor:
             old.close(force=True)
         except Exception:
             pass  # reclamation is best-effort; the segment unlink retries
-        self.runtime.shards[index] = self.runtime.spawn_worker(index)
+        self.runtime.shards[index] = self.runtime._new_shard(index)
 
     def _catch_up(self, index: int) -> None:
         """Restore the respawned shard from the baseline, replay the journal."""
@@ -276,16 +230,9 @@ class ShardSupervisor:
             proxy.restore(manifest.shard_states[index])
         # else: no checkpoint yet — the fresh worker already sits at the
         # stream start (same seed), so the journal replays from epoch 0.
-        router = self.runtime.router
+        split = self.runtime.router.split
         for past in self._journal:
-            past_shelf = [tag.number for tag in past.shelf_tags]
-            proxy.step_async(
-                past.time,
-                past.reported_position,
-                past.reported_heading,
-                router.split_numbers(past)[index],
-                past_shelf,
-            )
+            proxy.step_async(split(past)[index])
             proxy.collect_events()  # deterministic duplicates: discard
 
     def _escalate(self, index: int, cause: WorkerError, reason: str) -> None:

@@ -9,13 +9,16 @@ framed stream-socket link of :mod:`repro.runtime.transport`.
 ``executor="remote"`` connects to a ``repro shard-host``, which forks the
 same worker body holding the accepted socket.  Either way the parent holds
 one :class:`ShardWorkerProxy` and the worker runs one :func:`_worker_main`;
-opening the link is the only executor-specific code.  Two rules keep the
-steady-state cost per epoch tiny:
+opening the link is the only executor-specific code.  The proxy speaks the
+split-phase surface an in-process :class:`~repro.runtime.shard.FilterShard`
+speaks, so the runtime drives both through one code path; the proxy is the
+only shard that retires at ``finish`` (it caches the post-run query answers
+first).  Two rules keep the steady-state cost per epoch tiny:
 
-* **The link carries control, not arrays.**  Per epoch the parent sends the
-  routed object-tag *numbers* plus the broadcast reader pose/shelf context
-  (one ``STEP`` frame, never a whole
-  :class:`~repro.streams.records.Epoch`), and the worker replies with the
+* **The link carries control, not arrays.**  Per epoch the proxy packs the
+  routed sub-epoch into one ``STEP`` frame — its object-tag *numbers* plus
+  the broadcast reader pose/shelf context, never a whole
+  :class:`~repro.streams.records.Epoch` — and the worker replies with the
   epoch's emitted events (one ``EVENTS`` frame).  Checkpoint state trees do
   cross the link, but only on explicit ``snapshot`` / ``restore`` requests —
   never in the hot loop.
@@ -77,7 +80,7 @@ from ..faults import fault_point
 from ..inference.arena import SharedSlab, attach_shared_slab
 from ..inference.estimates import LocationEstimate
 from ..models.joint import RFIDWorldModel
-from ..streams.records import LocationEvent, make_epoch
+from ..streams.records import Epoch, LocationEvent, make_epoch
 from . import transport
 from .shard import FilterShard
 from .transport import FramedConnection, parse_endpoint
@@ -454,6 +457,11 @@ class ShardWorkerProxy:
         #: the shard host owns the process) — and ``None`` once closed.
         self.process: Optional[mp.process.BaseProcess] = None
         self._conn: Optional[FramedConnection] = None
+        #: A ``finish`` whose events (and ``final`` reply) are uncollected.
+        self._finishing = False
+        #: Post-run query answers, cached at finish (see ``_keep_final``).
+        self._final_stats: Optional[Dict[str, float]] = None
+        self._final_estimates: Optional[Dict[int, LocationEstimate]] = None
         if self.endpoint is None:
             self._fork_link(engine_factory)
         elif engine_factory is not None:
@@ -605,21 +613,27 @@ class ShardWorkerProxy:
         self._send(message)
         return self._recv()
 
-    # -- the split-phase epoch step ------------------------------------
-    def step_async(
-        self,
-        time: float,
-        reported_position,
-        reported_heading,
-        object_numbers: Sequence[int],
-        shelf_numbers: Sequence[int],
-    ) -> None:
+    # -- the split-phase shard surface ---------------------------------
+    def step_async(self, epoch: Epoch) -> None:
+        """Ship one routed sub-epoch; the worker rebuilds it from the tag
+        numbers (tag sets are unordered, so its content is identical)."""
         self._send(
-            ("step", time, reported_position, reported_heading, object_numbers, shelf_numbers)
+            (
+                "step",
+                epoch.time,
+                epoch.reported_position,
+                epoch.reported_heading,
+                [tag.number for tag in epoch.object_tags],
+                [tag.number for tag in epoch.shelf_tags],
+            )
         )
 
     def finish_async(self) -> None:
+        """Flush the worker, with the post-run summary requested right
+        behind it: every worker's is in flight before any is collected."""
         self._send(("finish",))
+        self._send(("final",))
+        self._finishing = True
 
     def collect_events(self) -> List[LocationEvent]:
         reply = self._recv()
@@ -629,13 +643,39 @@ class ShardWorkerProxy:
             )
         _, events, segment = reply
         self._note_segment(segment)
+        if self._finishing:
+            self._finishing = False
+            self._keep_final(self._recv()[1])
         return events
 
-    # -- FilterShard surface -------------------------------------------
+    def _keep_final(self, final: dict) -> None:
+        """Cache the post-run query answers, so the proxy stays queryable
+        once ``close`` retires the worker."""
+        self._final_stats = final["stats"]
+        self._final_estimates = {  # in ``known`` order
+            number: LocationEstimate(
+                mean=mean, covariance=covariance, sample_size=int(sample_size)
+            )
+            for number, mean, covariance, sample_size in zip(
+                final["known"],
+                final["means"],
+                final["covariances"],
+                final["sample_sizes"],
+            )
+        }
+
+    # -- FilterShard queries -------------------------------------------
     def known_objects(self) -> List[int]:
+        if self._final_estimates is not None:
+            return list(self._final_estimates)
         return self._request(("known",))[1]
 
     def object_estimate(self, number: int) -> LocationEstimate:
+        if self._final_estimates is not None:
+            try:
+                return self._final_estimates[number]
+            except KeyError:
+                raise InferenceError(f"unknown object {number}") from None
         mean, covariance, sample_size = self._request(("estimate", number))[1:]
         return LocationEstimate(
             mean=np.asarray(mean, dtype=float),
@@ -644,30 +684,12 @@ class ShardWorkerProxy:
         )
 
     def stats(self) -> Dict[str, float]:
+        if self._final_stats is not None:
+            return dict(self._final_stats)
         row = self._request(("stats",))[1]
         row["wire_bytes_sent"] = self._conn.bytes_sent
         row["wire_bytes_recv"] = self._conn.bytes_received
         return row
-
-    def final_async(self) -> None:
-        self._send(("final",))
-
-    def collect_final(self):
-        """(stats, known objects, {number: LocationEstimate}) in one reply."""
-        final = self._recv()[1]
-        known = final["known"]
-        return (
-            final["stats"],
-            known,
-            {
-                number: LocationEstimate(
-                    mean=mean, covariance=covariance, sample_size=int(sample_size)
-                )
-                for number, mean, covariance, sample_size in zip(
-                    known, final["means"], final["covariances"], final["sample_sizes"]
-                )
-            },
-        )
 
     def snapshot_async(self, mode: str = "full") -> None:
         self._send(("snapshot", mode))

@@ -686,12 +686,7 @@ class ReproService:
             except ReproError:
                 pass
         shard_rows = self._shard_stats_cache
-        shard_totals: Dict[str, float] = {}
-        for row in shard_rows:
-            for key, value in row.items():
-                if key == "shard":
-                    continue
-                shard_totals[key] = shard_totals.get(key, 0.0) + float(value)
+        shard_totals = self.runtime.shard_totals(shard_rows)
         last_ck = self.runtime.last_checkpoint_epoch
         ck_wall = self.runtime.last_checkpoint_walltime
         return {

@@ -113,10 +113,6 @@ def runtime_config_from_dict(data: dict) -> RuntimeConfig:
         # JSON round-trips tuples as lists.
         if data.get("shard_hosts") is not None:
             data["shard_hosts"] = tuple(data["shard_hosts"])
-        # Checkpoints written before the thread executor was removed: all
-        # executors are bitwise-interchangeable at equal shard counts.
-        if data.get("executor") == "thread":
-            data["executor"] = "serial"
         return RuntimeConfig(**data)
     except (TypeError, ConfigurationError) as exc:
         raise StateError(f"checkpoint runtime config is invalid: {exc}") from exc
@@ -239,34 +235,32 @@ class ChainHead:
 # ---------------------------------------------------------------------------
 # Save
 # ---------------------------------------------------------------------------
-def _collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
-    """Snapshot every shard, overlapping workers when they support it.
+def collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
+    """Snapshot every shard through the split-phase ``snapshot_async`` /
+    ``collect_snapshot`` pair.
 
-    Process-executor proxies expose a split-phase ``snapshot_async`` /
-    ``collect_snapshot`` pair; requesting all shards before collecting any
-    lets the workers serialize their state trees concurrently instead of one
-    at a time.  Every pending reply is always collected — even after a
-    failure — so the links stay in sync; the first error is re-raised once
-    the sweep completes.
+    Requesting all shards before collecting any lets worker shards
+    serialize their state trees concurrently instead of one at a time.
+    Every pending reply is always collected — even after a failure — so the
+    links stay in sync; the first error is re-raised once the sweep
+    completes.
     """
-    if len(shards) > 1 and all(hasattr(s, "snapshot_async") for s in shards):
-        for shard in shards:
-            shard.snapshot_async(mode)
-        states: List[Optional[dict]] = []
-        failure: Optional[BaseException] = None
-        for shard in shards:
-            try:
-                states.append(shard.collect_snapshot())
-            except (StateError, InferenceError) as exc:
-                # Keep draining: a reply left behind on a healthy worker's
-                # link would be misread by the next request after the caller
-                # handles this checkpoint failure and keeps streaming.
-                failure = failure if failure is not None else exc
-                states.append(None)
-        if failure is not None:
-            raise failure
-        return states
-    return [shard.snapshot(mode) for shard in shards]
+    for shard in shards:
+        shard.snapshot_async(mode)
+    states: List[Optional[dict]] = []
+    failure: Optional[BaseException] = None
+    for shard in shards:
+        try:
+            states.append(shard.collect_snapshot())
+        except (StateError, InferenceError) as exc:
+            # Keep draining: a reply left behind on a healthy worker's link
+            # would be misread by the next request after the caller handles
+            # this checkpoint failure and keeps streaming.
+            failure = failure if failure is not None else exc
+            states.append(None)
+    if failure is not None:
+        raise failure
+    return states
 
 
 def _check_delta_chains(parent: ChainHead, states: List[dict]) -> None:
@@ -347,7 +341,7 @@ def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> ChainHead
     # value the codec refuses fails the save with no capture serial moved.
     engines = getattr(runtime, "query_engines", None) or {}
     queries = {name: e.snapshot_state() for name, e in sorted(engines.items())}
-    states = _collect_shard_snapshots(runtime.shards, mode=mode)
+    states = collect_shard_snapshots(runtime.shards, mode=mode)
     if mode == "delta":
         _check_delta_chains(parent, states)
     # Every array of every tree goes into the body back to back, written

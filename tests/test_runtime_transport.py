@@ -65,7 +65,7 @@ from repro.runtime.transport import (
     parse_endpoint,
 )
 from repro.state import reshard_states, restore_runtime
-from repro.streams.records import LocationEvent, LocationStatistics, TagId
+from repro.streams.records import LocationEvent, LocationStatistics, TagId, make_epoch
 from repro.wire import FrameSplitter, pack_frame
 
 
@@ -323,12 +323,12 @@ class TestMalformedFrames:
             )
             try:
                 assert proxy.is_alive()
-                proxy.step_async(0.0, None, None, [1], [])
+                proxy.step_async(make_epoch(0.0, object_tags=[1]))
                 with pytest.raises(WorkerError, match="malformed"):
                     proxy.collect_events()
                 assert not proxy.is_alive()
                 with pytest.raises(WorkerError, match="not running"):
-                    proxy.step_async(1.0, None, None, [1], [])
+                    proxy.step_async(make_epoch(1.0, object_tags=[1]))
             finally:
                 proxy.close(force=True)
 

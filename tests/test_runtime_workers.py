@@ -28,6 +28,7 @@ from worker_links import (
     check_cross_executor_restore,
     check_parity,
     check_queries,
+    worker_link,
 )
 
 from repro.config import InferenceConfig, RuntimeConfig
@@ -107,30 +108,34 @@ class TestProcessParity:
         check_belief_reads(scenario, "process")
 
 
+def check_run_sharded(scenario, executor):
+    """The eval harness queries the runtime *after* run(): stats, known
+    objects, and estimates must survive worker retirement."""
+    from repro.eval.harness import run_sharded
+
+    model, trace, config = scenario
+    with worker_link(executor) as runtime_config:
+        result = run_sharded(trace, model, config, runtime_config(2), POLICY)
+    assert result.error is not None
+    assert result.extra["worker_processes"] == 2.0
+    assert result.extra["n_shards"] == 2.0
+    assert result.extra["shard0_arena_used_rows"] > 0
+    reference = run_sharded(trace, model, config, RuntimeConfig(n_shards=2), POLICY)
+    assert reference.extra["worker_processes"] == 0.0
+    for number, estimate in result.estimates.items():
+        np.testing.assert_array_equal(estimate, reference.estimates[number])
+    for key, value in reference.extra.items():
+        if not key.endswith(("wire_bytes_sent", "wire_bytes_recv", "worker_processes")):
+            assert result.extra[key] == value, key
+
+
 class TestHarnessIntegration:
     def test_run_sharded_with_process_executor(self, scenario):
-        """The eval harness queries the runtime *after* run(): stats,
-        known objects, and estimates must survive worker retirement."""
-        from repro.eval.harness import run_sharded
+        check_run_sharded(scenario, "process")
 
-        model, trace, config = scenario
-        result = run_sharded(
-            trace,
-            model,
-            config,
-            RuntimeConfig(n_shards=2, executor="process"),
-            POLICY,
-        )
-        assert result.error is not None
-        assert result.extra["worker_processes"] == 2.0
-        assert result.extra["n_shards"] == 2.0
-        assert result.extra["shard0_arena_used_rows"] > 0
-        reference = run_sharded(
-            trace, model, config, RuntimeConfig(n_shards=2), POLICY
-        )
-        assert reference.extra["worker_processes"] == 0.0
-        for number, estimate in result.estimates.items():
-            np.testing.assert_array_equal(estimate, reference.estimates[number])
+    def test_run_sharded_with_remote_executor(self, scenario):
+        """Remote shards are worker processes too (forked by the host)."""
+        check_run_sharded(scenario, "remote")
 
 
 class TestProcessDurability:

@@ -644,7 +644,7 @@ class TestQuerySection:
         model, trace, config = scenario
         monkeypatch.setattr(
             checkpoint_module,
-            "_collect_shard_snapshots",
+            "collect_shard_snapshots",
             lambda *args, **kwargs: pytest.fail("captured shards for a refused save"),
         )
 
@@ -750,33 +750,24 @@ class TestResumeParity:
         sink = runtime.run(trace.epochs(start=split))
         assert_bitwise_equal(prefix + sink.events, reference)
 
-    def test_recorded_thread_executor_resumes_as_serial(
-        self, scenario, tmp_path, checkpoint_files
+    @pytest.mark.parametrize("executor", ["thread", "fiber"])
+    def test_recorded_unknown_executor_is_refused(
+        self, scenario, tmp_path, checkpoint_files, executor
     ):
-        """Checkpoints written under the since-removed thread executor still
-        restore (executors are interchangeable at equal shard counts); any
-        other unknown recorded executor is a StateError, not a bare
-        ConfigurationError."""
+        """A header recording an executor this build does not have — the
+        removed ``thread`` one (no genuine version-3 file can: it was gone
+        before the format existed) or one that never was — is a StateError,
+        not a bare ConfigurationError."""
         from repro.state.checkpoint import runtime_config_from_dict
 
         model, trace, config = scenario
-        reference = run_full(model, trace, config, 2)
-        split = len(trace.epochs()) // 2
         path = tmp_path / "ck"
-        prefix = checkpoint_at(model, trace, config, 2, split, path)
+        checkpoint_at(model, trace, config, 2, len(trace.epochs()) // 2, path)
 
-        def record_executor(name):
-            def mutate(header):
-                header["runtime_config"]["executor"] = name
+        def mutate(header):
+            header["runtime_config"]["executor"] = executor
 
-            checkpoint_files.edit_header(path, mutate)
-
-        record_executor("thread")
-        runtime, manifest = restore_runtime(path, model)
-        assert manifest.runtime.executor == "serial"
-        sink = runtime.run(trace.epochs(start=split))
-        assert_bitwise_equal(prefix + sink.events, reference)
-        record_executor("fiber")
+        checkpoint_files.edit_header(path, mutate)
         with pytest.raises(StateError, match="runtime config is invalid"):
             runtime_config_from_dict(read_checkpoint_header(path)["runtime_config"])
         with pytest.raises(StateError):
