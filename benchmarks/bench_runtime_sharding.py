@@ -12,11 +12,10 @@ TCP to an in-process shard host — one proxy, one link codec), plus
 What the executors can and cannot show in one container: sharding is a
 *distribution* mechanism — total kernel work is constant — so serial rows
 measure partitioning/merge overhead staying small; process rows measure the
-full scale-out path (persistent workers, framed link, shared-memory
-arenas), whose speedup is bounded by ``cpu_count`` — on a single-core
-runner the process rows price the IPC overhead instead (the recorded
-``cpu_count`` says which reading you are looking at); remote rows add the
-TCP stack and lose the shared-memory stats path.
+full scale-out path (persistent workers, framed link), whose speedup is
+bounded by ``cpu_count`` — on a single-core runner the process rows price
+the IPC overhead instead (the recorded ``cpu_count`` says which reading
+you are looking at); remote rows add the TCP stack.
 
 Every row is measured ``repeats`` times, interleaved with the other rows
 so drift lands on all of them, and reports each repeat's epochs/sec plus
@@ -270,7 +269,7 @@ def main() -> None:
             "rows); min/max are the row's own spread.  Serial rows measure "
             "partitioning+merge overhead (total kernel work is constant "
             "in-process); process rows measure the worker scale-out path "
-            "(socketpair link + shared-memory arenas), remote rows the same "
+            "(socketpair link), remote rows the same "
             "proxy over loopback TCP to an in-process shard host; the worker "
             "executors' speedup ceiling is cpu_count."
         ),

@@ -184,7 +184,7 @@ _RUNTIME = _FlagGroup(
         "executor": (
             "--executor",
             "how shards advance each epoch: serial, process (persistent "
-            "workers with shared-memory arenas), or remote (workers on "
+            "local worker processes), or remote (workers on "
             "`repro shard-host` endpoints over TCP; output is identical "
             "across executors)",
         ),
@@ -857,8 +857,7 @@ def _print_multiplexer_stats(engine) -> None:
     )
     print(
         f"serve: {stats['serve_s_per_tick'] * 1e3:.3f} ms/tick over "
-        f"{stats['ticks']} ticks; {stats['belief_reads']} belief reads "
-        f"({stats['read_view_refreshes']} view refreshes)"
+        f"{stats['ticks']} ticks"
     )
 
 

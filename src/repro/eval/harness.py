@@ -22,7 +22,7 @@ from ..config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from ..geometry.shapes import ShelfSet
 from ..inference.factored import FactoredParticleFilter
 from ..inference.naive import NaiveParticleFilter
-from ..inference.pipeline import CleaningPipeline
+from ..inference.pipeline import CleaningPipeline, engine_counters
 from ..models.joint import RFIDWorldModel
 from ..runtime import ShardedRuntime
 from ..streams.sinks import CollectingSink, EventSink, TeeSink
@@ -159,21 +159,9 @@ def run_factored(
             "arena_grows": float(engine.arena.stats["grows"]),
             "arena_compactions": float(engine.arena.stats["compactions"]),
             "arena_memory_bytes": float(engine.arena.memory_bytes()),
-            "compressions": float(engine.stats["compressions"]),
-            "decompressions": float(engine.stats["decompressions"]),
-            "objects_processed": float(engine.stats["objects_processed"]),
-            "objects_skipped": float(engine.stats["objects_skipped"]),
-            "objects_skipped_settled": float(
-                engine.stats["objects_skipped_settled"]
-            ),
-            "budget_decays": float(engine.stats["budget_decays"]),
-            "budget_revives": float(engine.stats["budget_revives"]),
-            # Final-epoch snapshots (the counters above are whole-trace sums).
+            **engine_counters(engine),
+            # A final-epoch snapshot (the counters above are whole-trace sums).
             "last_epoch_active_count": float(engine.active_count),
-            **{
-                key: float(value)
-                for key, value in engine.tier_summary().items()
-            },
             **({} if query_engine is None else _query_extras(query_engine)),
         },
     )
@@ -194,8 +182,8 @@ def run_sharded(
     ``extra`` reports per-shard arena statistics (``shard<i>_*``) alongside
     the aggregate belief memory, so scalability sweeps can see how evenly
     the partitioner spread the population.  ``query_engine`` is bridged to
-    the runtime's event bus (standing queries served inside the timed run,
-    zero-copy read views bound) and reports ``query_*`` extras.
+    the runtime's event bus (standing queries served inside the timed run)
+    and reports ``query_*`` extras.
     """
     runtime = ShardedRuntime(
         model, config, runtime_config, policy, initial_heading=initial_heading

@@ -43,18 +43,6 @@ gather/scatter kernels mark; ``remap_parents`` raises a parents-wide flag
 instead, since a reader resample rewrites every live row's pointer).  The
 durable-state subsystem's *differential checkpoints* read this via
 :meth:`delta_snapshot` to ship changed blocks only.
-
-**Shared-memory backing**: constructed with ``shared=True`` the three column
-arrays live in one :class:`multiprocessing.shared_memory.SharedMemory`
-segment (:class:`SharedSlab`) instead of private heap pages.  The process
-executor's workers use this so the parent process can *read* belief state —
-attach with :func:`attach_shared_slab` using the ``(name, capacity, dtype)``
-triple from :meth:`BeliefArena.shared_segment` — without any array crossing
-the worker link.
-Growing allocates a fresh segment and unlinks the old one, so a reader must
-re-attach whenever the advertised segment changes; :meth:`release` frees the
-segment at worker teardown (shared slabs are not reclaimed by the garbage
-collector — whoever created the arena must release it).
 """
 
 from __future__ import annotations
@@ -96,93 +84,11 @@ def segment_gather_indices(
     return idx, batch_starts
 
 
-def _slab_layout(capacity: int, itemsize: int = 8) -> Tuple[int, int, int]:
-    """Byte offsets of (positions, log_weights, parents) within one segment.
-
-    Float columns come first so both stay itemsize-aligned for any capacity;
-    the int32 parent column (4-byte alignment) trails them.
-    """
-    positions_bytes = capacity * 3 * itemsize
-    log_weights_bytes = capacity * itemsize
-    return 0, positions_bytes, positions_bytes + log_weights_bytes
-
-
-def slab_nbytes(capacity: int, itemsize: int = 8) -> int:
-    """Total segment size for ``capacity`` rows (3 float + 1 float + 1 i4)."""
-    return capacity * (3 * itemsize + itemsize + 4)
-
-
-class SharedSlab:
-    """One shared-memory segment holding the arena's three column arrays.
-
-    Created by the arena that owns it (``create=True``) or attached read-only
-    by another process that learned the ``(name, capacity, dtype)`` triple
-    out of band.  POSIX shared memory is zero-filled on creation, matching
-    the private allocator's ``np.zeros``.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        name: Optional[str] = None,
-        create: bool = True,
-        dtype: str = "float64",
-    ):
-        from multiprocessing import shared_memory
-
-        self.capacity = int(capacity)
-        self.dtype = np.dtype(dtype)
-        itemsize = self.dtype.itemsize
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=create, size=slab_nbytes(self.capacity, itemsize)
-        )
-        pos_off, lw_off, par_off = _slab_layout(self.capacity, itemsize)
-        buf = self._shm.buf
-        self.positions = np.ndarray(
-            (self.capacity, 3), dtype=self.dtype, buffer=buf, offset=pos_off
-        )
-        self.log_weights = np.ndarray(
-            self.capacity, dtype=self.dtype, buffer=buf, offset=lw_off
-        )
-        self.parents = np.ndarray(
-            self.capacity, dtype=np.int32, buffer=buf, offset=par_off
-        )
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        self.positions = self.log_weights = self.parents = None  # type: ignore[assignment]
-        try:
-            self._shm.close()
-        except BufferError:
-            # A caller still holds a view into the mapping; leak the mapping
-            # rather than crash — unlink (if any) already freed the name.
-            pass
-
-    def unlink(self) -> None:
-        """Free the segment system-wide.  Safe to call once, by the owner."""
-        self._shm.unlink()
-
-
-def attach_shared_slab(name: str, capacity: int, dtype: str = "float64") -> SharedSlab:
-    """Attach to another process's arena slab (read-side; do not unlink).
-
-    Raises ``FileNotFoundError`` if the segment is gone — the owner grew its
-    arena (re-request the current segment) or released it (worker gone).
-    """
-    return SharedSlab(capacity, name=name, create=False, dtype=dtype)
-
-
 class BeliefArena:
     """Slot-allocated SoA storage for every uncompressed object belief."""
 
-    def __init__(self, config: ArenaConfig = ArenaConfig(), shared: bool = False):
+    def __init__(self, config: ArenaConfig = ArenaConfig()):
         self._config = config
-        self._shared = bool(shared)
-        self._slab: Optional[SharedSlab] = None
         self._dtype = np.dtype(config.dtype)
         capacity = int(config.initial_capacity)
         self._positions, self._parents, self._log_weights = self._alloc(capacity)
@@ -204,20 +110,12 @@ class BeliefArena:
         self._plan_cache: Optional[Tuple[int, tuple, tuple]] = None
 
     def _alloc(self, capacity: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Allocate column arrays, swapping in a fresh shared slab if shared.
-
-        The previous slab (if any) is left for the caller to copy out of and
-        retire via :meth:`_retire_slab`.
-        """
-        if not self._shared:
-            return (
-                np.zeros((capacity, 3), dtype=self._dtype),
-                np.zeros(capacity, dtype=np.int32),
-                np.zeros(capacity, dtype=self._dtype),
-            )
-        slab = SharedSlab(capacity, dtype=self._dtype)
-        self._slab = slab
-        return slab.positions, slab.parents, slab.log_weights
+        """Allocate zeroed ``(positions, parents, log_weights)`` columns."""
+        return (
+            np.zeros((capacity, 3), dtype=self._dtype),
+            np.zeros(capacity, dtype=np.int32),
+            np.zeros(capacity, dtype=self._dtype),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -348,7 +246,6 @@ class BeliefArena:
             minimum_rows,
             1,
         )
-        old_slab = self._slab
         positions, parents, log_weights = self._alloc(new_capacity)
         positions[: self._end] = self._positions[: self._end]
         parents[: self._end] = self._parents[: self._end]
@@ -358,41 +255,7 @@ class BeliefArena:
             parents,
             log_weights,
         )
-        if old_slab is not None:
-            old_slab.unlink()
-            old_slab.close()
         self.stats["grows"] += 1
-
-    # ------------------------------------------------------------------
-    # Shared-memory backing (the process executor, ``repro.runtime.workers``)
-    # ------------------------------------------------------------------
-    def shared_segment(self) -> Optional[Tuple[str, int, str]]:
-        """``(segment name, capacity, dtype)`` of the backing shared-memory
-        slab, or ``None`` for a private arena.  The triple changes on every
-        grow — readers re-attach when it does."""
-        if self._slab is None:
-            return None
-        return self._slab.name, self._slab.capacity, self._slab.dtype.name
-
-    def slot_table(self) -> Dict[int, Tuple[int, int]]:
-        """Copy of the object-id -> (start, count) block map, for readers
-        interpreting the shared slab from another process."""
-        return dict(self._slots)
-
-    def release(self) -> None:
-        """Free the shared-memory segment (no-op for private arenas).
-
-        The arena must not be used afterwards; workers call this once at
-        teardown so segments never outlive their owning process.  Idempotent.
-        """
-        slab, self._slab = self._slab, None
-        if slab is None:
-            return
-        try:
-            slab.unlink()
-        except FileNotFoundError:
-            pass  # already unlinked by a supervising parent
-        slab.close()
 
     def compact(self) -> None:
         """Squeeze holes out of the occupied prefix, preserving block order.

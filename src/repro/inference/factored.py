@@ -225,14 +225,6 @@ class FactoredParticleFilter:
     initial_position / initial_heading:
         Prior reader pose.  ``initial_position=None`` defers to the first
         epoch's reported position (the usual case).
-    shared_arena:
-        Back the belief arena with a shared-memory slab
-        (:class:`~repro.inference.arena.SharedSlab`) so another process can
-        read particle blocks without serialization.  A *deployment* choice,
-        not an inference one — it is deliberately not part of
-        :class:`~repro.config.InferenceConfig`, so checkpoints taken under
-        the process executor hash identically to serial ones.  The owner
-        must call ``arena.release()`` at teardown.
     """
 
     def __init__(
@@ -243,7 +235,6 @@ class FactoredParticleFilter:
         initial_heading: float = 0.0,
         heading_spread: float = 0.05,
         position_spread: float = 0.1,
-        shared_arena: bool = False,
     ):
         self.model = model
         self.config = config
@@ -261,7 +252,7 @@ class FactoredParticleFilter:
         self._last_reported: Optional[np.ndarray] = None  # odometry anchor
         self._last_reported_epoch: int = -(10**9)
 
-        self.arena = BeliefArena(config.arena, shared=shared_arena)
+        self.arena = BeliefArena(config.arena)
         self._beliefs: Dict[int, ObjectBelief] = {}
         self._known_cache: Optional[List[int]] = None
         self._active_count = 0
@@ -431,9 +422,6 @@ class FactoredParticleFilter:
         budget = self.config.budget
         if not budget.enabled:
             active = self._selector.select(read_now, self._beliefs.keys(), current_box)
-            self._active_count = len(active)
-            self.stats["objects_processed"] += len(active)
-            self.stats["objects_skipped"] += max(0, len(self._beliefs) - len(active))
 
         # --- (re)initialize / decompress / revive read objects ------------
         # Three short passes in tag-number order (the epoch's frozenset
@@ -485,14 +473,14 @@ class FactoredParticleFilter:
                 batch_ids = [n for n in sorted(active) if n in self._engaged]
             else:
                 batch_ids = self._engaged_ids()
-            self._active_count = len(batch_ids)
-            self.stats["objects_processed"] += len(batch_ids)
-            skipped = max(0, len(self._beliefs) - len(batch_ids))
-            self.stats["objects_skipped"] += skipped
             self.stats["objects_skipped_settled"] += len(self._parked)
         else:
-            # Every read object has a belief by now, so ``active`` is known.
+            # Every read object has a belief by now, so ``active`` is known;
+            # compressed Case-2 candidates stay out of the kernels.
             batch_ids = [n for n in sorted(active) if self._beliefs[n].gaussian is None]
+        self._active_count = len(batch_ids)
+        self.stats["objects_processed"] += len(batch_ids)
+        self.stats["objects_skipped"] += max(0, len(self._beliefs) - len(batch_ids))
         if batch_ids:
             pos, par, lw, rows, seg_starts, lengths = self.arena.gather(batch_ids)
             self.model.objects.propagate_many(pos, self._rng, in_place=True)

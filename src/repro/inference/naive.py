@@ -151,15 +151,15 @@ class NaiveParticleFilter:
                 self._add_object(number, anchor, heading)
                 skip.add(number)
             else:
-                belief_mean = self.object_estimate(number).mean
+                estimate_mean = self.object_estimate(number).mean
                 moved = float(
-                    np.hypot(anchor[0] - belief_mean[0], anchor[1] - belief_mean[1])
+                    np.hypot(anchor[0] - estimate_mean[0], anchor[1] - estimate_mean[1])
                 )
                 decision = classify_redetection(moved, self.config)
                 if decision is ReinitDecision.KEEP:
                     p_read = float(
                         self.model.sensor.read_probability_at(
-                            anchor, heading, belief_mean[None, :]
+                            anchor, heading, estimate_mean[None, :]
                         )[0]
                     )
                     if p_read < self.config.surprise_read_threshold:

@@ -40,6 +40,16 @@ class InferenceEngine(Protocol):
     def epoch_index(self) -> int: ...
 
 
+def engine_counters(engine) -> Dict[str, float]:
+    """Every counter in ``engine.stats`` plus ``engine.tier_summary()``, as
+    floats — the one list shard stats and the eval harness both report."""
+    row = dict(getattr(engine, "stats", None) or {})
+    tiers = getattr(engine, "tier_summary", None)
+    if callable(tiers):
+        row.update(tiers())
+    return {key: float(value) for key, value in row.items()}
+
+
 @dataclass
 class _VisitState:
     """Per-object bookkeeping for the output policy."""

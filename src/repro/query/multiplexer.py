@@ -34,11 +34,6 @@ serves thousands of concurrent standing queries at near-flat marginal cost:
 * **Checkpointed operator state** — ``snapshot_state``/``restore_state``
   capture shared-window + per-query streamer state so a restored server
   resumes answers exactly (see :mod:`repro.state.checkpoint`).
-* **Zero-copy belief reads** — ``bind_read_views`` attaches an epoch-stamped
-  :class:`~repro.runtime.readview.RuntimeReadView` provider; ``belief_mean``
-  reads particle positions/weights straight out of the (shared-memory)
-  arenas without per-query copies, refreshing the view only when the
-  runtime's epoch advances.
 
 Single-query semantics are byte-identical to the stock engine; this is pinned
 by the parity tests in ``tests/test_query_multiplexer.py`` and the
@@ -385,16 +380,12 @@ class MultiplexedQueryEngine(QueryEngine):
         self.emissions_suppressed = 0
         self.grid_lookups = 0
         self.serve_seconds = 0.0
-        self.belief_reads = 0
-        self.read_view_refreshes = 0
         #: Ticks served while the runtime was degraded (a shard mid-recovery
         #: or just replayed) — flagged by the serving layer via
         #: :meth:`note_degraded`.  The answers themselves are exact (recovery
         #: replay is deterministic); the counter announces that they arrived
         #: through a recovery, for staleness-aware consumers.
         self.degraded_ticks = 0
-        self._read_view_provider: Optional[Callable[[], object]] = None
-        self._read_view = None
 
     def note_degraded(self) -> None:
         """Count one tick that was produced through a shard recovery."""
@@ -648,40 +639,6 @@ class MultiplexedQueryEngine(QueryEngine):
                 self._postop_cache[plan.plan_key] = (shared.version, post)
         return plan.streamer.process(time, post)
 
-    # Zero-copy belief reads ----------------------------------------------
-    def bind_read_views(self, provider: Callable[[], object]) -> None:
-        """Attach a read-view factory (``ShardedRuntime.read_view``).
-
-        ``belief_mean`` then serves location reads zero-copy from the
-        runtime's belief arenas, refreshing the epoch-stamped view only when
-        the runtime has advanced.
-        """
-        self._close_read_view()
-        self._read_view_provider = provider
-
-    def belief_mean(self, tag_number: int):
-        if self._read_view_provider is None:
-            raise QueryError(
-                "no read views bound; call bind_read_views(runtime.read_view)"
-            )
-        view = self._read_view
-        if view is None or not view.valid:
-            self._close_read_view()
-            view = self._read_view_provider()
-            self._read_view = view
-            self.read_view_refreshes += 1
-        self.belief_reads += 1
-        return view.mean(tag_number)
-
-    def _close_read_view(self) -> None:
-        if self._read_view is not None:
-            self._read_view.close()
-            self._read_view = None
-
-    def finish(self) -> None:
-        super().finish()
-        self._close_read_view()
-
     # Stats ---------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         cache_total = self.cache_hits + self.cache_misses
@@ -697,8 +654,6 @@ class MultiplexedQueryEngine(QueryEngine):
             "grid_lookups": self.grid_lookups,
             "serve_seconds": self.serve_seconds,
             "serve_s_per_tick": (self.serve_seconds / self._ticks) if self._ticks else 0.0,
-            "belief_reads": self.belief_reads,
-            "read_view_refreshes": self.read_view_refreshes,
             "degraded_ticks": self.degraded_ticks,
         }
 

@@ -9,7 +9,6 @@ See :class:`ShardedRuntime` for the end-to-end driver.
 from .bridge import QueryBridge
 from .bus import EventBus
 from .partition import hash_partition, make_partitioner, mod_partition, shard_seed
-from .readview import RuntimeReadView
 from .router import EpochRouter
 from .runtime import ShardedRuntime
 from .shard import FilterShard
@@ -21,7 +20,6 @@ __all__ = [
     "FactoredEngineFactory",
     "FilterShard",
     "QueryBridge",
-    "RuntimeReadView",
     "ShardWorkerProxy",
     "ShardedRuntime",
     "hash_partition",

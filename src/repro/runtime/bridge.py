@@ -25,10 +25,8 @@ from .bus import EventBus
 class QueryBridge:
     """Subscribes a :class:`QueryEngine` to an :class:`EventBus`.
 
-    Passing ``runtime`` additionally (a) attaches the engine to the
-    runtime's coordinated checkpoints under ``name`` and (b) binds the
-    runtime's zero-copy belief read views to multiplexed engines (so query
-    callbacks can call ``engine.belief_mean``).
+    Passing ``runtime`` additionally attaches the engine to the runtime's
+    coordinated checkpoints under ``name``.
     """
 
     def __init__(
@@ -46,8 +44,6 @@ class QueryBridge:
             self.attach(bus)
         if runtime is not None:
             runtime.attach_query_engine(name, engine)
-            if hasattr(engine, "bind_read_views"):
-                engine.bind_read_views(runtime.read_view)
 
     def attach(self, bus: EventBus) -> None:
         """Start feeding the engine from ``bus`` (close flushes the engine)."""

@@ -15,7 +15,7 @@ derived deterministically from the root seed.  Per epoch the runtime:
    request runs at once) or a :class:`~repro.runtime.workers.ShardWorkerProxy`
    for a persistent worker *process* (local or behind ``repro
    shard-host``; all workers step concurrently, belief state stays in
-   per-worker shared-memory slabs).  Both speak one split-phase surface, so
+   each worker's private arena).  Both speak one split-phase surface, so
    the executor is read once, where shards (and the supervisor) are built;
 3. **merges** — streams every shard's emitted events onto the
    :class:`~repro.runtime.bus.EventBus` via a ``(time, tag)``-keyed k-way
@@ -247,16 +247,6 @@ class ShardedRuntime:
                 f"query engine {name!r} does not support state capture"
             )
         self.query_engines[name] = engine
-
-    def read_view(self):
-        """Epoch-stamped zero-copy view of every shard's beliefs.
-
-        See :class:`~repro.runtime.readview.RuntimeReadView`; the caller
-        must ``close()`` it (process executors attach shared memory).
-        """
-        from .readview import RuntimeReadView  # deferred: no cycle
-
-        return RuntimeReadView(self)
 
     # ------------------------------------------------------------------
     @property
@@ -556,11 +546,10 @@ class ShardedRuntime:
     def abort(self) -> None:
         """Tear down without flushing shard output.
 
-        Releases the worker processes, if any (stopped gracefully so they
-        free their shared-memory slabs, escalating to terminate if
-        unresponsive), and closes the bus (close hooks run, so
-        bridged query engines and bus-owned sinks still see end-of-stream)
-        but does NOT emit the shards' pending events — the stream failed,
+        Releases the worker processes, if any (stopped gracefully,
+        escalating to terminate if unresponsive), and closes the bus (close
+        hooks run, so bridged query engines and bus-owned sinks still see
+        end-of-stream) but does NOT emit the shards' pending events — the stream failed,
         and publishing a scan-complete flush after an error would present a
         partial epoch as a finished scan.  Idempotent and re-entrant: a
         second call — even one arriving while the first is mid-teardown,

@@ -14,8 +14,8 @@ epoch's output in hand.
 
 The runtime speaks one split-phase surface to every shard — send a request
 (``step_async`` / ``finish_async`` / ``snapshot_async``), then collect its
-reply (``collect_events`` / ``collect_snapshot``), plus ``arena_view`` and
-``close`` — whether the shard lives here or behind a worker link
+reply (``collect_events`` / ``collect_snapshot``), plus ``close`` — whether
+the shard lives here or behind a worker link
 (:class:`~repro.runtime.workers.ShardWorkerProxy`).  Here a request runs at
 once, through ``step`` / ``finish`` / ``snapshot`` by name, and the collect
 hands back what it left behind.
@@ -27,23 +27,9 @@ from typing import Dict, List, Optional
 
 from ..config import OutputPolicyConfig
 from ..errors import StateError
-from ..inference.pipeline import CleaningPipeline, InferenceEngine
+from ..inference.pipeline import CleaningPipeline, InferenceEngine, engine_counters
 from ..streams.records import Epoch, LocationEvent
 from ..streams.sinks import CollectingSink
-
-
-class LiveArenaView:
-    """A read view that does not own the arena it reads: the arena's own
-    zero-copy accessors, and a :meth:`close` that releases nothing."""
-
-    def __init__(self, arena):
-        self.positions = arena.positions
-        self.parents = arena.parents
-        self.log_weights = arena.log_weights
-        self.object_ids = arena.object_ids
-
-    def close(self) -> None:
-        pass
 
 
 class FilterShard:
@@ -84,11 +70,6 @@ class FilterShard:
         state, self._snapshot = self._snapshot, None
         return state
 
-    def arena_view(self) -> Optional[LiveArenaView]:
-        """Zero-copy reads of the live arena (``None`` without one)."""
-        arena = getattr(self.engine, "arena", None)
-        return None if arena is None else LiveArenaView(arena)
-
     def close(self, force: bool = False) -> None:
         """Nothing to release: the engine's arena lives as long as the shard."""
 
@@ -113,7 +94,8 @@ class FilterShard:
         """Per-shard diagnostics for the harness and benchmarks.
 
         Arena fields appear only for engines that expose an arena (the
-        factored filter); the naive filter still reports object counts.
+        factored filter); every engine counter rides along
+        (:func:`~repro.inference.pipeline.engine_counters`).
         """
         engine = self.engine
         row: Dict[str, float] = {
@@ -133,22 +115,7 @@ class FilterShard:
         memory = getattr(engine, "belief_memory_bytes", None)
         if callable(memory):
             row["belief_memory_bytes"] = float(memory())
-        engine_stats = getattr(engine, "stats", None)
-        if isinstance(engine_stats, dict):
-            for key in (
-                "objects_skipped",
-                "objects_skipped_settled",
-                "compressions",
-                "decompressions",
-                "budget_decays",
-                "budget_revives",
-            ):
-                if key in engine_stats:
-                    row[key] = float(engine_stats[key])
-        tiers = getattr(engine, "tier_summary", None)
-        if callable(tiers):
-            for key, value in tiers().items():
-                row[key] = float(value)
+        row.update(engine_counters(engine))
         return row
 
     # ------------------------------------------------------------------

@@ -211,7 +211,7 @@ class ShardSupervisor:
         try:
             old.close(force=True)
         except Exception:
-            pass  # reclamation is best-effort; the segment unlink retries
+            pass  # reclamation is best-effort
         self.runtime.shards[index] = self.runtime._new_shard(index)
 
     def _catch_up(self, index: int) -> None:

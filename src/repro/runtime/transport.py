@@ -9,9 +9,7 @@ package-wide ``u32 length | u8 kind | payload`` shape split by
 
 * ``STEP`` / ``EVENTS`` — the two frames exchanged every epoch — pack
   fixed-width fields with :mod:`struct`.  Floats cross as IEEE-754 f64, so
-  a worker's emissions are **bit-identical** wherever it runs.  ``EVENTS``
-  also advertises a local worker's current shared-memory segment (the
-  parent's reclamation key if the worker dies uncleanly).
+  a worker's emissions are **bit-identical** wherever it runs.
 * ``CONTROL`` — boot, snapshot/restore, stats, final summaries, ``ok`` /
   ``error`` replies — carries an op name plus a *state tree*: the JSON
   skeleton + indexed raw arrays that :mod:`repro.state.snapshot` produces
@@ -65,9 +63,8 @@ _FRAME_NAMES = {T_CONTROL: "CONTROL", T_STEP: "STEP", T_EVENTS: "EVENTS", T_HB: 
 _STEP_HEAD = struct.Struct("!ddddBdII")
 _STEP_HAS_POSITION = 0x01
 _STEP_HAS_HEADING = 0x02
-#: event count u32 | segment advert bytes u16 (JSON ``[name, capacity,
-#: dtype]``; 0 when the worker's arena is private)
-_EVENTS_HEAD = struct.Struct("!IH")
+#: event count u32
+_EVENTS_HEAD = struct.Struct("!I")
 #: time f64 | tag number u32 | x y z f64 | has_stats u8
 _EVENT_FIXED = struct.Struct("!dIdddB")
 #: covariance 9×f64 (row-major) | confidence radius f64 | sample size u32
@@ -76,7 +73,7 @@ _EVENT_STATS = struct.Struct("!9ddI")
 _CONTROL_HEAD = struct.Struct("!II")
 
 #: Frame-size guard.  Control frames carry whole checkpoint state trees
-#: (arena slabs included), so the ceiling is per-message memory, not a
+#: (arena blocks included), so the ceiling is per-message memory, not a
 #: protocol limit.
 MAX_MESSAGE_BYTES = 1 << 30
 
@@ -148,9 +145,8 @@ def _decode_step(payload: bytes) -> tuple:
 
 
 def _encode_events(message: tuple) -> bytes:
-    _, events, segment = message
-    advert = b"" if segment is None else json.dumps(list(segment)).encode()
-    parts = [_EVENTS_HEAD.pack(len(events), len(advert)), advert]
+    _, events = message
+    parts = [_EVENTS_HEAD.pack(len(events))]
     for event in events:
         x, y, z = (float(v) for v in event.position)
         stats = event.statistics
@@ -172,13 +168,8 @@ def _encode_events(message: tuple) -> bytes:
 
 
 def _decode_events(payload: bytes) -> tuple:
-    count, advert_bytes = _EVENTS_HEAD.unpack_from(payload, 0)
+    (count,) = _EVENTS_HEAD.unpack_from(payload, 0)
     offset = _EVENTS_HEAD.size
-    segment = None
-    if advert_bytes:
-        name, capacity, dtype = json.loads(payload[offset : offset + advert_bytes])
-        segment = (str(name), int(capacity), str(dtype))
-        offset += advert_bytes
     if count * _EVENT_FIXED.size > len(payload) - offset:
         raise WorkerError(
             f"header claims {count} events in a {len(payload)}-byte frame"
@@ -200,7 +191,7 @@ def _decode_events(payload: bytes) -> tuple:
         )
     if offset != len(payload):
         raise WorkerError(f"{len(payload) - offset} bytes after the last event")
-    return ("events", events, segment)
+    return ("events", events)
 
 
 def _encode_control(message: tuple) -> bytes:
@@ -443,11 +434,10 @@ class ShardHostServer:
                     sock, _peer = self._listener.accept()
                 except OSError:
                     break
-                # Private arena (nobody can attach a segment off-host, none
-                # can leak here); the child closes the listening side.
+                # The child closes the listening side.
                 worker = context.Process(
                     target=_worker_main,
-                    args=(sock, False, None, os.getpid(), (self._listener, *wake)),
+                    args=(sock, None, os.getpid(), (self._listener, *wake)),
                     name="repro-host-worker",
                     daemon=True,
                 )

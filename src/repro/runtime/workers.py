@@ -19,15 +19,11 @@ first).  Two rules keep the steady-state cost per epoch tiny:
   routed sub-epoch into one ``STEP`` frame — its object-tag *numbers* plus
   the broadcast reader pose/shelf context, never a whole
   :class:`~repro.streams.records.Epoch` — and the worker replies with the
-  epoch's emitted events (one ``EVENTS`` frame).  Checkpoint state trees do
-  cross the link, but only on explicit ``snapshot`` / ``restore`` requests —
-  never in the hot loop.
-* **Shared memory carries beliefs.**  A local worker's
-  :class:`~repro.inference.arena.BeliefArena` is backed by a
-  :class:`~repro.inference.arena.SharedSlab`, so the parent attaches and
-  reads particle blocks (:meth:`ShardWorkerProxy.arena_view`) without any
-  serialization.  A remote worker's arena is private — nobody can attach a
-  segment off-host — and the same call fetches its blocks over the link.
+  epoch's emitted events (one ``EVENTS`` frame).
+* **Beliefs stay in the worker.**  Its
+  :class:`~repro.inference.arena.BeliefArena` is the same private arena the
+  serial executor uses; checkpoint state trees cross the link only on
+  explicit ``snapshot`` / ``restore`` requests — never in the hot loop.
 
 Determinism: a worker builds its shard from exactly the same re-seeded
 config the in-process executors use (its boot document is that config, the
@@ -36,11 +32,8 @@ reconstructs each epoch from the same routed content, so both worker
 executors are **bitwise identical** to the serial executor at equal shard
 counts.
 
-Lifecycle: ``boot`` → ``ready`` handshake (carrying the initial arena
-segment so the parent can reclaim it even if the worker later dies
-uncleanly), graceful ``stop`` at teardown (the worker releases its own
-segment), and a parent-side unlink fallback keyed on the last segment each
-reply advertised.
+Lifecycle: ``boot`` → ``ready`` handshake, graceful ``stop`` → ``bye`` at
+teardown, and a terminate-and-join fallback for a worker beyond talking to.
 
 Liveness: every worker runs a heartbeat thread that sends ``HB`` frames
 between replies (and exits the process if its forker vanishes), and every
@@ -64,7 +57,7 @@ import signal
 import socket
 import threading
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +70,6 @@ from ..errors import (
     WorkerTimeout,
 )
 from ..faults import fault_point
-from ..inference.arena import SharedSlab, attach_shared_slab
 from ..inference.estimates import LocationEstimate
 from ..models.joint import RFIDWorldModel
 from ..streams.records import Epoch, LocationEvent, make_epoch
@@ -101,94 +93,28 @@ def worker_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _ensure_resource_tracker() -> None:
-    """Start the resource tracker in the parent before any worker forks.
-
-    Forked workers then inherit (and register their shared-memory segments
-    with) the *parent's* tracker, so the parent-side unlink after a worker
-    crash genuinely unregisters the name.  Without this each worker lazily
-    spawns a private tracker that outlives it only to warn about a segment
-    the parent already reclaimed.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - tracker API moved/unavailable
-        pass
-
-
 class FactoredEngineFactory:
     """Default engine factory for worker processes.
 
     Builds a :class:`~repro.inference.factored.FactoredParticleFilter`,
-    mirroring the runtime's default in-process factory; ``shared_arena``
-    backs its arena with shared memory (local workers only).
+    mirroring the runtime's default in-process factory.
     """
 
-    def __init__(
-        self,
-        model: RFIDWorldModel,
-        initial_heading: float = 0.0,
-        shared_arena: bool = True,
-    ):
+    def __init__(self, model: RFIDWorldModel, initial_heading: float = 0.0):
         self.model = model
         self.initial_heading = float(initial_heading)
-        self.shared_arena = bool(shared_arena)
 
     def __call__(self, config: InferenceConfig):
         from ..inference.factored import FactoredParticleFilter
 
         return FactoredParticleFilter(
-            self.model,
-            config,
-            initial_heading=self.initial_heading,
-            shared_arena=self.shared_arena,
+            self.model, config, initial_heading=self.initial_heading
         )
 
 
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def _segment_of(shard: FilterShard) -> Optional[Tuple[str, int, str]]:
-    arena = getattr(shard.engine, "arena", None)
-    if arena is None:
-        return None
-    return arena.shared_segment()
-
-
-def _release_arena(shard: Optional[FilterShard]) -> None:
-    if shard is None:
-        return
-    arena = getattr(shard.engine, "arena", None)
-    if arena is not None:
-        arena.release()
-
-
-def _belief_reply(shard: FilterShard) -> Optional[dict]:
-    """The ``beliefs`` reply: where the parent finds every live block.
-
-    A shared arena names its segment and ships its slot table as parallel
-    ``ids`` / ``starts`` / ``counts`` arrays — the parent attaches the slab,
-    zero-copy.  A private arena ships :meth:`BeliefArena.snapshot`: the
-    blocks themselves, packed back to back in ``ids`` / ``counts`` order.
-    """
-    arena = getattr(shard.engine, "arena", None)
-    if arena is None:
-        return None
-    segment = arena.shared_segment()
-    if segment is None:
-        return arena.snapshot()
-    table = arena.slot_table()
-    spans = np.array(list(table.values()), dtype=np.int64).reshape(-1, 2)
-    return {
-        "segment": segment,
-        "ids": np.fromiter(table, dtype=np.int64, count=len(table)),
-        "starts": spans[:, 0],
-        "counts": spans[:, 1],
-    }
-
-
 def _final_reply(shard: FilterShard) -> dict:
     """Bulk post-run summary: one reply instead of one round-trip per
     object, so the parent can retire the worker while staying queryable
@@ -206,7 +132,7 @@ def _final_reply(shard: FilterShard) -> dict:
     }
 
 
-def _boot_shard(conn: FramedConnection, shared_arena: bool, engine_factory):
+def _boot_shard(conn: FramedConnection, engine_factory):
     """Read the boot frame and build the shard it describes.
 
     Until a valid boot frame is decoded the link is bounded in size (the
@@ -234,14 +160,13 @@ def _boot_shard(conn: FramedConnection, shared_arena: bool, engine_factory):
     factory = (
         engine_factory
         if engine_factory is not None
-        else FactoredEngineFactory(model, initial_heading, shared_arena)
+        else FactoredEngineFactory(model, initial_heading)
     )
     return FilterShard(index, factory(config), policy), heartbeat_interval_s
 
 
 def _worker_main(
     sock: socket.socket,
-    shared_arena: bool,
     engine_factory=None,
     parent_pid: Optional[int] = None,
     inherited: Sequence[socket.socket] = (),
@@ -252,8 +177,7 @@ def _worker_main(
     connection a shard host accepted); ``inherited`` are the forker's
     sockets this process must not hold (the other socketpair end, a
     listener) — closed first, so our copy cannot mask the peer's EOF.
-    ``shared_arena`` and ``engine_factory`` come from the forker, never
-    from the link.
+    ``engine_factory`` comes from the forker, never from the link.
 
     Request errors are caught and replied as ``("error", kind, text)`` so a
     failed snapshot (say, an engine without state capture) leaves the worker
@@ -269,16 +193,14 @@ def _worker_main(
     except ValueError:  # pragma: no cover - not this process's main thread
         pass
     conn = FramedConnection(sock, transport.PRE_BOOT_MAX_BYTES)
-    shard: Optional[FilterShard] = None
     try:
-        shard, heartbeat_interval_s = _boot_shard(conn, shared_arena, engine_factory)
-        conn.send(("ready", _segment_of(shard)))
+        shard, heartbeat_interval_s = _boot_shard(conn, engine_factory)
+        conn.send(("ready",))
     except BaseException as exc:  # boot failed: one error frame, then close
         try:
             conn.send(("error", type(exc).__name__, str(exc)))
         except OSError:
             pass
-        _release_arena(shard)
         conn.close()
         return
     # Heartbeats prove liveness between replies: the parent treats a silent
@@ -323,10 +245,10 @@ def _worker_main(
                             reported_heading=heading,
                         )
                     )
-                    send(("events", shard.drain(), _segment_of(shard)))
+                    send(("events", shard.drain()))
                 elif op == "finish":
                     shard.finish()
-                    send(("events", shard.drain(), _segment_of(shard)))
+                    send(("events", shard.drain()))
                 elif op == "snapshot":
                     send(("ok", shard.snapshot(message[1])))
                 elif op == "restore":
@@ -343,8 +265,6 @@ def _worker_main(
                     send(
                         ("ok", estimate.mean, estimate.covariance, estimate.sample_size)
                     )
-                elif op == "beliefs":
-                    send(("ok", _belief_reply(shard)))
                 else:
                     send(
                         ("error", "InferenceError", f"unknown worker op {op!r}")
@@ -353,65 +273,12 @@ def _worker_main(
                 send(("error", type(exc).__name__, str(exc)))
     finally:
         hb_stop.set()
-        _release_arena(shard)
         conn.close()
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
-class ArenaView:
-    """Point-in-time read view of a worker's belief blocks.
-
-    Three column arrays plus a slot table (object id → ``(start, count)``).
-    Over a local worker the arrays are its attached shared-memory slab —
-    zero-copy, valid until the worker grows its arena (re-fetch via
-    :meth:`ShardWorkerProxy.arena_view`) — and :meth:`close` detaches it;
-    over a remote worker they are copies fetched off the link.  Reads are
-    consistent between steps: a worker only mutates its arena in ``step``.
-    """
-
-    def __init__(
-        self,
-        slots: Dict[int, Tuple[int, int]],
-        positions: np.ndarray,
-        parents: np.ndarray,
-        log_weights: np.ndarray,
-        slab: Optional[SharedSlab] = None,
-    ):
-        self.slots = slots
-        self._positions = positions
-        self._parents = parents
-        self._log_weights = log_weights
-        self._slab = slab
-
-    def object_ids(self) -> List[int]:
-        return list(self.slots)
-
-    def _slice(self, object_id: int) -> slice:
-        try:
-            start, count = self.slots[object_id]
-        except KeyError:
-            raise InferenceError(
-                f"object {object_id} has no block in the worker's arena"
-            ) from None
-        return slice(start, start + count)
-
-    def positions(self, object_id: int) -> np.ndarray:
-        return self._positions[self._slice(object_id)]
-
-    def parents(self, object_id: int) -> np.ndarray:
-        return self._parents[self._slice(object_id)]
-
-    def log_weights(self, object_id: int) -> np.ndarray:
-        return self._log_weights[self._slice(object_id)]
-
-    def close(self) -> None:
-        self._positions = self._parents = self._log_weights = None
-        if self._slab is not None:
-            self._slab.close()
-
-
 class ShardWorkerProxy:
     """Parent-side handle to one persistent shard worker, local or remote.
 
@@ -450,9 +317,6 @@ class ShardWorkerProxy:
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_grace_s = float(heartbeat_grace_s)
         self._dead = False
-        #: Last (name, capacity, dtype) a local worker advertised — the
-        #: reclamation key if it dies without releasing its own segment.
-        self._segment: Optional[Tuple[str, int, str]] = None
         #: The forked worker (local link) or ``None`` (remote link, where
         #: the shard host owns the process) — and ``None`` once closed.
         self.process: Optional[mp.process.BaseProcess] = None
@@ -490,7 +354,6 @@ class ShardWorkerProxy:
                 raise InferenceError(
                     f"shard worker {index} sent {reply[0]!r} instead of ready"
                 )
-            self._note_segment(reply[1])
         except BaseException:
             self.close(force=True)
             raise
@@ -498,11 +361,10 @@ class ShardWorkerProxy:
     # -- the two link openers -------------------------------------------
     def _fork_link(self, engine_factory) -> None:
         """Fork a local worker holding one end of a socketpair."""
-        _ensure_resource_tracker()
         ours, theirs = socket.socketpair()
         self.process = worker_context().Process(
             target=_worker_main,
-            args=(theirs, True, engine_factory, os.getpid(), (ours,)),
+            args=(theirs, engine_factory, os.getpid(), (ours,)),
             name=f"repro-shard-{self.index}",
             daemon=True,
         )
@@ -538,12 +400,6 @@ class ShardWorkerProxy:
         if self.endpoint is not None:
             return f" (shard host {self.endpoint})"
         return "" if self.process is None else f" (exit code {self.process.exitcode})"
-
-    def _note_segment(self, segment) -> None:
-        # Only a local worker's segment is ours to attach or reclaim; a
-        # name arriving over TCP is never looked up on this machine.
-        if self.endpoint is None:
-            self._segment = None if segment is None else tuple(segment)
 
     # -- plumbing ------------------------------------------------------
     def _send(self, message: tuple) -> None:
@@ -641,8 +497,7 @@ class ShardWorkerProxy:
             raise InferenceError(
                 f"shard worker {self.index} sent {reply[0]!r} instead of events"
             )
-        _, events, segment = reply
-        self._note_segment(segment)
+        events = reply[1]
         if self._finishing:
             self._finishing = False
             self._keep_final(self._recv()[1])
@@ -710,55 +565,14 @@ class ShardWorkerProxy:
     def restore(self, state: dict) -> None:
         self._request(("restore", state))
 
-    # -- belief reads ---------------------------------------------------
-    def arena_view(self) -> ArenaView:
-        """Read the worker's live belief blocks.
-
-        A local worker's shared slab is attached (zero-copy particle
-        reads); a remote worker's blocks are fetched over the link.  Raises
-        :class:`InferenceError` for engines without an arena.
-        """
-        reply = self._request(("beliefs",))[1]
-        if reply is None:
-            raise InferenceError(f"shard worker {self.index} has no belief arena")
-        ids, counts = reply["ids"].tolist(), reply["counts"].tolist()
-        if self.endpoint is None and "segment" in reply:
-            self._note_segment(reply["segment"])
-            slab = attach_shared_slab(*self._segment)
-            starts = reply["starts"].tolist()
-            columns = (slab.positions, slab.parents, slab.log_weights, slab)
-        else:  # blocks packed back to back, in ``ids`` order
-            starts = np.cumsum([0] + counts[:-1]).tolist()
-            columns = (reply["positions"], reply["parents"], reply["log_weights"])
-        return ArenaView(dict(zip(ids, zip(starts, counts))), *columns)
-
     # -- teardown -------------------------------------------------------
-    def _unlink_segment(self) -> None:
-        """Reclaim the worker's last advertised segment if it leaked.
-
-        A graceful worker unlinks its own segment, so the attach below
-        normally finds nothing; after a crash this is what keeps shared
-        memory from outliving the runtime.  ``unlink`` also unregisters the
-        name from the (fork-shared) resource tracker.
-        """
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        try:
-            slab = attach_shared_slab(*segment)
-        except FileNotFoundError:
-            return
-        slab.unlink()
-        slab.close()
-
     def close(self, force: bool = False, timeout: float = 5.0) -> None:
         """Stop the worker and reclaim its resources.  Idempotent.
 
-        Graceful by default (``stop``, drain to ``bye``, the worker
-        releases its own segment); ``force`` — or a dead link — skips the
-        goodbye and terminates a local worker at once.  Closing the link
-        stops a remote worker (its host reaps it); a local one is joined
-        here and any leaked shared-memory segment unlinked.
+        Graceful by default (``stop``, drain to ``bye``); ``force`` — or a
+        dead link — skips the goodbye and terminates a local worker at once.
+        Closing the link stops a remote worker (its host reaps it); a local
+        one is joined here.
         """
         conn, self._conn = self._conn, None
         process, self.process = self.process, None
@@ -790,4 +604,3 @@ class ShardWorkerProxy:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout)
-        self._unlink_segment()

@@ -1,5 +1,6 @@
 """The CI workflow parses, and every step does something."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,19 @@ def test_the_fidelity_ledger_is_checked():
     doc = yaml.safe_load(WORKFLOW.read_text())
     runs = [step.get("run", "") for spec in doc["jobs"].values() for step in spec["steps"]]
     assert any("benchmarks/fidelity.py --check BENCH_fidelity.json" in run for run in runs)
+
+
+def test_the_belief_read_guard_finds_nothing_in_src():
+    """The guard step's pattern matches no line of the package source."""
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "") for spec in doc["jobs"].values() for step in spec["steps"]]
+    (guard,) = [run for run in runs if "shared_memory|" in run]
+    pattern = re.search(r'grep -rnE "([^"]+)" src/', guard).group(1)
+    src = WORKFLOW.parents[2] / "src"
+    hits = [
+        f"{path.relative_to(src)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert hits == []

@@ -133,6 +133,20 @@ class TestRunSharded:
         assert sharded.error.xy == pytest.approx(factored.error.xy, abs=1e-12)
 
 
+    def test_single_shard_reports_the_factored_counters(self, scene, fast_cfg):
+        """run_factored and run_sharded report one counter list: at
+        n_shards=1 (root seed preserved) every engine counter agrees."""
+        from repro.inference.factored import FactoredParticleFilter
+
+        sim, trace = scene
+        config = fast_cfg.with_index().with_compression(unread_epochs=8)
+        factored = run_factored(trace, sim.world_model(), config)
+        sharded = run_sharded(trace, sim.world_model(), config)
+        assert factored.extra["objects_processed"] > 0
+        for key in FactoredParticleFilter._default_stats():
+            assert sharded.extra[key] == factored.extra[key], key
+
+
 class TestRunNaive:
     def test_runs_and_scores(self, scene, fast_cfg):
         sim, trace = scene
@@ -214,7 +228,6 @@ class TestQueryExtras:
             trace, sim.world_model(), fast_cfg, query_engine=sharded_engine
         )
         assert result.extra["query_queries"] == 10.0
-        assert result.extra["query_belief_reads"] >= 0.0
         # n_shards=1 preserves the root seed: the runtime's bus bridge and
         # the factored pipeline's tee sink serve identical emission streams.
         def rows(engine):

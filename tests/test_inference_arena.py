@@ -178,82 +178,30 @@ class TestBatching:
 
 
 class TestSharedSlab:
-    """Shared-memory backing: the process executor's zero-serialization
-    read path (``BeliefArena(shared=True)`` + ``attach_shared_slab``)."""
+    """There is no shared-memory backing: every arena is private numpy
+    arrays, so nothing it allocates outlives its process."""
 
-    def test_private_arena_has_no_segment(self):
-        arena = BeliefArena(ArenaConfig(initial_capacity=64))
-        assert arena.shared_segment() is None
-        arena.release()  # no-op for private arenas
+    def test_private_arena_has_no_segment(self, monkeypatch):
+        from multiprocessing import shared_memory
 
-    def test_attach_sees_owner_writes(self):
-        from repro.inference.arena import attach_shared_slab
+        def refuse(*args, **kwargs):
+            raise AssertionError("the arena allocated shared memory")
 
-        arena = BeliefArena(ArenaConfig(initial_capacity=64), shared=True)
-        try:
-            fill(arena, 7, 10, 3)
-            name, capacity, dtype = arena.shared_segment()
-            assert capacity == 64 and dtype == "float64"
-            view = attach_shared_slab(name, capacity, dtype)
-            try:
-                start, count = arena.slot_table()[7]
-                block = slice(start, start + count)
-                np.testing.assert_array_equal(
-                    view.positions[block], arena.positions(7)
-                )
-                np.testing.assert_array_equal(view.parents[block], arena.parents(7))
-                np.testing.assert_array_equal(
-                    view.log_weights[block], arena.log_weights(7)
-                )
-            finally:
-                view.close()
-        finally:
-            arena.release()
-
-    def test_grow_moves_to_fresh_segment_and_unlinks_old(self):
-        from repro.inference.arena import attach_shared_slab
-
-        arena = BeliefArena(ArenaConfig(initial_capacity=8), shared=True)
-        try:
-            fill(arena, 1, 6, 2)
-            old_name, old_capacity, _ = arena.shared_segment()
-            fill(arena, 2, 20, 5)  # forces a grow
-            new_name, new_capacity, _ = arena.shared_segment()
-            assert new_name != old_name and new_capacity > old_capacity
-            with pytest.raises(FileNotFoundError):
-                attach_shared_slab(old_name, old_capacity)
-            # Content survived the move.
-            assert (arena.positions(1) == 2.0).all()
-            assert (arena.positions(2) == 5.0).all()
-        finally:
-            arena.release()
-
-    def test_release_frees_segment_and_is_idempotent(self):
-        from repro.inference.arena import attach_shared_slab
-
-        arena = BeliefArena(ArenaConfig(initial_capacity=16), shared=True)
-        name, capacity, _ = arena.shared_segment()
-        arena.release()
-        arena.release()
-        assert arena.shared_segment() is None
-        with pytest.raises(FileNotFoundError):
-            attach_shared_slab(name, capacity)
-
-    def test_snapshot_round_trip_through_shared_arena(self):
-        """Snapshots are backing-agnostic: shared -> private and back."""
-        shared = BeliefArena(ArenaConfig(initial_capacity=32), shared=True)
-        try:
-            fill(shared, 3, 5, 1)
-            fill(shared, 9, 7, 4)
-            state = shared.snapshot()
-            private = BeliefArena(ArenaConfig(initial_capacity=32))
-            private.load_snapshot(state)
-            for oid in (3, 9):
-                np.testing.assert_array_equal(
-                    private.positions(oid), shared.positions(oid)
-                )
-        finally:
-            shared.release()
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        arena = BeliefArena(ArenaConfig(initial_capacity=8))
+        fill(arena, 1, 6, 2)
+        fill(arena, 2, 20, 5)  # forces a grow
+        assert arena.stats["grows"] >= 1
+        for oid, value in ((1, 2.0), (2, 5.0)):
+            for column in (
+                arena.positions(oid),
+                arena.parents(oid),
+                arena.log_weights(oid),
+            ):
+                # A view of an array that owns its (heap) memory.
+                assert isinstance(column.base, np.ndarray)
+                assert column.base.base is None
+                assert (column == value).all()
 
 
 class TestGatherPlanCache:
@@ -330,22 +278,6 @@ class TestFloat32Tier:
         restored.load_snapshot(state)
         np.testing.assert_array_equal(restored.positions(1), arena.positions(1))
         assert restored.positions(1).dtype == np.float32
-
-    def test_float32_shared_slab_round_trip(self):
-        from repro.inference.arena import attach_shared_slab
-
-        arena = BeliefArena(
-            ArenaConfig(initial_capacity=32, dtype="float32"), shared=True
-        )
-        try:
-            fill(arena, 3, 5, 3)
-            name, capacity, dtype = arena.shared_segment()
-            assert dtype == "float32"
-            view = attach_shared_slab(name, capacity, dtype)
-            assert view.positions.dtype == np.float32
-            np.testing.assert_array_equal(view.positions[:5], arena.positions(3))
-        finally:
-            arena.release()
 
     def test_dtype_validation(self):
         with pytest.raises(ConfigurationError):

@@ -147,6 +147,62 @@ class TestCompressionIntegration:
         )
 
 
+    @staticmethod
+    def gather_sizes(config):
+        """Run a dense 60-tag scan, recording the size of every
+        ``arena.gather`` (the batched kernels' one input per epoch)."""
+        from repro.simulation.layout import LayoutConfig
+        from repro.simulation.warehouse import WarehouseConfig, WarehouseSimulator
+
+        simulator = WarehouseSimulator(
+            WarehouseConfig(
+                layout=LayoutConfig(n_objects=60, object_spacing_ft=0.2),
+                n_rounds=2,
+                seed=1,
+            )
+        )
+        engine = FactoredParticleFilter(simulator.world_model(), config)
+        gathered = []
+        gather = engine.arena.gather
+
+        def counting_gather(object_ids):
+            gathered.append(len(object_ids))
+            return gather(object_ids)
+
+        engine.arena.gather = counting_gather
+        for epoch in simulator.generate().epochs():
+            engine.step(epoch)
+        return engine, gathered
+
+    def test_processed_counts_only_what_the_kernels_gather(self):
+        """Budgets off, index and compression on: compressed Case-2
+        candidates stay out of the batched kernels, so they must not be
+        counted as processed either."""
+        config = (
+            InferenceConfig(reader_particles=50, object_particles=50, seed=1)
+            .with_index()
+            .with_compression()
+        )
+        engine, gathered = self.gather_sizes(config)
+        assert engine.stats["compressions"] > 0
+        assert sum(gathered) == engine.stats["objects_processed"]
+        assert engine.active_count == gathered[-1]
+
+    def test_processed_counts_only_what_the_kernels_gather_with_budgets(self):
+        """Budgets on count the same thing as budgets off: the batch the
+        kernels gathered, never the selector's candidates."""
+        config = (
+            InferenceConfig(reader_particles=50, object_particles=50, seed=1)
+            .with_index()
+            .with_compression()
+            .with_budget(tiers=(10, 25), decay_after_epochs=3, decay_every_epochs=2)
+        )
+        engine, gathered = self.gather_sizes(config)
+        assert engine.stats["compressions"] > 0
+        assert engine.stats["objects_skipped_settled"] > 0
+        assert sum(gathered) == engine.stats["objects_processed"]
+        assert engine.active_count == gathered[-1]
+
 class TestSpatialIndexIntegration:
     def test_index_skips_far_objects(self, small_model, fast_config):
         config = fast_config.with_index()

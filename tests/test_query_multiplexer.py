@@ -11,7 +11,6 @@ stock :class:`QueryEngine` over the same stream; the perf claims live in
 import numpy as np
 import pytest
 
-from repro.config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from repro.errors import QueryError, StateError
 from repro.query import (
     ContinuousQuery,
@@ -456,99 +455,3 @@ class TestOperatorStateCapture:
         with pytest.raises(StateError, match="share one window|window group"):
             split.restore_state(state)
 
-
-class TestZeroCopyReadViews:
-    def _runtime(self, small_warehouse, executor="serial"):
-        from repro.runtime import ShardedRuntime
-
-        trace = small_warehouse.generate()
-        model = small_warehouse.world_model()
-        config = InferenceConfig(reader_particles=40, object_particles=80, seed=3)
-        runtime = ShardedRuntime(
-            model,
-            config,
-            RuntimeConfig(n_shards=2, executor=executor),
-            OutputPolicyConfig(delay_s=15.0),
-        )
-        return runtime, trace
-
-    def test_serial_views_share_arena_memory(self, small_warehouse):
-        runtime, trace = self._runtime(small_warehouse)
-        try:
-            for epoch in trace.epochs()[:20]:
-                runtime.step(epoch)
-            view = runtime.read_view()
-            numbers = view.object_ids()
-            assert numbers, "no beliefs after 20 epochs"
-            number = numbers[0]
-            shard = runtime.shards[runtime.router.shard_of(number)]
-            assert np.shares_memory(
-                view.positions(number), shard.engine.arena.positions(number)
-            )
-            mean = view.mean(number)
-            assert mean.shape == (3,) and np.isfinite(mean).all()
-        finally:
-            runtime.abort()
-
-    def test_stale_view_raises_after_advance(self, small_warehouse):
-        runtime, trace = self._runtime(small_warehouse)
-        try:
-            epochs = trace.epochs()
-            for epoch in epochs[:10]:
-                runtime.step(epoch)
-            view = runtime.read_view()
-            numbers = view.object_ids()
-            runtime.step(epochs[10])
-            assert not view.valid
-            with pytest.raises(StateError, match="stale read view"):
-                view.positions(numbers[0])
-            fresh = runtime.read_view()
-            assert fresh.valid
-            fresh.close()
-            with pytest.raises(StateError, match="closed"):
-                fresh.positions(numbers[0])
-        finally:
-            runtime.abort()
-
-    def test_process_executor_views_read_shared_slabs(self, small_warehouse):
-        runtime, trace = self._runtime(small_warehouse, executor="process")
-        try:
-            for epoch in trace.epochs()[:20]:
-                runtime.step(epoch)
-            view = runtime.read_view()
-            numbers = view.object_ids()
-            assert numbers
-            for number in numbers:
-                positions = view.positions(number)
-                assert positions.ndim == 2 and positions.shape[1] == 3
-                assert np.isfinite(view.mean(number)).all()
-            view.close()
-        finally:
-            runtime.abort()
-
-    def test_belief_mean_through_engine(self, small_warehouse):
-        runtime, trace = self._runtime(small_warehouse)
-        engine = MultiplexedQueryEngine()
-        from repro.runtime import QueryBridge
-
-        QueryBridge(engine, runtime.bus, runtime=runtime)
-        try:
-            epochs = trace.epochs()
-            for epoch in epochs[:10]:
-                runtime.step(epoch)
-            numbers = runtime.read_view().object_ids()
-            first = engine.belief_mean(numbers[0])
-            again = engine.belief_mean(numbers[0])
-            assert np.array_equal(first, again)
-            assert engine.read_view_refreshes == 1  # second read reused the view
-            runtime.step(epochs[10])
-            engine.belief_mean(numbers[0])
-            assert engine.read_view_refreshes == 2  # epoch advanced: refreshed
-            assert engine.belief_reads == 3
-        finally:
-            runtime.abort()
-
-    def test_unbound_belief_mean_raises(self):
-        engine = MultiplexedQueryEngine()
-        with pytest.raises(QueryError, match="bind_read_views"):
-            engine.belief_mean(1)

@@ -258,6 +258,24 @@ class TestShardedParity:
             mean = runtime.object_estimate(number).mean
             assert np.isfinite(mean).all()
 
+    def test_shard_stats_carry_every_engine_counter(self, scenario):
+        """One counter list: each shard row carries every ``engine.stats``
+        key and the tier census at the engine's own values, and the totals
+        sum them."""
+        model, trace, config = scenario
+        runtime, _ = run_sharded_runtime(model, trace, config, RuntimeConfig(n_shards=2))
+        rows = runtime.shard_stats()
+        for shard, row in zip(runtime.shards, rows):
+            engine = shard.engine
+            for key, value in {**engine.stats, **engine.tier_summary()}.items():
+                assert row[key] == float(value), key
+        totals = runtime.shard_totals(rows)
+        assert totals["objects_processed"] == sum(
+            shard.engine.stats["objects_processed"] for shard in runtime.shards
+        )
+        assert totals["objects_processed"] > 0
+        assert totals["epochs"] == 2 * len(trace.epochs())
+
     def test_bus_events_arrive_time_ordered(self, scenario):
         model, trace, config = scenario
         times = []

@@ -43,7 +43,9 @@ from worker_links import (
     assert_same_events as assert_events_equal,
     check_belief_reads,
     check_checkpoint_kill_restore,
+    check_counters,
     check_cross_executor_restore,
+    check_no_shared_memory,
     check_parity,
     check_queries,
     serial_events,
@@ -135,8 +137,7 @@ class TestWireCodec:
 
     def test_events_frame_preserves_flat_covariance(self):
         """LocationStatistics.covariance is a flat row-major 9-tuple in the
-        pipeline; the frame must reproduce exactly that shape, and carry
-        the worker's segment advert beside the events."""
+        pipeline; the frame must reproduce exactly that shape."""
         covariance = tuple(float(v) for v in range(9))
         events = [
             LocationEvent(
@@ -147,16 +148,25 @@ class TestWireCodec:
             ),
             LocationEvent(31.0, TagId.object(5), np.zeros(3)),
         ]
-        segment = ("psm_test", 4096, "float32")
-        op, decoded, advert = decode_frame(encode_message(("events", events, segment)))
-        assert op == "events" and advert == segment
+        op, decoded = decode_frame(encode_message(("events", events)))
+        assert op == "events"
         first, second = decoded
         assert first.time == 30.0 and first.tag == TagId.object(4)
         np.testing.assert_array_equal(first.position, events[0].position)
         assert first.statistics == events[0].statistics
         assert first.statistics.covariance == covariance
         assert second.statistics is None
-        assert decode_frame(encode_message(("events", [], None)))[2] is None
+        assert decode_frame(encode_message(("events", []))) == ("events", [])
+
+    def test_events_frame_is_a_row_count_then_rows(self):
+        """EVENTS is ``u32 count | rows``: nothing rides beside the events,
+        so a statistics-free row costs exactly its fixed-width record."""
+        event = LocationEvent(1.0, TagId.object(1), np.zeros(3))
+        empty = encode_message(("events", []))
+        one = encode_message(("events", [event]))
+        assert empty[5:] == struct.pack("!I", 0)
+        assert one[5:9] == struct.pack("!I", 1)
+        assert len(one) - len(empty) == struct.calcsize("!dIdddB")
 
     def test_parse_endpoint(self):
         assert parse_endpoint("10.0.0.7:9200") == ("10.0.0.7", 9200)
@@ -193,7 +203,7 @@ def _truncated_step():
 
 def _events_with_trailing_bytes():
     event = LocationEvent(1.0, TagId.object(1), np.zeros(3))
-    return pack_frame(T_EVENTS, encode_message(("events", [event], None))[5:] + b"\0")
+    return pack_frame(T_EVENTS, encode_message(("events", [event]))[5:] + b"\0")
 
 
 def _control_with_flipped_bit():
@@ -204,10 +214,12 @@ def _control_with_flipped_bit():
 
 MALFORMED_FRAMES = {
     # struct.error at the parent commit
-    "events-lying-row-count": pack_frame(T_EVENTS, struct.pack("!IH", 1000, 0)),
+    "events-lying-row-count": pack_frame(T_EVENTS, struct.pack("!I", 1000)),
     # _pickle.UnpicklingError at the parent commit
     "control-garbage": pack_frame(T_CONTROL, b"\x80\x04garbage, not a state tree"),
     "events-trailing-bytes": _events_with_trailing_bytes(),
+    # An EVENTS frame in the old layout (u16 advert length + JSON segment
+    # advert after the row count): the advert is now trailing bytes.
     "events-bad-segment-advert": pack_frame(
         T_EVENTS, struct.pack("!IH", 0, 4) + b"[1,2"
     ),
@@ -271,7 +283,7 @@ def fake_shard_host(misbehave):
             conn = FramedConnection(sock)
             try:
                 assert conn.recv()[0] == "boot"
-                conn.send(("ready", None))
+                conn.send(("ready",))
                 misbehave(conn, sock)
             except (EOFError, OSError, WorkerError):
                 pass
@@ -530,12 +542,16 @@ class TestRemoteParity:
         check_parity(scenario, "remote", 1)
 
     def test_remote_belief_fetch_matches_local_arena(self, scenario):
-        """Explicit belief-fetch replaces shared-memory reads off-host: the
-        fetched particle blocks must be the worker's arena verbatim."""
         check_belief_reads(scenario, "remote")
 
     def test_remote_stats_report_wire_bytes(self, scenario):
         check_queries(scenario, "remote")
+
+    def test_remote_counters_match_serial(self, scenario):
+        check_counters(scenario, "remote")
+
+    def test_remote_workers_allocate_no_shared_memory(self, scenario, monkeypatch):
+        check_no_shared_memory(scenario, "remote", monkeypatch)
 
     def test_unreachable_host_raises_worker_error(self, scenario):
         model, trace, config = scenario
@@ -780,8 +796,7 @@ class TestNoOrphans:
         )
         try:
             assert victim.stdout.readline().strip() == "up"
-            # Two shard workers (the resource tracker is a third child and
-            # outlives them by design: it reclaims their segments).
+            # Two shard workers.
             before = _children_of(victim.pid)
             assert len(before) >= 2
             os.kill(victim.pid, signal.SIGKILL)

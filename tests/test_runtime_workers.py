@@ -1,7 +1,7 @@
 """Tests for the worker executors' shared scenario set, bound to the local
 link (``executor="process"``), plus what only a local worker has:
-shared-memory belief reads, fork-inherited engine factories, and segment
-reclamation after a crash.
+fork-inherited engine factories, private arenas, and containment after a
+crash.
 
 The scenarios live in ``tests/worker_links.py`` and run unchanged over the
 ``remote`` link in ``tests/test_runtime_transport.py``.  The load-bearing
@@ -14,7 +14,7 @@ guarantees, in order of importance:
   resumes bitwise, and a checkpoint taken under one executor restores under
   another;
 * **containment** — a worker crash surfaces as :class:`InferenceError` and
-  leaves no orphaned processes or leaked shared-memory segments.
+  leaves no orphaned processes.
 """
 
 import os
@@ -25,7 +25,9 @@ from worker_links import (
     POLICY,
     check_belief_reads,
     check_checkpoint_kill_restore,
+    check_counters,
     check_cross_executor_restore,
+    check_no_shared_memory,
     check_parity,
     check_queries,
     worker_link,
@@ -71,7 +73,7 @@ class ExitingEngineFactory:
 
     def __call__(self, config):
         return _ExitingEngine(
-            FactoredParticleFilter(self.model, config, shared_arena=True),
+            FactoredParticleFilter(self.model, config),
             self.crash_at_step,
         )
 
@@ -102,11 +104,14 @@ class TestProcessParity:
     def test_process_runtime_answers_queries(self, scenario):
         check_queries(scenario, "process")
 
-    def test_arena_view_reads_worker_beliefs_zero_copy(self, scenario):
-        """The parent attaches the worker's slab and reproduces its estimate
-        from the raw particle blocks — no arrays crossed the link."""
+    def test_worker_belief_fetch_matches_local_arena(self, scenario):
         check_belief_reads(scenario, "process")
 
+    def test_process_counters_match_serial(self, scenario):
+        check_counters(scenario, "process")
+
+    def test_workers_allocate_no_shared_memory(self, scenario, monkeypatch):
+        check_no_shared_memory(scenario, "process", monkeypatch)
 
 def check_run_sharded(scenario, executor):
     """The eval harness queries the runtime *after* run(): stats, known
@@ -192,7 +197,7 @@ class SnapshotBombFactory:
 
     def __call__(self, config):
         return _SnapshotBombEngine(
-            FactoredParticleFilter(self.model, config, shared_arena=True)
+            FactoredParticleFilter(self.model, config)
         )
 
 
@@ -232,21 +237,12 @@ class TestWorkerCrash:
             engine_factory=ExitingEngineFactory(model, crash_at_step=3),
         )
         processes = [proxy.process for proxy in runtime.shards]
-        segments = [proxy._segment for proxy in runtime.shards]
-        assert all(segment is not None for segment in segments)
         with pytest.raises(InferenceError, match="died"):
             runtime.run(trace.epochs())
         # No orphaned workers, and the bus saw its close (abort ran).
         assert all(not process.is_alive() for process in processes)
         assert all(proxy.process is None for proxy in runtime.shards)
         assert runtime.bus.closed
-        # No leaked shared-memory segments: the crashed workers' slabs were
-        # reclaimed by the parent from the last advertised names.
-        from repro.inference.arena import attach_shared_slab
-
-        for name, capacity, dtype in segments:
-            with pytest.raises(FileNotFoundError):
-                attach_shared_slab(name, capacity, dtype)
 
     def test_step_after_crash_reports_dead_worker(self, scenario):
         model, trace, config = scenario

@@ -233,6 +233,7 @@ class TestEndToEnd:
         assert stats["multiplexer"]["queries"] >= 5  # location + 4 standing
         assert stats["checkpoint"]["lag_epochs"] == stats["epochs_processed"]
         assert stats["shards"]["count"] == 2
+        assert stats["shards"]["objects_processed"] > 0
         assert stats["resumed_from"] is None
         assert stats["uptime_s"] > 0
 

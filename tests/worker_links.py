@@ -4,9 +4,8 @@ The two worker executors share one proxy and one worker body; what they
 guarantee is the same, so what tests them is the same: every scenario here
 takes the executor name and runs over that link.  ``tests/
 test_runtime_workers.py`` binds the set to ``process`` (plus what only a
-local worker has: shared-memory reads, fork-inherited engine factories,
-segment reclamation) and ``tests/test_runtime_transport.py`` binds it to
-``remote`` (plus what only a TCP peer can do: be unreachable, be hostile).
+local worker has: fork-inherited engine factories, crash containment) and
+``tests/test_runtime_transport.py`` binds it to ``remote`` (plus what only a TCP peer can do: be unreachable, be hostile).
 """
 
 import threading
@@ -111,9 +110,10 @@ def check_queries(scenario, executor):
 
 
 def check_belief_reads(scenario, executor):
-    """``arena_view`` reads are the worker's arena verbatim: equal, block
-    for block, to a serial run's arenas at the same epoch, and enough to
-    reproduce the worker's own estimate.  Zero-copy on the local link."""
+    """Beliefs stay in the worker; what crosses the link is the estimate.
+    Fetched live (mid-run, before finish caches anything), every object's
+    estimate equals, bit for bit, the one a serial run computes from its
+    own arena at the same epoch."""
     model, trace, config = scenario
     epochs = trace.epochs()[:40]
     serial = ShardedRuntime(model, config, RuntimeConfig(n_shards=2), POLICY)
@@ -126,38 +126,55 @@ def check_belief_reads(scenario, executor):
                 runtime.step(epoch)
             for local, proxy in zip(serial.shards, runtime.shards):
                 arena = local.engine.arena
-                view = proxy.arena_view()
-                try:
-                    assert sorted(view.object_ids()) == sorted(arena.object_ids())
-                    assert view.object_ids()
-                    for number in view.object_ids():
-                        positions = view.positions(number)
-                        assert positions.shape == (config.object_particles, 3)
-                        np.testing.assert_array_equal(
-                            positions, arena.positions(number)
-                        )
-                        np.testing.assert_array_equal(
-                            view.parents(number), arena.parents(number)
-                        )
-                        np.testing.assert_array_equal(
-                            view.log_weights(number), arena.log_weights(number)
-                        )
-                        from_view = LocationEstimate.robust_from_particles(
-                            positions, view.log_weights(number)
-                        )
-                        np.testing.assert_array_equal(
-                            from_view.mean, proxy.object_estimate(number).mean
-                        )
-                    if executor == "process":
-                        first = view.object_ids()[0]
-                        assert np.shares_memory(
-                            view.positions(first), view._slab.positions
-                        )
-                finally:
-                    view.close()
+                assert arena.object_ids()
+                assert proxy.known_objects() == sorted(arena.object_ids())
+                for number in arena.object_ids():
+                    fetched = proxy.object_estimate(number)
+                    from_arena = LocationEstimate.robust_from_particles(
+                        arena.positions(number), arena.log_weights(number)
+                    )
+                    np.testing.assert_array_equal(fetched.mean, from_arena.mean)
+                    expected = local.object_estimate(number)
+                    np.testing.assert_array_equal(
+                        fetched.covariance, expected.covariance
+                    )
+                    assert fetched.sample_size == expected.sample_size
         finally:
             runtime.abort()
     serial.abort()
+
+
+def check_counters(scenario, executor):
+    """Every per-shard diagnostic a worker computes reaches the parent and
+    equals the serial executor's: the engine counters (``objects_processed``
+    among them), the tier census and the arena figures."""
+    model, trace, config = scenario
+    serial = ShardedRuntime(model, config, RuntimeConfig(n_shards=2), POLICY)
+    serial.run(trace.epochs())
+    expected = serial.shard_stats()
+    with worker_link(executor) as runtime_config:
+        runtime = ShardedRuntime(model, config, runtime_config(2), POLICY)
+        try:
+            runtime.run(trace.epochs())
+            rows = runtime.shard_stats()
+        finally:
+            runtime.abort()
+    assert all(row["objects_processed"] > 0 for row in expected)
+    for ours, reference in zip(rows, expected):
+        assert {key: ours[key] for key in reference} == reference
+
+
+def check_no_shared_memory(scenario, executor, monkeypatch):
+    """Worker arenas are private numpy arrays: with shared-memory
+    allocation made to fail before the fork (forked workers inherit the
+    patch), a 2-shard run still completes, bitwise equal to serial."""
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker allocated shared memory")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    check_parity(scenario, executor, 2)
 
 
 def check_checkpoint_kill_restore(scenario, executor, tmp_path):
