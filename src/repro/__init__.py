@@ -112,7 +112,7 @@ from .simulation import (
     WarehouseConfig,
     WarehouseSimulator,
 )
-from .spatial import RStarTree, SensingRegionIndex
+from .spatial import SensingRegionIndex
 from .state import (
     CheckpointManifest,
     load_checkpoint,
@@ -172,7 +172,6 @@ __all__ = [
     "QueryEngine",
     "QueryError",
     "RFIDWorldModel",
-    "RStarTree",
     "ReaderLocationReport",
     "ReaderMotionModel",
     "ReproError",

@@ -215,7 +215,6 @@ class SpatialIndexConfig:
     """Spatial-index behaviour (Section IV-C)."""
 
     enabled: bool = False
-    rtree_max_entries: int = 16
     max_regions: Optional[int] = 4096
     #: Extra padding added to sensing-region bounding boxes so that objects
     #: just outside the nominal range still count as Case 2 (the sensor model
@@ -224,13 +223,11 @@ class SpatialIndexConfig:
     #: A new region is inserted only after the reader has moved this far
     #: from the last recorded region's center; interim epochs attach their
     #: objects to the last region instead.  Consecutive epochs differ by an
-    #: epoch's travel (~0.1 ft), so per-epoch inserts would bloat the tree
+    #: epoch's travel (~0.1 ft), so per-epoch inserts would bloat the index
     #: with near-duplicate boxes; the padding absorbs the quantization.
     record_spacing_ft: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.rtree_max_entries < 4:
-            raise ConfigurationError("rtree_max_entries must be >= 4")
         if self.box_padding_ft < 0:
             raise ConfigurationError("box_padding_ft must be >= 0")
         if self.record_spacing_ft < 0:

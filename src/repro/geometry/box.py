@@ -1,13 +1,13 @@
 """Axis-aligned bounding boxes.
 
-Boxes are the currency of the spatial index (SectionIV-C of the paper): every
-epoch the filter builds a bounding box of the reader's sensing region, inserts
-it into a simplified R*-tree, and probes the tree with the current region's
+Boxes are the currency of the spatial index (Section IV-C of the paper): every
+epoch the filter builds a bounding box of the reader's sensing region, records
+it in the sensing-region table, and probes the table with the current region's
 box to find past regions that overlap it.
 
 The implementation is 3-D; the paper's simulator produces degenerate-z boxes
 (``lo.z == hi.z == 0``), which all operations handle (a flat box still has
-well-defined intersection, containment and margin).
+well-defined intersection and containment).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .vec import as_point, as_points
 class Box:
     """Closed axis-aligned box ``[lo, hi]`` in 3-D.
 
-    Immutable so boxes can be shared freely between index nodes and region
-    records without defensive copies.
+    Immutable so boxes can be shared freely without defensive copies.
     """
 
     lo: Tuple[float, float, float]
@@ -83,10 +82,6 @@ class Box:
         e = self.extents
         return float(e[0] * e[1])
 
-    def margin(self) -> float:
-        """Sum of extents (the R*-tree "margin" criterion)."""
-        return float(self.extents.sum())
-
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
@@ -138,30 +133,6 @@ class Box:
         hi = tuple(h + amount for h in self.hi)
         lo = tuple(min(l, h) for l, h in zip(lo, hi))
         return Box(lo, hi)
-
-    def enlargement(self, other: "Box") -> float:
-        """Volume increase if this box were grown to cover ``other``.
-
-        This is the R-tree ChooseSubtree criterion.  In degenerate-z scenes
-        volume would always be zero, so we fall back to xy-area and then
-        margin growth, keeping the criterion discriminative.
-        """
-        merged = self.union(other)
-        dv = merged.volume() - self.volume()
-        if dv > 0.0:
-            return dv
-        da = merged.area_xy() - self.area_xy()
-        if da > 0.0:
-            return da
-        return merged.margin() - self.margin()
-
-    def overlap_measure(self, other: "Box") -> float:
-        """Size of the intersection (volume, falling back to xy-area)."""
-        inter = self.intersection(other)
-        if inter is None:
-            return 0.0
-        v = inter.volume()
-        return v if v > 0.0 else inter.area_xy()
 
     # ------------------------------------------------------------------
     # Sampling

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import GeometryError
 from .box import Box
-from .vec import as_point, bearings, distances_and_bearings
+from .vec import as_point, distances_and_bearings
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class Cone:
         """Mask of points within range and within the angular aperture."""
         d, theta = distances_and_bearings(np.asarray(self.apex), self.phi, points)
         return (d <= self.max_range) & (theta <= self.half_angle)
-
-    def bearing_of(self, points) -> np.ndarray:
-        return bearings(np.asarray(self.apex), self.phi, points)
 
     def bounding_box(self) -> Box:
         """Tight axis-aligned box around the cone's planar footprint.

@@ -13,8 +13,9 @@ Each epoch, objects fall into four cases by (distance to reader) x (read?):
   zero, skipping the weighting work entirely.
 
 :class:`ActiveSetSelector` implements the Case-2 machinery with the
-:class:`~repro.spatial.region_index.SensingRegionIndex` (bounding boxes of
-past sensing regions in a simplified R*-tree).  With the index disabled it
+:class:`~repro.spatial.region_index.SensingRegionIndex` (one table of past
+sensing-region bounding boxes, probed with a vectorised overlap test; the
+paper uses a simplified R*-tree).  With the index disabled it
 degrades to "every known object is active", which is the plain factored
 filter's behaviour and the baseline the paper's Fig 5(i)/(j) compares
 against.
@@ -46,10 +47,7 @@ class ActiveSetSelector:
         # starts dirty: it has never been captured.
         self._dirty = True
         if config.enabled:
-            self._index = SensingRegionIndex(
-                max_regions=config.max_regions,
-                max_entries=config.rtree_max_entries,
-            )
+            self._index = SensingRegionIndex(max_regions=config.max_regions)
 
     @property
     def enabled(self) -> bool:
@@ -149,42 +147,28 @@ class ActiveSetSelector:
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)
     # ------------------------------------------------------------------
     def snapshot(self) -> Optional[dict]:
-        """Serializable state, or ``None`` when the index is disabled."""
+        """The index's ``regions`` / ``attached`` tables and id counter plus
+        the last recorded region, or ``None`` when the index is disabled."""
         if self._index is None:
             return None
+        last, center = self._last_region_id, self._last_center
         return {
-            "index": self._index.snapshot(),
-            "last_region_id": (
-                None if self._last_region_id is None else int(self._last_region_id)
-            ),
-            "last_center": (
-                None
-                if self._last_center is None
-                else [float(v) for v in self._last_center]
-            ),
+            **self._index.snapshot(),
+            "last_region_id": None if last is None else int(last),
+            "last_center": None if center is None else [float(v) for v in center],
         }
 
     def load_snapshot(self, state: Optional[dict]) -> None:
-        if self._index is None:
-            if state is not None:
-                raise StateError(
-                    "selector snapshot carries index state but the spatial "
-                    "index is disabled in this configuration"
-                )
-            self._dirty = False
-            return
-        if state is None:
+        if (self._index is None) != (state is None):
             raise StateError(
-                "spatial index is enabled but the snapshot has no index state"
+                "the snapshot's selector state and this configuration disagree "
+                "on whether the spatial index is enabled"
             )
-        self._index.load_snapshot(state["index"])
-        self._last_region_id = (
-            None if state["last_region_id"] is None else int(state["last_region_id"])
-        )
-        self._last_center = (
-            None
-            if state["last_center"] is None
-            else np.asarray(state["last_center"], dtype=float)
-        )
         # The loaded state is, by definition, the last captured state.
         self._dirty = False
+        if state is None:
+            return
+        self._index.load_snapshot(state)
+        last, center = state["last_region_id"], state["last_center"]
+        self._last_region_id = None if last is None else int(last)
+        self._last_center = None if center is None else np.asarray(center, dtype=float)

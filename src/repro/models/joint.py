@@ -138,15 +138,6 @@ class RFIDWorldModel:
             shelf_tags=dict(self.shelf_tags),
         )
 
-    def with_sensing(self, sensing: LocationSensingModel) -> "RFIDWorldModel":
-        return RFIDWorldModel(
-            sensor=self.sensor,
-            motion=self.motion,
-            sensing=sensing,
-            objects=self.objects,
-            shelf_tags=dict(self.shelf_tags),
-        )
-
     @property
     def shelves(self) -> ShelfSet:
         return self.objects.shelves

@@ -155,13 +155,6 @@ class SensorModel:
         d, theta = distances_and_bearings(reader_position, reader_heading, tag_positions)
         return self.read_probability(d, theta)
 
-    def log_likelihood_at(
-        self, reader_position, reader_heading: float, tag_positions, read
-    ) -> np.ndarray:
-        """log p(read | pose, tag position) for a batch of tag positions."""
-        d, theta = distances_and_bearings(reader_position, reader_heading, tag_positions)
-        return self.log_likelihood(d, theta, read)
-
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------

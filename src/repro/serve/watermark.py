@@ -346,9 +346,6 @@ class WatermarkAligner:
     def source_names(self) -> List[str]:
         return sorted(self._sources)
 
-    def active_sources(self) -> int:
-        return sum(1 for s in self._sources.values() if not s.ended)
-
     def stats(self) -> Dict[str, object]:
         watermark = self.watermark()
         frontiers = [s.frontier for s in self._sources.values()]

@@ -18,18 +18,12 @@ a straight scan for the warehouse, out-and-back with a turn for the lab.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Protocol, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..geometry.vec import as_point, wrap_angle
-
-
-class LocationSensor(Protocol):
-    """Produces the reported position for an epoch."""
-
-    def report(self, position: np.ndarray, rng: np.random.Generator) -> np.ndarray: ...
 
 
 @dataclass

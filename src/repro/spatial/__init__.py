@@ -1,7 +1,6 @@
-"""Spatial indexing: a from-scratch simplified R*-tree and the paper's
-sensing-region index built on top of it (Section IV-C)."""
+"""Spatial indexing: the paper's sensing-region index (Section IV-C), one
+table of past sensing-region boxes and the objects attached to each."""
 
 from .region_index import SensingRegionIndex
-from .rtree import RStarTree
 
-__all__ = ["RStarTree", "SensingRegionIndex"]
+__all__ = ["SensingRegionIndex"]

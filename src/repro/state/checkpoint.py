@@ -73,8 +73,10 @@ from .snapshot import (
 
 #: Bump when the file layout, header or state-tree layout changes
 #: incompatibly.  Version 1 was a directory per checkpoint; version 2 put
-#: the query-operator state after the arrays in a format that executes.
-FORMAT_VERSION = 3
+#: the query-operator state after the arrays in a format that executes;
+#: version 3 kept the spatial index's regions as dicts in the JSON skeleton
+#: (version 4: ``regions`` / ``attached`` tables, arrays in the body).
+FORMAT_VERSION = 4
 
 MAGIC = b"RPROCKPT"
 

@@ -30,13 +30,13 @@ Three pieces of state cannot migrate exactly and are handled explicitly:
   new shard index, and the resume offset; splicing old bit-generator
   streams across a changed shard layout would correlate shards.
 * **Spatial-index regions** (when enabled) migrate with the objects they
-  cover.  Region geometry and ids are identical across the old shards —
-  every shard records regions from the same broadcast reader poses under
-  the same config — so new shard ``m`` takes the region list of its reader
-  donor shard and re-attaches, per region id, the union of every old
-  shard's covered objects filtered to ``m``'s ownership.  Without this the
-  index restarted empty and every layout change paid a Case-2 warm-up
-  window while regions re-recorded.
+  cover.  Region ids are identical across the old shards — every shard
+  records regions from the same broadcast reader poses under the same
+  config — so new shard ``m`` takes the ``regions`` table of its reader
+  donor shard, and its ``attached`` table is one more ``select``: the
+  attachments of the objects ``m`` now owns, kept to the donor's region
+  ids.  Without this the index restarted empty and every layout change
+  paid a Case-2 warm-up window while regions re-recorded.
 
 The re-shard path is also the live-migration engine:
 :meth:`ShardedRuntime.reshard` snapshots the running shards and feeds the
@@ -66,17 +66,10 @@ from ..config import RuntimeConfig
 from ..errors import StateError
 from ..models.joint import RFIDWorldModel
 from ..runtime import EpochRouter, EventBus, ShardedRuntime
+from ..spatial.region_index import SensingRegionIndex, check_snapshot
 from ..streams.sinks import EventSink
 from .checkpoint import _MALFORMED, CheckpointManifest, config_hash, load_checkpoint
 from .tables import check, select
-
-#: Fallback selector snapshot for re-sharded engines whose source shard
-#: carries no selector state: structurally valid, semantically empty.
-_EMPTY_SELECTOR = {
-    "index": {"next_id": 0, "regions": []},
-    "last_region_id": None,
-    "last_center": None,
-}
 
 
 def restore_runtime(
@@ -224,11 +217,13 @@ def _tables(state: dict) -> Dict[str, dict]:
 
 
 def _check_tables(shard_states: List[dict]) -> None:
-    """Refuse inconsistent per-object tables before any shard sees them."""
+    """Refuse inconsistent per-object and selector tables before any shard sees them."""
     for index, state in enumerate(shard_states):
         if state["engine"].get("engine") == "factored":
             for name, table in _tables(state).items():
                 check(table, f"shard {index} {name} table")
+            if state["engine"].get("selector") is not None:
+                check_snapshot(state["engine"]["selector"], f"shard {index} selector")
 
 
 def _owned_ids(table: dict, router, n_new: int) -> List[np.ndarray]:
@@ -253,46 +248,35 @@ def _reshard_rng_state(root_seed: int, shard_index: int, n_shards: int, offset: 
 
 def _migrate_selector(
     shard_states: List[dict], source_index: int, router, m: int
-) -> Optional[dict]:
+) -> dict:
     """Selector snapshot for new shard ``m``: regions travel with objects.
 
     Region geometry, recording order, ids, and the ``next_id`` watermark
     are shared across old shards (every shard records from the same
-    broadcast reader poses under the same config), so the structural frame
-    comes from the reader-donor shard; each region's covered-object set is
-    the union over *all* old shards of that region id's objects, filtered
-    to the objects shard ``m`` now owns.
+    broadcast reader poses under the same config), so the ``regions`` table
+    comes from the reader-donor shard; the ``attached`` table holds the
+    objects shard ``m`` now owns, selected out of every old shard's, each
+    kept to the region ids the donor's table holds.
     """
     source = shard_states[source_index]["engine"].get("selector")
-    if source is None:
-        return dict(_EMPTY_SELECTOR)
-    # Union of covered objects per region id across every old shard.
-    objects_by_region: Dict[int, set] = {}
-    next_id = 0
-    for state in shard_states:
-        selector = state["engine"].get("selector")
-        if selector is None:
-            continue
-        next_id = max(next_id, int(selector["index"]["next_id"]))
-        for region in selector["index"]["regions"]:
-            objects_by_region.setdefault(int(region["id"]), set()).update(
-                int(number) for number in region["objects"]
-            )
-    regions = [
-        {
-            "id": int(region["id"]),
-            "lo": region["lo"],
-            "hi": region["hi"],
-            "objects": sorted(
-                number
-                for number in objects_by_region.get(int(region["id"]), ())
-                if router.shard_of(number) == m
-            ),
-        }
-        for region in source["index"]["regions"]
-    ]
+    if source is None:  # structurally valid, semantically empty
+        return {**SensingRegionIndex().snapshot(), "last_region_id": None, "last_center": None}
+    old = [s["engine"]["selector"] for s in shard_states if s["engine"].get("selector")]
+    tables = [selector["attached"] for selector in old]
+    ids = np.concatenate([np.asarray(table["ids"], dtype=np.int64) for table in tables])
+    owned = np.fromiter((router.shard_of(n) == m for n in ids.tolist()), bool, ids.size)
+    table = select(tables, np.unique(ids[owned]), "selector attached")
+    keep = np.isin(table["regions"], source["regions"]["ids"])
+    rows = np.repeat(np.arange(table["ids"].size), table["counts"])[keep]
+    counts = np.bincount(rows, minlength=table["ids"].size)
     return {
-        "index": {"next_id": next_id, "regions": regions},
+        "next_id": max(int(selector["next_id"]) for selector in old),
+        "regions": source["regions"],
+        "attached": {
+            "ids": table["ids"][counts > 0],
+            "counts": counts[counts > 0],
+            "regions": table["regions"][keep],
+        },
         "last_region_id": source["last_region_id"],
         "last_center": source["last_center"],
     }

@@ -25,17 +25,27 @@ def test_the_fidelity_ledger_is_checked():
     assert any("benchmarks/fidelity.py --check BENCH_fidelity.json" in run for run in runs)
 
 
-def test_the_belief_read_guard_finds_nothing_in_src():
-    """The guard step's pattern matches no line of the package source."""
+def guard_hits(marker):
+    """Lines of the package source matched by the ``grep -rnE`` guard step
+    whose pattern contains ``marker``."""
     doc = yaml.safe_load(WORKFLOW.read_text())
     runs = [step.get("run", "") for spec in doc["jobs"].values() for step in spec["steps"]]
-    (guard,) = [run for run in runs if "shared_memory|" in run]
+    (guard,) = [run for run in runs if marker in run]
     pattern = re.search(r'grep -rnE "([^"]+)" src/', guard).group(1)
     src = WORKFLOW.parents[2] / "src"
-    hits = [
+    return [
         f"{path.relative_to(src)}:{number}"
         for path in sorted(src.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(pattern, line)
     ]
-    assert hits == []
+
+
+def test_the_belief_read_guard_finds_nothing_in_src():
+    """The guard step's pattern matches no line of the package source."""
+    assert guard_hits("shared_memory|") == []
+
+
+def test_the_region_table_guard_finds_nothing_in_src():
+    """No R*-tree survives in the package: the Case-2 index is one table."""
+    assert guard_hits("RStarTree|") == []

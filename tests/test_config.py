@@ -66,9 +66,9 @@ class TestInferenceConfig:
 class TestSpatialIndexConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SpatialIndexConfig(rtree_max_entries=2)
-        with pytest.raises(ConfigurationError):
             SpatialIndexConfig(box_padding_ft=-0.1)
+        with pytest.raises(ConfigurationError):
+            SpatialIndexConfig(record_spacing_ft=-0.1)
 
 
 class TestOutputPolicyConfig:

@@ -98,22 +98,6 @@ class TestCombinators:
         assert b.lo == (-0.5, -0.5, -0.5)
         assert b.hi == (1.5, 1.5, 1.5)
 
-    def test_enlargement_positive_for_outside_box(self):
-        a = Box((0, 0, 0), (1, 1, 1))
-        b = Box((5, 5, 5), (6, 6, 6))
-        assert a.enlargement(b) > 0
-
-    def test_enlargement_zero_for_contained(self):
-        a = Box((0, 0, 0), (10, 10, 10))
-        b = Box((1, 1, 1), (2, 2, 2))
-        assert a.enlargement(b) == pytest.approx(0.0)
-
-    def test_enlargement_flat_boxes_uses_area(self):
-        # z-degenerate boxes: volume always 0; area growth must register.
-        a = Box((0, 0, 0), (1, 1, 0))
-        b = Box((2, 0, 0), (3, 1, 0))
-        assert a.enlargement(b) > 0
-
     def test_union_all(self):
         boxes = [Box((i, 0, 0), (i + 1, 1, 0)) for i in range(4)]
         u = union_all(boxes)
@@ -130,17 +114,6 @@ class TestMeasures:
         b = Box((0, 0, 0), (2, 3, 4))
         assert b.volume() == pytest.approx(24.0)
         assert b.area_xy() == pytest.approx(6.0)
-        assert b.margin() == pytest.approx(9.0)
-
-    def test_overlap_measure_flat(self):
-        a = Box((0, 0, 0), (2, 2, 0))
-        b = Box((1, 1, 0), (3, 3, 0))
-        assert a.overlap_measure(b) == pytest.approx(1.0)
-
-    def test_overlap_measure_disjoint_is_zero(self):
-        a = Box((0, 0, 0), (1, 1, 0))
-        b = Box((5, 5, 0), (6, 6, 0))
-        assert a.overlap_measure(b) == 0.0
 
 
 class TestSampling:

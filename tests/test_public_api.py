@@ -21,7 +21,7 @@ class TestExports:
             "LabDeployment",
             "SmurfLocationEstimator",
             "UniformSampler",
-            "RStarTree",
+            "SensingRegionIndex",
             "QueryEngine",
         ):
             assert hasattr(repro, name)

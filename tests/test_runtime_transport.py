@@ -1067,9 +1067,7 @@ class TestSelectorMigration:
         old_states = [shard.snapshot("full") for shard in runtime.shards]
         old_selectors = [s["engine"]["selector"] for s in old_states]
         assert any(
-            rec["objects"]
-            for sel in old_selectors
-            for rec in sel["index"]["regions"]
+            sel["attached"]["ids"].size for sel in old_selectors
         ), "scenario never attached an object — test is vacuous"
         router = EpochRouter(3, "hash")
         new_states = reshard_states(
@@ -1082,41 +1080,31 @@ class TestSelectorMigration:
         )
         runtime.abort()
 
-        attachments = {}
-        for sel in old_selectors:
-            for rec in sel["index"]["regions"]:
-                attachments.setdefault(rec["id"], set()).update(rec["objects"])
+        def pairs(selector):
+            """``{(object id, region id)}`` of an ``attached`` table."""
+            table = selector["attached"]
+            objects = np.repeat(table["ids"], table["counts"])
+            return set(zip(objects.tolist(), table["regions"].tolist()))
+
+        attachments = set().union(*map(pairs, old_selectors))
         for m, state in enumerate(new_states):
             selector = state["engine"]["selector"]
             assert selector is not None
-            regions = selector["index"]["regions"]
             # Region geometry and order come from new shard m's *source*
             # frame, old shard (m * n_old) // n_new — geometry differs
             # slightly between old shards because each duplicates the
             # reader belief with its own RNG stream.
-            source_regions = {
-                rec["id"]: rec
-                for rec in old_selectors[(m * 2) // 3]["index"]["regions"]
+            source = old_selectors[(m * 2) // 3]["regions"]
+            for column in ("ids", "lo", "hi"):
+                np.testing.assert_array_equal(selector["regions"][column], source[column])
+            # Attachments are the union across every old shard, re-filtered
+            # by the new router.
+            assert pairs(selector) == {
+                (n, r) for n, r in attachments if router.shard_of(n) == m
             }
-            assert [r["id"] for r in regions] == list(source_regions)
-            for rec in regions:
-                src = source_regions[rec["id"]]
-                assert rec["lo"] == src["lo"] and rec["hi"] == src["hi"]
-                # Attachments are the union across every old shard,
-                # re-filtered by the new router.
-                expected = sorted(
-                    n for n in attachments[rec["id"]] if router.shard_of(n) == m
-                )
-                assert rec["objects"] == expected
         # Nothing dropped: the union across new shards is the old union.
-        migrated = {
-            n
-            for state in new_states
-            for rec in state["engine"]["selector"]["index"]["regions"]
-            for n in rec["objects"]
-        }
-        original = {n for ids in attachments.values() for n in ids}
-        assert migrated == original
+        migrated = set().union(*(pairs(s["engine"]["selector"]) for s in new_states))
+        assert migrated == attachments
 
 
 class TestConfig:

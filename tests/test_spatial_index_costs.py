@@ -1,7 +1,7 @@
 """What the spatial index path is *not* allowed to cost.
 
-The R*-tree does its node arithmetic on raw float bounds (no ``Box``
-instances), detaching an object visits that object's regions only, and the
+Detaching an object visits that object's regions only, a snapshot holds each
+attachment once (both maps are rebuilt from its ``attached`` table), and the
 active-set selection never walks the known population.
 """
 
@@ -11,59 +11,6 @@ from repro.config import SpatialIndexConfig
 from repro.geometry.box import Box
 from repro.inference.spatial import ActiveSetSelector
 from repro.spatial.region_index import SensingRegionIndex
-from repro.spatial.rtree import RStarTree, _bounds_of, _Entry, _sweep
-
-
-def random_boxes(n, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        x, y, z = rng.uniform(0.0, 60.0, size=3)
-        w, h, d = rng.uniform(0.1, 6.0, size=3)
-        out.append(Box((x, y, z), (x + w, y + h, z + d)))
-    return out
-
-
-class TestBoxFreeTree:
-    def test_tree_operations_construct_no_box(self, monkeypatch):
-        boxes = random_boxes(500, seed=11)
-        probes = random_boxes(200, seed=12)
-        built = [0]
-        validate = Box.__post_init__
-
-        def counting(self):
-            built[0] += 1
-            validate(self)
-
-        tree = RStarTree(max_entries=8)
-        live = {}
-        hits = []
-        with monkeypatch.context() as patch:
-            patch.setattr(Box, "__post_init__", counting)
-            for k, box in enumerate(boxes):
-                tree.insert(box, k)
-                live[k] = box
-            for k in range(0, 500, 5):
-                assert tree.delete(live.pop(k), lambda value, k=k: value == k) == 1
-            for probe in probes:
-                hits.append(sorted(tree.search(probe)))
-            entries = tree.search_entries(probes[0])
-            Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        assert built[0] == 1  # only the one built above, to show the counter counts
-        tree.check_invariants()
-        assert len(tree) == 400
-        for probe, found in zip(probes, hits):
-            assert found == sorted(k for k, box in live.items() if box.intersects(probe))
-        assert all(box is live[k] for box, k in entries)
-
-    def test_sweep_bounds_equal_a_union_per_distribution(self):
-        """The split's running prefix / suffix bounds are what a fresh union
-        of each candidate distribution's two groups gives."""
-        entries = [_Entry(box, k) for k, box in enumerate(random_boxes(17, seed=3))]
-        prefix, suffix = _sweep(entries)
-        for k in range(1, len(entries)):
-            assert prefix[k - 1] == _bounds_of(entries[:k])
-            assert suffix[k] == _bounds_of(entries[k:])
 
 
 def box_at(x):
@@ -93,14 +40,19 @@ class TestObjectRegionMap:
         index.record(box_at(0.0), [5, 6])
         index.record(box_at(0.5), [6])
         state = index.snapshot()
-        assert set(state) == {"next_id", "regions"}
-        assert all(set(rec) == {"id", "lo", "hi", "objects"} for rec in state["regions"])
+        assert set(state) == {"next_id", "regions", "attached"}
+        assert set(state["regions"]) == {"ids", "lo", "hi"}
+        assert set(state["attached"]) == {"ids", "counts", "regions"}
+        np.testing.assert_array_equal(state["attached"]["ids"], [5, 6])
+        np.testing.assert_array_equal(state["attached"]["regions"], [0, 0, 1])
         clone = SensingRegionIndex()
         clone.load_snapshot(state)
         clone.check_consistent()
         assert clone.remove_object(6) is True
         assert clone.case2_candidates(box_at(0.0)) == {5}
-        assert clone.snapshot()["regions"][1]["objects"] == []
+        again = clone.snapshot()
+        np.testing.assert_array_equal(again["regions"]["ids"], [0, 1])  # region 1 stays
+        np.testing.assert_array_equal(again["attached"]["ids"], [5])
 
     def test_remove_object_visits_only_its_own_regions(self):
         index = SensingRegionIndex()
@@ -113,9 +65,9 @@ class TestObjectRegionMap:
 
             __contains__ = discard
 
-        for region_id, (box, ids) in list(index._regions.items()):
+        for region_id, ids in list(index._objects.items()):
             if 7 not in ids:
-                index._regions[region_id] = (box, Untouchable(ids))
+                index._objects[region_id] = Untouchable(ids)
         assert index.remove_object(7) is True
         assert 7 not in index.objects_registered()
 

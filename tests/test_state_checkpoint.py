@@ -185,25 +185,33 @@ class TestCheckpointFormat:
         with pytest.raises(StateError, match="config hash"):
             restore_runtime(path, model)
 
-    def test_unsupported_version_rejected(self, scenario, tmp_path):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1])
+    def test_unsupported_version_rejected(self, scenario, tmp_path, version):
+        """Version 3 held the spatial index's regions as per-region JSON
+        dicts; a build reads its own version only and names the one it
+        refuses."""
         from repro.state.checkpoint import MAGIC, PREAMBLE
 
         model, trace, config = scenario
         path = tmp_path / "ck"
-        checkpoint_at(model, trace, config, 1, 5, path)
+        checkpoint_at(model, trace, config.with_index(), 1, 5, path)
         blob = path.read_bytes()
         _, _, header_bytes, body_bytes = PREAMBLE.unpack(blob[: PREAMBLE.size])
         path.write_bytes(
-            PREAMBLE.pack(MAGIC, FORMAT_VERSION + 1, header_bytes, body_bytes)
+            PREAMBLE.pack(MAGIC, version, header_bytes, body_bytes)
             + blob[PREAMBLE.size :]
         )
-        with pytest.raises(StateError, match="version"):
-            load_checkpoint(path)
+        refusal = f"version {version} is not supported.*reads version {FORMAT_VERSION}"
+        for verify in (True, False):
+            with pytest.raises(StateError, match=refusal):
+                load_checkpoint(path, verify=verify)
+        with pytest.raises(StateError, match=refusal):
+            restore_runtime(path, model)
 
     def test_version_1_directory_rejected(self, tmp_path):
         """Format version 1 was a directory per checkpoint: refused, not
         read by a second code path."""
-        with pytest.raises(StateError, match="version 1 is not supported.*reads version 3"):
+        with pytest.raises(StateError, match="version 1 is not supported.*reads version 4"):
             load_checkpoint(tmp_path)
         with pytest.raises(StateError, match="cannot open"):
             load_checkpoint(tmp_path / "missing")
@@ -455,7 +463,7 @@ class TestMalformedFiles:
         path.write_bytes(content + hashlib.sha256(content).digest())
         (tmp_path / "LATEST").write_text("epoch_00000012\n")
 
-        with pytest.raises(StateError, match="version 2 is not supported.*reads version 3"):
+        with pytest.raises(StateError, match="version 2 is not supported.*reads version 4"):
             load_checkpoint(path, verify=verify)
         with pytest.raises(StateError, match="version 2 is not supported"):
             read_checkpoint_header(path)

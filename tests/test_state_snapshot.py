@@ -209,12 +209,11 @@ class TestRegionIndexSnapshot:
     def test_round_trip_preserves_queries_and_order(self):
         from repro.geometry.box import Box
 
-        index = SensingRegionIndex(max_regions=8, max_entries=4)
+        index = SensingRegionIndex(max_regions=8)
         for i in range(6):
             index.record(Box((i, 0, 0), (i + 1.5, 1, 1)), [i, i + 100])
-        state = index.snapshot()
-        json.dumps(state)  # must be pure JSON
-        other = SensingRegionIndex(max_regions=8, max_entries=4)
+        state = through_the_format(index.snapshot())  # tables: raw arrays
+        other = SensingRegionIndex(max_regions=8)
         other.load_snapshot(state)
         probe = Box((2.2, 0, 0), (3.2, 1, 1))
         assert other.case2_candidates(probe) == index.case2_candidates(probe)

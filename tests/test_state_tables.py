@@ -41,6 +41,7 @@ from repro.runtime import EpochRouter, ShardedRuntime
 from repro.state import (
     apply_shard_delta,
     load_checkpoint,
+    read_checkpoint_header,
     reshard_states,
     restore_runtime,
     save_checkpoint,
@@ -964,3 +965,78 @@ class TestRestoreChecksBeforeItApplies:
                 runtime_config=RuntimeConfig(n_shards=n_shards, executor="process"),
             )
         assert not multiprocessing.active_children()
+
+
+# ---------------------------------------------------------------------------
+# (e) The spatial index's tables: checked where the other tables are
+# ---------------------------------------------------------------------------
+def _writable(table, key):
+    table[key] = np.array(table[key])
+    return table[key]
+
+
+def _nan_bound(selector):
+    _writable(selector["regions"], "lo")[0, 0] = np.nan
+
+
+def _inverted_bounds(selector):
+    _writable(selector["regions"], "lo")[0] = selector["regions"]["hi"][0] + 1.0
+
+
+def _flat_bounds(selector):
+    selector["regions"]["hi"] = selector["regions"]["hi"][:, :2]
+
+
+def _stray_region(selector):
+    _writable(selector["attached"], "regions")[0] = 10**6
+
+
+#: Malformed selector trees: (tamper, message naming shard and defect).  A
+#: NaN box overlaps nothing, so its objects would silently lose Case 2.
+MALFORMED_SELECTORS = [
+    pytest.param(_nan_bound, "shard 1 selector holds a region whose bounds are not finite", id="nan-bound"),
+    pytest.param(_inverted_bounds, "shard 1 selector holds a region whose bounds are not finite with lo <= hi", id="lo-above-hi"),
+    pytest.param(_flat_bounds, "shard 1 selector region bounds are not 2 boxes", id="bound-shape"),
+    pytest.param(lambda s: _repeat_first(s["regions"]), "shard 1 selector regions table names an object twice", id="region-id-twice"),
+    pytest.param(lambda s: _repeat_first(s["attached"]), "shard 1 selector attached table names an object twice", id="object-twice"),
+    pytest.param(_stray_region, "shard 1 selector attaches an object to a region it does not hold", id="attached-to-no-region"),
+]
+
+
+class TestSelectorTablesAreChecked:
+    @pytest.mark.parametrize("tamper, message", MALFORMED_SELECTORS)
+    def test_refused_before_a_runtime_exists(self, tmp_path, monkeypatch, tamper, message):
+        import repro.state.restore as module
+
+        runtime = warm_runtime(n_shards=2, epochs=9)
+        tampering(runtime.shards[1], ("engine", "selector"), tamper)
+        target = str(tmp_path / "ck")
+        save_checkpoint(runtime, target)
+        runtime.abort()
+        monkeypatch.setattr(module, "ShardedRuntime", None)  # building one fails the test
+        for layout in (None, RuntimeConfig(n_shards=3)):  # exact, then re-shard
+            with pytest.raises(StateError, match=message):
+                restore_runtime(target, world(), runtime_config=layout)
+
+    @pytest.mark.parametrize("tamper, message", MALFORMED_SELECTORS)
+    def test_direct_shard_restore_refuses(self, tamper, message):
+        runtime = warm_runtime(n_shards=2, epochs=9)
+        state = runtime.shards[1].snapshot("full")
+        tamper(state["engine"]["selector"])
+        defect = message.replace("shard 1 selector", "region index")
+        with pytest.raises(StateError, match=defect):
+            runtime.shards[0].restore(state)
+        runtime.abort()
+
+    def test_index_checkpoint_header_holds_no_per_region_dicts(self, tmp_path):
+        """Regions and attachments are tables: raw arrays in the body, an
+        array marker each in the JSON skeleton."""
+        runtime = warm_runtime(n_shards=2, epochs=9)
+        target = str(tmp_path / "ck")
+        save_checkpoint(runtime, target)
+        runtime.abort()
+        for record in read_checkpoint_header(target)["shards"]:
+            selector = record["state"]["engine"]["selector"]
+            assert set(selector) == {"next_id", "regions", "attached", "last_region_id", "last_center"}
+            for name in ("regions", "attached"):
+                assert all(set(leaf) == {"__array__"} for leaf in selector[name].values())
