@@ -331,16 +331,6 @@ class InferenceConfig:
         """Return a copy with adaptive particle budgets enabled."""
         return replace(self, budget=BudgetConfig(enabled=True, **kwargs))
 
-    def with_particles(self, object_particles: int, reader_particles: Optional[int] = None) -> "InferenceConfig":
-        """Return a copy with different particle counts."""
-        return replace(
-            self,
-            object_particles=object_particles,
-            reader_particles=(
-                reader_particles if reader_particles is not None else self.reader_particles
-            ),
-        )
-
 
 def inference_config_from_dict(data: dict) -> InferenceConfig:
     """Inverse of ``dataclasses.asdict``; raises ``KeyError``/``TypeError``

@@ -49,12 +49,6 @@ class SystemResult:
             return 0.0
         return 1000.0 * self.elapsed_s / self.n_readings
 
-    @property
-    def readings_per_second(self) -> float:
-        if self.elapsed_s <= 0:
-            return float("inf")
-        return self.n_readings / self.elapsed_s
-
 
 def final_estimates_from_sink(sink: CollectingSink) -> Dict[int, np.ndarray]:
     """Latest emitted location per object tag number."""

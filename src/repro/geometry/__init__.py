@@ -5,7 +5,7 @@ probabilistic models, the spatial index, the simulator) speaks in terms of
 these types.
 """
 
-from .box import Box, iter_pairs_intersecting, union_all
+from .box import Box
 from .cone import Cone
 from .shapes import ShelfRegion, ShelfSet
 from .vec import (
@@ -35,9 +35,7 @@ __all__ = [
     "distances",
     "distances_and_bearings",
     "heading_vector",
-    "iter_pairs_intersecting",
     "pairwise_distances_and_bearings",
     "planar_distance",
-    "union_all",
     "wrap_angle",
 ]

@@ -13,7 +13,7 @@ well-defined intersection and containment).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,14 +44,6 @@ class Box:
         lo3 = as_point(lo)
         hi3 = as_point(hi)
         return Box(tuple(float(v) for v in lo3), tuple(float(v) for v in hi3))
-
-    @staticmethod
-    def from_points(points) -> "Box":
-        """Smallest box containing every row of ``points``."""
-        pts = as_points(points)
-        if pts.shape[0] == 0:
-            raise GeometryError("cannot build a box from zero points")
-        return Box.from_arrays(pts.min(axis=0), pts.max(axis=0))
 
     @staticmethod
     def around(center, radius: float) -> "Box":
@@ -143,20 +135,3 @@ class Box:
         hi = np.asarray(self.hi)
         return rng.uniform(lo, hi, size=(n, 3))
 
-
-def union_all(boxes: Sequence[Box]) -> Box:
-    """Smallest box covering every box in ``boxes``."""
-    if not boxes:
-        raise GeometryError("union_all of zero boxes")
-    out = boxes[0]
-    for b in boxes[1:]:
-        out = out.union(b)
-    return out
-
-
-def iter_pairs_intersecting(boxes: Sequence[Box]) -> Iterator[Tuple[int, int]]:
-    """Yield index pairs of intersecting boxes (brute force, test helper)."""
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].intersects(boxes[j]):
-                yield (i, j)

@@ -98,29 +98,3 @@ class Cone:
         pts[:, 1] = apex[1] + r * np.sin(a)
         pts[:, 2] = apex[2]
         return pts
-
-    def sample_within(self, rng: np.random.Generator, n: int, region: "Box") -> np.ndarray:
-        """Sample points uniform over the intersection of cone and ``region``.
-
-        Rejection sampling from the cone, falling back to the region's own
-        uniform distribution if the overlap is too small to hit (which mirrors
-        how the paper's baselines sample "over the overlapping area of the
-        sensor model and the shelf").
-        """
-        out = np.empty((0, 3))
-        attempts = 0
-        while out.shape[0] < n and attempts < 50:
-            cand = self.sample(rng, max(4 * n, 32))
-            keep = region.contains_points(cand)
-            out = np.vstack([out, cand[keep]])
-            attempts += 1
-        if out.shape[0] >= n:
-            return out[:n]
-        # Overlap is (nearly) empty: sample the region and keep anything in
-        # the cone, else just the region.  Guarantees n samples are returned.
-        cand = region.sample(rng, max(8 * n, 64))
-        inside = cand[self.contains(cand)]
-        if inside.shape[0] >= n:
-            return inside[:n]
-        pool = np.vstack([out, inside, cand])
-        return pool[:n]

@@ -66,12 +66,6 @@ class ShelfSet:
     def __getitem__(self, index: int) -> ShelfRegion:
         return self._shelves[index]
 
-    def by_id(self, shelf_id: int) -> ShelfRegion:
-        for shelf in self._shelves:
-            if shelf.shelf_id == shelf_id:
-                return shelf
-        raise GeometryError(f"no shelf with id {shelf_id}")
-
     def bounding_box(self) -> Box:
         out = self._shelves[0].box
         for shelf in self._shelves[1:]:

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..config import InferenceConfig
-from ..errors import InferenceError, StateError
+from ..errors import InferenceError
 from ..geometry.vec import delta_range_bearing
 from ..models.joint import RFIDWorldModel
 from ..models.priors import ReinitDecision, SensorBasedInitializer, classify_redetection
@@ -192,125 +192,6 @@ class NaiveParticleFilter:
     def process_trace(self, epochs: Iterable[Epoch]) -> None:
         for epoch in epochs:
             self.step(epoch)
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (the durable-state subsystem, ``repro.state``)
-    # ------------------------------------------------------------------
-    def snapshot_state(self, mode: str = "full") -> dict:
-        """Capture the complete joint-filter state.
-
-        Only ``mode="full"`` is supported: the naive filter rewrites its one
-        dense ``(J, n, 3)`` slab wholesale every propagate/resample, so there
-        is no dirty-block structure for a differential capture to exploit.
-
-        Int-keyed bookkeeping dicts are encoded as parallel id/value arrays
-        (the checkpoint skeleton is JSON, which would stringify the keys);
-        insertion order is preserved because the evidence kernel iterates
-        ``_columns`` in that order.
-        """
-        if mode != "full":
-            raise StateError(
-                "naive engine supports mode='full' captures only — "
-                "differential checkpoints need the factored engine's "
-                "dirty-block tracking"
-            )
-        started = self._positions is not None
-        anchors = self._last_read_anchor
-        return {
-            "engine": "naive",
-            "rng_state": self._rng.bit_generator.state,
-            "epoch_index": int(self._epoch_index),
-            "stats": {k: int(v) for k, v in self.stats.items()},
-            "started": started,
-            "positions": np.array(self._positions) if started else None,
-            "headings": np.array(self._headings) if started else None,
-            "objects": np.array(self._objects) if started else None,
-            "log_w": np.array(self._log_w) if started else None,
-            "last_reported": (
-                None if self._last_reported is None else np.array(self._last_reported)
-            ),
-            "last_reported_epoch": int(self._last_reported_epoch),
-            "columns": {
-                "ids": np.asarray(list(self._columns), dtype=np.int64),
-                "index": np.asarray(list(self._columns.values()), dtype=np.int64),
-            },
-            "last_read": {
-                "ids": np.asarray(list(self._last_read_epoch), dtype=np.int64),
-                "epochs": np.asarray(
-                    list(self._last_read_epoch.values()), dtype=np.int64
-                ),
-            },
-            "read_anchors": {
-                "ids": np.asarray(list(anchors), dtype=np.int64),
-                "anchors": (
-                    np.stack([anchors[k] for k in anchors])
-                    if anchors
-                    else np.zeros((0, 3))
-                ),
-            },
-            "last_split": {
-                "ids": np.asarray(list(self._last_split_epoch), dtype=np.int64),
-                "epochs": np.asarray(
-                    list(self._last_split_epoch.values()), dtype=np.int64
-                ),
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Apply a :meth:`snapshot_state` tree to this (same-config) engine;
-        the resumed filter is bitwise identical to the captured one."""
-        if state.get("engine") != "naive":
-            raise StateError(
-                f"snapshot is for engine {state.get('engine')!r}, not 'naive'"
-            )
-        from ..state.snapshot import generator_from_state
-
-        if state["started"]:
-            positions = np.asarray(state["positions"], dtype=float)
-            if positions.shape[0] != self.n_particles:
-                raise StateError(
-                    f"snapshot holds {positions.shape[0]} joint particles, "
-                    f"engine was built with {self.n_particles}"
-                )
-            self._positions = np.array(positions)
-            self._headings = np.array(np.asarray(state["headings"], dtype=float))
-            self._objects = np.array(np.asarray(state["objects"], dtype=float))
-            self._log_w = np.array(np.asarray(state["log_w"], dtype=float))
-        else:
-            self._positions = None
-            self._headings = None
-            self._objects = None
-            self._log_w = None
-        self._rng = generator_from_state(state["rng_state"])
-        self._epoch_index = int(state["epoch_index"])
-        self.stats = {"epochs": 0, "resamples": 0}
-        self.stats.update({k: int(v) for k, v in state["stats"].items()})
-        self._last_reported = (
-            None
-            if state["last_reported"] is None
-            else np.asarray(state["last_reported"], dtype=float).copy()
-        )
-        self._last_reported_epoch = int(state["last_reported_epoch"])
-        cols = state["columns"]
-        self._columns = {
-            int(n): int(c)
-            for n, c in zip(np.asarray(cols["ids"]), np.asarray(cols["index"]))
-        }
-        read = state["last_read"]
-        self._last_read_epoch = {
-            int(n): int(e)
-            for n, e in zip(np.asarray(read["ids"]), np.asarray(read["epochs"]))
-        }
-        anchors = state["read_anchors"]
-        self._last_read_anchor = {
-            int(n): np.asarray(a, dtype=float).copy()
-            for n, a in zip(np.asarray(anchors["ids"]), np.asarray(anchors["anchors"]))
-        }
-        split = state["last_split"]
-        self._last_split_epoch = {
-            int(n): int(e)
-            for n, e in zip(np.asarray(split["ids"]), np.asarray(split["epochs"]))
-        }
 
     # ------------------------------------------------------------------
     # Internals

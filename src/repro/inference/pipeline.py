@@ -22,8 +22,8 @@ import numpy as np
 
 from ..config import OutputPolicyConfig
 from ..errors import StateError
-from ..streams.records import Epoch, LocationEvent, TagId
-from ..streams.sinks import BusSink, CollectingSink, EventSink
+from ..streams.records import Epoch, TagId
+from ..streams.sinks import CollectingSink, EventSink
 from .estimates import LocationEstimate
 
 
@@ -41,12 +41,10 @@ class InferenceEngine(Protocol):
 
 
 def engine_counters(engine) -> Dict[str, float]:
-    """Every counter in ``engine.stats`` plus ``engine.tier_summary()``, as
-    floats — the one list shard stats and the eval harness both report."""
-    row = dict(getattr(engine, "stats", None) or {})
-    tiers = getattr(engine, "tier_summary", None)
-    if callable(tiers):
-        row.update(tiers())
+    """Every counter in a factored filter's ``stats`` plus its
+    ``tier_summary()``, as floats — the one list shard stats and the eval
+    harness both report."""
+    row = {**engine.stats, **engine.tier_summary()}
     return {key: float(value) for key, value in row.items()}
 
 
@@ -72,22 +70,10 @@ class CleaningPipeline:
         engine: InferenceEngine,
         policy: OutputPolicyConfig = OutputPolicyConfig(),
         sink: Optional[EventSink] = None,
-        close_sink: bool = True,
     ):
         self.engine = engine
         self.policy = policy
-        if sink is None:
-            sink = CollectingSink()
-        elif not isinstance(sink, EventSink) and hasattr(sink, "publish"):
-            # Bus-capable: an event bus (anything with ``publish``) may be
-            # passed directly; it is wrapped so events flow onto it.  The
-            # bus is NOT closed by finish() — several pipelines may share
-            # it, so its producer coordinates the close.
-            sink = BusSink(sink, close_bus=False)
-        self.sink: EventSink = sink
-        #: Whether ``finish()`` closes the sink.  Turn off when the sink is
-        #: shared with other pipelines (e.g. the sharded runtime's bus).
-        self.close_sink = close_sink
+        self.sink: EventSink = sink if sink is not None else CollectingSink()
         self._visits: Dict[int, _VisitState] = {}
         #: Objects that have emitted at least once — a tombstone that
         #: outlives visit pruning, so ``finish()`` never re-reports a pruned
@@ -175,8 +161,7 @@ class CleaningPipeline:
     def finish(self) -> None:
         """End of trace: emit pending objects (scan-complete policy)."""
         if self._last_epoch_time is None:
-            if self.close_sink:
-                self.sink.close()
+            self.sink.close()
             return
         now = self._last_epoch_time
         if self.policy.on_scan_complete:
@@ -190,8 +175,7 @@ class CleaningPipeline:
                 elif not state.emitted_this_visit:
                     self._emit(number, now)
                     state.emitted_this_visit = True
-        if self.close_sink:
-            self.sink.close()
+        self.sink.close()
 
     def run(self, epochs: Iterable[Epoch]) -> EventSink:
         """Convenience: process every epoch then finish."""

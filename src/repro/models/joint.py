@@ -128,16 +128,6 @@ class RFIDWorldModel:
             params(ObjectDynamicsParams, data["dynamics"]),
         )
 
-    def with_sensor(self, sensor: SensorModel) -> "RFIDWorldModel":
-        """Copy of the model with a different sensor model (e.g. learned)."""
-        return RFIDWorldModel(
-            sensor=sensor,
-            motion=self.motion,
-            sensing=self.sensing,
-            objects=self.objects,
-            shelf_tags=dict(self.shelf_tags),
-        )
-
     @property
     def shelves(self) -> ShelfSet:
         return self.objects.shelves

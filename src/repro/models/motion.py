@@ -86,27 +86,3 @@ class ReaderMotionModel:
         # Vectorized wrap into (-pi, pi].
         new_headings = np.pi - np.mod(np.pi - new_headings, 2.0 * np.pi)
         return new_positions, new_headings
-
-    def log_transition(
-        self,
-        old_positions: np.ndarray,
-        new_positions: np.ndarray,
-    ) -> np.ndarray:
-        """log p(R_t | R_{t-1}) per particle (position part; the heading walk
-        cancels between proposal and model because we propose from the model).
-
-        Axes with zero noise contribute only when the displacement differs
-        from the mean velocity, in which case the transition is impossible;
-        we use a large negative constant rather than -inf so a single
-        impossible particle cannot poison a whole log-sum-exp.
-        """
-        delta = new_positions - old_positions - self.params.velocity_array[None, :]
-        sigma = self.params.sigma_array
-        out = np.zeros(delta.shape[0])
-        for axis in range(3):
-            s = sigma[axis]
-            if s > 0:
-                out += -0.5 * (delta[:, axis] / s) ** 2 - math.log(s * math.sqrt(2 * math.pi))
-            else:
-                out += np.where(np.abs(delta[:, axis]) < 1e-9, 0.0, -1e6)
-        return out

@@ -81,10 +81,3 @@ class LocationSensingModel:
             if np.maximum.reduce(np.abs(residual[:, axis])) < 1e-9:
                 per_axis[:, axis] = 0.0
         return np.add.reduce(per_axis, axis=1)
-
-    def corrected(self, reported: np.ndarray) -> np.ndarray:
-        """Best single-point guess of the true location from a report alone:
-        subtract the systematic bias.  Used when the motion model is switched
-        off (the Fig 5(g) "motion model Off" baseline *doesn't* do this —
-        it trusts the report verbatim — but learned-parameter variants do)."""
-        return np.asarray(reported, dtype=float) - self.params.mean_array

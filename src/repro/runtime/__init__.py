@@ -12,12 +12,11 @@ from .partition import hash_partition, make_partitioner, mod_partition, shard_se
 from .router import EpochRouter
 from .runtime import ShardedRuntime
 from .shard import FilterShard
-from .workers import FactoredEngineFactory, ShardWorkerProxy
+from .workers import ShardWorkerProxy
 
 __all__ = [
     "EpochRouter",
     "EventBus",
-    "FactoredEngineFactory",
     "FilterShard",
     "QueryBridge",
     "ShardWorkerProxy",

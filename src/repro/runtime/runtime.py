@@ -42,8 +42,6 @@ from ..config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from ..errors import InferenceError, StateError, WorkerError
 from ..faults import fault_point
 from ..inference.estimates import LocationEstimate
-from ..inference.factored import FactoredParticleFilter
-from ..inference.pipeline import InferenceEngine
 from ..models.joint import RFIDWorldModel
 from ..streams.records import Epoch, LocationEvent
 from ..streams.sinks import CollectingSink, EventSink
@@ -52,9 +50,6 @@ from .partition import shard_seed
 from .router import EpochRouter
 from .shard import FilterShard
 from .workers import ShardWorkerProxy
-
-#: Builds one shard's engine from its (re-seeded) inference config.
-EngineFactory = Callable[[InferenceConfig], InferenceEngine]
 
 
 class ShardedRuntime:
@@ -78,14 +73,8 @@ class ShardedRuntime:
     bus:
         Bring-your-own bus (e.g. one that query bridges already subscribed
         to); a fresh one is created by default.
-    engine_factory:
-        Engine constructor per shard (default: a
-        :class:`FactoredParticleFilter` over ``model``).  Lets the runtime
-        shard the naive filter or any other
-        :class:`~repro.inference.pipeline.InferenceEngine`.
     initial_heading:
-        Prior reader heading handed to the default engine factory
-        (ignored when ``engine_factory`` is given).
+        Prior reader heading of every shard's filter.
     """
 
     def __init__(
@@ -96,7 +85,6 @@ class ShardedRuntime:
         policy: OutputPolicyConfig = OutputPolicyConfig(),
         sink: Optional[EventSink] = None,
         bus: Optional[EventBus] = None,
-        engine_factory: Optional[EngineFactory] = None,
         initial_heading: float = 0.0,
     ):
         self.model = model
@@ -104,9 +92,6 @@ class ShardedRuntime:
         self.runtime_config = runtime
         self.policy = policy
         self.initial_heading = float(initial_heading)
-        #: Kept for every later shard build (reshard, supervisor respawn):
-        #: exactly the construction-time factory and re-seeded config.
-        self._engine_factory = engine_factory
         self.router = EpochRouter(runtime.n_shards, runtime.partitioner)
         self.bus = bus if bus is not None else EventBus()
         self.sink: EventSink = sink if sink is not None else CollectingSink()
@@ -180,8 +165,7 @@ class ShardedRuntime:
         shard is byte-identical to the serial one, and a respawned worker
         restored from a checkpoint to the one it replaces.
         ``executor="serial"`` builds an in-process :class:`FilterShard`;
-        ``"process"`` forks a local worker (a custom ``engine_factory``
-        reaches it through the fork); ``"remote"`` connects to
+        ``"process"`` forks a local worker; ``"remote"`` connects to
         ``shard_hosts[index % len]`` (a reconnect boots a fresh worker
         there, so a remote respawn heals exactly like a local one).
         """
@@ -191,14 +175,9 @@ class ShardedRuntime:
         )
         executor = self.runtime_config.executor
         if executor == "serial":
-            engine = (
-                FactoredParticleFilter(
-                    self.model, config, initial_heading=self.initial_heading
-                )
-                if self._engine_factory is None
-                else self._engine_factory(config)
+            return FilterShard(
+                index, self.model, config, self.policy, self.initial_heading
             )
-            return FilterShard(index, engine, self.policy)
         supervisor = self.runtime_config.supervisor
         timing = (
             {}
@@ -217,7 +196,6 @@ class ShardedRuntime:
             self.policy,
             endpoint=hosts[index % len(hosts)] if executor == "remote" else None,
             initial_heading=self.initial_heading,
-            engine_factory=self._engine_factory,
             **timing,
         )
 

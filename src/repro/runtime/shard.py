@@ -1,11 +1,14 @@
-"""One filter shard: an independent engine + cleaning pipeline + buffer.
+"""One filter shard: a factored particle filter + cleaning pipeline + buffer.
 
 A shard is the unit of horizontal scale: it owns a partition of the object
-tags and runs the full single-engine stack over them — its own particle
-filter (own arena, own RNG stream), its own
-:class:`~repro.inference.pipeline.CleaningPipeline` with its own visit
-bookkeeping.  Nothing is shared between shards except the read-only world
-model, which is why the runtime can step them in any order or concurrently.
+tags and runs the full single-engine stack over them — its own
+:class:`~repro.inference.factored.FactoredParticleFilter` (own arena, own
+RNG stream), its own :class:`~repro.inference.pipeline.CleaningPipeline`
+with its own visit bookkeeping.  Only the factored filter shards: the
+paper's Eq. 5 makes object beliefs independent given the reader belief,
+which is what lets objects split across shards exactly.  Nothing is shared
+between shards except the read-only world model, which is why the runtime
+can step them in any order or concurrently.
 
 Events emitted during a step land in a private buffer that the runtime
 drains after all shards have advanced, so the cross-shard merge happens in
@@ -25,26 +28,36 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..config import OutputPolicyConfig
+from ..config import InferenceConfig, OutputPolicyConfig
 from ..errors import StateError
-from ..inference.pipeline import CleaningPipeline, InferenceEngine, engine_counters
+from ..inference.factored import FactoredParticleFilter
+from ..inference.pipeline import CleaningPipeline, engine_counters
+from ..models.joint import RFIDWorldModel
 from ..streams.records import Epoch, LocationEvent
 from ..streams.sinks import CollectingSink
 
 
 class FilterShard:
-    """One partition's engine, pipeline, and drainable event buffer."""
+    """One partition's filter, pipeline, and drainable event buffer.
+
+    Every executor builds its shards here: the serial runtime in-process,
+    a worker process from its boot document.
+    """
 
     def __init__(
         self,
         index: int,
-        engine: InferenceEngine,
+        model: RFIDWorldModel,
+        config: InferenceConfig,
         policy: OutputPolicyConfig = OutputPolicyConfig(),
+        initial_heading: float = 0.0,
     ):
         self.index = index
-        self.engine = engine
+        self.engine = FactoredParticleFilter(
+            model, config, initial_heading=initial_heading
+        )
         self._buffer = CollectingSink()
-        self.pipeline = CleaningPipeline(engine, policy, self._buffer)
+        self.pipeline = CleaningPipeline(self.engine, policy, self._buffer)
         self._snapshot: Optional[Dict[str, dict]] = None
 
     def step(self, epoch: Epoch) -> None:
@@ -91,32 +104,23 @@ class FilterShard:
         return buffered
 
     def stats(self) -> Dict[str, float]:
-        """Per-shard diagnostics for the harness and benchmarks.
-
-        Arena fields appear only for engines that expose an arena (the
-        factored filter); every engine counter rides along
-        (:func:`~repro.inference.pipeline.engine_counters`).
-        """
+        """Per-shard diagnostics for the harness and benchmarks: arena
+        fields plus every engine counter
+        (:func:`~repro.inference.pipeline.engine_counters`)."""
         engine = self.engine
-        row: Dict[str, float] = {
+        arena = engine.arena
+        return {
             "shard": float(self.index),
             "objects": float(len(engine.known_objects())),
+            "active_count": float(engine.active_count),
+            "arena_used_rows": float(arena.used_rows),
+            "arena_capacity": float(arena.capacity),
+            "arena_grows": float(arena.stats.get("grows", 0)),
+            "arena_compactions": float(arena.stats.get("compactions", 0)),
+            "arena_memory_bytes": float(arena.memory_bytes()),
+            "belief_memory_bytes": float(engine.belief_memory_bytes()),
+            **engine_counters(engine),
         }
-        active = getattr(engine, "active_count", None)
-        if active is not None:
-            row["active_count"] = float(active)
-        arena = getattr(engine, "arena", None)
-        if arena is not None:
-            row["arena_used_rows"] = float(arena.used_rows)
-            row["arena_capacity"] = float(arena.capacity)
-            row["arena_grows"] = float(arena.stats.get("grows", 0))
-            row["arena_compactions"] = float(arena.stats.get("compactions", 0))
-            row["arena_memory_bytes"] = float(arena.memory_bytes())
-        memory = getattr(engine, "belief_memory_bytes", None)
-        if callable(memory):
-            row["belief_memory_bytes"] = float(memory())
-        row.update(engine_counters(engine))
-        return row
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)
@@ -125,45 +129,22 @@ class FilterShard:
         """Capture the shard's mutable state (engine + pipeline).
 
         ``mode="delta"`` captures only the changes since the previous
-        capture — the differential-checkpoint path (``repro.state``); it
-        requires an engine whose ``snapshot_state`` accepts a mode.
+        capture — the differential-checkpoint path (``repro.state``).
 
         Checkpoints are taken at epoch boundaries *after* the runtime drained
         the event buffer; a non-empty buffer means events would be lost, so
         it is an error, not a silent drop.
         """
-        capture = getattr(self.engine, "snapshot_state", None)
-        if not callable(capture):
-            raise StateError(
-                f"engine {type(self.engine).__name__} does not support "
-                "state capture (no snapshot_state method)"
-            )
         if self._buffer.events:
             raise StateError(
                 f"shard {self.index} has {len(self._buffer.events)} undrained "
                 "events; checkpoint only at epoch boundaries after a merge"
             )
-        if mode == "full":
-            engine_state = capture()
-        else:
-            try:
-                engine_state = capture(mode=mode)
-            except TypeError:
-                raise StateError(
-                    f"engine {type(self.engine).__name__} does not support "
-                    f"{mode!r} state capture"
-                ) from None
         return {
-            "engine": engine_state,
+            "engine": self.engine.snapshot_state(mode=mode),
             "pipeline": self.pipeline.snapshot_state(mode=mode),
         }
 
     def restore(self, state: Dict[str, dict]) -> None:
-        apply = getattr(self.engine, "restore_state", None)
-        if not callable(apply):
-            raise StateError(
-                f"engine {type(self.engine).__name__} does not support "
-                "state restore (no restore_state method)"
-            )
-        apply(state["engine"])
+        self.engine.restore_state(state["engine"])
         self.pipeline.restore_state(state["pipeline"])

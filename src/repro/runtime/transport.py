@@ -437,7 +437,7 @@ class ShardHostServer:
                 # The child closes the listening side.
                 worker = context.Process(
                     target=_worker_main,
-                    args=(sock, None, os.getpid(), (self._listener, *wake)),
+                    args=(sock, os.getpid(), (self._listener, *wake)),
                     name="repro-host-worker",
                     daemon=True,
                 )

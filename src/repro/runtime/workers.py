@@ -62,13 +62,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..config import InferenceConfig, OutputPolicyConfig, inference_config_from_dict
-from ..errors import (
-    ConfigurationError,
-    InferenceError,
-    StateError,
-    WorkerError,
-    WorkerTimeout,
-)
+from ..errors import InferenceError, StateError, WorkerError, WorkerTimeout
 from ..faults import fault_point
 from ..inference.estimates import LocationEstimate
 from ..models.joint import RFIDWorldModel
@@ -93,25 +87,6 @@ def worker_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-class FactoredEngineFactory:
-    """Default engine factory for worker processes.
-
-    Builds a :class:`~repro.inference.factored.FactoredParticleFilter`,
-    mirroring the runtime's default in-process factory.
-    """
-
-    def __init__(self, model: RFIDWorldModel, initial_heading: float = 0.0):
-        self.model = model
-        self.initial_heading = float(initial_heading)
-
-    def __call__(self, config: InferenceConfig):
-        from ..inference.factored import FactoredParticleFilter
-
-        return FactoredParticleFilter(
-            self.model, config, initial_heading=self.initial_heading
-        )
-
-
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
@@ -132,7 +107,7 @@ def _final_reply(shard: FilterShard) -> dict:
     }
 
 
-def _boot_shard(conn: FramedConnection, engine_factory):
+def _boot_shard(conn: FramedConnection):
     """Read the boot frame and build the shard it describes.
 
     Until a valid boot frame is decoded the link is bounded in size (the
@@ -157,17 +132,12 @@ def _boot_shard(conn: FramedConnection, engine_factory):
     except (KeyError, TypeError, ValueError) as exc:
         raise WorkerError(f"malformed boot document: {exc!r}") from exc
     conn.raise_limit(transport.MAX_MESSAGE_BYTES)
-    factory = (
-        engine_factory
-        if engine_factory is not None
-        else FactoredEngineFactory(model, initial_heading)
-    )
-    return FilterShard(index, factory(config), policy), heartbeat_interval_s
+    shard = FilterShard(index, model, config, policy, initial_heading)
+    return shard, heartbeat_interval_s
 
 
 def _worker_main(
     sock: socket.socket,
-    engine_factory=None,
     parent_pid: Optional[int] = None,
     inherited: Sequence[socket.socket] = (),
 ) -> None:
@@ -177,10 +147,9 @@ def _worker_main(
     connection a shard host accepted); ``inherited`` are the forker's
     sockets this process must not hold (the other socketpair end, a
     listener) — closed first, so our copy cannot mask the peer's EOF.
-    ``engine_factory`` comes from the forker, never from the link.
 
     Request errors are caught and replied as ``("error", kind, text)`` so a
-    failed snapshot (say, an engine without state capture) leaves the worker
+    failed snapshot (say, a delta capture with no baseline) leaves the worker
     serving — matching the in-process executors, where a failed checkpoint
     does not kill the runtime.  Anything that escapes the loop (or the
     process) surfaces to the parent as a dead link.
@@ -194,7 +163,7 @@ def _worker_main(
         pass
     conn = FramedConnection(sock, transport.PRE_BOOT_MAX_BYTES)
     try:
-        shard, heartbeat_interval_s = _boot_shard(conn, engine_factory)
+        shard, heartbeat_interval_s = _boot_shard(conn)
         conn.send(("ready",))
     except BaseException as exc:  # boot failed: one error frame, then close
         try:
@@ -292,8 +261,7 @@ class ShardWorkerProxy:
     dropped connection surfaces as :class:`~repro.errors.WorkerError`, so
     the supervisor's respawn path retries through its usual backoff —
     reconnecting to a restarted shard host heals a remote death exactly
-    like a local one.  A custom ``engine_factory`` reaches a local worker
-    through the fork; it cannot cross a TCP link and is refused there.
+    like a local one.
     """
 
     def __init__(
@@ -303,7 +271,6 @@ class ShardWorkerProxy:
         config: InferenceConfig,
         policy: OutputPolicyConfig,
         initial_heading: float = 0.0,
-        engine_factory=None,
         endpoint: Optional[str] = None,
         op_timeout_s: float = DEFAULT_OP_TIMEOUT_S,
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
@@ -327,12 +294,7 @@ class ShardWorkerProxy:
         self._final_stats: Optional[Dict[str, float]] = None
         self._final_estimates: Optional[Dict[int, LocationEstimate]] = None
         if self.endpoint is None:
-            self._fork_link(engine_factory)
-        elif engine_factory is not None:
-            raise ConfigurationError(
-                "a custom engine_factory cannot cross a remote link; run it "
-                'under executor="process" or build it into the shard host'
-            )
+            self._fork_link()
         else:
             self._connect_link()
         try:
@@ -359,12 +321,12 @@ class ShardWorkerProxy:
             raise
 
     # -- the two link openers -------------------------------------------
-    def _fork_link(self, engine_factory) -> None:
+    def _fork_link(self) -> None:
         """Fork a local worker holding one end of a socketpair."""
         ours, theirs = socket.socketpair()
         self.process = worker_context().Process(
             target=_worker_main,
-            args=(theirs, engine_factory, os.getpid(), (ours,)),
+            args=(theirs, os.getpid(), (ours,)),
             name=f"repro-shard-{self.index}",
             daemon=True,
         )

@@ -230,14 +230,3 @@ class DeliverySink:
         self.flush()
         self._fp.close()
         self._closed = True
-
-    def abandon(self) -> None:
-        """Close the file handle WITHOUT flushing buffered lines.
-
-        Test hook simulating ``kill -9``: whatever was not yet flushed is
-        lost, exactly as the OS would drop a killed process's user-space
-        buffers.
-        """
-        if not self._closed:
-            self._fp.close()
-            self._closed = True

@@ -79,7 +79,6 @@ def restore_runtime(
     sink: Optional[EventSink] = None,
     bus: Optional[EventBus] = None,
     verify: bool = True,
-    engine_factory=None,
 ) -> Tuple[ShardedRuntime, CheckpointManifest]:
     """Rebuild a runtime from a checkpoint file and prime it to resume.
 
@@ -101,11 +100,6 @@ def restore_runtime(
         process path), and an exact restore stays bitwise regardless.
     verify:
         Check every file's SHA-256 trailer before applying its state.
-    engine_factory:
-        Per-shard engine builder, forwarded to :class:`ShardedRuntime`.
-        Required when the checkpoint was taken under a non-default engine:
-        shard state trees carry an engine-kind marker, and naive-engine
-        state only restores into naive shards.
 
     Returns the primed runtime and the parsed manifest; resume by feeding
     ``trace.epochs(start=manifest.epochs_processed)`` to ``runtime.run``.
@@ -119,15 +113,6 @@ def restore_runtime(
         raise StateError(
             "checkpoint config hash does not match its own configuration "
             "payload — the header was modified after it was written"
-        )
-    kinds = {
-        state["engine"].get("engine", "factored")
-        for state in manifest.shard_states
-    }
-    if "naive" in kinds and engine_factory is None:
-        raise StateError(
-            "checkpoint holds naive-engine shard state; pass an "
-            "engine_factory that builds NaiveParticleFilter shards"
         )
     target = runtime_config if runtime_config is not None else manifest.runtime
     exact = (
@@ -156,7 +141,6 @@ def restore_runtime(
         sink=sink,
         bus=bus,
         initial_heading=manifest.initial_heading,
-        engine_factory=engine_factory,
     )
     try:
         for shard, state in zip(runtime.shards, states):
@@ -217,13 +201,19 @@ def _tables(state: dict) -> Dict[str, dict]:
 
 
 def _check_tables(shard_states: List[dict]) -> None:
-    """Refuse inconsistent per-object and selector tables before any shard sees them."""
+    """Refuse a shard tree that is not the factored filter's, or whose
+    per-object or selector tables are inconsistent, before any shard sees it."""
     for index, state in enumerate(shard_states):
-        if state["engine"].get("engine") == "factored":
-            for name, table in _tables(state).items():
-                check(table, f"shard {index} {name} table")
-            if state["engine"].get("selector") is not None:
-                check_snapshot(state["engine"]["selector"], f"shard {index} selector")
+        kind = state["engine"].get("engine")
+        if kind != "factored":
+            raise StateError(
+                f"shard {index} holds {kind!r} engine state; shards restore "
+                "factored-filter state only"
+            )
+        for name, table in _tables(state).items():
+            check(table, f"shard {index} {name} table")
+        if state["engine"].get("selector") is not None:
+            check_snapshot(state["engine"]["selector"], f"shard {index} selector")
 
 
 def _owned_ids(table: dict, router, n_new: int) -> List[np.ndarray]:
@@ -299,9 +289,6 @@ def reshard_states(
     new shard, ready for ``shard.restore``.
     """
     n_old = len(shard_states)
-    for state in shard_states:
-        if state["engine"].get("engine") != "factored":
-            raise StateError("elastic re-shard supports the factored engine only")
     _check_tables(shard_states)
 
     # Every object's rows go to its new owner.  A new shard's tables hold

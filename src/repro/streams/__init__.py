@@ -12,8 +12,6 @@ from .records import (
     make_epoch,
 )
 from .sinks import (
-    BusSink,
-    CallbackSink,
     CollectingSink,
     CsvSink,
     EventSink,
@@ -23,8 +21,6 @@ from .sources import GroundTruth, ObjectMove, Trace, merge_traces
 from .synchronize import EpochSynchronizer, synchronize
 
 __all__ = [
-    "BusSink",
-    "CallbackSink",
     "CollectingSink",
     "CsvSink",
     "Epoch",

@@ -8,7 +8,7 @@ the query engine) or serialize them.
 from __future__ import annotations
 
 import csv
-from typing import Callable, Dict, Iterable, List, TextIO
+from typing import Dict, Iterable, List, TextIO
 
 from .records import LocationEvent, TagId
 
@@ -47,19 +47,6 @@ class CollectingSink(EventSink):
                 out[event.tag] = event
         return out
 
-    def events_for(self, tag: TagId) -> List[LocationEvent]:
-        return [e for e in self.events if e.tag == tag]
-
-
-class CallbackSink(EventSink):
-    """Invokes a callable per event (glue for the query engine)."""
-
-    def __init__(self, callback: Callable[[LocationEvent], None]):
-        self._callback = callback
-
-    def emit(self, event: LocationEvent) -> None:
-        self._callback(event)
-
 
 class TeeSink(EventSink):
     """Fans each event out to several sinks."""
@@ -74,28 +61,6 @@ class TeeSink(EventSink):
     def close(self) -> None:
         for sink in self._sinks:
             sink.close()
-
-
-class BusSink(EventSink):
-    """Publishes each event onto an event bus (the runtime layer's merged
-    stream).  The bus is duck-typed (anything with ``publish``/``close``)
-    so the stream layer does not depend on ``repro.runtime``.
-
-    ``close_bus`` controls whether closing this sink closes the bus: leave
-    it off when several producers (e.g. filter shards) share one bus and a
-    coordinator owns the close.
-    """
-
-    def __init__(self, bus, close_bus: bool = False):
-        self._bus = bus
-        self._close_bus = close_bus
-
-    def emit(self, event: LocationEvent) -> None:
-        self._bus.publish(event)
-
-    def close(self) -> None:
-        if self._close_bus:
-            self._bus.close()
 
 
 class CsvSink(EventSink):

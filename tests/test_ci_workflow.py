@@ -49,3 +49,19 @@ def test_the_belief_read_guard_finds_nothing_in_src():
 def test_the_region_table_guard_finds_nothing_in_src():
     """No R*-tree survives in the package: the Case-2 index is one table."""
     assert guard_hits("RStarTree|") == []
+
+
+def test_the_engine_seam_guard_finds_nothing_in_src():
+    """Shards build one engine, the factored filter: no factory survives."""
+    assert guard_hits("engine_factory|") == []
+
+
+def test_the_line_ratchet_holds_for_src():
+    """The package source is no longer than the ratchet step allows."""
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "") for spec in doc["jobs"].values() for step in spec["steps"]]
+    (ratchet,) = [run for run in runs if "| wc -l" in run and "-le" in run]
+    limit = int(re.search(r"-le (\d+)", ratchet).group(1))
+    src = WORKFLOW.parents[2] / "src"
+    lines = sum(path.read_text().count("\n") for path in src.rglob("*.py"))
+    assert lines <= limit

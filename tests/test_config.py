@@ -50,13 +50,6 @@ class TestInferenceConfig:
         assert config.compression.enabled
         assert config.compression.unread_epochs == 3
 
-    def test_with_particles_builder(self):
-        config = InferenceConfig().with_particles(50, reader_particles=20)
-        assert config.object_particles == 50
-        assert config.reader_particles == 20
-        config2 = InferenceConfig(reader_particles=77).with_particles(50)
-        assert config2.reader_particles == 77
-
     def test_builders_compose(self):
         config = InferenceConfig().with_index().with_compression()
         assert config.spatial_index.enabled

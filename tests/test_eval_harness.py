@@ -178,15 +178,6 @@ class TestBaselineRunners:
         assert ours.error.xy < uniform.error.xy
 
 
-class TestThroughputAccounting:
-    def test_readings_per_second_consistent(self, scene, fast_cfg):
-        sim, trace = scene
-        result = run_factored(trace, sim.world_model(), fast_cfg)
-        assert result.readings_per_second == pytest.approx(
-            1000.0 / result.time_per_reading_ms, rel=1e-6
-        )
-
-
 class TestQueryExtras:
     """Both runners serve an attached query engine inside the timed run and
     surface its multiplexer stats as ``query_*`` extras."""

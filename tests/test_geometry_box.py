@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry.box import Box, iter_pairs_intersecting, union_all
+from repro.geometry.box import Box
 
 
 def box_strategy():
@@ -27,15 +27,6 @@ class TestConstruction:
     def test_rejects_inverted(self):
         with pytest.raises(GeometryError):
             Box((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
-
-    def test_from_points(self):
-        b = Box.from_points([[0, 0, 0], [2, -1, 3], [1, 5, 0]])
-        assert b.lo == (0.0, -1.0, 0.0)
-        assert b.hi == (2.0, 5.0, 3.0)
-
-    def test_from_points_empty_raises(self):
-        with pytest.raises(GeometryError):
-            Box.from_points(np.zeros((0, 3)))
 
     def test_around(self):
         b = Box.around((1, 1, 0), 0.5)
@@ -98,16 +89,6 @@ class TestCombinators:
         assert b.lo == (-0.5, -0.5, -0.5)
         assert b.hi == (1.5, 1.5, 1.5)
 
-    def test_union_all(self):
-        boxes = [Box((i, 0, 0), (i + 1, 1, 0)) for i in range(4)]
-        u = union_all(boxes)
-        assert u.lo == (0.0, 0.0, 0.0)
-        assert u.hi == (4.0, 1.0, 0.0)
-
-    def test_union_all_empty_raises(self):
-        with pytest.raises(GeometryError):
-            union_all([])
-
 
 class TestMeasures:
     def test_volume_and_area(self):
@@ -150,12 +131,3 @@ class TestProperties:
     @given(box_strategy())
     def test_expansion_monotone(self, b):
         assert b.expanded(1.0).contains_box(b)
-
-
-def test_iter_pairs_intersecting():
-    boxes = [
-        Box((0, 0, 0), (1, 1, 0)),
-        Box((0.5, 0.5, 0), (2, 2, 0)),
-        Box((5, 5, 0), (6, 6, 0)),
-    ]
-    assert list(iter_pairs_intersecting(boxes)) == [(0, 1)]

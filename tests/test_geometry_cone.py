@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.box import Box
 from repro.geometry.cone import Cone
 
 
@@ -82,16 +81,3 @@ class TestSampling:
         r = np.linalg.norm(pts[:, :2], axis=1)
         frac = (r <= 1.5).mean()
         assert frac == pytest.approx(0.25, abs=0.03)
-
-    def test_sample_within_region(self, forward_cone, rng):
-        region = Box((1.0, -0.5, 0.0), (2.0, 0.5, 0.0))
-        pts = forward_cone.sample_within(rng, 100, region)
-        assert pts.shape == (100, 3)
-        assert region.contains_points(pts).all()
-        assert forward_cone.contains(pts).all()
-
-    def test_sample_within_disjoint_region_falls_back(self, forward_cone, rng):
-        # Region entirely behind the cone: fallback still yields n points.
-        region = Box((-5.0, -1.0, 0.0), (-4.0, 1.0, 0.0))
-        pts = forward_cone.sample_within(rng, 50, region)
-        assert pts.shape == (50, 3)

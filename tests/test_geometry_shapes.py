@@ -18,11 +18,6 @@ class TestShelfSetConstruction:
         with pytest.raises(GeometryError):
             ShelfSet([ShelfRegion(0, box), ShelfRegion(0, box)])
 
-    def test_by_id(self, two_shelves):
-        assert two_shelves.by_id(1).shelf_id == 1
-        with pytest.raises(GeometryError):
-            two_shelves.by_id(99)
-
     def test_len_iter_getitem(self, two_shelves):
         assert len(two_shelves) == 2
         assert [s.shelf_id for s in two_shelves] == [0, 1]

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.config import InferenceConfig
-from repro.errors import InferenceError, StateError
+from repro.config import InferenceConfig, OutputPolicyConfig
+from repro.errors import InferenceError
 from repro.inference.naive import NaiveParticleFilter
+from repro.inference.pipeline import CleaningPipeline
 from repro.streams.records import make_epoch
 
 from test_inference_factored import scan_epochs
@@ -99,65 +100,29 @@ class TestDegradation:
         # Not a strict inequality theorem, but the gap should be visible.
         assert many > few * 0.8
 
-class TestSnapshot:
-    """Full-mode snapshot/restore round trip: a restored engine continues
-    the joint filter bitwise-identically to the uninterrupted one."""
 
-    def _epochs(self, n=40):
-        return scan_epochs(3.0, n=n)
+class TestBaselinePath:
+    """The naive filter's one job is the joint baseline (Fig 5(i)): an
+    engine the cleaning pipeline drives like any other (``run_naive``)."""
 
-    def test_round_trip_resumes_bitwise(self, small_model, fast_config):
-        epochs = self._epochs()
-        reference = NaiveParticleFilter(small_model, fast_config, n_particles=120)
-        for epoch in epochs:
-            reference.step(epoch)
+    def test_same_seed_same_joint_particles(self, small_model, fast_config):
+        def run():
+            engine = NaiveParticleFilter(small_model, fast_config, n_particles=120)
+            for epoch in scan_epochs(3.0, n=40):
+                engine.step(epoch)
+            return engine
 
-        split = len(epochs) // 2
-        source = NaiveParticleFilter(small_model, fast_config, n_particles=120)
-        for epoch in epochs[:split]:
-            source.step(epoch)
-        state = source.snapshot_state()
-        assert state["engine"] == "naive"
+        first, second = run(), run()
+        np.testing.assert_array_equal(first._positions, second._positions)  # noqa: SLF001
+        np.testing.assert_array_equal(first._objects, second._objects)  # noqa: SLF001
+        np.testing.assert_array_equal(first._log_w, second._log_w)  # noqa: SLF001
+        assert first.stats == second.stats
 
-        restored = NaiveParticleFilter(small_model, fast_config, n_particles=120)
-        restored.restore_state(state)
-        for epoch in epochs[split:]:
-            restored.step(epoch)
-
-        np.testing.assert_array_equal(restored._positions, reference._positions)  # noqa: SLF001
-        np.testing.assert_array_equal(restored._objects, reference._objects)  # noqa: SLF001
-        np.testing.assert_array_equal(restored._log_w, reference._log_w)  # noqa: SLF001
-        assert restored.stats == reference.stats
-        assert restored.known_objects() == reference.known_objects()
-        for n in reference.known_objects():
-            np.testing.assert_array_equal(
-                restored.object_estimate(n).mean, reference.object_estimate(n).mean
-            )
-
-    def test_snapshot_before_first_step(self, small_model, fast_config):
-        engine = NaiveParticleFilter(small_model, fast_config, n_particles=50)
-        state = engine.snapshot_state()
-        assert state["started"] is False
-        restored = NaiveParticleFilter(small_model, fast_config, n_particles=50)
-        restored.restore_state(state)
-        with pytest.raises(InferenceError):
-            restored.reader_estimate()
-
-    def test_delta_mode_refused(self, small_model, fast_config):
-        engine = NaiveParticleFilter(small_model, fast_config, n_particles=50)
-        with pytest.raises(StateError, match="mode='full'"):
-            engine.snapshot_state(mode="delta")
-
-    def test_restore_validates_marker_and_size(self, small_model, fast_config):
-        engine = NaiveParticleFilter(small_model, fast_config, n_particles=50)
-        engine.step(make_epoch(0.0, (0.0, 1.0), object_tags=[3]))
-        state = engine.snapshot_state()
-        wrong_kind = dict(state, engine="factored")
-        with pytest.raises(StateError, match="not 'naive'"):
-            NaiveParticleFilter(
-                small_model, fast_config, n_particles=50
-            ).restore_state(wrong_kind)
-        with pytest.raises(StateError, match="joint particles"):
-            NaiveParticleFilter(
-                small_model, fast_config, n_particles=60
-            ).restore_state(state)
+    def test_cleaning_pipeline_emits_each_object_it_saw(self, small_model, fast_config):
+        engine = NaiveParticleFilter(small_model, fast_config, n_particles=300)
+        sink = CleaningPipeline(engine, OutputPolicyConfig()).run(scan_epochs(3.0, n=60))
+        assert engine.known_objects() == [0]
+        assert sorted({event.tag.number for event in sink.events}) == [0]
+        for event in sink.events:
+            assert np.isfinite(event.position).all()
+        assert sink.events[-1].position[1] == pytest.approx(3.0, abs=0.6)

@@ -273,41 +273,37 @@ class TestEngineCounters:
         assert all(type(value) is float for value in row.values())
         assert row["objects_processed"] > 0 and row["epochs"] == 12.0
 
-    def test_engine_without_counters_reports_none(self):
-        assert engine_counters(FakeEngine()) == {}
 
-
-class TestBusCapableSink:
-    def test_event_bus_accepted_as_sink(self):
-        """An EventBus passed directly as the sink is auto-wrapped; events
-        flow onto the bus and finish() leaves the shared bus open."""
-        from repro.runtime import EventBus
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        pipeline = CleaningPipeline(
-            FakeEngine(),
-            OutputPolicyConfig(delay_s=5.0, on_scan_complete=False),
-            sink=bus,
-        )
-        pipeline.run(epochs_with_read_at([0], total=20))
-        assert len(seen) == 1 and bus.published == 1
-        assert not bus.closed  # several pipelines may share the bus
-
-    def test_close_sink_false_leaves_sink_open(self):
+class TestSinkClose:
+    def test_finish_closes_sink(self):
         closes = []
 
         class TrackingSink(CollectingSink):
             def close(self):
                 closes.append(1)
 
-        shared = TrackingSink()
         CleaningPipeline(
-            FakeEngine(), OutputPolicyConfig(delay_s=5.0), shared, close_sink=False
-        ).run(epochs_with_read_at([0], total=20))
-        assert closes == []
-        CleaningPipeline(
-            FakeEngine(), OutputPolicyConfig(delay_s=5.0), shared
+            FakeEngine(), OutputPolicyConfig(delay_s=5.0), TrackingSink()
         ).run(epochs_with_read_at([0], total=20))
         assert closes == [1]
+
+    def test_finish_before_any_epoch_closes_sink(self):
+        """An empty trace still ends the stream: the sink closes, nothing
+        is emitted."""
+        closes = []
+
+        class TrackingSink(CollectingSink):
+            def close(self):
+                closes.append(1)
+
+        sink = TrackingSink()
+        CleaningPipeline(FakeEngine(), OutputPolicyConfig(), sink).finish()
+        assert closes == [1]
+        assert sink.events == []
+
+    def test_default_sink_collects_what_the_pipeline_emits(self):
+        pipeline = CleaningPipeline(FakeEngine(), OutputPolicyConfig(delay_s=5.0))
+        sink = pipeline.run(epochs_with_read_at([0], total=20))
+        assert sink is pipeline.sink
+        assert isinstance(sink, CollectingSink)
+        assert [event.tag.number for event in sink.events] == [1]

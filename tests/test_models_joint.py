@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.geometry.vec import delta_range_bearing
 from repro.models.joint import RFIDWorldModel
-from repro.models.sensor import SensorModel, SensorParams, features, log_sigmoid
+from repro.models.sensor import features, log_sigmoid
 from repro.streams.records import TagId
 
 
@@ -221,13 +221,6 @@ class TestBatchedShelfEvidenceMatchesPerTagLoop:
 
 
 class TestBuilders:
-    def test_with_sensor_swaps_only_sensor(self, small_model):
-        new_sensor = SensorModel(SensorParams(a=(1.0, 0.0, -0.1), b=(0.0, -1.0)))
-        other = small_model.with_sensor(new_sensor)
-        assert other.sensor is new_sensor
-        assert other.motion is small_model.motion
-        assert other.shelf_tags.keys() == small_model.shelf_tags.keys()
-
     def test_shelf_tag_array_sorted(self, small_model):
         numbers, positions = small_model.shelf_tag_array()
         assert numbers == sorted(numbers)

@@ -57,21 +57,3 @@ class TestPropagate:
         headings = np.array([0.5, -0.5])
         _, new_headings = model.propagate(np.zeros((2, 3)), headings, rng)
         assert new_headings.tolist() == pytest.approx([0.5, -0.5])
-
-
-class TestLogTransition:
-    def test_peak_at_expected_displacement(self):
-        model = ReaderMotionModel(MotionParams(velocity=(0.0, 0.1, 0.0), sigma=(0.01, 0.01, 0.0)))
-        old = np.zeros((3, 3))
-        new = np.array([[0.0, 0.1, 0.0], [0.0, 0.2, 0.0], [0.05, 0.1, 0.0]])
-        ll = model.log_transition(old, new)
-        assert ll[0] > ll[1]
-        assert ll[0] > ll[2]
-
-    def test_degenerate_axis_penalizes_impossible(self):
-        model = ReaderMotionModel(MotionParams(velocity=(0, 0, 0), sigma=(0.01, 0.01, 0.0)))
-        old = np.zeros((2, 3))
-        new = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        ll = model.log_transition(old, new)
-        assert ll[0] > ll[1]
-        assert ll[1] < -1e5

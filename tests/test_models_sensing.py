@@ -59,10 +59,3 @@ class TestLogLikelihood:
         assert np.isfinite(ll).all()
         # All identical hypotheses get identical likelihoods.
         assert np.allclose(ll, ll[0])
-
-    def test_corrected_subtracts_bias(self):
-        model = LocationSensingModel(
-            SensingNoiseParams(mean=(0.2, -0.3, 0.0), sigma=(0.1, 0.1, 0.0))
-        )
-        out = model.corrected(np.array([1.0, 1.0, 0.0]))
-        assert out.tolist() == pytest.approx([0.8, 1.3, 0.0])

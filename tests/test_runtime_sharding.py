@@ -20,7 +20,6 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError, InferenceError, StreamError
 from repro.inference.factored import FactoredParticleFilter
-from repro.inference.naive import NaiveParticleFilter
 from repro.inference.pipeline import CleaningPipeline
 from repro.runtime import (
     EpochRouter,
@@ -31,6 +30,7 @@ from repro.runtime import (
     mod_partition,
     shard_seed,
 )
+from repro.runtime.shard import FilterShard
 from repro.streams.records import LocationEvent, TagId, make_epoch
 from repro.streams.sinks import CollectingSink
 
@@ -276,6 +276,20 @@ class TestShardedParity:
         assert totals["objects_processed"] > 0
         assert totals["epochs"] == 2 * len(trace.epochs())
 
+    def test_every_shard_is_a_factored_filter_on_its_own_seed(self, scenario):
+        """The serial runtime builds each shard through ``FilterShard``: a
+        factored filter on the shard's derived seed and the run's heading."""
+        model, _, config = scenario
+        runtime = ShardedRuntime(
+            model, config, RuntimeConfig(n_shards=3), POLICY, initial_heading=0.5
+        )
+        for index, shard in enumerate(runtime.shards):
+            assert isinstance(shard, FilterShard) and shard.index == index
+            assert type(shard.engine) is FactoredParticleFilter
+            assert shard.engine.config.seed == shard_seed(config.seed, index, 3)
+            assert shard.engine._initial_heading == 0.5  # noqa: SLF001
+        runtime.abort()
+
     def test_bus_events_arrive_time_ordered(self, scenario):
         model, trace, config = scenario
         times = []
@@ -291,29 +305,21 @@ class TestShardedParity:
         with pytest.raises(InferenceError):
             runtime.step(make_epoch(1e6, (0.0, 1.0)))
 
-    def test_failed_run_releases_pool_and_closes_bus(self, scenario):
+    def test_failed_run_releases_pool_and_closes_bus(self, scenario, monkeypatch):
         """An error mid-run must not leak workers or leave bus subscribers
         waiting for a close."""
         model, trace, config = scenario
 
-        class FailingEngine:
-            epoch_index = 0
+        def blow_up(self, epoch):
+            raise RuntimeError("engine blew up")
 
-            def step(self, epoch):
-                raise RuntimeError("engine blew up")
-
-            def known_objects(self):
-                return []
-
-            def object_estimate(self, number):
-                raise KeyError(number)
-
+        # Patched before the runtime forks: the workers inherit it.
+        monkeypatch.setattr(FactoredParticleFilter, "step", blow_up)
         runtime = ShardedRuntime(
             model,
             config,
             RuntimeConfig(n_shards=2, executor="process"),
             POLICY,
-            engine_factory=lambda cfg: FailingEngine(),
         )
         # The worker reports its engine's exception over the link.
         with pytest.raises(InferenceError, match="RuntimeError: engine blew up"):
@@ -336,22 +342,3 @@ class TestShardedParity:
         runtime.finish()
         assert runtime.bus.closed
         assert closes == [1]  # close hooks fired exactly once
-
-    def test_naive_engine_factory(self, scenario):
-        """The runtime is engine-agnostic: shard the naive filter too."""
-        model, trace, config = scenario
-        runtime = ShardedRuntime(
-            model,
-            config,
-            RuntimeConfig(n_shards=2),
-            POLICY,
-            engine_factory=lambda cfg: NaiveParticleFilter(
-                model, cfg, n_particles=400
-            ),
-        )
-        sink = runtime.run(trace.epochs())
-        assert len(sink.events) >= 8
-        # Naive engines have no arena; stats still report object counts.
-        stats = runtime.shard_stats()
-        assert sum(s["objects"] for s in stats) == 8
-        assert all("arena_used_rows" not in s for s in stats)

@@ -50,10 +50,12 @@ from worker_links import (
     check_queries,
     serial_events,
     shard_host,
+    worker_link,
 )
 
 from repro.config import InferenceConfig, RuntimeConfig, SupervisorConfig
-from repro.errors import WorkerError
+from repro.errors import InferenceError, WorkerError
+from repro.inference.factored import FactoredParticleFilter
 from repro.runtime import ShardedRuntime, ShardWorkerProxy, transport
 from repro.runtime.transport import (
     T_CONTROL,
@@ -563,6 +565,23 @@ class TestRemoteParity:
         )
         with pytest.raises(WorkerError, match="cannot reach shard host"):
             ShardedRuntime(model, config, config_remote, POLICY)
+
+    def test_remote_worker_reports_its_engine_exception(self, scenario, monkeypatch):
+        """An engine failure in a remote worker crosses the link by name,
+        and the run leaves no live worker and a closed bus behind."""
+        model, trace, config = scenario
+
+        def blow_up(self, epoch):
+            raise RuntimeError("engine blew up")
+
+        # Patched before the host forks its workers: they inherit it.
+        monkeypatch.setattr(FactoredParticleFilter, "step", blow_up)
+        with worker_link("remote") as runtime_config:
+            runtime = ShardedRuntime(model, config, runtime_config(2), POLICY)
+            with pytest.raises(InferenceError, match="RuntimeError: engine blew up"):
+                runtime.run(trace.epochs())
+        assert not any(proxy.is_alive() for proxy in runtime.shards)
+        assert runtime.bus.closed
 
 
 class TestRemoteDurability:

@@ -1,7 +1,6 @@
 """Tests for the worker executors' shared scenario set, bound to the local
 link (``executor="process"``), plus what only a local worker has:
-fork-inherited engine factories, private arenas, and containment after a
-crash.
+private arenas and containment after a crash.
 
 The scenarios live in ``tests/worker_links.py`` and run unchanged over the
 ``remote`` link in ``tests/test_runtime_transport.py``.  The load-bearing
@@ -17,8 +16,6 @@ guarantees, in order of importance:
   leaves no orphaned processes.
 """
 
-import os
-
 import numpy as np
 import pytest
 from worker_links import (
@@ -33,8 +30,10 @@ from worker_links import (
     worker_link,
 )
 
+from repro import faults
 from repro.config import InferenceConfig, RuntimeConfig
-from repro.errors import ConfigurationError, InferenceError
+from repro.errors import InferenceError
+from repro.faults import FaultPlan, FaultRule
 from repro.inference.factored import FactoredParticleFilter
 from repro.runtime import ShardedRuntime
 from repro.state import restore_runtime
@@ -46,36 +45,18 @@ def run_events(model, trace, config, runtime_config):
     return runtime, list(sink.events)
 
 
-class _ExitingEngine:
-    """Delegates to a real engine but hard-exits the process mid-stream."""
+@pytest.fixture
+def crash_worker_at_step():
+    """Install a fault plan that hard-exits a worker on the given hit of
+    ``worker.step`` (hits count across every forked worker)."""
 
-    def __init__(self, inner, crash_at_step):
-        self._inner = inner
-        self._crash_at = crash_at_step
-        self._steps = 0
-
-    def step(self, epoch):
-        self._steps += 1
-        if self._steps >= self._crash_at:
-            os._exit(3)
-        self._inner.step(epoch)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class ExitingEngineFactory:
-    """Top-level factory for the crash tests."""
-
-    def __init__(self, model, crash_at_step=3):
-        self.model = model
-        self.crash_at_step = crash_at_step
-
-    def __call__(self, config):
-        return _ExitingEngine(
-            FactoredParticleFilter(self.model, config),
-            self.crash_at_step,
+    def install(nth):
+        faults.install(
+            FaultPlan(rules=(FaultRule("worker.step", nth=nth, action="exit"),))
         )
+
+    yield install
+    faults.clear()
 
 
 @pytest.fixture(scope="module")
@@ -178,41 +159,25 @@ class TestProcessDurability:
         )
 
 
-class _SnapshotBombEngine:
-    """Real engine whose snapshot_state raises a non-StateError."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def snapshot_state(self):
-        raise RuntimeError("snapshot exploded")
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class SnapshotBombFactory:
-    def __init__(self, model):
-        self.model = model
-
-    def __call__(self, config):
-        return _SnapshotBombEngine(
-            FactoredParticleFilter(self.model, config)
-        )
-
-
 class TestWorkerCrash:
-    def test_failed_snapshot_leaves_workers_serving(self, scenario, tmp_path):
+    def test_failed_snapshot_leaves_workers_serving(
+        self, scenario, tmp_path, monkeypatch
+    ):
         """A non-StateError snapshot failure must drain every worker's
         pending reply — the runtime keeps streaming afterwards with the
         links still in sync (the documented checkpoint contract)."""
         model, trace, config = scenario
+
+        def explode(self, mode="full"):
+            raise InferenceError("snapshot exploded")
+
+        # Patched before the runtime forks: the workers inherit it.
+        monkeypatch.setattr(FactoredParticleFilter, "snapshot_state", explode)
         runtime = ShardedRuntime(
             model,
             config,
             RuntimeConfig(n_shards=2, executor="process"),
             POLICY,
-            engine_factory=SnapshotBombFactory(model),
         )
         try:
             epochs = trace.epochs()
@@ -227,14 +192,16 @@ class TestWorkerCrash:
         finally:
             runtime.abort()
 
-    def test_crash_raises_and_leaves_nothing_behind(self, scenario):
+    def test_crash_raises_and_leaves_nothing_behind(
+        self, scenario, crash_worker_at_step
+    ):
         model, trace, config = scenario
+        crash_worker_at_step(3)
         runtime = ShardedRuntime(
             model,
             config,
             RuntimeConfig(n_shards=2, executor="process"),
             POLICY,
-            engine_factory=ExitingEngineFactory(model, crash_at_step=3),
         )
         processes = [proxy.process for proxy in runtime.shards]
         with pytest.raises(InferenceError, match="died"):
@@ -244,14 +211,16 @@ class TestWorkerCrash:
         assert all(proxy.process is None for proxy in runtime.shards)
         assert runtime.bus.closed
 
-    def test_step_after_crash_reports_dead_worker(self, scenario):
+    def test_step_after_crash_reports_dead_worker(
+        self, scenario, crash_worker_at_step
+    ):
         model, trace, config = scenario
+        crash_worker_at_step(1)
         runtime = ShardedRuntime(
             model,
             config,
             RuntimeConfig(n_shards=2, executor="process"),
             POLICY,
-            engine_factory=ExitingEngineFactory(model, crash_at_step=1),
         )
         epochs = trace.epochs()
         with pytest.raises(InferenceError):
@@ -259,19 +228,3 @@ class TestWorkerCrash:
         runtime.abort()
         with pytest.raises(InferenceError):
             runtime.step(epochs[1])
-
-    def test_engine_factory_cannot_cross_a_remote_link(self, scenario):
-        """A factory reaches a local worker through the fork; there is no
-        such path to a shard host, so asking for one fails at construction
-        (before any connection is attempted)."""
-        model, trace, config = scenario
-        with pytest.raises(ConfigurationError, match="engine_factory"):
-            ShardedRuntime(
-                model,
-                config,
-                RuntimeConfig(
-                    n_shards=2, executor="remote", shard_hosts=("127.0.0.1:9",)
-                ),
-                POLICY,
-                engine_factory=ExitingEngineFactory(model),
-            )

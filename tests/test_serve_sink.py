@@ -89,17 +89,6 @@ class TestRecovery:
         with pytest.raises(StateError, match="skips"):
             DeliverySink(str(path))
 
-    def test_abandon_loses_unflushed_lines(self, tmp_path):
-        path = tmp_path / "log"
-        sink = DeliverySink(str(path))
-        sink.emit(payload(0))
-        sink.flush()
-        sink.emit(payload(1))  # buffered in user space only
-        sink.abandon()  # simulated kill -9
-        recovered = DeliverySink(str(path))
-        assert recovered.logged <= 2
-        recovered.close()
-
 
 class TestReplayWindow:
     def test_replayed_prefix_is_verified_and_suppressed(self, tmp_path):

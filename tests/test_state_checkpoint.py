@@ -31,7 +31,6 @@ from repro.config import (
     RuntimeConfig,
 )
 from repro.errors import ConfigurationError, StateError, StreamError
-from repro.inference.naive import NaiveParticleFilter
 from repro.query import (
     ContinuousQuery,
     Dstream,
@@ -47,7 +46,7 @@ from repro.query import (
     standing_region_queries,
 )
 from repro.query.tuples import encode_value
-from repro.runtime import EventBus, QueryBridge, ShardedRuntime
+from repro.runtime import EventBus, QueryBridge, ShardedRuntime, ShardWorkerProxy
 from repro.state import (
     FORMAT_VERSION,
     CheckpointManifest,
@@ -222,38 +221,6 @@ class TestCheckpointFormat:
         runtime.run(trace.epochs())
         with pytest.raises(StateError, match="finished"):
             runtime.checkpoint(tmp_path / "ck")
-
-    def test_naive_engine_checkpoint_round_trip(self, scenario, tmp_path):
-        """Naive-engine shards checkpoint and restore bitwise — but only in
-        full mode, and only back into a runtime built with a matching
-        engine_factory (the default factored restore must refuse)."""
-        model, trace, config = scenario
-        factory = lambda cfg: NaiveParticleFilter(model, cfg, n_particles=50)
-        runtime = ShardedRuntime(
-            model, config, RuntimeConfig(), POLICY, engine_factory=factory
-        )
-        for epoch in trace.epochs()[:5]:
-            runtime.step(epoch)
-        path = tmp_path / "ck"
-        save_checkpoint(runtime, path)
-        saved = [shard.snapshot() for shard in runtime.shards]
-
-        # Differential capture stays factored-only.
-        with pytest.raises(StateError, match="mode='full'"):
-            runtime.checkpoint(tmp_path / "ck_delta", mode="delta", parent=path)
-        runtime.abort()
-
-        # Restoring without the factory would silently build factored
-        # shards around naive state — refused loudly instead.
-        with pytest.raises(StateError, match="engine_factory"):
-            restore_runtime(path, model)
-
-        restored, manifest = restore_runtime(path, model, engine_factory=factory)
-        assert manifest.epochs_processed == 5
-        for before, after in zip(saved, (s.snapshot() for s in restored.shards)):
-            assert before["engine"]["engine"] == "naive"
-            assert tree_equal(before, after) is None
-        restored.abort()
 
     def test_undrained_shard_refuses_snapshot(self, scenario):
         model, trace, config = scenario
@@ -894,6 +861,90 @@ class TestElasticReshard:
             )
             runs.append(runtime.run(trace.epochs(start=split)).events)
         assert_bitwise_equal(runs[0], runs[1])
+
+
+class TestForeignEngineState:
+    """A shard tree not tagged ``"factored"`` is refused before a runtime —
+    and, for the worker executors, before any worker process — exists."""
+
+    @pytest.mark.parametrize("tag", ["naive", "bogus"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("n_shards", [2, 3], ids=["exact", "reshard"])
+    def test_refused_before_any_shard_is_built(
+        self, scenario, tmp_path, checkpoint_files, monkeypatch, executor, n_shards, tag
+    ):
+        model, trace, config = scenario
+        path = tmp_path / "ck"
+        checkpoint_at(model, trace, config, 2, 5, path)
+
+        def retag(header):
+            header["shards"][1]["state"]["engine"]["engine"] = tag
+
+        checkpoint_files.edit_header(path, retag)
+        built = []
+        for cls in (ShardedRuntime, ShardWorkerProxy):
+
+            def recording(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        target = RuntimeConfig(n_shards=n_shards, executor=executor)
+        with pytest.raises(StateError, match="factored"):
+            restore_runtime(path, model, runtime_config=target)
+        assert built == []
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_every_executor_writes_factored_trees(self, scenario, tmp_path, executor):
+        """Whatever executor ran the shards, each checkpointed tree is the
+        factored filter's, which every restore path accepts."""
+        model, trace, config = scenario
+        runtime = ShardedRuntime(
+            model, config, RuntimeConfig(n_shards=2, executor=executor), POLICY
+        )
+        try:
+            for epoch in trace.epochs()[:5]:
+                runtime.step(epoch)
+            runtime.checkpoint(tmp_path / "ck")
+        finally:
+            runtime.abort()
+        manifest = load_checkpoint(tmp_path / "ck")
+        assert manifest.version == FORMAT_VERSION == 4
+        assert [state["engine"]["engine"] for state in manifest.shard_states] == [
+            "factored",
+            "factored",
+        ]
+
+    @pytest.mark.parametrize("tag", ["naive", "bogus"])
+    def test_refusal_names_the_shard_and_its_tag(
+        self, scenario, tmp_path, checkpoint_files, tag
+    ):
+        model, trace, config = scenario
+        path = tmp_path / "ck"
+        checkpoint_at(model, trace, config, 2, 5, path)
+
+        def retag(header):
+            header["shards"][1]["state"]["engine"]["engine"] = tag
+
+        checkpoint_files.edit_header(path, retag)
+        with pytest.raises(StateError, match=f"shard 1 holds {tag!r} engine state"):
+            restore_runtime(path, model)
+
+    @pytest.mark.parametrize("n_shards", [2, 3], ids=["exact", "reshard"])
+    def test_an_untagged_tree_is_refused(
+        self, scenario, tmp_path, checkpoint_files, n_shards
+    ):
+        """A tree with no engine tag at all is not taken for a factored one."""
+        model, trace, config = scenario
+        path = tmp_path / "ck"
+        checkpoint_at(model, trace, config, 2, 5, path)
+
+        def untag(header):
+            del header["shards"][0]["state"]["engine"]["engine"]
+
+        checkpoint_files.edit_header(path, untag)
+        with pytest.raises(StateError, match="shard 0 holds None engine state"):
+            restore_runtime(path, model, runtime_config=RuntimeConfig(n_shards=n_shards))
 
 
 class TestPeriodicCheckpoints:

@@ -3,7 +3,7 @@
 import io
 
 from repro.streams.records import LocationEvent, TagId
-from repro.streams.sinks import CallbackSink, CollectingSink, CsvSink, TeeSink
+from repro.streams.sinks import CollectingSink, CsvSink, TeeSink
 
 
 def event(t, number, x=1.0):
@@ -27,21 +27,8 @@ class TestCollectingSink:
         assert latest[TagId.object(1)].position[0] == 9.0
         assert latest[TagId.object(2)].time == 2.0
 
-    def test_events_for(self):
-        sink = CollectingSink()
-        sink.emit(event(0.0, 1))
-        sink.emit(event(1.0, 2))
-        sink.emit(event(2.0, 1))
-        assert len(sink.events_for(TagId.object(1))) == 2
 
-
-class TestCallbackAndTee:
-    def test_callback_invoked(self):
-        seen = []
-        sink = CallbackSink(seen.append)
-        sink.emit(event(0.0, 1))
-        assert len(seen) == 1
-
+class TestTeeSink:
     def test_tee_fans_out(self):
         a, b = CollectingSink(), CollectingSink()
         tee = TeeSink([a, b])
@@ -64,27 +51,3 @@ class TestCsvSink:
         buf = io.StringIO()
         CsvSink(buf, write_header=False).emit(event(0.0, 1))
         assert not buf.getvalue().startswith("time")
-
-
-class TestBusSink:
-    def test_publishes_each_event(self):
-        from repro.runtime import EventBus
-        from repro.streams.sinks import BusSink
-
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        sink = BusSink(bus)
-        sink.emit(event(0.0, 1))
-        sink.emit(event(1.0, 2))
-        assert bus.published == 2 and len(seen) == 2
-
-    def test_close_leaves_shared_bus_open_by_default(self):
-        from repro.runtime import EventBus
-        from repro.streams.sinks import BusSink
-
-        bus = EventBus()
-        BusSink(bus).close()
-        assert not bus.closed
-        BusSink(bus, close_bus=True).close()
-        assert bus.closed

@@ -4,7 +4,7 @@ The two worker executors share one proxy and one worker body; what they
 guarantee is the same, so what tests them is the same: every scenario here
 takes the executor name and runs over that link.  ``tests/
 test_runtime_workers.py`` binds the set to ``process`` (plus what only a
-local worker has: fork-inherited engine factories, crash containment) and
+local worker has: private arenas, crash containment) and
 ``tests/test_runtime_transport.py`` binds it to ``remote`` (plus what only a TCP peer can do: be unreachable, be hostile).
 """
 
