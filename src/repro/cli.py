@@ -3,11 +3,10 @@
     python -m repro simulate --objects 16 --out trace.jsonl
     python -m repro clean trace.jsonl --events events.csv --shards 4
     python -m repro clean trace.jsonl --shards 4 --executor process
-    python -m repro clean trace.jsonl --checkpoint-every 30 --checkpoint-dir ck/
     python -m repro clean trace.jsonl --checkpoint-every 30 --checkpoint-dir ck/ \
         --checkpoint-mode delta --checkpoint-full-every 8
-    python -m repro checkpoint trace.jsonl --epochs 40 --out run.ckpt
-    python -m repro restore run.ckpt trace.jsonl --shards 2
+    python -m repro clean trace.jsonl --checkpoint-at 40 --checkpoint-out ck/
+    python -m repro clean trace.jsonl --resume ck/ --shards 2
     python -m repro query trace.jsonl --shards 2 --executor process
     python -m repro query trace.jsonl --standing-queries 100 --emissions out.jsonl
     python -m repro query trace.jsonl --standing-queries 100 \
@@ -23,18 +22,17 @@
 
 ``simulate`` writes a warehouse trace (raw streams + ground truth) in the
 line-JSON trace format; ``clean`` runs the sharded cleaning runtime over a
-trace and writes the location events as CSV (optionally taking periodic
-checkpoints, or resuming from one with ``--resume``); ``checkpoint`` runs a
-trace prefix and writes one durable snapshot; ``restore`` resumes a
-checkpointed run to the end of its trace, optionally re-sharded to a
-different shard count; ``query`` runs the full paper stack — epochs ->
-filter shards -> event bus -> continuous queries — printing the query
-outputs; ``evaluate`` scores the three systems (ours / SMURF / uniform)
-against the trace's ground truth; ``lab`` runs the Fig 6(b)-style lab
-comparison at one timeout setting; ``serve`` runs the long-lived online
-ingest service over a unix socket (``replay`` feeds it a recorded trace as
-K concurrent sources, ``tail`` follows its emission log exactly-once, and
-``serve-stats`` fetches one JSON metrics snapshot).
+trace and writes the location events as CSV; ``query`` runs the full paper
+stack — epochs -> filter shards -> event bus -> continuous queries —
+printing the query outputs.  Both batch verbs share one run loop: periodic
+checkpoints (``--checkpoint-every``), stop-at cuts (``--checkpoint-at``),
+and ``--resume`` from a checkpoint, re-sharded by any sharding flag given.
+``evaluate`` scores the three systems (ours / SMURF / uniform) against the
+trace's ground truth; ``lab`` runs the Fig 6(b)-style lab comparison at one
+timeout setting; ``serve`` runs the long-lived online ingest service over a
+unix socket (``replay`` feeds it a recorded trace as K concurrent sources,
+``tail`` follows its emission log exactly-once, and ``serve-stats`` fetches
+one JSON metrics snapshot).
 
 Unknown subcommands and invalid flag values (an unknown choice, or a value
 the config dataclasses reject) exit with status 2 and a usage message on stderr.
@@ -52,14 +50,13 @@ from typing import Any, Dict, List, Optional, Tuple
 from . import __version__
 from .baselines import SmurfLocationConfig, UniformConfig
 from .config import (
-    CHECKPOINT_MODES,
     InferenceConfig,
     OutputPolicyConfig,
     RuntimeConfig,
     ServeConfig,
     SupervisorConfig,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StateError
 from .faults import install_from_env
 from .eval import run_factored, run_smurf, run_uniform
 from .eval.report import format_table
@@ -68,14 +65,12 @@ from .models import SensorModel, config_for_sensor, initialization_geometry
 from .query import fire_code_query, location_update_query
 from .runtime import QueryBridge, ShardedRuntime
 from .simulation import (
-    ConeTruthSensor,
     LabConfig,
     LabDeployment,
-    LayoutConfig,
     WarehouseConfig,
     WarehouseSimulator,
 )
-from .streams import CollectingSink, CsvSink, Trace
+from .streams import CsvSink, Trace
 
 
 #: Resolved once per config dataclass, not once per flag per verb.
@@ -126,26 +121,38 @@ class _FlagGroup:
                 help=help_text,
             )
 
-    def given(self, args: argparse.Namespace, base=None) -> Dict[str, Any]:
-        """``replace()`` keyword arguments for every flag of the group that
-        ``args`` carries, applied over ``base`` (the default instance)."""
-        base = self.default if base is None else base
-        updates: Dict[str, Any] = {}
+    def _carried(self, args: argparse.Namespace):
+        """``(flag, field path, value)`` for every flag of the group that
+        ``args`` carries."""
         for path, (spec, _) in self.flags.items():
-            dest = spec.partition(" ")[0].lstrip("-").replace("-", "_")
-            if not hasattr(args, dest):
-                continue
-            value = getattr(args, dest)
-            if isinstance(value, list):
-                value = tuple(value)
+            flag = spec.partition(" ")[0]
+            dest = flag.lstrip("-").replace("-", "_")
+            if hasattr(args, dest):
+                value = getattr(args, dest)
+                yield flag, path, tuple(value) if isinstance(value, list) else value
+
+    def given(self, args: argparse.Namespace) -> Dict[str, Any]:
+        """``replace()`` keyword arguments for every flag of the group that
+        ``args`` carries."""
+        updates: Dict[str, Any] = {}
+        for _, path, value in self._carried(args):
             head, _, leaf = path.rpartition(".")
             if head:  # a sub-config's field: fold into one replace of the sub-config
-                value = replace(updates.get(head, getattr(base, head)), **{leaf: value})
+                value = replace(updates.get(head, getattr(self.default, head)), **{leaf: value})
             updates[head or leaf] = value
         return updates
 
     def build(self, args: argparse.Namespace):
         return replace(self.default, **self.given(args))
+
+    def conflicts(self, args: argparse.Namespace, recorded) -> List[str]:
+        """``"--flag value (recorded: x)"`` for every flag ``args`` carries
+        whose value is not the one the config ``recorded`` holds."""
+        return [
+            f"{flag} {value} (recorded: {held})"
+            for flag, path, value in self._carried(args)
+            if value != (held := functools.reduce(getattr, path.split("."), recorded))
+        ]
 
 
 _ENGINE = _FlagGroup(
@@ -264,17 +271,72 @@ _SERVE = _FlagGroup(
     },
 )
 
+_SIMULATE = _FlagGroup(
+    WarehouseConfig(),
+    {
+        "layout.n_objects": ("--objects", "object tags on the shelves"),
+        "layout.object_spacing_ft": ("--spacing", "object spacing (ft)"),
+        "layout.n_shelf_tags": ("--shelf-tags", "reference tags at known locations"),
+        "sensor.rr_major": ("--read-rate", "RR_major in [0,1]"),
+        "n_rounds": ("--rounds", "aisle scans, alternating direction"),
+        "seed": ("--seed", "simulation seed"),
+    },
+)
 
-def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
-    _RUNTIME.add_to(parser)
+_LAB = _FlagGroup(LabConfig(seed=5), {"seed": ("--seed", "lab deployment seed")})
+
+
+def _add_sharding_arguments(parser: argparse.ArgumentParser, suppress: bool = False) -> None:
+    _RUNTIME.add_to(parser, suppress=suppress)
     parser.add_argument(
         "--supervise",
         action="store_true",
+        default=argparse.SUPPRESS if suppress else False,
         help="self-heal dead or hung shard workers (--executor process): "
         "respawn, restore from the last checkpoint, replay the event "
         "suffix, and continue — output stays byte-identical",
     )
-    _SUPERVISOR.add_to(parser)
+    _SUPERVISOR.add_to(parser, suppress=suppress)
+
+
+def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
+    """The trace, config and checkpoint flags ``clean`` and ``query`` share.
+
+    An ungiven config flag stays off the namespace (a fresh run still builds
+    the default instances), so a ``--resume`` can tell what was given."""
+    parser.add_argument("trace", type=str)
+    _ENGINE.add_to(parser, suppress=True)
+    _POLICY.add_to(parser, suppress=True)
+    _CHECKPOINTS.add_to(parser, suppress=True)
+    parser.add_argument(
+        "--checkpoint-at",
+        type=str,
+        default=None,
+        metavar="EPOCHS",
+        help="comma-separated epoch counts: checkpoint the runtime AND the "
+        "standing-query operator state at each cut (the first full, later "
+        "ones per --checkpoint-mode), stop after the last (resume with "
+        "--resume); the run's output is then the output up to the final cut",
+    )
+    parser.add_argument(
+        "--checkpoint-out",
+        type=str,
+        default=None,
+        help="directory for --checkpoint-at snapshots (one epoch_NNNNNNNN "
+        "file per cut, plus a LATEST pointer)",
+    )
+    parser.add_argument(
+        "--resume",
+        type=str,
+        default=None,
+        metavar="CHECKPOINT",
+        help="resume from a checkpoint file (or a checkpoint directory's "
+        "LATEST) instead of starting at epoch 0; sharding, supervisor and "
+        "checkpoint flags given override the recorded ones (a different "
+        "--shards re-shards), an engine or policy flag must repeat the "
+        "recorded value",
+    )
+    _add_sharding_arguments(parser, suppress=True)
 
 
 def _add_standing_queries_argument(parser: argparse.ArgumentParser) -> None:
@@ -319,81 +381,19 @@ def _build_parser() -> argparse.ArgumentParser:
         return verb_parser
 
     sim = verb("simulate", _cmd_simulate, "generate a warehouse trace")
-    sim.add_argument("--objects", type=int, default=16)
-    sim.add_argument("--spacing", type=float, default=0.5, help="object spacing (ft)")
-    sim.add_argument("--shelf-tags", type=int, default=4)
-    sim.add_argument("--read-rate", type=float, default=1.0, help="RR_major in [0,1]")
-    sim.add_argument("--rounds", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
+    _SIMULATE.add_to(sim)
     sim.add_argument("--out", type=str, required=True, help="trace output path")
 
     clean = verb("clean", _cmd_clean, "clean a trace into location events")
-    clean.add_argument("trace", type=str)
+    _add_batch_arguments(clean)
     clean.add_argument("--events", type=str, default=None, help="CSV output path")
-    _ENGINE.add_to(clean)
-    _POLICY.add_to(clean)
-    _CHECKPOINTS.add_to(clean)
-    clean.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        metavar="CHECKPOINT",
-        help="resume from a checkpoint file (or a periodic-checkpoint directory) "
-        "instead of starting at epoch 0 "
-        "(engine options come from the checkpoint header, not the flags)",
-    )
-    _add_sharding_arguments(clean)
-
-    ckpt = verb(
-        "checkpoint",
-        _cmd_checkpoint,
-        "run a trace prefix and write one durable snapshot",
-    )
-    ckpt.add_argument("trace", type=str)
-    ckpt.add_argument("--out", type=str, required=True, help="checkpoint file to write")
-    ckpt.add_argument(
-        "--epochs",
-        type=int,
-        required=True,
-        help="number of epochs to process before snapshotting",
-    )
-    ckpt.add_argument(
-        "--events", type=str, default=None, help="CSV path for the prefix's events"
-    )
-    _ENGINE.add_to(ckpt)
-    _POLICY.add_to(ckpt)
-    _add_sharding_arguments(ckpt)
-
-    restore = verb(
-        "restore",
-        _cmd_restore,
-        "resume a checkpointed run to the end of its trace (sharding flags "
-        "given here override the recorded layout: elastic re-shard)",
-    )
-    restore.add_argument(
-        "checkpoint",
-        type=str,
-        help="checkpoint file, or a periodic-checkpoint directory (its LATEST)",
-    )
-    restore.add_argument("trace", type=str)
-    restore.add_argument(
-        "--events", type=str, default=None, help="CSV path for the resumed events"
-    )
-    _RUNTIME.add_to(restore, suppress=True)
-    restore.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip checkpoint checksum verification",
-    )
 
     query = verb(
         "query",
         _cmd_query,
         "clean a trace and run continuous queries over the event bus",
     )
-    query.add_argument("trace", type=str)
-    _ENGINE.add_to(query)
-    _POLICY.add_to(query)
+    _add_batch_arguments(query)
     query.add_argument(
         "--weight-lbs",
         type=float,
@@ -425,41 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="JSONL",
         help="write every query emission as JSON lines (query, time, row)",
     )
-    query.add_argument(
-        "--checkpoint-at",
-        type=str,
-        default=None,
-        metavar="EPOCHS",
-        help="comma-separated epoch counts: checkpoint runtime AND "
-        "standing-query operator state at each cut, stop after the last "
-        "(resume with --resume); --emissions then records the emissions "
-        "up to the final cut",
-    )
-    query.add_argument(
-        "--checkpoint-out",
-        type=str,
-        default=None,
-        help="directory for --checkpoint-at snapshots (one epoch_NNNNNNNN "
-        "file per cut, plus a LATEST pointer)",
-    )
-    query.add_argument(
-        "--checkpoint-mode",
-        type=str,
-        default=CHECKPOINT_MODES[0],
-        choices=CHECKPOINT_MODES,
-        help="persistence for --checkpoint-at: full snapshots, or a delta "
-        "chain (first cut full, later cuts dirty blocks only)",
-    )
-    query.add_argument(
-        "--resume",
-        type=str,
-        default=None,
-        metavar="CHECKPOINT",
-        help="resume a checkpointed query run: shard state and standing-"
-        "query operator state restore exactly (register the same queries "
-        "via the same flags)",
-    )
-    _add_sharding_arguments(query)
 
     serve = verb(
         "serve",
@@ -583,37 +548,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lab = verb("lab", _cmd_lab, "run the Fig 6(b)-style lab comparison")
     lab.add_argument("--timeout", type=float, default=0.25, choices=[0.25, 0.5, 0.75])
-    lab.add_argument("--seed", type=int, default=5)
+    _LAB.add_to(lab)
     return parser
 
 
 def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
-    return replace(
-        RuntimeConfig(),
-        **_RUNTIME.given(args),
-        **_CHECKPOINTS.given(args),
-        supervisor=_SUPERVISOR.build(args) if args.supervise else None,
-    )
+    return _layout(RuntimeConfig(), args)
 
 
-def _simulator_for(args: argparse.Namespace) -> WarehouseSimulator:
-    return WarehouseSimulator(
-        WarehouseConfig(
-            layout=LayoutConfig(
-                n_objects=args.objects,
-                object_spacing_ft=args.spacing,
-                n_shelf_tags=args.shelf_tags,
-            ),
-            sensor=ConeTruthSensor(rr_major=args.read_rate),
-            n_rounds=args.rounds,
-            seed=args.seed,
+def _layout(base: RuntimeConfig, args: argparse.Namespace) -> RuntimeConfig:
+    """``base`` with the sharding, checkpoint and supervisor flags that
+    ``args`` carries applied over it."""
+    given = {**_RUNTIME.given(args), **_CHECKPOINTS.given(args)}
+    if given.get("executor", base.executor) != "remote" and "shard_hosts" not in given:
+        # A remote checkpoint restored onto a local executor must not drag
+        # stale endpoints along.
+        given["shard_hosts"] = None
+    if getattr(args, "supervise", False) or base.supervisor is not None:
+        given["supervisor"] = replace(
+            base.supervisor or SupervisorConfig(), **_SUPERVISOR.given(args)
         )
-    )
+    return replace(base, **given)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    simulator = _simulator_for(args)
-    trace = simulator.generate()
+    trace = WarehouseSimulator(_SIMULATE.build(args)).generate()
     with open(args.out, "w") as fp:
         trace.dump(fp)
     print(
@@ -671,29 +630,111 @@ def _engine_config(args: argparse.Namespace, sensor) -> InferenceConfig:
     return config_for_sensor(_ENGINE.build(args), sensor)
 
 
-def _new_runtime(args: argparse.Namespace, model, sensor) -> ShardedRuntime:
-    """A fresh runtime configured by the verb's engine, sharding and policy flags."""
-    return ShardedRuntime(
-        model, _engine_config(args, sensor), _runtime_config(args), _POLICY.build(args)
-    )
-
-
-def _resolve_checkpoint(path: str) -> str:
-    """Accept either a checkpoint file or a directory of periodic
-    checkpoints (resolved through its ``LATEST`` pointer)."""
+def _resume(args: argparse.Namespace, model):
+    """Restore ``--resume``'s checkpoint under the recorded runtime config
+    with the sharding, checkpoint and supervisor flags given applied over it.
+    The engine and policy configs are the recorded ones: a given flag that
+    asks for another value is a usage error, not a silent no-op."""
     import os
 
-    from .state import latest_checkpoint
+    from .config import inference_config_from_dict
+    from .state import latest_checkpoint, read_checkpoint_header, restore_runtime
+    from .state.checkpoint import _MALFORMED, runtime_config_from_dict
 
-    if os.path.isfile(path):
-        return path
-    resolved = latest_checkpoint(path)
-    if resolved is None:
+    path = args.resume if os.path.isfile(args.resume) else latest_checkpoint(args.resume)
+    if path is None:
         raise SystemExit(
-            f"{path} is neither a checkpoint file nor a checkpoint "
+            f"{args.resume} is neither a checkpoint file nor a checkpoint "
             "directory with a LATEST pointer"
         )
-    return resolved
+    header = read_checkpoint_header(path)
+    try:
+        conflicts = _ENGINE.conflicts(
+            args, inference_config_from_dict(header["inference_config"])
+        ) + _POLICY.conflicts(args, OutputPolicyConfig(**header["output_policy"]))
+        recorded = runtime_config_from_dict(header["runtime_config"])
+    except _MALFORMED as exc:
+        raise StateError(f"{path}: malformed header: {exc!r}") from exc
+    if conflicts:
+        args.usage_error(
+            f"{path} resumes under its recorded engine and policy options: "
+            + ", ".join(conflicts)
+        )
+    if _SUPERVISOR.given(args) and not (hasattr(args, "supervise") or recorded.supervisor):
+        args.usage_error(f"{path} was not recorded supervised: add --supervise")
+    return restore_runtime(path, model, runtime_config=_layout(recorded, args))
+
+
+def _run_batch(args: argparse.Namespace, trace: Trace, report, engine=None) -> int:
+    """The batch run loop of ``clean`` and ``query``.
+
+    Builds the runtime from the flags (or restores it from ``--resume``),
+    bridges ``engine`` onto its bus (restoring the engine's operator state on
+    a resume), and runs the trace with its periodic checkpoints — or, under
+    ``--checkpoint-at``, runs it to each cut, checkpoints there and stops
+    after the last.  ``report(runtime, bridge, how)`` sees the output before
+    the runtime is torn down; ``how`` says where the run started and ended.
+    """
+    import os
+
+    from .state import apply_query_states, write_latest_pointer
+
+    model, _, sensor = _default_model(trace)
+    epochs = trace.epochs()
+    cuts: List[int] = []
+    if args.checkpoint_at is not None:
+        if args.checkpoint_out is None:
+            raise SystemExit("--checkpoint-at requires --checkpoint-out")
+        if args.resume is not None:
+            raise SystemExit("--checkpoint-at and --resume are exclusive")
+        try:
+            cuts = sorted({int(part) for part in args.checkpoint_at.split(",")})
+        except ValueError:
+            raise SystemExit(f"bad --checkpoint-at: {args.checkpoint_at!r}")
+        if not cuts or cuts[0] < 1 or cuts[-1] > len(epochs):
+            raise SystemExit(f"--checkpoint-at epochs must be in [1, {len(epochs)}]")
+    if args.resume is None:
+        runtime = ShardedRuntime(
+            model, _engine_config(args, sensor), _runtime_config(args), _POLICY.build(args)
+        )
+        start, how = 0, ""
+    else:
+        runtime, manifest = _resume(args, model)
+        start = manifest.epochs_processed
+        how = f"resumed from epoch {start}, "
+        if manifest.n_shards != runtime.n_shards:
+            how += f"re-sharded {manifest.n_shards} -> "
+    how += f"{runtime.n_shards} shard{'s' if runtime.n_shards != 1 else ''}"
+    mode = runtime.runtime_config.checkpoint_mode
+    try:
+        bridge = None if engine is None else QueryBridge(engine, runtime.bus, runtime=runtime)
+        if engine is not None and args.resume is not None:
+            apply_query_states(runtime, manifest)
+        if not cuts:
+            runtime.run(epochs[start:])
+        parent = None
+        for i, cut in enumerate(cuts):
+            for epoch in epochs[start:cut]:
+                runtime.step(epoch)
+                runtime.checkpoint_if_due()
+            start, target = cut, os.path.join(args.checkpoint_out, f"epoch_{cut:08d}")
+            runtime.checkpoint(target, mode=mode if i else "full", parent=parent)
+            parent = target
+        # A cut run reports BEFORE teardown: the final pending tick belongs
+        # to the checkpoint (and to the resumed run), not to this prefix.
+        report(runtime, bridge, f"through epoch {cuts[-1]}, {how}" if cuts else how)
+        if parent is not None:
+            write_latest_pointer(args.checkpoint_out, os.path.basename(parent))
+    finally:
+        # After a finished run a no-op; a cut run stops here, without the
+        # scan-complete flush — its state is what a resumed run continues.
+        runtime.abort()
+    if cuts:
+        print(
+            f"checkpointed at epoch{'s' if len(cuts) != 1 else ''} "
+            f"{','.join(map(str, cuts))} ({mode}) to {args.checkpoint_out}"
+        )
+    return 0
 
 
 def _print_or_write_events(events, csv_path: Optional[str], summary: str) -> None:
@@ -710,97 +751,10 @@ def _print_or_write_events(events, csv_path: Optional[str], summary: str) -> Non
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    if args.checkpoint_every is not None and args.checkpoint_dir is None:
-        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    trace = _load_trace(args.trace)
-    model, _, sensor = _default_model(trace)
-    start, resumed = 0, ""
-    if args.resume is not None:
-        from .state import restore_runtime
+    def report(runtime, _, how):
+        _print_or_write_events(runtime.sink.events, args.events, f"({how})")
 
-        runtime, manifest = restore_runtime(_resolve_checkpoint(args.resume), model)
-        start = manifest.epochs_processed
-        resumed = f"resumed from epoch {start}, "
-    else:
-        runtime = _new_runtime(args, model, sensor)
-    runtime.run(trace.epochs(start=start))
-    assert isinstance(runtime.sink, CollectingSink)
-    _print_or_write_events(
-        runtime.sink.events,
-        args.events,
-        f"({resumed}{runtime.n_shards} shard{'s' if runtime.n_shards != 1 else ''})",
-    )
-    return 0
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    import os
-
-    from .state import checkpoint_size_bytes
-
-    if os.path.exists(args.out):
-        raise SystemExit(f"checkpoint target already exists: {args.out}")
-    trace = _load_trace(args.trace)
-    model, _, sensor = _default_model(trace)
-    epochs = trace.epochs()
-    if not (0 < args.epochs <= len(epochs)):
-        raise SystemExit(
-            f"--epochs must be in [1, {len(epochs)}] for this trace, "
-            f"got {args.epochs}"
-        )
-    runtime = _new_runtime(args, model, sensor)
-    try:
-        for epoch in epochs[: args.epochs]:
-            runtime.step(epoch)
-        runtime.checkpoint(args.out)
-        assert isinstance(runtime.sink, CollectingSink)
-        events = list(runtime.sink.events)
-    finally:
-        # The run is *not* finished: no scan-complete flush — this snapshot
-        # is the state a crash-resumed run would continue from.  abort()
-        # releases the workers and closes the bus on both paths.
-        runtime.abort()
-    if args.events:
-        _print_or_write_events(events, args.events, "(prefix)")
-    print(
-        f"checkpointed {args.epochs}/{len(epochs)} epochs to {args.out}: "
-        f"{runtime.n_shards} shard{'s' if runtime.n_shards != 1 else ''}, "
-        f"{checkpoint_size_bytes(args.out)} bytes, {len(events)} events emitted"
-    )
-    return 0
-
-
-def _cmd_restore(args: argparse.Namespace) -> int:
-    from .state import read_checkpoint_header, restore_runtime
-    from .state.checkpoint import runtime_config_from_dict
-
-    path = _resolve_checkpoint(args.checkpoint)
-    trace = _load_trace(args.trace)
-    model, _, _ = _default_model(trace)
-    recorded = runtime_config_from_dict(read_checkpoint_header(path)["runtime_config"])
-    given = _RUNTIME.given(args)
-    if given.get("executor", recorded.executor) != "remote":
-        # A remote checkpoint restored onto a local executor must not drag
-        # stale endpoints along.
-        given["shard_hosts"] = None
-    target = replace(recorded, **given)
-    runtime, manifest = restore_runtime(
-        path, model, runtime_config=target, verify=not args.no_verify
-    )
-    resharded = target.n_shards != manifest.n_shards
-    runtime.run(trace.epochs(start=manifest.epochs_processed))
-    assert isinstance(runtime.sink, CollectingSink)
-    _print_or_write_events(
-        runtime.sink.events,
-        args.events,
-        f"(resumed from epoch {manifest.epochs_processed}"
-        + (
-            f", re-sharded {manifest.n_shards} -> {target.n_shards})"
-            if resharded
-            else f", {target.n_shards} shard{'s' if target.n_shards != 1 else ''})"
-        ),
-    )
-    return 0
+    return _run_batch(args, _load_trace(args.trace), report)
 
 
 def _trace_bounds(epochs, pad: float = 8.0):
@@ -823,17 +777,13 @@ def _write_emissions(engine, path: str) -> int:
     """Dump every query output tuple as JSON lines, grouped by query name."""
     import json
 
-    def scalar(value):
-        try:
-            return json.dumps(value) and value
-        except TypeError:
-            return float(value) if hasattr(value, "__float__") else str(value)
+    from .serve.service import _json_scalar
 
     written = 0
     with open(path, "w") as fp:
         for name in sorted(engine.outputs):
             for tup in engine.outputs[name]:
-                row = {k: scalar(v) for k, v in sorted(tup.items())}
+                row = {k: _json_scalar(v) for k, v in sorted(tup.items())}
                 fp.write(
                     json.dumps({"query": name, "time": tup.time, "row": row}) + "\n"
                 )
@@ -841,56 +791,17 @@ def _write_emissions(engine, path: str) -> int:
     return written
 
 
-def _print_multiplexer_stats(engine) -> None:
-    stats = engine.stats()
-    print(
-        f"\nmultiplexer: {stats['queries']} queries over "
-        f"{stats['shared_windows']} shared window operator"
-        f"{'s' if stats['shared_windows'] != 1 else ''} "
-        f"({stats['windows_deduped']} deduplicated)"
-    )
-    print(
-        f"cache: {stats['cache_hit_rate'] * 100.0:.1f}% hit rate "
-        f"({stats['cache_hits']} hits / {stats['cache_misses']} misses), "
-        f"{stats['emissions_suppressed']} emissions suppressed, "
-        f"{stats['grid_lookups']} grid lookups"
-    )
-    print(
-        f"serve: {stats['serve_s_per_tick'] * 1e3:.3f} ms/tick over "
-        f"{stats['ticks']} ticks"
-    )
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     """The paper's full stack: epochs -> shards -> event bus -> CQL queries."""
     import json
-    import os
 
     from .query import (
         MultiplexedQueryEngine,
         queries_from_spec,
         standing_region_queries,
     )
-    from .state import write_latest_pointer
 
     trace = _load_trace(args.trace)
-    model, _, sensor = _default_model(trace)
-    epochs = trace.epochs()
-    cuts = None
-    if args.checkpoint_at is not None:
-        if args.checkpoint_out is None:
-            raise SystemExit("--checkpoint-at requires --checkpoint-out")
-        if args.resume is not None:
-            raise SystemExit("--checkpoint-at and --resume are exclusive")
-        try:
-            cuts = sorted({int(part) for part in args.checkpoint_at.split(",")})
-        except ValueError:
-            raise SystemExit(f"bad --checkpoint-at: {args.checkpoint_at!r}")
-        if not cuts or cuts[0] < 1 or cuts[-1] > len(epochs):
-            raise SystemExit(
-                f"--checkpoint-at epochs must be in [1, {len(epochs)}]"
-            )
-
     engine = MultiplexedQueryEngine()
     engine.register(location_update_query())
     engine.register(
@@ -900,98 +811,67 @@ def _cmd_query(args: argparse.Namespace) -> int:
             window_s=args.window,
         )
     )
-    standing = 0
+    standing = []
     if args.standing_queries:
-        for q in standing_region_queries(args.standing_queries, _trace_bounds(epochs)):
-            engine.register(q)
-            standing += 1
+        standing += standing_region_queries(
+            args.standing_queries, _trace_bounds(trace.epochs())
+        )
     if args.queries_file:
         with open(args.queries_file) as fp:
-            specs = json.load(fp)
-        for q in queries_from_spec(specs):
-            engine.register(q)
-            standing += 1
+            standing += queries_from_spec(json.load(fp))
+    for q in standing:
+        engine.register(q)
 
-    if args.resume is not None:
-        from .state import apply_query_states, restore_runtime
-
-        runtime, manifest = restore_runtime(_resolve_checkpoint(args.resume), model)
-        bridge = QueryBridge(engine, runtime.bus, runtime=runtime)
-        apply_query_states(runtime, manifest)
-        runtime.run(trace.epochs(start=manifest.epochs_processed))
+    def report(runtime, bridge, how):
         print(
-            f"resumed from epoch {manifest.epochs_processed}: cleaned "
-            f"{runtime.bus.published} events through {runtime.n_shards} "
-            f"shard{'s' if runtime.n_shards != 1 else ''} "
+            f"cleaned {runtime.bus.published} events, {how} "
             f"({bridge.tuples_pushed} tuples bridged)"
         )
-    else:
-        runtime = _new_runtime(args, model, sensor)
-        bridge = QueryBridge(engine, runtime.bus, runtime=runtime)
-        if cuts is not None:
-            parent = None
-            try:
-                done = 0
-                for i, cut in enumerate(cuts):
-                    for epoch in epochs[done:cut]:
-                        runtime.step(epoch)
-                    done = cut
-                    target = os.path.join(args.checkpoint_out, f"epoch_{cut:08d}")
-                    mode = (
-                        "delta" if args.checkpoint_mode == "delta" and i else "full"
-                    )
-                    runtime.checkpoint(target, mode=mode, parent=parent)
-                    parent = target
-                # Emissions BEFORE the bus closes: the final pending tick
-                # belongs to the checkpoint (and to the resumed run), not to
-                # this prefix.
-                if args.emissions:
-                    n = _write_emissions(engine, args.emissions)
-                    print(f"wrote {args.emissions}: {n} emissions (prefix)")
-                write_latest_pointer(args.checkpoint_out, os.path.basename(parent))
-            finally:
-                runtime.abort()
+        updates = engine.outputs["location_updates"]
+        print(f"\nlocation_updates: {len(updates)} tuples")
+        for tup in updates:
             print(
-                f"checkpointed at epoch{'s' if len(cuts) != 1 else ''} "
-                f"{','.join(str(c) for c in cuts)} "
-                f"({args.checkpoint_mode}) to {args.checkpoint_out}"
+                f"{tup.time:9.1f}  {tup['tag_id']:>12}  "
+                f"({tup['x']:7.3f}, {tup['y']:7.3f})"
             )
-            _print_multiplexer_stats(engine)
-            return 0
-        runtime.run(epochs)
+        violations = engine.outputs["fire_code"]
         print(
-            f"cleaned {runtime.bus.published} events through {runtime.n_shards} "
-            f"shard{'s' if runtime.n_shards != 1 else ''} "
-            f"({bridge.tuples_pushed} tuples bridged)"
+            f"\nfire_code (> {args.threshold_lbs:g} lbs/sq-ft, "
+            f"{args.window:g} s window): {len(violations)} violations"
         )
-    updates = engine.outputs["location_updates"]
-    print(f"\nlocation_updates: {len(updates)} tuples")
-    for tup in updates:
+        for tup in violations:
+            print(
+                f"{tup.time:9.1f}  area={tup['area']}  "
+                f"total_weight={tup['total_weight']:g} lbs"
+            )
+        if standing:
+            total = sum(
+                len(engine.outputs[q]) for q in engine.outputs
+                if q not in ("location_updates", "fire_code")
+            )
+            print(f"\nstanding queries: {len(standing)} registered, {total} emissions")
+        if args.emissions:
+            n = _write_emissions(engine, args.emissions)
+            print(f"wrote {args.emissions}: {n} emissions")
+        stats = engine.stats()
         print(
-            f"{tup.time:9.1f}  {tup['tag_id']:>12}  "
-            f"({tup['x']:7.3f}, {tup['y']:7.3f})"
+            f"\nmultiplexer: {stats['queries']} queries over "
+            f"{stats['shared_windows']} shared window operator"
+            f"{'s' if stats['shared_windows'] != 1 else ''} "
+            f"({stats['windows_deduped']} deduplicated)"
         )
-    violations = engine.outputs["fire_code"]
-    print(
-        f"\nfire_code (> {args.threshold_lbs:g} lbs/sq-ft, "
-        f"{args.window:g} s window): {len(violations)} violations"
-    )
-    for tup in violations:
         print(
-            f"{tup.time:9.1f}  area={tup['area']}  "
-            f"total_weight={tup['total_weight']:g} lbs"
+            f"cache: {stats['cache_hit_rate'] * 100.0:.1f}% hit rate "
+            f"({stats['cache_hits']} hits / {stats['cache_misses']} misses), "
+            f"{stats['emissions_suppressed']} emissions suppressed, "
+            f"{stats['grid_lookups']} grid lookups"
         )
-    if standing:
-        total = sum(
-            len(engine.outputs[q]) for q in engine.outputs
-            if q not in ("location_updates", "fire_code")
+        print(
+            f"serve: {stats['serve_s_per_tick'] * 1e3:.3f} ms/tick over "
+            f"{stats['ticks']} ticks"
         )
-        print(f"\nstanding queries: {standing} registered, {total} emissions")
-    if args.emissions:
-        n = _write_emissions(engine, args.emissions)
-        print(f"wrote {args.emissions}: {n} emissions")
-    _print_multiplexer_stats(engine)
-    return 0
+
+    return _run_batch(args, trace, report, engine)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1153,7 +1033,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab(args: argparse.Namespace) -> int:
-    lab = LabDeployment(LabConfig(seed=args.seed))
+    lab = LabDeployment(_LAB.build(args))
     calibration = lab.generate(timeout_s=args.timeout, seed=args.seed + 90)
     fit = fit_sensor_supervised(
         calibration,

@@ -81,8 +81,8 @@ _TAIL_KEEP = 4096
 
 
 def _json_scalar(value: Any) -> Any:
-    """Coerce a tuple field to something JSON-stable (mirrors the CLI's
-    emission writer, so served emissions match ``--emissions`` output)."""
+    """Coerce a tuple field to something JSON-stable: the one emission-row
+    encoder (``repro query --emissions`` writes its rows with it too)."""
     try:
         return json.dumps(value) and value
     except TypeError:

@@ -78,7 +78,6 @@ def restore_runtime(
     runtime_config: Optional[RuntimeConfig] = None,
     sink: Optional[EventSink] = None,
     bus: Optional[EventBus] = None,
-    verify: bool = True,
 ) -> Tuple[ShardedRuntime, CheckpointManifest]:
     """Rebuild a runtime from a checkpoint file and prime it to resume.
 
@@ -86,7 +85,8 @@ def restore_runtime(
     ----------
     path:
         Checkpoint file written by :func:`repro.state.save_checkpoint`
-        (or by the runtime's periodic checkpointing).
+        (or by the runtime's periodic checkpointing).  Every file's
+        SHA-256 trailer is checked before its state is applied.
     model:
         The world model — models are code + fitted parameters, not runtime
         state, so the caller re-derives them the same way the original run
@@ -98,8 +98,6 @@ def restore_runtime(
         a checkpoint taken under the process executor restores into serial
         shards and vice versa (state trees cross the worker link on the
         process path), and an exact restore stays bitwise regardless.
-    verify:
-        Check every file's SHA-256 trailer before applying its state.
 
     Returns the primed runtime and the parsed manifest; resume by feeding
     ``trace.epochs(start=manifest.epochs_processed)`` to ``runtime.run``.
@@ -107,7 +105,7 @@ def restore_runtime(
     queries live outside the runtime): re-attach the engines, then call
     :func:`apply_query_states`.
     """
-    manifest = load_checkpoint(path, verify=verify)
+    manifest = load_checkpoint(path)
     digest = config_hash(manifest.config, manifest.policy, manifest.initial_heading)
     if digest != manifest.config_digest:
         raise StateError(

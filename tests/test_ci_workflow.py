@@ -56,6 +56,12 @@ def test_the_engine_seam_guard_finds_nothing_in_src():
     assert guard_hits("engine_factory|") == []
 
 
+def test_the_batch_loop_guard_finds_nothing_in_src():
+    """clean and query share one run loop: the checkpoint and restore verbs'
+    handlers and the unverified-resume knob are gone."""
+    assert guard_hits("_cmd_checkpoint|") == []
+
+
 def test_the_line_ratchet_holds_for_src():
     """The package source is no longer than the ratchet step allows."""
     doc = yaml.safe_load(WORKFLOW.read_text())

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.config import RuntimeConfig
 from repro.state import read_checkpoint_header
 
 
@@ -190,10 +191,18 @@ CONFIG_FLAGS = {
     "--pause-high-water": (["--pause-high-water", "9000"], "serve", "pause_high_water", 9000),
     "--pause-low-water": (["--pause-low-water", "100"], "serve", "pause_low_water", 100),
     "--fsync": (["--fsync"], "serve", "fsync", True),
+    "--objects": (["--objects", "5"], "simulation", "layout.n_objects", 5),
+    "--spacing": (["--spacing", "0.75"], "simulation", "layout.object_spacing_ft", 0.75),
+    "--shelf-tags": (["--shelf-tags", "2"], "simulation", "layout.n_shelf_tags", 2),
+    "--read-rate": (["--read-rate", "0.5"], "simulation", "sensor.rr_major", 0.5),
+    "--rounds": (["--rounds", "3"], "simulation", "n_rounds", 3),
+    "--seed": (["--seed", "9"], "simulation", "seed", 9),
 }
 FLAG_GROUPS = [g for g in vars(cli).values() if isinstance(g, cli._FlagGroup)]
 #: The verbs that build configs (serve-reshard's --shards is a request field).
-CONFIG_VERBS = ("clean", "checkpoint", "restore", "query", "serve", "evaluate")
+CONFIG_VERBS = ("simulate", "clean", "query", "serve", "evaluate", "lab")
+#: The verbs whose config flags stay off the namespace unless given.
+BATCH_VERBS = ("clean", "query")
 
 
 def _verb_parsers():
@@ -223,18 +232,14 @@ class TestConfigFlags:
     @pytest.fixture()
     def verb_argv(self, trace_path, tmp_path):
         """The shortest valid argv of each config-building verb."""
-        trace = str(trace_path)
-        new_ckpt = ["--epochs", "3", "--out", str(tmp_path / "run.ckpt")]
 
         def argv(verb):
-            if verb == "restore":  # needs something to restore
-                assert main(["checkpoint", trace, "--particles", "60", *new_ckpt]) == 0
-                return ["restore", new_ckpt[-1], trace]
             required = {
-                "checkpoint": new_ckpt,
-                "serve": ["--socket", str(tmp_path / "s"), "--emissions", str(tmp_path / "e")],
+                "simulate": ["--out", str(tmp_path / "new.jsonl")],
+                "lab": [],
+                "serve": [str(trace_path), "--socket", str(tmp_path / "s"), "--emissions", str(tmp_path / "e")],
             }
-            return [verb, trace, *required.get(verb, [])]
+            return [verb, *required.get(verb, [str(trace_path)])]
 
         return argv
 
@@ -246,18 +251,19 @@ class TestConfigFlags:
             raise _Handover(args, kwargs)
 
         def run(verb, flags):
-            argv = verb_argv(verb) + flags  # restore's checkpoint needs the real engine
-            monkeypatch.setattr(cli, "ShardedRuntime", stop)  # clean, checkpoint, query
+            argv = verb_argv(verb) + flags
+            monkeypatch.setattr(cli, "ShardedRuntime", stop)  # clean, query
             monkeypatch.setattr(cli, "run_factored", stop)  # evaluate
+            monkeypatch.setattr(cli, "WarehouseSimulator", stop)  # simulate
+            monkeypatch.setattr(cli, "LabDeployment", stop)  # lab
             monkeypatch.setattr("repro.serve.ReproService", stop)
-            monkeypatch.setattr("repro.state.restore_runtime", stop)
             with pytest.raises(_Handover) as handover:
                 main(argv)
             args, kwargs = handover.value.args
             if argv[0] == "serve":
                 return kwargs
-            if argv[0] == "restore":
-                return {"runtime": kwargs["runtime_config"]}
+            if argv[0] in ("simulate", "lab"):
+                return {"simulation": args[0]}
             if argv[0] == "evaluate":
                 return {"inference": args[2]}
             return dict(zip(("inference", "runtime", "policy"), args[1:]))
@@ -284,17 +290,26 @@ class TestConfigFlags:
         configs = handed_over(verb, argv)
         assert _follow(configs[section], path) == expected
 
-    def test_parser_defaults_are_the_default_instances_fields(self):
+    @pytest.mark.parametrize("verb", CONFIG_VERBS)
+    def test_a_fresh_run_builds_the_default_instances_fields(self, verb, handed_over):
+        """The parser default is the default instance's field — or, on the
+        batch verbs, absent, so ``--resume`` can tell a given flag — and a
+        fresh run without the flag builds the default instance's field."""
+        parser = VERB_PARSERS[verb]
+        supervise = ["--supervise"] if "--supervise" in parser._option_string_actions else []
+        built = list(handed_over(verb, supervise).values())
+        built += [c.supervisor for c in built if isinstance(c, RuntimeConfig)]
         for group in FLAG_GROUPS:
+            configs = [c for c in built if type(c) is type(group.default)]
             for path, (spec, _) in group.flags.items():
-                for verb in CONFIG_VERBS:
-                    action = VERB_PARSERS[verb]._option_string_actions.get(spec.split()[0])
-                    if action is None or (verb, action.dest) == ("query", "checkpoint_mode"):
-                        continue
-                    if verb == "restore":  # only what was given overrides the record
-                        assert action.default is argparse.SUPPRESS
-                    else:
-                        assert action.default == _follow(group.default, path)
+                action = parser._option_string_actions.get(spec.split()[0])
+                if action is None or not configs:  # another group's --seed
+                    continue
+                expected = _follow(group.default, path)
+                assert action.default == (
+                    argparse.SUPPRESS if verb in BATCH_VERBS else expected
+                )
+                assert _follow(configs[0], path) == expected
 
     def test_type_hints_resolved_once_per_config_class(self):
         cli._type_hints.cache_clear()
@@ -309,10 +324,12 @@ class TestConfigFlags:
         cli._build_parser()
         assert cli._type_hints.cache_info().misses == first.misses
 
-    def test_cli_profile(self, verb_argv):
-        args = cli._build_parser().parse_args(verb_argv("clean"))
-        assert (args.particles, args.reader_particles, args.delay) == (400, 120, 30.0)
-        assert (args.executor, args.shards, args.shard_host) == ("serial", 1, None)
+    def test_cli_profile(self, handed_over):
+        configs = handed_over("clean", [])
+        inference, runtime = configs["inference"], configs["runtime"]
+        assert (inference.object_particles, inference.reader_particles) == (400, 120)
+        assert configs["policy"].delay_s == 30.0
+        assert (runtime.executor, runtime.n_shards, runtime.shard_hosts) == ("serial", 1, None)
 
 
 class TestUsageErrors:
@@ -341,59 +358,57 @@ class TestUsageErrors:
         assert excinfo.value.code == 0
         assert f"usage: repro {verb}" in capsys.readouterr().out
 
-    def test_thirteen_verbs(self):
-        assert len(VERB_PARSERS) == 13
+    def test_eleven_verbs(self):
+        assert len(VERB_PARSERS) == 11
 
 
 class TestCheckpointRestore:
     CLEAN_OPTS = ["--particles", "150", "--delay", "20", "--shards", "2"]
 
-    def test_checkpoint_then_restore_matches_full_run(
-        self, trace_path, tmp_path, capsys
+    @pytest.mark.parametrize("mode", ["full", "delta"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_checkpoint_at_then_resume_matches_full_run(
+        self, trace_path, tmp_path, capsys, executor, mode
     ):
         """The kill-and-resume drill through the CLI: prefix events plus
         resumed events must equal the uninterrupted run byte for byte."""
+        opts = self.CLEAN_OPTS + ["--executor", executor]
         full = tmp_path / "full.csv"
-        assert main(
-            ["clean", str(trace_path), "--events", str(full)] + self.CLEAN_OPTS
-        ) == 0
+        assert main(["clean", str(trace_path), "--events", str(full)] + opts) == 0
         ck = tmp_path / "ck"
         prefix = tmp_path / "prefix.csv"
         assert main(
             [
-                "checkpoint",
-                str(trace_path),
-                "--epochs",
-                "20",
-                "--out",
-                str(ck),
-                "--events",
-                str(prefix),
+                "clean", str(trace_path),
+                "--checkpoint-at", "10,20",
+                "--checkpoint-out", str(ck),
+                "--checkpoint-mode", mode,
+                "--events", str(prefix),
             ]
-            + self.CLEAN_OPTS
+            + opts
         ) == 0
-        assert read_checkpoint_header(ck)["epochs_processed"] == 20
-        out = capsys.readouterr().out
-        assert "checkpointed 20/" in out
+        assert read_checkpoint_header(ck / "epoch_00000020")["epochs_processed"] == 20
+        assert read_checkpoint_header(ck / "epoch_00000020")["kind"] == mode
+        assert f"checkpointed at epochs 10,20 ({mode})" in capsys.readouterr().out
         suffix = tmp_path / "suffix.csv"
         assert main(
-            ["restore", str(ck), str(trace_path), "--events", str(suffix)]
+            ["clean", str(trace_path), "--resume", str(ck), "--events", str(suffix)]
         ) == 0
-        full_rows = full.read_text().splitlines()
+        assert "resumed from epoch 20, 2 shards" in capsys.readouterr().out
         resumed_rows = (
             prefix.read_text().splitlines()
             + suffix.read_text().splitlines()[1:]  # drop duplicate header
         )
-        assert resumed_rows == full_rows
+        assert resumed_rows == full.read_text().splitlines()
 
-    def test_restore_resharded(self, trace_path, tmp_path, capsys):
+    def test_resume_resharded(self, trace_path, tmp_path, capsys):
         ck = tmp_path / "ck"
         assert main(
-            ["checkpoint", str(trace_path), "--epochs", "20", "--out", str(ck)]
+            ["clean", str(trace_path), "--checkpoint-at", "20", "--checkpoint-out", str(ck)]
             + self.CLEAN_OPTS
         ) == 0
         capsys.readouterr()
-        assert main(["restore", str(ck), str(trace_path), "--shards", "1"]) == 0
+        assert main(["clean", str(trace_path), "--resume", str(ck), "--shards", "1"]) == 0
         # Without --events the resumed events print to stdout.
         assert "object:" in capsys.readouterr().out
 
@@ -470,42 +485,181 @@ class TestCheckpointRestore:
         assert "resumed from epoch" in capsys.readouterr().out
         assert events.read_text().startswith("time,tag")
 
-    def test_clean_checkpoint_every_requires_dir(self, trace_path):
-        with pytest.raises(SystemExit, match="checkpoint-dir"):
+    def test_clean_checkpoint_every_requires_dir(self, trace_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["clean", str(trace_path), "--checkpoint-every", "10"])
+        assert excinfo.value.code == 2
+        assert "checkpoint_dir" in capsys.readouterr().err
 
-    def test_checkpoint_epochs_out_of_range(self, trace_path, tmp_path):
-        with pytest.raises(SystemExit, match="--epochs"):
-            main(
-                [
-                    "checkpoint",
-                    str(trace_path),
-                    "--epochs",
-                    "100000",
-                    "--out",
-                    str(tmp_path / "ck"),
-                ]
-            )
-
-    def test_restore_from_non_checkpoint_fails(self, trace_path, tmp_path):
+    def test_resume_from_non_checkpoint_fails(self, trace_path, tmp_path):
         with pytest.raises(SystemExit, match="neither a checkpoint file"):
-            main(["restore", str(tmp_path), str(trace_path)])
+            main(["clean", str(trace_path), "--resume", str(tmp_path)])
 
-    def test_checkpoint_refuses_existing_target_upfront(self, trace_path, tmp_path):
-        target = tmp_path / "ck"
-        target.mkdir()
-        # Must fail before any epochs are processed, not after the run.
-        with pytest.raises(SystemExit, match="already exists"):
+
+class TestResumeFlags:
+    """On ``--resume`` every given flag is applied (sharding, supervisor,
+    checkpoints) or refused (an engine or policy value other than the
+    recorded one) — none is silently dropped."""
+
+    OPTS = ["--particles", "150", "--delay", "20", "--shards", "2"]
+    QUERY_OPTS = OPTS + ["--standing-queries", "16"]
+
+    @pytest.fixture()
+    def periodic(self, trace_path, tmp_path, capsys):
+        """A ``clean`` run's periodic-checkpoint directory."""
+        directory = tmp_path / "periodic"
+        assert main(
+            [
+                "clean", str(trace_path),
+                "--checkpoint-every", "8", "--checkpoint-dir", str(directory),
+                "--events", str(tmp_path / "full.csv"),
+            ]
+            + self.OPTS
+        ) == 0
+        capsys.readouterr()
+        return directory
+
+    @staticmethod
+    def _library_resume(trace_path, directory, n_shards, engine=None):
+        """What ``restore_runtime`` makes of the checkpoint, re-sharded."""
+        from dataclasses import replace
+
+        from repro.runtime import QueryBridge
+        from repro.state import apply_query_states, latest_checkpoint, restore_runtime
+        from repro.state.checkpoint import runtime_config_from_dict
+
+        path = latest_checkpoint(directory)
+        trace = cli._load_trace(str(trace_path))
+        model, _, _ = cli._default_model(trace)
+        recorded = runtime_config_from_dict(read_checkpoint_header(path)["runtime_config"])
+        runtime, manifest = restore_runtime(
+            path, model, runtime_config=replace(recorded, n_shards=n_shards)
+        )
+        if engine is not None:
+            QueryBridge(engine, runtime.bus, runtime=runtime)
+            apply_query_states(runtime, manifest)
+        runtime.run(trace.epochs(start=manifest.epochs_processed))
+        return runtime
+
+    def test_clean_resume_reshards(self, trace_path, tmp_path, periodic, capsys):
+        events = tmp_path / "resumed.csv"
+        assert main(
+            [
+                "clean", str(trace_path), "--resume", str(periodic),
+                "--shards", "3", "--events", str(events),
+            ]
+        ) == 0
+        assert "re-sharded 2 -> 3 shards" in capsys.readouterr().out
+        runtime = self._library_resume(trace_path, periodic, 3)
+        expected = tmp_path / "expected.csv"
+        cli._print_or_write_events(runtime.sink.events, str(expected), "")
+        assert events.read_text() == expected.read_text()
+
+    def test_query_resume_reshards(self, trace_path, tmp_path, capsys):
+        from repro.query import (
+            MultiplexedQueryEngine,
+            fire_code_query,
+            location_update_query,
+            standing_region_queries,
+        )
+
+        ck = tmp_path / "ck"
+        assert main(
+            ["query", str(trace_path), "--checkpoint-at", "20", "--checkpoint-out", str(ck)]
+            + self.QUERY_OPTS
+        ) == 0
+        capsys.readouterr()
+        emissions = tmp_path / "resumed.jsonl"
+        assert main(
+            [
+                "query", str(trace_path), "--resume", str(ck),
+                "--standing-queries", "16", "--shards", "3",
+                "--emissions", str(emissions),
+            ]
+        ) == 0
+        assert "re-sharded 2 -> 3 shards" in capsys.readouterr().out
+        engine = MultiplexedQueryEngine()  # the queries `query` registers by default
+        engine.register(location_update_query())
+        engine.register(
+            fire_code_query(weight_fn=lambda tag_id: 90.0, threshold_lbs=200.0, window_s=5.0)
+        )
+        epochs = cli._load_trace(str(trace_path)).epochs()
+        for q in standing_region_queries(16, cli._trace_bounds(epochs)):
+            engine.register(q)
+        self._library_resume(trace_path, ck, 3, engine)
+        expected = tmp_path / "expected.jsonl"
+        cli._write_emissions(engine, str(expected))
+        assert emissions.read_text() == expected.read_text()
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--particles", "7"], "--particles 7"),
+            (["--delay", "5"], "--delay 5.0"),
+            (["--index"], "--index True"),
+            (["--arena-dtype", "float32"], "--arena-dtype float32"),
+        ],
+        ids=["particles", "delay", "index", "arena-dtype"],
+    )
+    def test_conflicting_engine_or_policy_flag_exits_2(
+        self, trace_path, periodic, capsys, flags, named
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["clean", str(trace_path), "--resume", str(periodic), *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro clean: error: " in err and named in err
+
+    def test_equal_engine_and_policy_flags_are_accepted(
+        self, trace_path, tmp_path, periodic
+    ):
+        bare, repeated = tmp_path / "bare.csv", tmp_path / "repeated.csv"
+        resume = ["clean", str(trace_path), "--resume", str(periodic), "--events"]
+        assert main(resume + [str(bare)]) == 0
+        assert main(resume + [str(repeated), "--particles", "150", "--delay", "20"]) == 0
+        assert repeated.read_text() == bare.read_text()
+
+    def test_layout_and_supervisor_flags_apply_on_resume(
+        self, trace_path, periodic, monkeypatch
+    ):
+        def stop(path, model, runtime_config):
+            raise _Handover(runtime_config)
+
+        monkeypatch.setattr("repro.state.restore_runtime", stop)
+        with pytest.raises(_Handover) as handover:
             main(
                 [
-                    "checkpoint",
-                    str(trace_path),
-                    "--epochs",
-                    "5",
-                    "--out",
-                    str(target),
+                    "clean", str(trace_path), "--resume", str(periodic),
+                    "--shards", "3", "--partitioner", "mod", "--executor", "process",
+                    "--supervise", "--max-restarts", "9",
                 ]
             )
+        (target,) = handover.value.args
+        assert (target.n_shards, target.partitioner, target.executor) == (3, "mod", "process")
+        assert target.supervisor.max_restarts == 9
+        assert target.checkpoint_dir == str(periodic)  # not given: recorded
+
+    def test_supervisor_flag_without_supervision_exits_2(
+        self, trace_path, periodic, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["clean", str(trace_path), "--resume", str(periodic), "--max-restarts", "9"])
+        assert excinfo.value.code == 2
+        assert "--supervise" in capsys.readouterr().err
+
+    def test_checkpoint_flags_apply_on_resume(self, trace_path, tmp_path, periodic):
+        """Periodic checkpoints of the resumed run go where the flags say."""
+        moved = tmp_path / "moved"
+        assert main(
+            [
+                "clean", str(trace_path), "--resume", str(periodic),
+                "--checkpoint-every", "1", "--checkpoint-dir", str(moved),
+                "--events", str(tmp_path / "resumed.csv"),
+            ]
+        ) == 0
+        header = read_checkpoint_header(moved / (moved / "LATEST").read_text().strip())
+        assert header["runtime_config"]["checkpoint_dir"] == str(moved)
+        assert header["runtime_config"]["n_shards"] == 2
 
 
 class TestQueryServing:
@@ -609,26 +763,29 @@ class TestQueryServing:
         for name in full_q:
             assert prefix_q.get(name, []) + resumed_q.get(name, []) == full_q[name]
 
-    def test_checkpoint_at_requires_out(self, trace_path):
+    @pytest.mark.parametrize("verb", BATCH_VERBS)
+    def test_checkpoint_at_requires_out(self, trace_path, verb):
         with pytest.raises(SystemExit, match="checkpoint-out"):
-            main(["query", str(trace_path), "--checkpoint-at", "10"])
+            main([verb, str(trace_path), "--checkpoint-at", "10"])
 
-    def test_checkpoint_at_excludes_resume(self, trace_path, tmp_path):
+    @pytest.mark.parametrize("verb", BATCH_VERBS)
+    def test_checkpoint_at_excludes_resume(self, trace_path, tmp_path, verb):
         with pytest.raises(SystemExit, match="exclusive"):
             main(
                 [
-                    "query", str(trace_path),
+                    verb, str(trace_path),
                     "--checkpoint-at", "10",
                     "--checkpoint-out", str(tmp_path / "ck"),
                     "--resume", str(tmp_path / "other"),
                 ]
             )
 
-    def test_checkpoint_at_out_of_range(self, trace_path, tmp_path):
+    @pytest.mark.parametrize("verb", BATCH_VERBS)
+    def test_checkpoint_at_out_of_range(self, trace_path, tmp_path, verb):
         with pytest.raises(SystemExit, match="must be in"):
             main(
                 [
-                    "query", str(trace_path),
+                    verb, str(trace_path),
                     "--checkpoint-at", "100000",
                     "--checkpoint-out", str(tmp_path / "ck"),
                 ]
