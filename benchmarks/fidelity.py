@@ -58,19 +58,17 @@ from repro.config import (  # noqa: E402
 from repro.eval import mean_error_reduction, run_factored, run_naive, run_smurf, run_uniform  # noqa: E402
 from repro.eval.report import format_table  # noqa: E402
 from repro.inference.factored import FactoredParticleFilter  # noqa: E402
-from repro.inference.pipeline import CleaningPipeline  # noqa: E402
 from repro.learning.em import EMConfig, calibrate  # noqa: E402
 from repro.learning.logistic import field_of_truth_sensor, fit_sensor_to_field  # noqa: E402
 from repro.models import SensorModel, config_for_sensor  # noqa: E402
 from repro.models.sensing import SensingNoiseParams  # noqa: E402
 from repro.models.sensor import SensorParams, field_correlation  # noqa: E402
-from repro.query import QueryEngine, fire_code_query, location_update_query, tuple_from_event  # noqa: E402
+from repro.query import QueryEngine, fire_code_query, location_update_query  # noqa: E402
 from repro.simulation.lab import LabConfig, LabDeployment  # noqa: E402
 from repro.simulation.layout import LayoutConfig  # noqa: E402
 from repro.simulation.movement import single_group_move  # noqa: E402
 from repro.simulation.truth_sensor import ConeTruthSensor  # noqa: E402
 from repro.simulation.warehouse import WarehouseConfig, WarehouseSimulator  # noqa: E402
-from repro.streams.sinks import CollectingSink  # noqa: E402
 
 LEDGER = bench.ROOT / "BENCH_fidelity.json"
 SEEDS = 10
@@ -352,17 +350,18 @@ QUERY_OBJECTS = 40
 
 def queries(seed: int) -> Series:
     sim = warehouse(801, seed, layout=LayoutConfig(n_objects=QUERY_OBJECTS, n_shelf_tags=4))
-    engine = FactoredParticleFilter(sim.world_model(sensor_params=true_sensor(1.0)), infer(100, 200, seed))
-    sink = CollectingSink()
-    policy = OutputPolicyConfig(delay_s=30.0, movement_threshold_ft=0.5)
-    CleaningPipeline(engine, policy, sink).run(sim.generate().epochs())
     qe = QueryEngine()
     qe.register(location_update_query())
     qe.register(fire_code_query(lambda tag: 90.0, threshold_lbs=200.0))
-    qe.push_many([tuple_from_event(e) for e in sorted(sink.events, key=lambda e: e.time)])
-    qe.finish()
+    result = run_factored(
+        sim.generate(),
+        sim.world_model(sensor_params=true_sensor(1.0)),
+        infer(100, 200, seed),
+        policy=OutputPolicyConfig(delay_s=30.0, movement_threshold_ft=0.5),
+        query_engine=qe,
+    )
     return {
-        "input events": {"-": float(len(sink.events))},
+        "input events": {"-": result.extra["events_published"]},
         "location updates": {"-": float(len(qe.outputs["location_updates"]))},
         "fire-code violations": {"-": float(len(qe.outputs["fire_code"]))},
     }

@@ -61,7 +61,6 @@ from .eval import (
     inference_error,
     run_factored,
     run_naive,
-    run_sharded,
     run_smurf,
     run_uniform,
 )
@@ -219,7 +218,6 @@ __all__ = [
     "restore_runtime",
     "run_factored",
     "run_naive",
-    "run_sharded",
     "run_smurf",
     "run_uniform",
     "save_checkpoint",

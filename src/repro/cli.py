@@ -26,7 +26,8 @@ trace and writes the location events as CSV; ``query`` runs the full paper
 stack — epochs -> filter shards -> event bus -> continuous queries —
 printing the query outputs.  Both batch verbs share one run loop: periodic
 checkpoints (``--checkpoint-every``), stop-at cuts (``--checkpoint-at``),
-and ``--resume`` from a checkpoint, re-sharded by any sharding flag given.
+and ``--resume`` from a checkpoint, re-sharded by any sharding flag given
+(``serve --resume`` reconciles its flags the same way).
 ``evaluate`` scores the three systems (ours / SMURF / uniform) against the
 trace's ground truth; ``lab`` runs the Fig 6(b)-style lab comparison at one
 timeout setting; ``serve`` runs the long-lived online ingest service over a
@@ -299,15 +300,22 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser, suppress: bool = Fa
     _SUPERVISOR.add_to(parser, suppress=suppress)
 
 
-def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
-    """The trace, config and checkpoint flags ``clean`` and ``query`` share.
+def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine, policy, checkpoint, sharding and supervisor flags of the
+    verbs that run the runtime (``clean``, ``query``, ``serve``).
 
-    An ungiven config flag stays off the namespace (a fresh run still builds
-    the default instances), so a ``--resume`` can tell what was given."""
-    parser.add_argument("trace", type=str)
+    An ungiven flag stays off the namespace (a fresh run still builds the
+    default instances), so a ``--resume`` can tell what was given."""
     _ENGINE.add_to(parser, suppress=True)
     _POLICY.add_to(parser, suppress=True)
     _CHECKPOINTS.add_to(parser, suppress=True)
+    _add_sharding_arguments(parser, suppress=True)
+
+
+def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
+    """The trace, config and checkpoint flags ``clean`` and ``query`` share."""
+    parser.add_argument("trace", type=str)
+    _add_runtime_arguments(parser)
     parser.add_argument(
         "--checkpoint-at",
         type=str,
@@ -336,7 +344,6 @@ def _add_batch_arguments(parser: argparse.ArgumentParser) -> None:
         "--shards re-shards), an engine or policy flag must repeat the "
         "recorded value",
     )
-    _add_sharding_arguments(parser, suppress=True)
 
 
 def _add_standing_queries_argument(parser: argparse.ArgumentParser) -> None:
@@ -448,15 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="JSONL",
         help="durable emission log (recovered, never truncated, on restart)",
     )
-    _ENGINE.add_to(serve)
-    _POLICY.add_to(serve)
+    _add_runtime_arguments(serve)
     _add_standing_queries_argument(serve)
-    _CHECKPOINTS.add_to(serve)
     serve.add_argument(
         "--resume",
         action="store_true",
         help="resume from --checkpoint-dir's LATEST checkpoint when present "
-        "(the SIGTERM drain also writes its final cut to --checkpoint-dir)",
+        "(the SIGTERM drain also writes its final cut to --checkpoint-dir), "
+        "under its recorded options as `clean --resume` does",
     )
     _SERVE.add_to(serve)
     serve.add_argument(
@@ -464,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep serving stats after every source ended (default: exit 0)",
     )
-    _add_sharding_arguments(serve)
 
     replay = verb(
         "replay", _cmd_replay, "stream a stored trace into a running ingest service"
@@ -558,15 +563,20 @@ def _runtime_config(args: argparse.Namespace) -> RuntimeConfig:
 
 def _layout(base: RuntimeConfig, args: argparse.Namespace) -> RuntimeConfig:
     """``base`` with the sharding, checkpoint and supervisor flags that
-    ``args`` carries applied over it."""
+    ``args`` carries applied over it; a supervisor flag needs supervision
+    (``--supervise``, or a ``base`` that has it)."""
     given = {**_RUNTIME.given(args), **_CHECKPOINTS.given(args)}
     if given.get("executor", base.executor) != "remote" and "shard_hosts" not in given:
         # A remote checkpoint restored onto a local executor must not drag
         # stale endpoints along.
         given["shard_hosts"] = None
-    if getattr(args, "supervise", False) or base.supervisor is not None:
+    if hasattr(args, "supervise") or base.supervisor is not None:
         given["supervisor"] = replace(
             base.supervisor or SupervisorConfig(), **_SUPERVISOR.given(args)
+        )
+    elif _SUPERVISOR.given(args):
+        raise ConfigurationError(
+            "--max-restarts and --op-timeout apply under supervision: add --supervise"
         )
     return replace(base, **given)
 
@@ -630,23 +640,15 @@ def _engine_config(args: argparse.Namespace, sensor) -> InferenceConfig:
     return config_for_sensor(_ENGINE.build(args), sensor)
 
 
-def _resume(args: argparse.Namespace, model):
-    """Restore ``--resume``'s checkpoint under the recorded runtime config
+def _resumed_layout(args: argparse.Namespace, path: str) -> RuntimeConfig:
+    """The runtime config checkpoint ``path`` resumes under: the recorded one
     with the sharding, checkpoint and supervisor flags given applied over it.
     The engine and policy configs are the recorded ones: a given flag that
     asks for another value is a usage error, not a silent no-op."""
-    import os
-
     from .config import inference_config_from_dict
-    from .state import latest_checkpoint, read_checkpoint_header, restore_runtime
+    from .state import read_checkpoint_header
     from .state.checkpoint import _MALFORMED, runtime_config_from_dict
 
-    path = args.resume if os.path.isfile(args.resume) else latest_checkpoint(args.resume)
-    if path is None:
-        raise SystemExit(
-            f"{args.resume} is neither a checkpoint file nor a checkpoint "
-            "directory with a LATEST pointer"
-        )
     header = read_checkpoint_header(path)
     try:
         conflicts = _ENGINE.conflicts(
@@ -660,9 +662,22 @@ def _resume(args: argparse.Namespace, model):
             f"{path} resumes under its recorded engine and policy options: "
             + ", ".join(conflicts)
         )
-    if _SUPERVISOR.given(args) and not (hasattr(args, "supervise") or recorded.supervisor):
-        args.usage_error(f"{path} was not recorded supervised: add --supervise")
-    return restore_runtime(path, model, runtime_config=_layout(recorded, args))
+    return _layout(recorded, args)
+
+
+def _resume(args: argparse.Namespace, model):
+    """Restore ``--resume``'s checkpoint under :func:`_resumed_layout`."""
+    import os
+
+    from .state import latest_checkpoint, restore_runtime
+
+    path = args.resume if os.path.isfile(args.resume) else latest_checkpoint(args.resume)
+    if path is None:
+        raise SystemExit(
+            f"{args.resume} is neither a checkpoint file nor a checkpoint "
+            "directory with a LATEST pointer"
+        )
+    return restore_runtime(path, model, runtime_config=_resumed_layout(args, path))
 
 
 def _run_batch(args: argparse.Namespace, trace: Trace, report, engine=None) -> int:
@@ -699,7 +714,10 @@ def _run_batch(args: argparse.Namespace, trace: Trace, report, engine=None) -> i
         )
         start, how = 0, ""
     else:
-        runtime, manifest = _resume(args, model)
+        try:
+            runtime, manifest = _resume(args, model)
+        except StateError as exc:  # the checkpoint is refused
+            args.usage_error(str(exc))
         start = manifest.epochs_processed
         how = f"resumed from epoch {start}, "
         if manifest.n_shards != runtime.n_shards:
@@ -709,7 +727,10 @@ def _run_batch(args: argparse.Namespace, trace: Trace, report, engine=None) -> i
     try:
         bridge = None if engine is None else QueryBridge(engine, runtime.bus, runtime=runtime)
         if engine is not None and args.resume is not None:
-            apply_query_states(runtime, manifest)
+            try:
+                apply_query_states(runtime, manifest)
+            except StateError as exc:
+                args.usage_error(str(exc))
         if not cuts:
             runtime.run(epochs[start:])
         parent = None
@@ -876,26 +897,36 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ReproService
+    from .state import latest_checkpoint
 
-    if args.checkpoint_every is not None and args.checkpoint_dir is None:
-        raise SystemExit("--checkpoint-every requires --checkpoint-dir")
-    if args.resume and args.checkpoint_dir is None:
-        raise SystemExit("--resume requires --checkpoint-dir")
-    trace = _load_trace(args.model_trace)
-    model, _, sensor = _default_model(trace)
-    service = ReproService(
-        model,
-        inference=_engine_config(args, sensor),
-        runtime=_runtime_config(args),
-        policy=_POLICY.build(args),
-        serve=_SERVE.build(args),
-        socket_path=args.socket,
-        emissions_path=args.emissions,
-        standing_queries=args.standing_queries,
-        resume=args.resume,
-        exit_on_end=not args.stay_up,
-    )
-    service.build()
+    checkpoint = None
+    if args.resume:
+        if not hasattr(args, "checkpoint_dir"):
+            args.usage_error("--resume requires --checkpoint-dir")
+        checkpoint = latest_checkpoint(args.checkpoint_dir)
+    try:
+        # A resume keeps the checkpoint's layout unless a flag says otherwise.
+        runtime = (
+            _runtime_config(args) if checkpoint is None
+            else _resumed_layout(args, checkpoint)
+        )
+        trace = _load_trace(args.model_trace)
+        model, _, sensor = _default_model(trace)
+        service = ReproService(
+            model,
+            inference=_engine_config(args, sensor),
+            runtime=runtime,
+            policy=_POLICY.build(args),
+            serve=_SERVE.build(args),
+            socket_path=args.socket,
+            emissions_path=args.emissions,
+            standing_queries=args.standing_queries,
+            resume=args.resume,
+            exit_on_end=not args.stay_up,
+        )
+        service.build()
+    except StateError as exc:  # the checkpoint or the emission log is refused
+        args.usage_error(str(exc))
     resumed = (
         f"resumed from {service.resumed_from}"
         if service.resumed_from

@@ -6,7 +6,6 @@ from .harness import (
     final_estimates_from_sink,
     run_factored,
     run_naive,
-    run_sharded,
     run_smurf,
     run_uniform,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "mean_error_reduction",
     "run_factored",
     "run_naive",
-    "run_sharded",
     "run_smurf",
     "run_uniform",
     "within_accuracy",

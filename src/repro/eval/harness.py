@@ -1,11 +1,12 @@
 """Experiment harness: run a cleaning system over a trace and score it.
 
 Used by the benchmark suite and the examples.  A *system* is anything that
-turns a trace's epochs into per-object location estimates: the factored or
-naive particle-filter pipelines, the improved-SMURF baseline, or the uniform
-sampler.  The harness runs it, times it (per-reading, the paper's throughput
-metric), collects final estimates, and computes the inference error against
-the trace's ground truth.
+turns a trace's epochs into per-object location estimates: the factored
+filter (always through the sharded runtime), the naive particle-filter
+pipeline, the improved-SMURF baseline, or the uniform sampler.  The harness
+runs it, times it (per-reading, the paper's throughput metric), collects
+final estimates, and computes the inference error against the trace's
+ground truth.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from ..baselines.smurf_location import SmurfLocationConfig, SmurfLocationEstimat
 from ..baselines.uniform import UniformConfig, UniformSampler
 from ..config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from ..geometry.shapes import ShelfSet
-from ..inference.factored import FactoredParticleFilter
 from ..inference.naive import NaiveParticleFilter
-from ..inference.pipeline import CleaningPipeline, engine_counters
+from ..inference.pipeline import CleaningPipeline
 from ..models.joint import RFIDWorldModel
-from ..runtime import ShardedRuntime
-from ..streams.sinks import CollectingSink, EventSink, TeeSink
+from ..runtime import QueryBridge, ShardedRuntime
+from ..streams.sinks import CollectingSink
 from ..streams.sources import Trace
 from .metrics import ErrorSummary, inference_error
 
@@ -76,23 +76,6 @@ def _query_extras(engine) -> Dict[str, float]:
     return extras
 
 
-class _BridgeSink(EventSink):
-    """Event sink that feeds a query engine during the timed run, so the
-    measured elapsed time includes serving the standing queries."""
-
-    def __init__(self, engine):
-        from ..query.tuples import tuple_from_event
-
-        self._engine = engine
-        self._adapt = tuple_from_event
-
-    def emit(self, event) -> None:
-        self._engine.push(self._adapt(event))
-
-    def close(self) -> None:
-        self._engine.finish()
-
-
 def _score(
     estimates: Dict[int, np.ndarray], trace: Trace
 ) -> Optional[ErrorSummary]:
@@ -108,6 +91,35 @@ def _score(
     return inference_error(estimates, truth, numbers=scorable)
 
 
+def _timed_run(name: str, trace: Trace, run, engine=None) -> SystemResult:
+    """Time ``run(epochs)`` (it returns the collecting sink) and score it.
+
+    Scores the *emitted events* (latest per tag), not the engine's state at
+    trace end: the paper outputs an event shortly after an object is in
+    scope precisely because the belief later diffuses under the object
+    movement model (alpha per epoch) once the reader moves away.  Objects
+    ``engine`` knows that never emitted fall back to its estimate.
+    """
+    epochs = trace.epochs()
+    start = _time.perf_counter()
+    sink = run(epochs)
+    elapsed = _time.perf_counter() - start
+    assert isinstance(sink, CollectingSink)
+    estimates = final_estimates_from_sink(sink)
+    if engine is not None:
+        for n in engine.known_objects():
+            if n not in estimates:
+                estimates[n] = engine.object_estimate(n).mean
+    return SystemResult(
+        name=name,
+        estimates=estimates,
+        error=_score(estimates, trace),
+        elapsed_s=elapsed,
+        n_readings=trace.n_readings,
+        n_epochs=len(epochs),
+    )
+
+
 def run_factored(
     trace: Trace,
     model: RFIDWorldModel,
@@ -116,123 +128,50 @@ def run_factored(
     initial_heading: float = 0.0,
     name: str = "factored",
     query_engine=None,
-) -> SystemResult:
-    """Run the factored-filter pipeline over a trace.
-
-    ``query_engine`` (a :class:`~repro.query.engine.QueryEngine`, usually
-    the multiplexer) is fed every emitted event *during* the timed run, and
-    its serving stats land in ``extra`` under ``query_*`` keys.
-    """
-    engine = FactoredParticleFilter(model, config, initial_heading=initial_heading)
-    sink = CollectingSink()
-    run_sink: EventSink = sink
-    if query_engine is not None:
-        run_sink = TeeSink([sink, _BridgeSink(query_engine)])
-    pipeline = CleaningPipeline(engine, policy, run_sink)
-    epochs = trace.epochs()
-    start = _time.perf_counter()
-    pipeline.run(epochs)
-    elapsed = _time.perf_counter() - start
-    # Score the *emitted events* (latest per tag), not the engine's state at
-    # trace end: the paper outputs an event shortly after an object is in
-    # scope precisely because the belief later diffuses under the object
-    # movement model (alpha per epoch) once the reader moves away.
-    estimates = final_estimates_from_sink(sink)
-    for n in engine.known_objects():
-        if n not in estimates:
-            estimates[n] = engine.object_estimate(n).mean
-    return SystemResult(
-        name=name,
-        estimates=estimates,
-        error=_score(estimates, trace),
-        elapsed_s=elapsed,
-        n_readings=trace.n_readings,
-        n_epochs=len(epochs),
-        extra={
-            "belief_memory_bytes": float(engine.belief_memory_bytes()),
-            "arena_grows": float(engine.arena.stats["grows"]),
-            "arena_compactions": float(engine.arena.stats["compactions"]),
-            "arena_memory_bytes": float(engine.arena.memory_bytes()),
-            **engine_counters(engine),
-            # A final-epoch snapshot (the counters above are whole-trace sums).
-            "last_epoch_active_count": float(engine.active_count),
-            **({} if query_engine is None else _query_extras(query_engine)),
-        },
-    )
-
-
-def run_sharded(
-    trace: Trace,
-    model: RFIDWorldModel,
-    config: InferenceConfig = InferenceConfig(),
     runtime_config: RuntimeConfig = RuntimeConfig(),
-    policy: OutputPolicyConfig = OutputPolicyConfig(),
-    initial_heading: float = 0.0,
-    name: str = "sharded",
-    query_engine=None,
 ) -> SystemResult:
-    """Run the sharded runtime (epochs -> shards -> event bus) over a trace.
+    """Run the factored filter over a trace through the sharded runtime
+    (epochs -> shards -> event bus).
 
-    ``extra`` reports per-shard arena statistics (``shard<i>_*``) alongside
-    the aggregate belief memory, so scalability sweeps can see how evenly
-    the partitioner spread the population.  ``query_engine`` is bridged to
-    the runtime's event bus (standing queries served inside the timed run)
-    and reports ``query_*`` extras.
+    The default ``runtime_config`` is one serial shard, which keeps the root
+    seed and so emits exactly what a bare
+    :class:`~repro.inference.pipeline.CleaningPipeline` would.  ``extra``
+    reports per-shard statistics (``shard<i>_*``) and their whole-run totals
+    under the plain key (belief memory, arena health, every engine counter,
+    the adaptive budget's tier census), so scalability sweeps can see how
+    evenly the partitioner spread the population.  ``query_engine`` (a
+    :class:`~repro.query.engine.QueryEngine`, usually the multiplexer) is
+    bridged to the event bus, so the timed run includes serving the
+    standing queries, and reports ``query_*`` extras.
     """
     runtime = ShardedRuntime(
         model, config, runtime_config, policy, initial_heading=initial_heading
     )
     if query_engine is not None:
-        from ..runtime import QueryBridge
-
         QueryBridge(query_engine, runtime.bus, runtime=runtime)
-    epochs = trace.epochs()
-    start = _time.perf_counter()
-    sink = runtime.run(epochs)
-    elapsed = _time.perf_counter() - start
-    assert isinstance(sink, CollectingSink)
-    estimates = final_estimates_from_sink(sink)
-    for n in runtime.known_objects():
-        if n not in estimates:
-            estimates[n] = runtime.object_estimate(n).mean
-    extra: Dict[str, float] = {
-        "n_shards": float(runtime.n_shards),
-        "events_published": float(runtime.bus.published),
+    result = _timed_run(name, trace, runtime.run, runtime)
+    extra = result.extra
+    extra.update(
+        n_shards=float(runtime.n_shards),
+        events_published=float(runtime.bus.published),
         # Deployment shape: worker processes backing the run (0 = in-process
         # executor; local and remote shards are both worker processes).
         # Stats below come from the shards either way — worker proxies
         # answer from what they cached at finish.
-        "worker_processes": float(
+        worker_processes=float(
             runtime.n_shards if runtime_config.executor != "serial" else 0
         ),
-    }
+    )
     rows = runtime.shard_stats()
     for row in rows:
         index = int(row["shard"])
         for key, value in row.items():
             if key != "shard":
                 extra[f"shard{index}_{key}"] = value
-    # Whole-run totals of every per-shard key (arena health, the adaptive
-    # budget's tier census, …); memory and arena churn are reported even
-    # for engines without an arena.
-    extra.update(
-        belief_memory_bytes=0.0,
-        arena_grows=0.0,
-        arena_compactions=0.0,
-        arena_memory_bytes=0.0,
-    )
     extra.update(runtime.shard_totals(rows))
     if query_engine is not None:
         extra.update(_query_extras(query_engine))
-    return SystemResult(
-        name=name,
-        estimates=estimates,
-        error=_score(estimates, trace),
-        elapsed_s=elapsed,
-        n_readings=trace.n_readings,
-        n_epochs=len(epochs),
-        extra=extra,
-    )
+    return result
 
 
 def run_naive(
@@ -243,28 +182,13 @@ def run_naive(
     initial_heading: float = 0.0,
     name: str = "naive",
 ) -> SystemResult:
-    """Run the unfactorized joint particle filter over a trace."""
+    """Run the unfactorized joint particle filter over a trace (on a bare
+    cleaning pipeline: the joint filter does not shard)."""
     engine = NaiveParticleFilter(
         model, config, n_particles=n_particles, initial_heading=initial_heading
     )
-    sink = CollectingSink()
-    pipeline = CleaningPipeline(engine, OutputPolicyConfig(), sink)
-    epochs = trace.epochs()
-    start = _time.perf_counter()
-    pipeline.run(epochs)
-    elapsed = _time.perf_counter() - start
-    estimates = final_estimates_from_sink(sink)
-    for n in engine.known_objects():
-        if n not in estimates:
-            estimates[n] = engine.object_estimate(n).mean
-    return SystemResult(
-        name=name,
-        estimates=estimates,
-        error=_score(estimates, trace),
-        elapsed_s=elapsed,
-        n_readings=trace.n_readings,
-        n_epochs=len(epochs),
-    )
+    pipeline = CleaningPipeline(engine, OutputPolicyConfig(), CollectingSink())
+    return _timed_run(name, trace, pipeline.run, engine)
 
 
 def run_smurf(
@@ -274,21 +198,7 @@ def run_smurf(
     name: str = "smurf",
 ) -> SystemResult:
     """Run improved SMURF (presence smoothing + location sampling)."""
-    system = SmurfLocationEstimator(shelves, config)
-    epochs = trace.epochs()
-    start = _time.perf_counter()
-    sink = system.run(epochs)
-    elapsed = _time.perf_counter() - start
-    assert isinstance(sink, CollectingSink)
-    estimates = final_estimates_from_sink(sink)
-    return SystemResult(
-        name=name,
-        estimates=estimates,
-        error=_score(estimates, trace),
-        elapsed_s=elapsed,
-        n_readings=trace.n_readings,
-        n_epochs=len(epochs),
-    )
+    return _timed_run(name, trace, SmurfLocationEstimator(shelves, config).run)
 
 
 def run_uniform(
@@ -298,18 +208,4 @@ def run_uniform(
     name: str = "uniform",
 ) -> SystemResult:
     """Run the worst-case uniform-sampling baseline."""
-    system = UniformSampler(shelves, config)
-    epochs = trace.epochs()
-    start = _time.perf_counter()
-    sink = system.run(epochs)
-    elapsed = _time.perf_counter() - start
-    assert isinstance(sink, CollectingSink)
-    estimates = final_estimates_from_sink(sink)
-    return SystemResult(
-        name=name,
-        estimates=estimates,
-        error=_score(estimates, trace),
-        elapsed_s=elapsed,
-        n_readings=trace.n_readings,
-        n_epochs=len(epochs),
-    )
+    return _timed_run(name, trace, UniformSampler(shelves, config).run)

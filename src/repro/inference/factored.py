@@ -283,13 +283,14 @@ class FactoredParticleFilter:
         self._epoch_index = -1
         #: First epoch at which a compression-pass scan can find a candidate.
         self._compression_due = 0
-        #: Adaptive-budget bookkeeping (inert unless ``config.budget.enabled``):
         #: ``_engaged`` are uncompressed, un-parked objects — the set the
-        #: per-epoch kernels run over; ``_parked`` are settled objects whose
-        #: particle blocks are frozen at an intermediate tier awaiting decay
-        #: or revival.  Every belief is in exactly one of engaged / parked /
-        #: compressed.  The decay timetable is a lazy-deletion heap of
-        #: ``(due_epoch, object)`` entries validated against ``_decay_due``.
+        #: per-epoch kernels run over in every mode.  Adaptive-budget
+        #: bookkeeping (empty unless ``config.budget.enabled``): ``_parked``
+        #: are settled objects whose particle blocks are frozen at an
+        #: intermediate tier awaiting decay or revival.  Every belief is in
+        #: exactly one of engaged / parked / compressed.  The decay timetable
+        #: is a lazy-deletion heap of ``(due_epoch, object)`` entries
+        #: validated against ``_decay_due``.
         self._engaged: Set[int] = set()
         self._parked: Set[int] = set()
         self._engaged_order: Optional[List[int]] = None
@@ -412,16 +413,8 @@ class FactoredParticleFilter:
                 anchor, heading, self.config.init_cone_half_angle_rad, self._sensing_range
             ))
 
-        # --- active set (Cases 1 and 2) ----------------------------------
-        # With adaptive budgets on, skip-propagation replaces the full-scan
-        # active set: parked (settled, unread) objects never enter the
-        # kernels, so the per-epoch cost tracks the *engaged* set, not the
-        # known population.  The accounting happens after the read loop,
-        # once reads have revived whoever they touched.
         read_now = {tag.number for tag in epoch.object_tags}
         budget = self.config.budget
-        if not budget.enabled:
-            active = self._selector.select(read_now, self._beliefs.keys(), current_box)
 
         # --- (re)initialize / decompress / revive read objects ------------
         # Three short passes in tag-number order (the epoch's frozenset
@@ -463,21 +456,23 @@ class FactoredParticleFilter:
             if decision is ReinitDecision.RESET:
                 self._selector.forget_object(number)
 
+        # --- active set (Cases 1 and 2) ----------------------------------
+        # Selected over the engaged set — uncompressed, un-parked objects —
+        # once the read loop has revived whoever it touched: compressed
+        # Case-2 candidates and, under adaptive budgets, parked (settled,
+        # unread) objects never enter the kernels, so the per-epoch cost
+        # tracks the engaged set, not the known population.
+        if self._selector.enabled:
+            active = self._selector.select(read_now, self._engaged, current_box)
+            batch_ids = [n for n in sorted(active) if n in self._engaged]
+        else:
+            batch_ids = self._engaged_ids()
+        self.stats["objects_skipped_settled"] += len(self._parked)
+
         # --- propagate + weight active objects (Eq. 5, w_ti), batched -----
         # One gather builds a contiguous cross-object batch; every kernel
         # below runs once over all active objects.
         feedback: Optional[np.ndarray] = None
-        if budget.enabled:
-            if self._selector.enabled:
-                active = self._selector.select(read_now, self._engaged, current_box)
-                batch_ids = [n for n in sorted(active) if n in self._engaged]
-            else:
-                batch_ids = self._engaged_ids()
-            self.stats["objects_skipped_settled"] += len(self._parked)
-        else:
-            # Every read object has a belief by now, so ``active`` is known;
-            # compressed Case-2 candidates stay out of the kernels.
-            batch_ids = [n for n in sorted(active) if self._beliefs[n].gaussian is None]
         self._active_count = len(batch_ids)
         self.stats["objects_processed"] += len(batch_ids)
         self.stats["objects_skipped"] += max(0, len(self._beliefs) - len(batch_ids))

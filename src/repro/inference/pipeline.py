@@ -40,14 +40,6 @@ class InferenceEngine(Protocol):
     def epoch_index(self) -> int: ...
 
 
-def engine_counters(engine) -> Dict[str, float]:
-    """Every counter in a factored filter's ``stats`` plus its
-    ``tier_summary()``, as floats — the one list shard stats and the eval
-    harness both report."""
-    row = {**engine.stats, **engine.tier_summary()}
-    return {key: float(value) for key, value in row.items()}
-
-
 @dataclass
 class _VisitState:
     """Per-object bookkeeping for the output policy."""

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 from ..config import InferenceConfig, OutputPolicyConfig
 from ..errors import StateError
 from ..inference.factored import FactoredParticleFilter
-from ..inference.pipeline import CleaningPipeline, engine_counters
+from ..inference.pipeline import CleaningPipeline
 from ..models.joint import RFIDWorldModel
 from ..streams.records import Epoch, LocationEvent
 from ..streams.sinks import CollectingSink
@@ -104,23 +104,25 @@ class FilterShard:
         return buffered
 
     def stats(self) -> Dict[str, float]:
-        """Per-shard diagnostics for the harness and benchmarks: arena
-        fields plus every engine counter
-        (:func:`~repro.inference.pipeline.engine_counters`)."""
+        """Per-shard diagnostics for the harness and benchmarks, as floats:
+        arena fields plus every counter in the engine's ``stats`` and its
+        ``tier_summary()``."""
         engine = self.engine
         arena = engine.arena
-        return {
-            "shard": float(self.index),
-            "objects": float(len(engine.known_objects())),
-            "active_count": float(engine.active_count),
-            "arena_used_rows": float(arena.used_rows),
-            "arena_capacity": float(arena.capacity),
-            "arena_grows": float(arena.stats.get("grows", 0)),
-            "arena_compactions": float(arena.stats.get("compactions", 0)),
-            "arena_memory_bytes": float(arena.memory_bytes()),
-            "belief_memory_bytes": float(engine.belief_memory_bytes()),
-            **engine_counters(engine),
+        row = {
+            "shard": self.index,
+            "objects": len(engine.known_objects()),
+            "active_count": engine.active_count,
+            "arena_used_rows": arena.used_rows,
+            "arena_capacity": arena.capacity,
+            "arena_grows": arena.stats.get("grows", 0),
+            "arena_compactions": arena.stats.get("compactions", 0),
+            "arena_memory_bytes": arena.memory_bytes(),
+            "belief_memory_bytes": engine.belief_memory_bytes(),
+            **engine.stats,
+            **engine.tier_summary(),
         }
+        return {key: float(value) for key, value in row.items()}
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)

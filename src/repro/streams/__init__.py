@@ -15,7 +15,6 @@ from .sinks import (
     CollectingSink,
     CsvSink,
     EventSink,
-    TeeSink,
 )
 from .sources import GroundTruth, ObjectMove, Trace, merge_traces
 from .synchronize import EpochSynchronizer, synchronize
@@ -34,7 +33,6 @@ __all__ = [
     "TagId",
     "TagKind",
     "TagReading",
-    "TeeSink",
     "Trace",
     "make_epoch",
     "merge_traces",

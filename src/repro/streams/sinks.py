@@ -8,7 +8,7 @@ the query engine) or serialize them.
 from __future__ import annotations
 
 import csv
-from typing import Dict, Iterable, List, TextIO
+from typing import Dict, List, TextIO
 
 from .records import LocationEvent, TagId
 
@@ -46,21 +46,6 @@ class CollectingSink(EventSink):
             if current is None or event.time >= current.time:
                 out[event.tag] = event
         return out
-
-
-class TeeSink(EventSink):
-    """Fans each event out to several sinks."""
-
-    def __init__(self, sinks: Iterable[EventSink]):
-        self._sinks = list(sinks)
-
-    def emit(self, event: LocationEvent) -> None:
-        for sink in self._sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()
 
 
 class CsvSink(EventSink):

@@ -62,6 +62,12 @@ def test_the_batch_loop_guard_finds_nothing_in_src():
     assert guard_hits("_cmd_checkpoint|") == []
 
 
+def test_the_factored_run_path_guard_finds_nothing_in_src():
+    """The eval harness runs the factored filter one way, through the
+    sharded runtime: no second runner, no private event-to-query tee."""
+    assert guard_hits("def run_sharded|") == []
+
+
 def test_the_line_ratchet_holds_for_src():
     """The package source is no longer than the ratchet step allows."""
     doc = yaml.safe_load(WORKFLOW.read_text())

@@ -201,8 +201,11 @@ CONFIG_FLAGS = {
 FLAG_GROUPS = [g for g in vars(cli).values() if isinstance(g, cli._FlagGroup)]
 #: The verbs that build configs (serve-reshard's --shards is a request field).
 CONFIG_VERBS = ("simulate", "clean", "query", "serve", "evaluate", "lab")
-#: The verbs whose config flags stay off the namespace unless given.
+#: The batch verbs, which share one run loop.
 BATCH_VERBS = ("clean", "query")
+#: The verbs that run the runtime: their engine, policy, checkpoint,
+#: sharding and supervisor flags stay off the namespace unless given.
+RUN_VERBS = BATCH_VERBS + ("serve",)
 
 
 def _verb_parsers():
@@ -293,8 +296,9 @@ class TestConfigFlags:
     @pytest.mark.parametrize("verb", CONFIG_VERBS)
     def test_a_fresh_run_builds_the_default_instances_fields(self, verb, handed_over):
         """The parser default is the default instance's field — or, on the
-        batch verbs, absent, so ``--resume`` can tell a given flag — and a
-        fresh run without the flag builds the default instance's field."""
+        verbs that run the runtime, absent (serve's own knobs excepted), so
+        ``--resume`` can tell a given flag — and a fresh run without the flag
+        builds the default instance's field."""
         parser = VERB_PARSERS[verb]
         supervise = ["--supervise"] if "--supervise" in parser._option_string_actions else []
         built = list(handed_over(verb, supervise).values())
@@ -306,9 +310,8 @@ class TestConfigFlags:
                 if action is None or not configs:  # another group's --seed
                     continue
                 expected = _follow(group.default, path)
-                assert action.default == (
-                    argparse.SUPPRESS if verb in BATCH_VERBS else expected
-                )
+                suppressed = verb in RUN_VERBS and group is not cli._SERVE
+                assert action.default == (argparse.SUPPRESS if suppressed else expected)
                 assert _follow(configs[0], path) == expected
 
     def test_type_hints_resolved_once_per_config_class(self):
@@ -350,6 +353,40 @@ class TestUsageErrors:
             main([argv[0], str(trace_path), *argv[1:]])
         assert excinfo.value.code == 2
         assert f"repro {argv[0]}: error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", RUN_VERBS)
+    def test_supervisor_flag_without_supervise_exits_2(
+        self, trace_path, tmp_path, capsys, monkeypatch, verb
+    ):
+        """A fresh run refuses ``--max-restarts`` / ``--op-timeout`` without
+        ``--supervise`` instead of dropping them."""
+        argv = [verb, str(trace_path), "--max-restarts", "9"]
+        if verb == "serve":
+            argv += ["--socket", str(tmp_path / "s"), "--emissions", str(tmp_path / "e")]
+            monkeypatch.setattr("repro.serve.ReproService.run", lambda service: 0)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {verb}: error: " in err and "--supervise" in err
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--checkpoint-every", "10"], "checkpoint_dir"),
+            (["--resume"], "--resume requires --checkpoint-dir"),
+        ],
+        ids=["checkpoint-every", "resume"],
+    )
+    def test_serve_checkpoint_flag_without_dir_exits_2(
+        self, trace_path, tmp_path, capsys, flags, named
+    ):
+        argv = ["serve", str(trace_path), "--socket", str(tmp_path / "s")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--emissions", str(tmp_path / "e"), *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: " in err and named in err
 
     @pytest.mark.parametrize("verb", sorted(VERB_PARSERS))
     def test_help_exits_0(self, verb, capsys):
@@ -660,6 +697,82 @@ class TestResumeFlags:
         header = read_checkpoint_header(moved / (moved / "LATEST").read_text().strip())
         assert header["runtime_config"]["checkpoint_dir"] == str(moved)
         assert header["runtime_config"]["n_shards"] == 2
+
+    @staticmethod
+    def _serve_argv(trace_path, tmp_path, directory):
+        return [
+            "serve", str(trace_path), "--socket", str(tmp_path / "s"),
+            "--emissions", str(tmp_path / "e.jsonl"),
+            "--checkpoint-dir", str(directory), "--resume",
+        ]
+
+    def _serve_resumed(self, trace_path, tmp_path, periodic, monkeypatch, *flags):
+        """The service ``serve --resume`` builds, stopped before it serves."""
+        from repro.serve import ReproService
+
+        def stop(service):
+            raise _Handover(service)
+
+        monkeypatch.setattr(ReproService, "run", stop)
+        with pytest.raises(_Handover) as handover:
+            main(self._serve_argv(trace_path, tmp_path, periodic) + list(flags))
+        (service,) = handover.value.args
+        service.runtime.abort()
+        return service
+
+    @pytest.mark.parametrize(
+        "flags,n_shards", [([], 2), (["--shards", "3"], 3)], ids=["recorded", "given"]
+    )
+    def test_serve_resume_keeps_the_recorded_layout_unless_given(
+        self, trace_path, tmp_path, periodic, monkeypatch, flags, n_shards
+    ):
+        service = self._serve_resumed(trace_path, tmp_path, periodic, monkeypatch, *flags)
+        assert service.resumed_from is not None
+        assert service.runtime.n_shards == n_shards
+        assert service.runtime.config.object_particles == 150
+
+    def test_serve_resume_refuses_a_conflicting_engine_flag(
+        self, trace_path, tmp_path, periodic, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.ReproService.run", lambda service: 0)
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._serve_argv(trace_path, tmp_path, periodic) + ["--particles", "7"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: " in err and "--particles 7" in err
+
+    @pytest.mark.parametrize("verb", RUN_VERBS)
+    def test_refused_checkpoint_is_a_usage_error(
+        self, trace_path, tmp_path, periodic, capsys, monkeypatch, verb
+    ):
+        """A checkpoint whose bytes fail verification ends in one usage
+        line, not a traceback; its header still parses, so a checkpoint
+        directory resolves to it."""
+        latest = periodic / (periodic / "LATEST").read_text().strip()
+        data = bytearray(latest.read_bytes())
+        data[-1] ^= 0xFF  # the SHA-256 trailer no longer matches
+        latest.write_bytes(bytes(data))
+        if verb == "serve":
+            argv = self._serve_argv(trace_path, tmp_path, periodic)
+            monkeypatch.setattr("repro.serve.ReproService.run", lambda service: 0)
+        else:
+            argv = [verb, str(trace_path), "--resume", str(periodic)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {verb}: error: " in err and "Traceback" not in err
+
+    def test_truncated_checkpoint_file_is_a_usage_error(
+        self, trace_path, tmp_path, periodic, capsys
+    ):
+        latest = periodic / (periodic / "LATEST").read_text().strip()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(latest.read_bytes()[:300])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["clean", str(trace_path), "--resume", str(bad)])
+        assert excinfo.value.code == 2
+        assert "repro clean: error: " in capsys.readouterr().err
 
 
 class TestQueryServing:

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.config import InferenceConfig, RuntimeConfig
+import numpy as np
+
+from repro.config import InferenceConfig, OutputPolicyConfig, RuntimeConfig
 from repro.eval.harness import (
+    final_estimates_from_sink,
     run_factored,
     run_naive,
-    run_sharded,
     run_smurf,
     run_uniform,
 )
+from repro.query import QueryEngine
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +83,59 @@ class TestRunFactored:
         assert extra["particles_full"] + extra["particles_parked"] >= 0
 
 
-class TestRunSharded:
+class _RecordingEngine(QueryEngine):
+    """A query engine that keeps every tuple the harness bridges into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = []
+
+    def push(self, tup):
+        self.pushed.append(tup)
+        super().push(tup)
+
+
+def _rows(tuples):
+    return [(t.time, tuple(sorted(t.items()))) for t in tuples]
+
+
+class TestMatchesTheBarePipeline:
+    def test_events_estimates_and_counters_are_bitwise_equal(self, scene, fast_cfg):
+        """The harness's one-serial-shard runtime is the bare cleaning
+        pipeline: the same events, estimates and engine counters."""
+        from repro.inference.factored import FactoredParticleFilter
+        from repro.inference.pipeline import CleaningPipeline
+        from repro.query.tuples import tuple_from_event
+        from repro.streams.sinks import CollectingSink
+
+        sim, trace = scene
+        config = fast_cfg.with_index().with_compression(unread_epochs=8)
+        recorder = _RecordingEngine()
+        result = run_factored(trace, sim.world_model(), config, query_engine=recorder)
+
+        engine = FactoredParticleFilter(sim.world_model(), config)
+        sink = CollectingSink()
+        CleaningPipeline(engine, OutputPolicyConfig(), sink).run(trace.epochs())
+        assert sink.events
+        assert _rows(recorder.pushed) == _rows(map(tuple_from_event, sink.events))
+        expected = final_estimates_from_sink(sink)
+        for n in engine.known_objects():
+            expected.setdefault(n, engine.object_estimate(n).mean)
+        assert result.estimates.keys() == expected.keys()
+        for number, estimate in expected.items():
+            np.testing.assert_array_equal(result.estimates[number], estimate)
+        assert engine.stats["objects_processed"] > 0
+        for key, value in {**engine.stats, **engine.tier_summary()}.items():
+            assert result.extra[key] == float(value), key
+        assert result.extra["belief_memory_bytes"] == engine.belief_memory_bytes()
+        assert result.extra["n_shards"] == 1.0
+
+
+class TestRuntimeConfig:
     def test_scores_and_reports_per_shard_stats(self, scene, fast_cfg):
         sim, trace = scene
-        result = run_sharded(
-            trace, sim.world_model(), fast_cfg, RuntimeConfig(n_shards=2)
+        result = run_factored(
+            trace, sim.world_model(), fast_cfg, runtime_config=RuntimeConfig(n_shards=2)
         )
         assert result.error is not None
         assert result.error.n_objects == 6
@@ -102,7 +153,7 @@ class TestRunSharded:
 
     def test_aggregates_budget_census_across_shards(self, scene, fast_cfg):
         sim, trace = scene
-        result = run_sharded(
+        result = run_factored(
             trace,
             sim.world_model(),
             fast_cfg.with_budget(
@@ -111,7 +162,7 @@ class TestRunSharded:
                 decay_every_epochs=2,
                 settle_error_sq_ft=1000.0,
             ),
-            RuntimeConfig(n_shards=2),
+            runtime_config=RuntimeConfig(n_shards=2),
         )
         extra = result.extra
         census = (
@@ -123,28 +174,6 @@ class TestRunSharded:
         assert extra["budget_decays"] >= 1
         # Per-shard rows carry the same keys individually.
         assert "shard0_objects_compressed" in extra
-
-    def test_single_shard_matches_factored_error(self, scene, fast_cfg):
-        sim, trace = scene
-        factored = run_factored(trace, sim.world_model(), fast_cfg)
-        sharded = run_sharded(trace, sim.world_model(), fast_cfg)
-        # n_shards=1 preserves the root seed: identical event stream,
-        # identical score.
-        assert sharded.error.xy == pytest.approx(factored.error.xy, abs=1e-12)
-
-
-    def test_single_shard_reports_the_factored_counters(self, scene, fast_cfg):
-        """run_factored and run_sharded report one counter list: at
-        n_shards=1 (root seed preserved) every engine counter agrees."""
-        from repro.inference.factored import FactoredParticleFilter
-
-        sim, trace = scene
-        config = fast_cfg.with_index().with_compression(unread_epochs=8)
-        factored = run_factored(trace, sim.world_model(), config)
-        sharded = run_sharded(trace, sim.world_model(), config)
-        assert factored.extra["objects_processed"] > 0
-        for key in FactoredParticleFilter._default_stats():
-            assert sharded.extra[key] == factored.extra[key], key
 
 
 class TestRunNaive:
@@ -179,8 +208,8 @@ class TestBaselineRunners:
 
 
 class TestQueryExtras:
-    """Both runners serve an attached query engine inside the timed run and
-    surface its multiplexer stats as ``query_*`` extras."""
+    """The harness serves an attached query engine inside the timed run and
+    surfaces its multiplexer stats as ``query_*`` extras."""
 
     @staticmethod
     def _engine():
@@ -208,26 +237,21 @@ class TestQueryExtras:
             sum(len(outputs) for outputs in engine.outputs.values())
         )
 
-    def test_run_sharded_reports_query_extras_and_matches(self, scene, fast_cfg):
+    def test_sharded_run_reports_query_extras(self, scene, fast_cfg):
         sim, trace = scene
-        factored_engine = self._engine()
-        run_factored(
-            trace, sim.world_model(), fast_cfg, query_engine=factored_engine
+        engine = self._engine()
+        result = run_factored(
+            trace,
+            sim.world_model(),
+            fast_cfg,
+            query_engine=engine,
+            runtime_config=RuntimeConfig(n_shards=2),
         )
-        sharded_engine = self._engine()
-        result = run_sharded(
-            trace, sim.world_model(), fast_cfg, query_engine=sharded_engine
-        )
+        assert result.extra["n_shards"] == 2.0
         assert result.extra["query_queries"] == 10.0
-        # n_shards=1 preserves the root seed: the runtime's bus bridge and
-        # the factored pipeline's tee sink serve identical emission streams.
-        def rows(engine):
-            return {
-                name: [(t.time, tuple(sorted(t.items()))) for t in outputs]
-                for name, outputs in engine.outputs.items()
-            }
-
-        assert rows(sharded_engine) == rows(factored_engine)
+        assert result.extra["query_emissions"] == float(
+            sum(len(outputs) for outputs in engine.outputs.values())
+        ) > 0
 
     def test_no_engine_no_query_extras(self, scene, fast_cfg):
         sim, trace = scene

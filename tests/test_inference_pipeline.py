@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import OutputPolicyConfig
 from repro.inference.estimates import LocationEstimate
-from repro.inference.pipeline import CleaningPipeline, engine_counters
+from repro.inference.pipeline import CleaningPipeline
 from repro.streams.records import make_epoch
 from repro.streams.sinks import CollectingSink
 
@@ -256,22 +256,6 @@ class TestRun:
         sink = pipeline.run(epochs)
         assert isinstance(sink, CollectingSink)
         assert len(sink) >= 1
-
-
-class TestEngineCounters:
-    def test_copies_every_stat_and_tier_count(self, small_model, fast_config):
-        from repro.inference.factored import FactoredParticleFilter
-
-        engine = FactoredParticleFilter(small_model, fast_config.with_budget())
-        for t in range(12):
-            engine.step(
-                make_epoch(float(t), (0.0, 0.1 * t), object_tags=[0] if t < 6 else [])
-            )
-        row = engine_counters(engine)
-        expected = {**engine.stats, **engine.tier_summary()}
-        assert row == {key: float(value) for key, value in expected.items()}
-        assert all(type(value) is float for value in row.values())
-        assert row["objects_processed"] > 0 and row["epochs"] == 12.0
 
 
 class TestSinkClose:

@@ -94,19 +94,22 @@ class TestProcessParity:
     def test_workers_allocate_no_shared_memory(self, scenario, monkeypatch):
         check_no_shared_memory(scenario, "process", monkeypatch)
 
-def check_run_sharded(scenario, executor):
+def check_run_factored(scenario, executor):
     """The eval harness queries the runtime *after* run(): stats, known
-    objects, and estimates must survive worker retirement."""
-    from repro.eval.harness import run_sharded
+    objects, and estimates must survive worker retirement, and match the
+    serial executor's."""
+    from repro.eval.harness import run_factored
 
     model, trace, config = scenario
     with worker_link(executor) as runtime_config:
-        result = run_sharded(trace, model, config, runtime_config(2), POLICY)
+        result = run_factored(trace, model, config, POLICY, runtime_config=runtime_config(2))
     assert result.error is not None
     assert result.extra["worker_processes"] == 2.0
     assert result.extra["n_shards"] == 2.0
     assert result.extra["shard0_arena_used_rows"] > 0
-    reference = run_sharded(trace, model, config, RuntimeConfig(n_shards=2), POLICY)
+    reference = run_factored(
+        trace, model, config, POLICY, runtime_config=RuntimeConfig(n_shards=2)
+    )
     assert reference.extra["worker_processes"] == 0.0
     for number, estimate in result.estimates.items():
         np.testing.assert_array_equal(estimate, reference.estimates[number])
@@ -116,12 +119,12 @@ def check_run_sharded(scenario, executor):
 
 
 class TestHarnessIntegration:
-    def test_run_sharded_with_process_executor(self, scenario):
-        check_run_sharded(scenario, "process")
+    def test_run_factored_with_process_executor(self, scenario):
+        check_run_factored(scenario, "process")
 
-    def test_run_sharded_with_remote_executor(self, scenario):
+    def test_run_factored_with_remote_executor(self, scenario):
         """Remote shards are worker processes too (forked by the host)."""
-        check_run_sharded(scenario, "remote")
+        check_run_factored(scenario, "remote")
 
 
 class TestProcessDurability:

@@ -117,6 +117,22 @@ def test_stats_row_has_a_fixed_key_set(scenario):
     assert {"objects_processed", "objects_full"} <= set(before)
 
 
+def test_stats_row_copies_every_engine_counter_and_tier_count(scenario):
+    model, config, sub_epochs = scenario
+    shard = in_process(model, config.with_budget())
+    for sub in sub_epochs:
+        shard.step(sub)
+        shard.drain()
+    row = shard.stats()
+    engine = shard.engine
+    expected = {**engine.stats, **engine.tier_summary()}
+    assert {key: row[key] for key in expected} == {
+        key: float(value) for key, value in expected.items()
+    }
+    assert all(type(value) is float for value in row.values())
+    assert row["objects_processed"] > 0 and row["epochs"] == float(len(sub_epochs))
+
+
 def test_a_type_error_inside_a_delta_capture_surfaces_as_itself(
     scenario, monkeypatch
 ):

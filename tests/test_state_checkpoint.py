@@ -1334,11 +1334,11 @@ class TestEpochSeek:
 
 class TestShardStats:
     def test_arena_health_in_shard_stats_and_harness(self, scenario):
-        from repro.eval.harness import run_sharded
+        from repro.eval.harness import run_factored
 
         model, trace, config = scenario
-        result = run_sharded(
-            trace, model, config, RuntimeConfig(n_shards=2), POLICY
+        result = run_factored(
+            trace, model, config, POLICY, runtime_config=RuntimeConfig(n_shards=2)
         )
         for key in ("arena_grows", "arena_compactions", "arena_memory_bytes"):
             assert key in result.extra

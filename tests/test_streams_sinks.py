@@ -3,7 +3,7 @@
 import io
 
 from repro.streams.records import LocationEvent, TagId
-from repro.streams.sinks import CollectingSink, CsvSink, TeeSink
+from repro.streams.sinks import CollectingSink, CsvSink
 
 
 def event(t, number, x=1.0):
@@ -26,15 +26,6 @@ class TestCollectingSink:
         latest = sink.latest_by_tag()
         assert latest[TagId.object(1)].position[0] == 9.0
         assert latest[TagId.object(2)].time == 2.0
-
-
-class TestTeeSink:
-    def test_tee_fans_out(self):
-        a, b = CollectingSink(), CollectingSink()
-        tee = TeeSink([a, b])
-        tee.emit(event(0.0, 1))
-        tee.close()
-        assert len(a) == 1 and len(b) == 1
 
 
 class TestCsvSink:
