@@ -9,29 +9,43 @@ One experiment is one entry of ``EXPERIMENTS``: a sweep ``seed -> {series:
 shifts every simulator seed by ``1000 * s`` and seeds the filters and
 baselines with ``s``; seed 0 is the configuration the earlier one-seed figure
 scripts ran.  Every row is stored with its per-seed values, mean, std, min,
-max and quartiles, every check with whether it holds.
+max and quartiles, every check with whether it holds.  The seeds are also the
+repeats of the timing experiments at scale (hot loop, sharding, checkpoint,
+query serving, ingest).
 
 ``--check`` re-runs the first ``CHECK_SEEDS`` seeds and fails when a check's
 holds/fails status differs from the ledger's, or when a row's fresh mean
 leaves the ledger's per-seed [min, max].  Timing rows (an experiment's
-``timing`` series) are judged only through their checks.
+``timing`` series) are judged only through their checks and, where the
+experiment bounds them (``relative``), by a relative floor or ceiling: the
+fresh mean may not fall more than the stated share under the committed mean
+of the same seeds (higher is better) or rise more than it over (lower is
+better).
 
 Writing keeps the replaced ledger's ``workloads`` rows (the e2e benchmark's
 four workloads, scored from ``bench.Session``'s in-process reference run) as
 ``before``, with that ledger's provenance, and judges each row's move with
-``bench.judge``.
+``bench.judge``; when no bit of them moved, the replaced ledger's own
+``before`` and verdicts stay.  A ledger written from a dirty tree names the
+code it measured by the sha256 of ``git diff HEAD -- src benchmarks``.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import gc
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -41,11 +55,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 import bench  # noqa: E402  (puts this checkout's src/ first on sys.path)
-from bench import Session, judge, provenance, quartiles  # noqa: E402
+from bench import Session, judge, percentile, provenance, quartiles  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from repro import cli  # noqa: E402
 from repro.baselines.smurf_location import SmurfLocationConfig  # noqa: E402
 from repro.baselines.uniform import UniformConfig  # noqa: E402
 from repro.config import (  # noqa: E402
@@ -54,21 +69,38 @@ from repro.config import (  # noqa: E402
     SMALL_SHELF_DEPTH_FT,
     InferenceConfig,
     OutputPolicyConfig,
+    RuntimeConfig,
+    ServeConfig,
 )
 from repro.eval import mean_error_reduction, run_factored, run_naive, run_smurf, run_uniform  # noqa: E402
 from repro.eval.report import format_table  # noqa: E402
+from repro.geometry.box import Box  # noqa: E402
+from repro.geometry.shapes import ShelfRegion, ShelfSet  # noqa: E402
 from repro.inference.factored import FactoredParticleFilter  # noqa: E402
 from repro.learning.em import EMConfig, calibrate  # noqa: E402
 from repro.learning.logistic import field_of_truth_sensor, fit_sensor_to_field  # noqa: E402
-from repro.models import SensorModel, config_for_sensor  # noqa: E402
+from repro.models import RFIDWorldModel, SensorModel, config_for_sensor  # noqa: E402
+from repro.models.motion import MotionParams  # noqa: E402
 from repro.models.sensing import SensingNoiseParams  # noqa: E402
 from repro.models.sensor import SensorParams, field_correlation  # noqa: E402
-from repro.query import QueryEngine, fire_code_query, location_update_query  # noqa: E402
+from repro.query import (  # noqa: E402
+    MultiplexedQueryEngine,
+    QueryEngine,
+    fire_code_query,
+    location_update_query,
+    standing_region_queries,
+)
+from repro.query.tuples import StreamTuple  # noqa: E402
+from repro.runtime import ShardedRuntime  # noqa: E402
+from repro.runtime.transport import ShardHostServer  # noqa: E402
+from repro.serve import ReplaySource, ReproService  # noqa: E402
 from repro.simulation.lab import LabConfig, LabDeployment  # noqa: E402
 from repro.simulation.layout import LayoutConfig  # noqa: E402
 from repro.simulation.movement import single_group_move  # noqa: E402
 from repro.simulation.truth_sensor import ConeTruthSensor  # noqa: E402
 from repro.simulation.warehouse import WarehouseConfig, WarehouseSimulator  # noqa: E402
+from repro.state import restore_runtime, save_checkpoint  # noqa: E402
+from repro.streams.records import make_epoch  # noqa: E402
 
 LEDGER = bench.ROOT / "BENCH_fidelity.json"
 SEEDS = 10
@@ -90,6 +122,9 @@ class Experiment:
     checks: Dict[str, Callable[[Means], bool]]
     #: Series measured in wall-clock time: never range-checked.
     timing: Tuple[str, ...] = ()
+    #: Timing series -> (which way is better, the share by which the fresh
+    #: mean may move the other way from the committed mean).
+    relative: Dict[str, Tuple[str, float]] = field(default_factory=dict)
 
 
 def warehouse(base_seed: int, seed: int, **config: Any) -> WarehouseSimulator:
@@ -421,12 +456,295 @@ def ablation_resampling(seed: int) -> Series:
     return ablation(901, seed, configs, layout=LayoutConfig(n_objects=12, n_shelf_tags=4), **scene)
 
 
+# --- Section V-D at scale: one shelf row, every tag discovered, 16 rotating reads per epoch ---
+READS = 16
+#: No event formatting in a timed epoch: inference, routing and merge only.
+QUIET = OutputPolicyConfig(delay_s=1e9, on_scan_complete=False)
+
+
+def shelf_row(n: int) -> RFIDWorldModel:
+    """One long shelf row sized to ``n`` tags, two shelf anchor tags."""
+    length = max(8.0, n * 0.05)
+    return RFIDWorldModel.build(
+        ShelfSet([ShelfRegion(0, Box((2.0, 0.0, 0.0), (3.0, length, 0.0)))]),
+        shelf_tags={0: np.array([2.0, 1.0, 0.0]), 1: np.array([2.0, length - 1.0, 0.0])},
+        sensor_params=SensorParams(a=(4.0, 0.0, -0.9), b=(0.0, -6.0)),
+        motion_params=MotionParams(velocity=(0.0, 0.1, 0.0), sigma=(0.01, 0.01, 0.0)),
+        sensing_params=SensingNoiseParams(sigma=(0.01, 0.01, 0.0)),
+    )
+
+
+def row_epoch(t: int, n: int, speed: float = 0.1, reads: int = READS):
+    """Epoch ``t`` of the shelf-row stream: epoch 0 reads all ``n`` tags, each
+    later one ``reads`` rotating tags; the reader moves ``speed`` ft an epoch."""
+    tags = range(n) if t == 0 else [(t * reads + i) % n for i in range(reads)]
+    return make_epoch(float(t), (0.0, 1.0 + speed * t), object_tags=list(tags), reported_heading=0.0)
+
+
+def seconds(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[float, Any]:
+    """Wall time of one call and its result; as in ``timeit``, no cyclic
+    garbage collection inside the timed span."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = perf_counter()
+        result = fn(*args, **kwargs)
+        return perf_counter() - start, result
+    finally:
+        gc.enable()
+
+
+def rate(step: Callable[[Any], Any], epochs: Sequence[Any]) -> float:
+    """Epochs per second of ``step`` over ``epochs``."""
+    return len(epochs) / seconds(lambda: [step(epoch) for epoch in epochs])[0]
+
+
+def steady_rate(step: Callable[[Any], Any], n: int, epochs: int, start: int = 0) -> float:
+    """Discovery (epoch 0) and 3 warm-up epochs untimed from epoch ``start``
+    on, then ``epochs`` timed."""
+    for t in range(start, 4):
+        step(row_epoch(t, n))
+    return rate(step, [row_epoch(t, n) for t in range(4, 4 + epochs)])
+
+
+def adaptive(n: int, seed: int, dtype: str, timed: int) -> Tuple[FactoredParticleFilter, float]:
+    """Adaptive budgets: a sweep dwells 2 epochs on each 50-tag chunk, then a
+    window of movers (1 % of the tags, 16 to 200) slides 4 tags an epoch while
+    the rest park; 50 settle-in epochs, then ``timed`` timed ones."""
+    config = infer(100, 100, seed).with_budget(settle_error_sq_ft=2.0, force_park_after_epochs=24)
+    engine = FactoredParticleFilter(shelf_row(n), replace(config, arena=replace(config.arena, dtype=dtype)))
+    chunks, movers = max(1, n // 50), min(max(16, n // 100), 200)
+    spacing = max(8.0, n * 0.05) / chunks
+    plan = [((c + 0.5) * spacing, range(50 * c, min(50 * c + 50, n))) for c in range(chunks) for _ in range(2)]
+    for i in range(50 + timed):
+        window = [(4 * i + j) % n for j in range(movers)]
+        plan.append(((window[0] // 50 + 0.5) * spacing, window))
+    epochs = [make_epoch(float(t), (0.0, y), list(tags), reported_heading=0.0) for t, (y, tags) in enumerate(plan)]
+    for epoch in epochs[:-timed]:
+        engine.step(epoch)
+    return engine, rate(engine.step, epochs[-timed:])
+
+
+def hot_loop(seed: int) -> Series:
+    """The factored filter alone, index off: every tag active every epoch."""
+    out: Series = defaultdict(dict)
+    for n, epochs in ((100, 60), (500, 30), (2000, 10)):
+        engine = FactoredParticleFilter(shelf_row(n), infer(100, 100, seed))
+        out["epochs/s"][str(n)] = steady_rate(engine.step, n, epochs)
+        assert engine.active_count == n, "population fell out of the active set"
+    for n, dtype, epochs in ((2000, "float64", 60), (10_000, "float32", 40)):
+        engine, out["epochs/s"][f"{n} adaptive {dtype}"] = adaptive(n, seed, dtype, epochs)
+        out["active objects"][f"{n} adaptive {dtype}"] = float(engine.active_count)
+    return out
+
+
+@contextmanager
+def shard_host():
+    server = ShardHostServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{server.port}"
+    finally:
+        server.shutdown()
+        thread.join(5.0)
+
+
+#: Tags -> (shards, executor, timed epochs).
+SHARD_ROWS = {
+    2000: [(k, ex, 6) for k in (1, 2, 4) for ex in ("serial", "process", "remote")],
+    10_000: [(1, "serial", 3), (4, "process", 3)],
+}
+
+
+def sharding(seed: int) -> Series:
+    """The runtime, router -> shards -> bus, per shard count and executor, each
+    restored from one discovered population.  Kernel work is constant, so
+    serial rows price the partitioning; the worker executors' speedup is
+    bounded by the stamp's ``cpu_count``."""
+    out: Series = defaultdict(dict)
+    with shard_host() as host, TemporaryDirectory() as scratch:
+        for n, rows in SHARD_ROWS.items():
+            model, path = shelf_row(n), f"{scratch}/{n}"
+            runtime = ShardedRuntime(model, infer(100, 100, seed), RuntimeConfig(), QUIET)
+            runtime.step(row_epoch(0, n))
+            runtime.checkpoint(path)
+            runtime.abort()
+            for shards, executor, epochs in rows:
+                hosts = (host,) if executor == "remote" else None
+                layout = RuntimeConfig(n_shards=shards, executor=executor, shard_hosts=hosts)
+                runtime, _ = restore_runtime(path, model, layout)
+                try:
+                    out[f"epochs/s @ {n} tags"][f"{shards} {executor}"] = steady_rate(runtime.step, n, epochs, 1)
+                    assert len(runtime.known_objects()) == n, "population fell out of the shards"
+                finally:
+                    runtime.abort()
+            rates = out[f"epochs/s @ {n} tags"]
+            out[f"x 1 serial @ {n} tags"] = {x: r / rates["1 serial"] for x, r in rates.items()}
+    return out
+
+
+def checkpoint(seed: int) -> Series:
+    """Full rows: a checkpoint of 2 000 tags after 11 epochs, its restore and a
+    re-shard to 2.  Delta rows: the index retires a travelled-past population,
+    16 tags an epoch are read for 10 epochs, then delta and full saves of one
+    state.  Every save fsyncs the file and its directory."""
+    out: Series = defaultdict(dict)
+    with TemporaryDirectory() as scratch:
+        model = shelf_row(2000)
+        for shards in (1, 4):
+            path, x = f"{scratch}/full{shards}", f"{shards} shards"
+            runtime = ShardedRuntime(model, infer(100, 100, seed), RuntimeConfig(n_shards=shards), QUIET)
+            for t in range(11):
+                runtime.step(row_epoch(t, 2000))
+            out["full save s"][x], _ = seconds(runtime.checkpoint, path)
+            runtime.abort()
+            out["full MB"][x] = os.path.getsize(path) / 1e6
+            for series, layout in (("restore s", None), ("reshard to 2 s", RuntimeConfig(n_shards=2))):
+                out[series][x], (restored, _) = seconds(restore_runtime, path, model, runtime_config=layout)
+                assert len(restored.known_objects()) == 2000
+                restored.abort()
+        for n in (2000, 10_000):
+            model, (base, delta, full) = shelf_row(n), (f"{scratch}/{k}{n}" for k in ("base", "delta", "full"))
+            runtime = ShardedRuntime(model, infer(100, 100, seed).with_index(), RuntimeConfig(), QUIET)
+            for t in range(25):  # travel past: the index retires the population
+                runtime.step(row_epoch(t, n, speed=2.0, reads=0))
+            save_checkpoint(runtime, base)
+            for t in range(25, 35):
+                runtime.step(row_epoch(t, n, speed=2.0))
+            out["delta save s"][str(n)], _ = seconds(save_checkpoint, runtime, delta, mode="delta", parent=base)
+            full_s, _ = seconds(save_checkpoint, runtime, full)
+            runtime.abort()
+            out["delta save speedup"][str(n)] = full_s / out["delta save s"][str(n)]
+            out["delta bytes ratio"][str(n)] = os.path.getsize(full) / os.path.getsize(delta)
+            out["chain restore s"][str(n)], (restored, _) = seconds(restore_runtime, delta, model)
+            assert len(restored.known_objects()) == n
+            restored.abort()
+    return out
+
+
+FLOOR_FT = 60.0
+
+
+def cleaned_stream(seed: int, ticks: int = 12, n: int = 2000, movers: int = 64) -> List[StreamTuple]:
+    """What the output policy emits downstream: ``movers`` of ``n`` tags
+    random-walking a ``FLOOR_FT`` square floor move each tick."""
+    rng = np.random.default_rng(5 + 1000 * seed)
+    pos = rng.uniform(0.0, FLOOR_FT, size=(n, 2))
+    out = []
+    for k in range(ticks):
+        for i in rng.choice(n, size=movers, replace=False):
+            pos[i] = np.clip(pos[i] + rng.normal(0.0, 2.0, 2), 0.0, FLOOR_FT)
+            row = {"tag_id": f"object:{i}", "x": float(pos[i][0]), "y": float(pos[i][1]), "z": 0.0}
+            out.append(StreamTuple(float(k), row))
+    return out
+
+
+def served(engine: QueryEngine, tuples: Sequence[StreamTuple], n_queries: int) -> Tuple[float, Dict[str, Any]]:
+    """Seconds to serve ``tuples`` to ``n_queries`` standing region queries
+    and the location-update query, and every query's emissions."""
+    engine.register(location_update_query())
+    for query in standing_region_queries(n_queries, ((0.0, 0.0), (FLOOR_FT, FLOOR_FT))):
+        engine.register(query)
+    elapsed, _ = seconds(lambda: ([engine.push(tup) for tup in tuples], engine.finish()))
+    return elapsed, {name: [(t.time, sorted(t.items())) for t in ts] for name, ts in engine.outputs.items()}
+
+
+def relation_tick_us(n: int, ticks: int = 100) -> float:
+    """One location-update tick that changes one tag, ``n`` tags in the
+    window (multiplexed engine, best of 3 runs: interference only adds)."""
+    engine = MultiplexedQueryEngine()
+    engine.register(location_update_query())
+    for i in range(n):
+        engine.push(StreamTuple(0.0, {"tag_id": f"object:{i}", "x": float(i), "y": 0.0, "z": 0.0}))
+    engine.finish()
+    best = math.inf
+    for run in range(3):
+        moves = [StreamTuple(float(k), {"tag_id": f"object:{k * 7919 % n}", "x": -float(k), "y": 0.0, "z": 0.0})
+                 for k in range(run * ticks + 1, (run + 1) * ticks + 1)]
+        best = min(best, seconds(lambda: ([engine.push(tup) for tup in moves], engine.finish()))[0])
+    assert len(engine.outputs["location_updates"]) == n + 3 * ticks
+    return best / ticks * 1e6
+
+
+def query_serving(seed: int) -> Series:
+    """Standing region queries tiling the floor: the multiplexer per fan-out,
+    and the stock engine (which evaluates each query alone) as its oracle."""
+    tuples, out = cleaned_stream(seed), defaultdict(dict)
+    for n in (1, 100, 1000):
+        elapsed, emitted = served(MultiplexedQueryEngine(), tuples, n)
+        count = sum(map(len, emitted.values()))
+        out["emissions"][str(n)] = float(count)
+        out["multiplexer emissions/s"][str(n)] = count / elapsed
+        if n <= 100:  # the stock engine takes about 1.7 s a tick at 1 000
+            stock_s, stock = served(QueryEngine(), tuples, n)
+            out["stock emissions/s"][str(n)] = count / stock_s
+            out["emissions equal the stock engine's"][str(n)] = float(emitted == stock)
+    out["relation tick us"] = {str(n): relation_tick_us(n) for n in (200, 2000, 20_000)}
+    return out
+
+
+def serve_trace(trace, model, config, n_sources: int, serve: ServeConfig, workdir: str) -> Dict[str, Any]:
+    """One replay of ``trace`` from ``n_sources`` socket clients through a
+    fresh in-process service."""
+    log = f"{workdir}/emissions_{n_sources}_{serve.queue_capacity}.jsonl"
+    service = ReproService(
+        model, inference=config, runtime=RuntimeConfig(n_shards=2), policy=OutputPolicyConfig(delay_s=5.0),
+        serve=serve, socket_path=f"{workdir}/{n_sources}.sock", emissions_path=log,
+    )
+
+    async def replay():
+        ready = asyncio.Event()
+        task = asyncio.create_task(service.run_async(ready))
+        await ready.wait()
+        start = perf_counter()
+        report = await ReplaySource(service.socket_path, trace, n_sources=n_sources).run_async()
+        await asyncio.wait_for(task, timeout=600)
+        return perf_counter() - start, report
+
+    wall, report = asyncio.run(replay())
+    latencies = list(service._latencies) or [0.0]
+    return {
+        "reads/s": sum(r["sent"] for r in report.values()) / wall,
+        "p50 ms": percentile(latencies, 50) * 1e3,
+        "p99 ms": percentile(latencies, 99) * 1e3,
+        "digest": hashlib.sha256(Path(log).read_bytes()).hexdigest(),
+        "counters": service.ingest.counters,
+    }
+
+
+def ingest(seed: int) -> Series:
+    """``repro serve`` over a socket: 1 / 8 / 64 clients, and 8 flooding a
+    small server (16-frame queues, pause high-water 12) so the credit windows
+    and the global PAUSE drag throughout.  Flow control never changes data."""
+    layout = LayoutConfig(n_objects=10, n_shelf_tags=2)
+    trace = warehouse(7, seed, layout=layout, sensor=ConeTruthSensor(rr_major=0.9), n_rounds=2).generate()
+    model, _, sensor = cli._default_model(trace)
+    config = config_for_sensor(infer(60, 120, seed), sensor)
+    wide = ServeConfig(epoch_length=1.0, queue_capacity=64, credit_batch=8)
+    small = replace(wide, queue_capacity=16, credit_batch=4, pause_high_water=12, pause_low_water=4)
+    with TemporaryDirectory() as workdir:
+        runs = {f"{n} clients": serve_trace(trace, model, config, n, wide, workdir) for n in (1, 8, 64)}
+        runs["backpressure"] = serve_trace(trace, model, config, 8, small, workdir)
+    out: Series = defaultdict(dict)
+    for x, run in runs.items():
+        for series in ("reads/s", "p50 ms", "p99 ms"):
+            out[series][x] = run[series]
+        out["p99 >= p50"][x] = float(run["p99 ms"] >= run["p50 ms"])
+    counters = runs["backpressure"]["counters"]
+    out["pauses"]["backpressure"] = float(counters.pauses)
+    out["backpressure pauses, resumes each, stays bounded"]["-"] = float(
+        0 < counters.pauses == counters.resumes and counters.peak_buffered <= 8 * small.queue_capacity
+    )
+    out["distinct emission logs"]["-"] = float(len({run["digest"] for run in runs.values()}))
+    out["emission sha256"]["-"] = runs["1 clients"]["digest"]
+    return out
+
+
 # --- The e2e benchmark's workloads, scored from its in-process reference run ---
 @contextmanager
 def captured_fits():
     """The supervised sensor fits ``cli._default_model`` makes meanwhile."""
-    from repro import cli
-
     fits: List[Any] = []
     fit = cli.fit_sensor_supervised
 
@@ -563,6 +881,32 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "feedback on <= 1.25 x off": lambda m: m["error"]["on"] <= 1.25 * m["error"]["off"],
     }, timing=("ms/reading",)),
     Experiment("workloads", "e2e workloads: last-report error (ft), 2 ft share, sensor fit", workloads, {}),
+    Experiment("hot_loop", "Section V-D: factored-filter epochs/s vs tags (index off; adaptive budgets)",
+               hot_loop, {}, timing=("epochs/s",), relative={"epochs/s": ("higher", 0.30)}),
+    Experiment("sharding", "Section V-D: runtime epochs/s per shards x executor (see the stamp's cpu_count)",
+               sharding, {}, timing=tuple(f"{s} @ {n} tags" for n in SHARD_ROWS for s in ("epochs/s", "x 1 serial"))
+               ),
+    Experiment("checkpoint", "Durable state: full save / restore / re-shard (s, MB), delta vs full save",
+               checkpoint, {
+        "delta bytes ratio >= 5 at 2 000 and 10 000 tags": lambda m: min(m["delta bytes ratio"].values()) >= 5.0,
+        "delta save >= 1.5 x faster than full": lambda m: min(m["delta save speedup"].values()) >= 1.5,
+    }, timing=("full save s", "restore s", "reshard to 2 s", "delta save s", "delta save speedup",
+               "chain restore s"), relative={"full save s": ("lower", 1.0)}),
+    Experiment("query_serving", "Standing queries: multiplexer emissions/s per fan-out, one-change tick (us)",
+               query_serving, {
+        "multiplexer emits exactly the stock engine's tuples":
+            lambda m: min(m["emissions equal the stock engine's"].values()) == 1.0,
+        "relation tick at 20 000 tags <= 3 x at 200":
+            lambda m: m["relation tick us"]["20000"] <= 3 * m["relation tick us"]["200"],
+    }, timing=("multiplexer emissions/s", "stock emissions/s", "relation tick us"),
+        relative={"multiplexer emissions/s": ("higher", 0.30)}),
+    Experiment("ingest", "repro serve: reads/s and frame-to-emission ms per client count, backpressure", ingest, {
+        "one emission log across 1 / 8 / 64 clients and backpressure":
+            lambda m: m["distinct emission logs"]["-"] == 1.0,
+        "backpressure pauses, every pause resumes, peak buffered <= bound":
+            lambda m: m["backpressure pauses, resumes each, stays bounded"]["-"] == 1.0,
+        "p99 >= p50 in every row": lambda m: min(m["p99 >= p50"].values()) == 1.0,
+    }, timing=("reads/s", "p50 ms", "p99 ms", "pauses"), relative={"reads/s": ("higher", 0.5)}),
 )
 
 
@@ -596,7 +940,8 @@ def evaluate(experiment: Experiment, rows: Rows) -> Dict[str, bool]:
 
 def verify(ledger: Dict[str, Any], fresh: Dict[str, Rows]) -> List[str]:
     """Every way ``fresh`` rows (experiment name -> rows) disagree with the
-    ledger: a check that flips, or a non-timing mean outside [min, max]."""
+    ledger: a check that flips, a non-timing mean outside [min, max], or a
+    bounded timing mean past its relative floor or ceiling."""
     problems = []
     for experiment in EXPERIMENTS:
         name, rows, recorded = experiment.name, fresh[experiment.name], ledger["experiments"][experiment.name]
@@ -612,6 +957,18 @@ def verify(ledger: Dict[str, Any], fresh: Dict[str, Rows]) -> List[str]:
                 if not row["min"] - slack <= mean <= row["max"] + slack:
                     span = f"[{row['min']:.6g}, {row['max']:.6g}]"
                     problems.append(f"{name}: {series} @ {x}: mean {mean:.6g} outside {span}")
+        for series, (better, share) in experiment.relative.items():
+            sign = 1.0 if better == "higher" else -1.0
+            for x, row in recorded["series"][series].items():
+                values, mean = rows[series][x]["values"], rows[series][x]["mean"]
+                committed = float(np.mean(row["values"][: len(values)]))  # the same seeds
+                limit = committed * (1.0 - sign * share)
+                if sign * (mean - limit) < 0:
+                    bound = "floor" if sign > 0 else "ceiling"
+                    problems.append(
+                        f"{name}: {series} @ {x}: mean {mean:.4g} past its {bound} {limit:.4g} "
+                        f"({share:.0%} off the committed {committed:.4g})"
+                    )
     return problems
 
 
@@ -662,19 +1019,27 @@ def report(entry: Dict[str, Any]) -> None:
 
 def write(path: Path) -> None:
     previous = json.loads(path.read_text()) if path.exists() else {}
-    doc: Dict[str, Any] = {
-        "ledger": "fidelity", "provenance": provenance(0), "seeds": list(range(SEEDS)), "experiments": {}
-    }
+    stamp = provenance(0)
+    if stamp["git_dirty"]:
+        diff = subprocess.run(
+            ["git", "diff", "HEAD", "--", "src", "benchmarks"], cwd=bench.ROOT, stdout=subprocess.PIPE
+        )
+        stamp["git_diff_sha256"] = hashlib.sha256(diff.stdout).hexdigest()
+    doc: Dict[str, Any] = {"ledger": "fidelity", "provenance": stamp, "seeds": list(range(SEEDS))}
+    doc["experiments"] = {}
     for experiment in EXPERIMENTS:
         rows = run(experiment, range(SEEDS))
         entry = {
             "title": experiment.title,
             "timing": list(experiment.timing),
+            "relative": {s: {"better": b, "share": share} for s, (b, share) in experiment.relative.items()},
             "series": rows,
             "checks": {k: {"holds": v} for k, v in evaluate(experiment, rows).items()},
         }
         old = previous.get("experiments", {}).get(experiment.name)
-        if experiment.name == "workloads" and old:
+        if experiment.name == "workloads" and old and old["series"] == rows and "before" in old:
+            entry["before"], entry["verdicts"] = old["before"], old["verdicts"]  # no bit moved: keep the last move
+        elif experiment.name == "workloads" and old:
             entry["before"] = {"provenance": previous["provenance"], "series": old["series"]}
             entry["verdicts"] = verdicts(old["series"], rows)
         doc["experiments"][experiment.name] = entry

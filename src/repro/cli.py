@@ -673,7 +673,7 @@ def _resume(args: argparse.Namespace, model):
 
     path = args.resume if os.path.isfile(args.resume) else latest_checkpoint(args.resume)
     if path is None:
-        raise SystemExit(
+        args.usage_error(
             f"{args.resume} is neither a checkpoint file nor a checkpoint "
             "directory with a LATEST pointer"
         )
@@ -694,20 +694,20 @@ def _run_batch(args: argparse.Namespace, trace: Trace, report, engine=None) -> i
 
     from .state import apply_query_states, write_latest_pointer
 
-    model, _, sensor = _default_model(trace)
     epochs = trace.epochs()
     cuts: List[int] = []
     if args.checkpoint_at is not None:
         if args.checkpoint_out is None:
-            raise SystemExit("--checkpoint-at requires --checkpoint-out")
+            args.usage_error("--checkpoint-at requires --checkpoint-out")
         if args.resume is not None:
-            raise SystemExit("--checkpoint-at and --resume are exclusive")
+            args.usage_error("--checkpoint-at and --resume are exclusive")
         try:
             cuts = sorted({int(part) for part in args.checkpoint_at.split(",")})
         except ValueError:
-            raise SystemExit(f"bad --checkpoint-at: {args.checkpoint_at!r}")
+            args.usage_error(f"bad --checkpoint-at: {args.checkpoint_at!r}")
         if not cuts or cuts[0] < 1 or cuts[-1] > len(epochs):
-            raise SystemExit(f"--checkpoint-at epochs must be in [1, {len(epochs)}]")
+            args.usage_error(f"--checkpoint-at epochs must be in [1, {len(epochs)}]")
+    model, _, sensor = _default_model(trace)
     if args.resume is None:
         runtime = ShardedRuntime(
             model, _engine_config(args, sensor), _runtime_config(args), _POLICY.build(args)

@@ -37,7 +37,7 @@ serves thousands of concurrent standing queries at near-flat marginal cost:
 
 Single-query semantics are byte-identical to the stock engine; this is pinned
 by the parity tests in ``tests/test_query_multiplexer.py`` and the
-``benchmarks/bench_query_serving.py`` parity check.
+``query_serving`` parity check of ``benchmarks/fidelity.py``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,16 @@ def test_the_fidelity_ledger_is_checked():
     assert any("benchmarks/fidelity.py --check BENCH_fidelity.json" in run for run in runs)
 
 
+def test_every_script_a_step_runs_exists():
+    """A deleted script takes its step with it: each ``benchmarks/...`` or
+    ``examples/...`` path a ``run:`` step names is in the repository."""
+    doc = yaml.safe_load(WORKFLOW.read_text())
+    runs = [step.get("run", "") for spec in doc["jobs"].values() for step in spec["steps"]]
+    named = {path for run in runs for path in re.findall(r"\b(?:benchmarks|examples)/[\w./-]+", run)}
+    assert named
+    assert sorted(p for p in named if not (WORKFLOW.parents[2] / p).exists()) == []
+
+
 def guard_hits(marker):
     """Lines of the package source matched by the ``grep -rnE`` guard step
     whose pattern contains ``marker``."""

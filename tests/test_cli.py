@@ -528,9 +528,11 @@ class TestCheckpointRestore:
         assert excinfo.value.code == 2
         assert "checkpoint_dir" in capsys.readouterr().err
 
-    def test_resume_from_non_checkpoint_fails(self, trace_path, tmp_path):
-        with pytest.raises(SystemExit, match="neither a checkpoint file"):
+    def test_resume_from_non_checkpoint_fails(self, trace_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["clean", str(trace_path), "--resume", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "neither a checkpoint file" in capsys.readouterr().err
 
 
 class TestResumeFlags:
@@ -877,29 +879,27 @@ class TestQueryServing:
             assert prefix_q.get(name, []) + resumed_q.get(name, []) == full_q[name]
 
     @pytest.mark.parametrize("verb", BATCH_VERBS)
-    def test_checkpoint_at_requires_out(self, trace_path, verb):
-        with pytest.raises(SystemExit, match="checkpoint-out"):
-            main([verb, str(trace_path), "--checkpoint-at", "10"])
-
-    @pytest.mark.parametrize("verb", BATCH_VERBS)
-    def test_checkpoint_at_excludes_resume(self, trace_path, tmp_path, verb):
-        with pytest.raises(SystemExit, match="exclusive"):
-            main(
-                [
-                    verb, str(trace_path),
-                    "--checkpoint-at", "10",
-                    "--checkpoint-out", str(tmp_path / "ck"),
-                    "--resume", str(tmp_path / "other"),
-                ]
-            )
-
-    @pytest.mark.parametrize("verb", BATCH_VERBS)
-    def test_checkpoint_at_out_of_range(self, trace_path, tmp_path, verb):
-        with pytest.raises(SystemExit, match="must be in"):
-            main(
-                [
-                    verb, str(trace_path),
-                    "--checkpoint-at", "100000",
-                    "--checkpoint-out", str(tmp_path / "ck"),
-                ]
-            )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--checkpoint-at", "10"], "--checkpoint-at requires --checkpoint-out"),
+            (["--checkpoint-at", "10", "--checkpoint-out", "ck", "--resume", "other"], "exclusive"),
+            (["--checkpoint-at", "100000", "--checkpoint-out", "ck"], "must be in [1,"),
+            (["--checkpoint-at", "x", "--checkpoint-out", "ck"], "bad --checkpoint-at: 'x'"),
+            (["--resume", "nowhere"], "nowhere is neither a checkpoint file"),
+        ],
+        ids=["without-out", "with-resume", "out-of-range", "malformed", "resume-nowhere"],
+    )
+    def test_refused_flag_is_a_usage_error(
+        self, trace_path, tmp_path, monkeypatch, capsys, verb, flags, message
+    ):
+        """``repro <verb>: error: ...`` and exit 2; a bad ``--checkpoint-at``
+        is refused before the sensor fit runs."""
+        if flags[0] == "--checkpoint-at":
+            monkeypatch.setattr(cli, "_default_model", pytest.fail)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, str(trace_path)] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {verb}: error: " in err and message in err

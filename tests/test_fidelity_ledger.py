@@ -6,6 +6,7 @@ untouched and doctored, as if a ``--check`` run had produced them.
 
 import copy
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -30,8 +31,13 @@ def rows_of(ledger):
 def test_stamped_with_ten_seeds_per_row(ledger):
     stamp = ledger["provenance"]
     assert stamp["git_sha"] and stamp["host_class"] and stamp["cpu_count"] >= 1
+    # A dirty tree is named by the diff of the code measured against that commit.
+    assert not stamp["git_dirty"] or re.fullmatch("[0-9a-f]{64}", stamp["git_diff_sha256"])
     assert len(ledger["seeds"]) >= 10
     assert list(ledger["experiments"]) == [e.name for e in fidelity.EXPERIMENTS]
+    for experiment in fidelity.EXPERIMENTS:
+        relative = ledger["experiments"][experiment.name]["relative"]
+        assert relative == {s: {"better": b, "share": share} for s, (b, share) in experiment.relative.items()}
     for entry in ledger["experiments"].values():
         for points in entry["series"].values():
             for row in points.values():
@@ -81,4 +87,35 @@ def test_a_mean_outside_the_per_seed_range_fails(ledger):
 def test_timing_rows_are_judged_only_by_their_checks(ledger):
     fresh = rows_of(ledger)
     fresh["fig5ij"]["compressed ms/reading"]["10"]["mean"] *= 100.0  # in no check
+    fresh["sharding"]["epochs/s @ 2000 tags"]["4 process"]["mean"] *= 0.01  # no check, no floor
     assert fidelity.verify(ledger, fresh) == []
+
+
+def as_checked(row, factor):
+    """``row`` as ``--check`` makes it: the first three seeds, their mean
+    scaled by ``factor``."""
+    row["values"] = row["values"][:3]
+    row["mean"] = float(np.mean(row["values"])) * factor
+
+
+@pytest.mark.parametrize("drop, reported", [(0.31, True), (0.29, False)])
+def test_a_timing_row_is_judged_by_its_relative_floor(ledger, drop, reported):
+    """hot_loop's epochs/s may fall 30 % under the same seeds' committed mean."""
+    fresh = rows_of(ledger)
+    as_checked(fresh["hot_loop"]["epochs/s"]["2000"], 1.0 - drop)
+    problems = fidelity.verify(ledger, fresh)
+    assert len(problems) == reported
+    assert all("hot_loop: epochs/s @ 2000" in p and "floor" in p for p in problems)
+
+
+def test_a_lower_is_better_row_is_judged_by_a_ceiling(ledger):
+    """checkpoint's full save s may rise 100 % over the committed mean; any
+    speed-up passes."""
+    fresh = rows_of(ledger)
+    row = fresh["checkpoint"]["full save s"]["1 shards"]
+    for factor in (0.01, 1.99):
+        as_checked(row, factor)
+        assert fidelity.verify(ledger, fresh) == []
+    as_checked(row, 2.01)
+    (problem,) = fidelity.verify(ledger, fresh)
+    assert "checkpoint: full save s @ 1 shards" in problem and "ceiling" in problem

@@ -5,7 +5,7 @@ The multiplexer's contract is *byte-identical single-query semantics* at
 near-flat marginal cost per additional standing query.  Parity tests
 compare every output tuple (time + values, in emission order) against the
 stock :class:`QueryEngine` over the same stream; the perf claims live in
-``benchmarks/bench_query_serving.py``.
+the ``query_serving`` experiment of ``benchmarks/fidelity.py``.
 """
 
 import numpy as np
