@@ -188,7 +188,6 @@ _RUNTIME = _FlagGroup(
             "--shards",
             "partition the tag population across N filter shards",
         ),
-        "partitioner": ("--partitioner", "tag-to-shard assignment scheme"),
         "executor": (
             "--executor",
             "how shards advance each epoch: serial, process (persistent "

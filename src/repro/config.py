@@ -1,9 +1,9 @@
 """Configuration objects and paper-default constants.
 
 Every tunable in the library lives in one of the dataclasses below, with
-defaults taken from the paper's Section V (see DESIGN.md Section 6 for the
-full provenance table).  Configurations validate eagerly so that a bad sweep
-parameter fails at construction, not after minutes of filtering.
+defaults taken from the paper's Section V.  Configurations validate eagerly
+so that a bad sweep parameter fails at construction, not after minutes of
+filtering.
 """
 
 from __future__ import annotations
@@ -345,11 +345,6 @@ def inference_config_from_dict(data: dict) -> InferenceConfig:
     return InferenceConfig(**data)
 
 
-#: Partitioner names accepted by :class:`RuntimeConfig`.  The implementations
-#: live in ``repro.runtime.partition`` (which imports this tuple); the names
-#: are declared here so configuration validates without importing the runtime.
-PARTITIONER_NAMES: Tuple[str, ...] = ("hash", "mod")
-
 #: Executor names accepted by :class:`RuntimeConfig`.  ``"remote"`` runs
 #: each shard on a ``repro shard-host`` worker pool over TCP
 #: (``repro.runtime.transport``); it needs :attr:`RuntimeConfig.shard_hosts`.
@@ -430,11 +425,6 @@ class RuntimeConfig:
     """
 
     n_shards: int = 1
-    #: How object-tag numbers map to shards: ``"hash"`` (a splitmix64-style
-    #: mix, robust to strided/clustered tag numbering) or ``"mod"`` (plain
-    #: ``number % n_shards``; transparent, but strided tag populations all
-    #: land on one shard).
-    partitioner: str = field(default="hash", metadata={"choices": PARTITIONER_NAMES})
     #: How shards advance within one epoch: ``"serial"`` steps them in order
     #: in the calling thread; ``"process"`` steps them on persistent worker
     #: processes (``repro.runtime.workers``) — routed reads and emitted

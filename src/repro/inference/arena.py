@@ -437,23 +437,27 @@ class BeliefArena:
     def _slot_ids(slots: list) -> np.ndarray:
         return np.fromiter((oid for oid, _ in slots), dtype=np.int64, count=len(slots))
 
+    def _table(self, slots: list) -> Dict[str, np.ndarray]:
+        """The block table (``repro.state.tables``) of a subset of
+        :meth:`_ordered_slots`, its blocks copied back to back."""
+        counts, rows = self._block_rows(slots)
+        return {
+            "ids": self._slot_ids(slots),
+            "counts": counts,
+            "positions": self._positions[rows],
+            "parents": self._parents[rows],
+            "log_weights": self._log_weights[rows],
+        }
+
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Copy the live slab content, compacted on write.
 
         Blocks are emitted in slot-start order (the same order
         :meth:`compact` preserves), concatenated into contiguous arrays;
         holes and slack capacity are not serialized.  The arena itself is
-        not mutated.  The result is a block table (``repro.state.tables``).
+        not mutated.
         """
-        ordered = self._ordered_slots()
-        counts, rows = self._block_rows(ordered)
-        return {
-            "ids": self._slot_ids(ordered),
-            "counts": counts,
-            "positions": self._positions[rows],
-            "parents": self._parents[rows],
-            "log_weights": self._log_weights[rows],
-        }
+        return self._table(self._ordered_slots())
 
     def load_snapshot(self, state: Dict[str, np.ndarray]) -> None:
         """Replace the arena content with a :meth:`snapshot`'s blocks.
@@ -494,9 +498,8 @@ class BeliefArena:
             offset += int(count)
         self._end = total
         self._layout_serial += 1
-        # A restored arena starts a fresh delta baseline: the chain it may
-        # have belonged to does not survive a restore (the checkpoint
-        # coordinator writes a full rebase first).
+        # A restored arena starts a fresh delta baseline: nothing is dirty
+        # relative to the tree it was restored from.
         self.clear_dirty()
 
     # ------------------------------------------------------------------
@@ -511,16 +514,6 @@ class BeliefArena:
         """
         self._dirty.update(object_ids)
 
-    @property
-    def parents_dirty(self) -> bool:
-        """True when a :meth:`remap_parents` ran since :meth:`clear_dirty`
-        (every live block's parent column changed)."""
-        return self._parents_dirty
-
-    def dirty_ids(self) -> List[int]:
-        """Objects whose block content changed since :meth:`clear_dirty`."""
-        return [oid for oid in self._slots if oid in self._dirty]
-
     def clear_dirty(self) -> None:
         """Reset the dirty baseline (after a snapshot capture)."""
         self._dirty.clear()
@@ -529,7 +522,8 @@ class BeliefArena:
     def delta_snapshot(self) -> Dict[str, object]:
         """Changed blocks since :meth:`clear_dirty`, plus the slot order.
 
-        The full ``ids``/``counts`` arrays (slot-start order, exactly what
+        A :func:`~repro.state.tables.dirty_cut` of the block table: the
+        full ``ids``/``counts`` arrays (slot-start order, exactly what
         :meth:`snapshot` would emit) always ship — they are tiny and they
         carry the block *order* and the deletions, so a materialized
         base+delta state is byte-identical to a full snapshot.  Column data
@@ -539,21 +533,22 @@ class BeliefArena:
         the smallest integer type that holds every pointer — one byte a row
         for up to 256 reader particles, instead of the full 36.
         """
+        from ..state.tables import dirty_cut
+
         ordered = self._ordered_slots()
-        dirty = [item for item in ordered if item[0] in self._dirty]
-        _, rows = self._block_rows(dirty)
-        state: Dict[str, object] = {
+        layout = {
             "ids": self._slot_ids(ordered),
             "counts": np.fromiter(
                 (slot[1] for _, slot in ordered), dtype=np.int64, count=len(ordered)
             ),
-            "dirty_ids": self._slot_ids(dirty),
-            "positions": self._positions[rows],
-            "parents": self._parents[rows],
-            "log_weights": self._log_weights[rows],
-            "parents_dirty": bool(self._parents_dirty),
-            "clean_parents": None,
         }
+        state: Dict[str, object] = dirty_cut(
+            layout,
+            self._dirty,
+            lambda ids: self._table([(oid, self._slots[oid]) for oid in ids]),
+        )
+        state["parents_dirty"] = bool(self._parents_dirty)
+        state["clean_parents"] = None
         if self._parents_dirty:
             clean = [item for item in ordered if item[0] not in self._dirty]
             parents = self._parents[self._block_rows(clean)[1]]

@@ -44,8 +44,7 @@ Semantics match the seed's per-object loops up to floating-point summation
 order and random-number consumption order.
 
 The resampling step is the paper's one omitted detail (deferred to a
-now-unavailable tech report); DESIGN.md Section 3.4 documents the
-reconstruction implemented here:
+now-unavailable tech report); this is the reconstruction implemented here:
 
 * object particles resample per-object on low ESS, preserving parent
   pointers;
@@ -258,15 +257,8 @@ class FactoredParticleFilter:
         self._active_count = 0
         #: Differential-checkpoint bookkeeping: objects whose belief
         #: *metadata* (read/split epochs, anchor, compression state) changed
-        #: since the last snapshot capture, and a serial numbering captures
-        #: so the checkpoint layer can prove a delta chains onto its parent.
+        #: since the last snapshot capture.
         self._dirty_beliefs: Set[int] = set()
-        self._capture_serial = 0
-        #: Whether the reader belief changed since the last capture.  Starts
-        #: dirty (never captured); every mutation path — init, propagation,
-        #: resample — re-sets it, so a clean delta link can ship a
-        #: parent-serial marker instead of the full reader arrays.
-        self._reader_dirty = True
         self._selector = ActiveSetSelector(config.spatial_index)
         self._initializer = SensorBasedInitializer(config, model.shelves)
         # The Case-2 sensing region (Section IV-C) is sized to where the
@@ -571,13 +563,11 @@ class FactoredParticleFilter:
             0.0, self._heading_spread, size=j
         )
         self._reader_log_w = np.zeros(j)
-        self._reader_dirty = True
 
     def _propagate_reader(
         self, reported_heading: Optional[float], reported: Optional[np.ndarray]
     ) -> None:
         assert self._reader_positions is not None and self._reader_headings is not None
-        self._reader_dirty = True
         velocity_override = None
         if (
             self.config.use_odometry_control
@@ -613,7 +603,6 @@ class FactoredParticleFilter:
         if 1.0 / np.add.reduce(np.square(reader_p)) >= self.config.ess_threshold * j:
             return
         self.stats["reader_resamples"] += 1
-        self._reader_dirty = True
         selection_log_w = self._reader_log_w
         if feedback is not None:
             selection_log_w = selection_log_w + feedback
@@ -981,38 +970,25 @@ class FactoredParticleFilter:
             "budget_epoch": budget_epoch,
         }
 
-    def snapshot_state(self, mode: str = "full") -> dict:
+    def snapshot_state(self, delta: bool = False) -> dict:
         """Capture the mutable filter state — full, or changes only.
 
-        ``mode="full"`` returns the complete tree: RNG bit-generator state,
-        reader belief, the arena's particle blocks (compacted on write),
-        per-object belief metadata in *dict insertion order* (the
-        compression pass iterates ``_beliefs``, so order is semantically
-        load-bearing), and the spatial-index state when enabled.  Restoring
-        it into an engine built from the same config resumes
-        bitwise-identically.
+        The full tree holds the RNG bit-generator state, reader belief, the
+        arena's particle blocks (compacted on write), per-object belief
+        metadata in *dict insertion order* (the compression pass iterates
+        ``_beliefs``, so order is semantically load-bearing), and the
+        spatial-index state when enabled.  Restoring it into an engine built
+        from the same config resumes bitwise-identically.
 
-        ``mode="delta"`` returns only what changed since the previous
-        capture (of either mode): per-epoch scalars and the RNG state in
-        full, the full belief/arena *id order* (tiny — it carries ordering
-        and deletions), and column data for dirty objects only.  The reader
-        belief and selector tree ship in full only when they changed since
-        the parent capture; clean links carry a ``{"__clean__": True}``
-        marker that materialization resolves from the parent, bitwise.
-        ``repro.state.delta.apply_engine_delta`` overlays the capture on
-        the parent's tree to reproduce the full tree exactly.
-
-        Every capture drains the dirty sets and stamps a ``capture_serial``;
-        a delta also records its parent's serial, which is how the
-        checkpoint layer proves (at save *and* at load) that a delta chains
-        onto the capture it claims to.
+        With ``delta`` the belief and arena tables are
+        :func:`~repro.state.tables.dirty_cut` s: the full id order plus
+        rows for the objects changed since the previous capture (of either
+        kind) only; everything else ships in full.  Every capture resets
+        the dirty sets; the shard owns the serial that chains captures
+        (:meth:`~repro.runtime.shard.FilterShard.snapshot`).
         """
-        if mode not in ("full", "delta"):
-            raise StateError(f"unknown snapshot mode {mode!r}")
-        if mode == "delta" and self._capture_serial == 0:
-            raise StateError(
-                "cannot capture a delta snapshot: no baseline capture exists"
-            )
+        from ..state.tables import dirty_cut
+
         reader = None
         if self._reader_positions is not None:
             assert self._reader_headings is not None and self._reader_log_w is not None
@@ -1021,11 +997,8 @@ class FactoredParticleFilter:
                 "headings": self._reader_headings.copy(),
                 "log_w": self._reader_log_w.copy(),
             }
-        parent_serial = self._capture_serial
-        self._capture_serial += 1
         state = {
             "engine": "factored",
-            "capture_serial": int(self._capture_serial),
             "rng_state": self._rng.bit_generator.state,
             "epoch_index": int(self._epoch_index),
             "active_count": int(self._active_count),
@@ -1038,32 +1011,17 @@ class FactoredParticleFilter:
             "reader": reader,
             "selector": self._selector.snapshot(),
         }
-        if mode == "full":
+        if delta:
+            state["arena"] = self.arena.delta_snapshot()
+            order = np.fromiter(self._beliefs, dtype=np.int64, count=len(self._beliefs))
+            state["beliefs"] = dirty_cut(
+                {"ids": order}, self._dirty_beliefs, self._belief_rows
+            )
+        else:
             state["arena"] = self.arena.snapshot()
             state["beliefs"] = self._belief_rows(list(self._beliefs))
-        else:
-            state["delta"] = True
-            state["parent_capture_serial"] = int(parent_serial)
-            state["arena"] = self.arena.delta_snapshot()
-            beliefs = self._belief_rows(
-                [n for n in self._beliefs if n in self._dirty_beliefs]
-            )
-            beliefs["dirty_ids"] = beliefs.pop("ids")
-            beliefs["ids"] = np.fromiter(
-                self._beliefs, dtype=np.int64, count=len(self._beliefs)
-            )
-            state["beliefs"] = beliefs
-            # Clean links ship a parent-serial marker instead of the whole
-            # reader belief / selector tree; materialization copies the
-            # parent capture's state bitwise (repro.state.delta).
-            if reader is not None and not self._reader_dirty:
-                state["reader"] = {"__clean__": True}
-            if state["selector"] is not None and not self._selector.dirty:
-                state["selector"] = {"__clean__": True}
         self._dirty_beliefs.clear()
         self.arena.clear_dirty()
-        self._reader_dirty = False
-        self._selector.clear_dirty()
         return state
 
     def restore_state(self, state: dict) -> None:
@@ -1077,11 +1035,6 @@ class FactoredParticleFilter:
         if state.get("engine") != "factored":
             raise StateError(
                 f"snapshot is for engine {state.get('engine')!r}, not 'factored'"
-            )
-        if state.get("delta"):
-            raise StateError(
-                "cannot restore from a delta capture directly; materialize "
-                "it against its base first (repro.state.delta)"
             )
         from ..state.snapshot import generator_from_state
 
@@ -1159,10 +1112,6 @@ class FactoredParticleFilter:
         self._compression_due = 0
         self._selector = ActiveSetSelector(self.config.spatial_index)
         self._selector.load_snapshot(state["selector"])
-        # Fresh delta baseline: the restored engine continues the capture
-        # numbering of the tree it restored (a materialized delta carries
-        # the leaf's serial), and nothing is dirty relative to that tree.
-        self._capture_serial = int(state.get("capture_serial", 0))
+        # Fresh delta baseline: nothing is dirty relative to the restored tree.
         self._dirty_beliefs.clear()
         self.arena.clear_dirty()
-        self._reader_dirty = False

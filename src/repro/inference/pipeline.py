@@ -21,7 +21,6 @@ from typing import Dict, Iterable, Optional, Protocol, Set
 import numpy as np
 
 from ..config import OutputPolicyConfig
-from ..errors import StateError
 from ..streams.records import Epoch, TagId
 from ..streams.sinks import CollectingSink, EventSink
 from .estimates import LocationEstimate
@@ -75,10 +74,8 @@ class CleaningPipeline:
         self._emitted_ever: Set[int] = set()
         self._last_epoch_time: Optional[float] = None
         #: Differential-checkpoint bookkeeping: visits touched since the
-        #: last snapshot capture, plus a capture serial (see the factored
-        #: filter's ``snapshot_state`` for the chaining contract).
+        #: last snapshot capture.
         self._dirty_visits: Set[int] = set()
-        self._capture_serial = 0
 
     # ------------------------------------------------------------------
     def step(self, epoch: Epoch) -> None:
@@ -217,54 +214,35 @@ class CleaningPipeline:
             "pos": pos,
         }
 
-    def snapshot_state(self, mode: str = "full") -> dict:
+    def snapshot_state(self, delta: bool = False) -> dict:
         """Capture the output-policy bookkeeping — full, or changes only.
 
         Visits are recorded in dict insertion order: the emission pass
         iterates ``_visits``, so with a single shard (no cross-shard merge
-        sort) the order of same-epoch events depends on it.  A ``"delta"``
-        capture ships the full id order (which carries ordering and the
-        prune deletions) but per-visit rows only for visits touched since
-        the previous capture; see the factored filter's ``snapshot_state``
-        for the serial-chaining contract.
+        sort) the order of same-epoch events depends on it.  With ``delta``
+        the visit table is a :func:`~repro.state.tables.dirty_cut`: the
+        full id order (which carries ordering and the prune deletions) but
+        rows only for visits touched since the previous capture.
         """
-        if mode not in ("full", "delta"):
-            raise StateError(f"unknown snapshot mode {mode!r}")
-        if mode == "delta" and self._capture_serial == 0:
-            raise StateError(
-                "cannot capture a delta snapshot: no baseline capture exists"
-            )
-        parent_serial = self._capture_serial
-        self._capture_serial += 1
+        from ..state.tables import dirty_cut
+
         state = {
-            "capture_serial": int(self._capture_serial),
             "emitted_ever": np.asarray(sorted(self._emitted_ever), dtype=np.int64),
             "last_epoch_time": (
                 None if self._last_epoch_time is None else float(self._last_epoch_time)
             ),
         }
-        if mode == "full":
-            state["visits"] = self._visit_rows(list(self._visits))
+        if delta:
+            order = np.fromiter(self._visits, dtype=np.int64, count=len(self._visits))
+            state["visits"] = dirty_cut(
+                {"ids": order}, self._dirty_visits, self._visit_rows
+            )
         else:
-            state["delta"] = True
-            state["parent_capture_serial"] = int(parent_serial)
-            visits = self._visit_rows(
-                [n for n in self._visits if n in self._dirty_visits]
-            )
-            visits["dirty_ids"] = visits.pop("ids")
-            visits["ids"] = np.fromiter(
-                self._visits, dtype=np.int64, count=len(self._visits)
-            )
-            state["visits"] = visits
+            state["visits"] = self._visit_rows(list(self._visits))
         self._dirty_visits.clear()
         return state
 
     def restore_state(self, state: dict) -> None:
-        if state.get("delta"):
-            raise StateError(
-                "cannot restore from a delta capture directly; materialize "
-                "it against its base first (repro.state.delta)"
-            )
         visits = state["visits"]
         has_pos = np.asarray(visits["has_pos"], dtype=bool)
         pos = np.asarray(visits["pos"], dtype=float)
@@ -279,7 +257,6 @@ class CleaningPipeline:
         self._emitted_ever = {int(n) for n in np.asarray(state["emitted_ever"])}
         last_time = state["last_epoch_time"]
         self._last_epoch_time = None if last_time is None else float(last_time)
-        self._capture_serial = int(state.get("capture_serial", 0))
         self._dirty_visits.clear()
 
     def _maybe_emit_movement(self, number: int, state: _VisitState, now: float) -> None:

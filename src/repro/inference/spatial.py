@@ -42,10 +42,6 @@ class ActiveSetSelector:
         self._index: Optional[SensingRegionIndex] = None
         self._last_center: Optional[np.ndarray] = None
         self._last_region_id: Optional[int] = None
-        # True when the snapshot-visible state changed since the last
-        # capture (drives delta-checkpoint clean links).  A fresh selector
-        # starts dirty: it has never been captured.
-        self._dirty = True
         if config.enabled:
             self._index = SensingRegionIndex(max_regions=config.max_regions)
 
@@ -100,7 +96,7 @@ class ActiveSetSelector:
         model teleports a thin trickle of particles uniformly over the
         shelves, and a single stray particle would otherwise keep an object
         attached to every region the reader ever visits, defeating the
-        index.  (Documented deviation; see DESIGN.md.)
+        index.
 
         Regions are spatially quantized (``record_spacing_ft``): while the
         reader stays near the last recorded region, this epoch's objects
@@ -116,32 +112,18 @@ class ActiveSetSelector:
             and float(np.linalg.norm(center[:2] - self._last_center[:2]))
             < self._config.record_spacing_ft
         ):
-            if self._index.attach(self._last_region_id, attached_ids):
-                self._dirty = True
+            self._index.attach(self._last_region_id, attached_ids)
             return
         # Pad by the spacing so the quantized region still covers the
         # interim epochs' true sensing boxes.
         box = current_box.expanded(self._config.record_spacing_ft / 2.0)
         self._last_region_id = self._index.record(box, attached_ids)
         self._last_center = center
-        self._dirty = True
 
     def forget_object(self, object_id: int) -> None:
         """Detach an object everywhere (it was reset far from its past)."""
-        if self._index is not None and self._index.remove_object(object_id):
-            self._dirty = True
-
-    # ------------------------------------------------------------------
-    # Dirty tracking (delta-checkpoint clean links)
-    # ------------------------------------------------------------------
-    @property
-    def dirty(self) -> bool:
-        """Whether snapshot-visible state changed since ``clear_dirty``."""
-        return self._dirty
-
-    def clear_dirty(self) -> None:
-        """Mark the current state as captured (called at snapshot time)."""
-        self._dirty = False
+        if self._index is not None:
+            self._index.remove_object(object_id)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)
@@ -164,8 +146,6 @@ class ActiveSetSelector:
                 "the snapshot's selector state and this configuration disagree "
                 "on whether the spatial index is enabled"
             )
-        # The loaded state is, by definition, the last captured state.
-        self._dirty = False
         if state is None:
             return
         self._index.load_snapshot(state)

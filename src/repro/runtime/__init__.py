@@ -8,7 +8,7 @@ See :class:`ShardedRuntime` for the end-to-end driver.
 
 from .bridge import QueryBridge
 from .bus import EventBus
-from .partition import hash_partition, make_partitioner, mod_partition, shard_seed
+from .partition import hash_partition, shard_seed
 from .router import EpochRouter
 from .runtime import ShardedRuntime
 from .shard import FilterShard
@@ -22,7 +22,5 @@ __all__ = [
     "ShardWorkerProxy",
     "ShardedRuntime",
     "hash_partition",
-    "make_partitioner",
-    "mod_partition",
     "shard_seed",
 ]

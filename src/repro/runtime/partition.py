@@ -2,16 +2,13 @@
 
 The sharded runtime needs a stationary, deterministic map from object-tag
 numbers to shards — the same tag must land on the same shard on every epoch
-and every run, or beliefs would be split across filters.  Two partitioners
-are provided (named in :data:`repro.config.PARTITIONER_NAMES`):
-
-* ``"hash"`` — a splitmix64-style integer mix before the modulus.  Real tag
-  populations are rarely uniform in their low bits (EPC blocks are strided,
-  simulators number tags consecutively per shelf), and a plain modulus maps
-  any stride that shares a factor with the shard count onto a subset of
-  shards.  The mix decorrelates the assignment from the numbering scheme.
-* ``"mod"`` — plain ``number % n_shards``; transparent and debuggable, the
-  right choice when tag numbers are already dense and uniform.
+and every run, or beliefs would be split across filters.
+:func:`hash_partition` applies a splitmix64-style integer mix before the
+modulus: real tag populations are rarely uniform in their low bits (EPC
+blocks are strided, simulators number tags consecutively per shelf), and a
+plain modulus maps any stride that shares a factor with the shard count
+onto a subset of shards.  The mix decorrelates the assignment from the
+numbering scheme.
 
 Per-shard seeding lives here too: each shard's filter must draw from an
 independent RNG stream, derived deterministically from the root seed so a
@@ -20,11 +17,7 @@ sharded run is reproducible end-to-end.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from ..config import PARTITIONER_NAMES
 
 _MASK64 = (1 << 64) - 1
 
@@ -38,25 +31,8 @@ def _mix64(x: int) -> int:
 
 
 def hash_partition(number: int, n_shards: int) -> int:
+    """The shard (``0 .. n_shards - 1``) that owns object tag ``number``."""
     return _mix64(int(number)) % n_shards
-
-
-def mod_partition(number: int, n_shards: int) -> int:
-    return int(number) % n_shards
-
-
-_PARTITIONERS = {"hash": hash_partition, "mod": mod_partition}
-assert set(_PARTITIONERS) == set(PARTITIONER_NAMES)
-
-
-def make_partitioner(name: str, n_shards: int) -> Callable[[int], int]:
-    """Bind a named partitioner to a shard count: ``number -> shard index``."""
-    if name not in _PARTITIONERS:
-        raise KeyError(f"unknown partitioner {name!r}")
-    if n_shards == 1:
-        return lambda number: 0
-    fn = _PARTITIONERS[name]
-    return lambda number: fn(number, n_shards)
 
 
 def shard_seed(root_seed: int, shard_index: int, n_shards: int) -> int:

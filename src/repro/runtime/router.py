@@ -19,30 +19,29 @@ from dataclasses import replace
 from typing import List
 
 from ..streams.records import Epoch
-from .partition import make_partitioner
+from .partition import hash_partition
 
 
 class EpochRouter:
     """Splits epochs by tag ownership, broadcasting reader/shelf context."""
 
-    def __init__(self, n_shards: int, partitioner: str = "hash"):
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.n_shards = n_shards
-        self.partitioner = partitioner
-        self._partition = make_partitioner(partitioner, n_shards)
 
     def shard_of(self, number: int) -> int:
         """The shard that owns object tag ``number``."""
-        return self._partition(number)
+        return hash_partition(number, self.n_shards)
 
     def split(self, epoch: Epoch) -> List[Epoch]:
         """One epoch per shard: owned object tags + broadcast context."""
         if self.n_shards == 1:
             return [epoch]
-        buckets: List[List] = [[] for _ in range(self.n_shards)]
+        n = self.n_shards
+        buckets: List[List] = [[] for _ in range(n)]
         for tag in epoch.object_tags:
-            buckets[self._partition(tag.number)].append(tag)
+            buckets[hash_partition(tag.number, n)].append(tag)
         return [
             replace(epoch, object_tags=frozenset(bucket)) for bucket in buckets
         ]

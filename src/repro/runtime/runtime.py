@@ -63,7 +63,7 @@ class ShardedRuntime:
         Per-shard inference knobs; ``config.seed`` is the *root* seed from
         which each shard's independent seed is derived.
     runtime:
-        Shard count, partitioner, and executor.
+        Shard count and executor.
     policy:
         Output policy applied by every shard's cleaning pipeline.
     sink:
@@ -92,7 +92,7 @@ class ShardedRuntime:
         self.runtime_config = runtime
         self.policy = policy
         self.initial_heading = float(initial_heading)
-        self.router = EpochRouter(runtime.n_shards, runtime.partitioner)
+        self.router = EpochRouter(runtime.n_shards)
         self.bus = bus if bus is not None else EventBus()
         self.sink: EventSink = sink if sink is not None else CollectingSink()
         self.bus.subscribe_sink(self.sink)
@@ -421,7 +421,7 @@ class ShardedRuntime:
     # ------------------------------------------------------------------
     # Live re-sharding
     # ------------------------------------------------------------------
-    def reshard(self, n_shards: int, partitioner: Optional[str] = None) -> None:
+    def reshard(self, n_shards: int) -> None:
         """Migrate to a new shard layout at the current epoch boundary, live.
 
         Snapshot every running shard (pipelined for worker executors),
@@ -447,19 +447,13 @@ class ShardedRuntime:
             raise StateError("cannot reshard a finished runtime")
         if n_shards < 1:
             raise StateError("n_shards must be >= 1")
-        new_partitioner = (
-            partitioner if partitioner is not None else self.runtime_config.partitioner
-        )
-        if (
-            n_shards == self.n_shards
-            and new_partitioner == self.runtime_config.partitioner
-        ):
+        if n_shards == self.n_shards:
             return
         started = time.monotonic()
         # 1. Coordinated full snapshot of the running shards.
         old_states = collect_shard_snapshots(self.shards, "full")
         # 2. Repartition onto the new layout.
-        new_router = EpochRouter(n_shards, new_partitioner)
+        new_router = EpochRouter(n_shards)
         new_states = reshard_states(
             old_states,
             new_router,
@@ -478,9 +472,7 @@ class ShardedRuntime:
         # the old one (a failure mid-build leaves the runtime untouched).
         old_config, old_router = self.runtime_config, self.router
         old_shards = self.shards
-        self.runtime_config = replace(
-            old_config, n_shards=n_shards, partitioner=new_partitioner
-        )
+        self.runtime_config = replace(old_config, n_shards=n_shards)
         self.router = new_router
         new_shards: List = []
         try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..config import InferenceConfig, OutputPolicyConfig
+from ..config import CHECKPOINT_MODES, InferenceConfig, OutputPolicyConfig
 from ..errors import StateError
 from ..inference.factored import FactoredParticleFilter
 from ..inference.pipeline import CleaningPipeline
@@ -58,7 +58,11 @@ class FilterShard:
         )
         self._buffer = CollectingSink()
         self.pipeline = CleaningPipeline(self.engine, policy, self._buffer)
-        self._snapshot: Optional[Dict[str, dict]] = None
+        self._snapshot: Optional[dict] = None
+        #: Serial of this shard's latest capture (zero: never captured).  A
+        #: delta records its parent's, so the checkpoint layer can prove (at
+        #: save and at load) that it chains onto the capture it claims to.
+        self._capture_serial = 0
 
     def step(self, epoch: Epoch) -> None:
         self.pipeline.step(epoch)
@@ -79,7 +83,7 @@ class FilterShard:
     def snapshot_async(self, mode: str = "full") -> None:
         self._snapshot = self.snapshot(mode)
 
-    def collect_snapshot(self) -> Dict[str, dict]:
+    def collect_snapshot(self) -> dict:
         state, self._snapshot = self._snapshot, None
         return state
 
@@ -127,26 +131,48 @@ class FilterShard:
     # ------------------------------------------------------------------
     # Snapshot / restore (the durable-state subsystem, ``repro.state``)
     # ------------------------------------------------------------------
-    def snapshot(self, mode: str = "full") -> Dict[str, dict]:
+    def snapshot(self, mode: str = "full") -> dict:
         """Capture the shard's mutable state (engine + pipeline).
 
         ``mode="delta"`` captures only the changes since the previous
-        capture — the differential-checkpoint path (``repro.state``).
+        capture (of either mode) — the differential-checkpoint path
+        (``repro.state.delta``).  Every capture advances ``capture_serial``
+        — first, so a capture that fails half-way still breaks the chain —
+        and a delta also records ``parent_capture_serial``.
 
         Checkpoints are taken at epoch boundaries *after* the runtime drained
         the event buffer; a non-empty buffer means events would be lost, so
         it is an error, not a silent drop.
         """
+        if mode not in CHECKPOINT_MODES:
+            raise StateError(f"unknown snapshot mode {mode!r}")
+        if mode == "delta" and self._capture_serial == 0:
+            raise StateError(
+                "cannot capture a delta snapshot: no baseline capture exists"
+            )
         if self._buffer.events:
             raise StateError(
                 f"shard {self.index} has {len(self._buffer.events)} undrained "
                 "events; checkpoint only at epoch boundaries after a merge"
             )
-        return {
-            "engine": self.engine.snapshot_state(mode=mode),
-            "pipeline": self.pipeline.snapshot_state(mode=mode),
-        }
+        parent = self._capture_serial
+        self._capture_serial += 1
+        delta = mode == "delta"
+        state: dict = {"capture_serial": self._capture_serial}
+        if delta:
+            state.update(delta=True, parent_capture_serial=parent)
+        state["engine"] = self.engine.snapshot_state(delta)
+        state["pipeline"] = self.pipeline.snapshot_state(delta)
+        return state
 
-    def restore(self, state: Dict[str, dict]) -> None:
+    def restore(self, state: dict) -> None:
+        """Apply a full (or materialized) capture; the shard continues its
+        capture numbering, so a delta can chain onto the restored tree."""
+        if state.get("delta"):
+            raise StateError(
+                "cannot restore from a delta capture directly; materialize "
+                "it against its base first (repro.state.delta)"
+            )
         self.engine.restore_state(state["engine"])
         self.pipeline.restore_state(state["pipeline"])
+        self._capture_serial = int(state.get("capture_serial", 0))

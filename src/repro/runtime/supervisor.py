@@ -31,10 +31,11 @@ an overflowed journal escalates: the runtime aborts and the original
 
 The epoch journal is cleared on every checkpoint (the runtime notifies via
 :meth:`ShardSupervisor.note_checkpoint`), so its length is bounded by the
-checkpoint cadence.  Recovery restores one shard mid-delta-chain, which
-desynchronizes that shard's capture serial — the next periodic delta
-checkpoint detects the broken chain and rebases with a full snapshot, the
-same fallback explicit checkpoints already trigger.
+checkpoint cadence.  Recovery mid-delta-chain keeps the chain: the
+restored shard takes the capture serial of the checkpoint it restores from,
+and the replay re-marks every object the journal touched, so the next
+periodic delta still chains onto that checkpoint and ships what changed
+since it.
 """
 
 from __future__ import annotations

@@ -8,12 +8,11 @@ one read round per second.  The robot localizes by dead reckoning — reported
 locations follow the commanded path while the true position drifts by up to a
 foot.
 
-We have no RFID hardware, so this module *emulates* that deployment (see
-DESIGN.md Section 2): the antenna is the spherical wide-minor-range field the
-paper's own Fig 5(d) shows for this reader, drift is a constant-rate
-systematic error plus slip noise, and the reader's *timeout* setting (0.25 /
-0.50 / 0.75 s — more time for marginal tags to respond) maps to a wider,
-hotter sensor field.  The qualitative structure Fig 6(b) reports (our system
+We have no RFID hardware, so this module *emulates* that deployment: the
+antenna is the spherical wide-minor-range field the paper's own Fig 5(d)
+shows for this reader, drift is a constant-rate systematic error plus slip
+noise, and the reader's *timeout* setting (0.25 / 0.50 / 0.75 s — more time
+for marginal tags to respond) maps to a wider, hotter sensor field.  The qualitative structure Fig 6(b) reports (our system
 beats SMURF beats uniform; x-errors of the baselines pinned at half the
 imagined-shelf depth; y-errors of the baselines inflated by reader drift)
 is produced by the same mechanisms as in the paper's lab.

@@ -74,9 +74,11 @@ from .snapshot import (
 #: Bump when the file layout, header or state-tree layout changes
 #: incompatibly.  Version 1 was a directory per checkpoint; version 2 put
 #: the query-operator state after the arrays in a format that executes;
-#: version 3 kept the spatial index's regions as dicts in the JSON skeleton
-#: (version 4: ``regions`` / ``attached`` tables, arrays in the body).
-FORMAT_VERSION = 4
+#: version 3 kept the spatial index's regions as dicts in the JSON skeleton;
+#: version 4 kept a capture serial per shard part, clean markers in delta
+#: links and a ``partitioner`` in the runtime config (version 5: one serial
+#: per shard tree, neither of the others).
+FORMAT_VERSION = 5
 
 MAGIC = b"RPROCKPT"
 
@@ -206,7 +208,7 @@ class CheckpointManifest:
 class ChainHead:
     """A checkpoint file's path and what chaining and rotation read of its
     header (``kind`` / ``parent`` / ``base`` / ``chain_index`` /
-    ``config_hash`` / per-shard ``capture_serials``; no state skeleton), held
+    ``config_hash`` / each shard's ``capture_serial``; no state skeleton), held
     in memory: :func:`save_checkpoint` returns the head of the file it just
     wrote, so the periodic path hands it back as the next delta's ``parent``
     (and to :func:`rotate_checkpoints`) without re-reading its own output.
@@ -218,12 +220,10 @@ class ChainHead:
     @classmethod
     def of(cls, path: str, header: dict) -> "ChainHead":
         keys = ("kind", "parent", "base", "chain_index", "config_hash")
-        parts = ("engine", "pipeline")
         try:
             links = {key: header[key] for key in keys if key in header}
             links["capture_serials"] = [
-                {p: record["state"].get(p, {}).get("capture_serial") for p in parts}
-                for record in header["shards"]
+                record["state"].get("capture_serial") for record in header["shards"]
             ]
         except _MALFORMED as exc:
             raise StateError(f"{path}: malformed shard record: {exc!r}") from exc
@@ -268,9 +268,9 @@ def collect_shard_snapshots(shards, mode: str = "full") -> List[dict]:
 def _check_delta_chains(parent: ChainHead, states: List[dict]) -> None:
     """Prove each delta capture chains onto the parent checkpoint's capture.
 
-    Compares the per-shard ``parent_capture_serial`` of the fresh delta
-    trees against the ``capture_serial`` the parent recorded.  A mismatch
-    means a capture happened between the parent checkpoint and this one (an
+    Compares each shard's ``parent_capture_serial`` in the fresh delta
+    trees against the ``capture_serial`` the parent recorded for it.  A
+    mismatch means a capture happened between the parent checkpoint and this one (an
     explicit ``checkpoint()`` call, a test snapshot, …) — writing the delta
     anyway would persist a torn chain.
     """
@@ -280,17 +280,15 @@ def _check_delta_chains(parent: ChainHead, states: List[dict]) -> None:
             f"delta checkpoint has {len(states)} shards but its parent "
             f"{parent.path} has {len(parents)}"
         )
-    for index, (serials, state) in enumerate(zip(parents, states)):
-        for part in ("engine", "pipeline"):
-            have = serials[part]
-            want = state[part].get("parent_capture_serial")
-            if have is None or want != have:
-                raise StateError(
-                    f"shard {index} {part} delta does not chain onto "
-                    f"{parent.path}: delta parent serial {want!r}, checkpoint "
-                    f"serial {have!r} (a state capture happened in between; "
-                    "rebase with a full checkpoint)"
-                )
+    for index, (have, state) in enumerate(zip(parents, states)):
+        want = state.get("parent_capture_serial")
+        if have is None or want != have:
+            raise StateError(
+                f"shard {index} delta does not chain onto {parent.path}: "
+                f"delta parent serial {want!r}, checkpoint serial {have!r} "
+                "(a state capture happened in between; rebase with a full "
+                "checkpoint)"
+            )
 
 
 def save_checkpoint(runtime, path, mode: str = "full", parent=None) -> ChainHead:

@@ -2,12 +2,13 @@
 
 A *delta capture* (``FilterShard.snapshot(mode="delta")``) records what
 changed in a shard since its previous capture: per-epoch scalars and the
-RNG/reader state in full (they change every epoch), and for each per-object
-table (:mod:`.tables` — beliefs, arena blocks, visits) the complete **id
-order** ``ids`` (tiny — it carries ordering, which is semantically
-load-bearing, and deletions, which are just absences from the list) plus
-``dirty_ids`` and the columns' rows for those objects only.  Replaying one is
-``select([dirty rows, base], ids)`` per table — this module names no column:
+RNG/reader/selector state in full, and for each per-object table
+(:mod:`.tables` — beliefs, arena blocks, visits) a
+:func:`~.tables.dirty_cut`: the complete **id order** ``ids`` (tiny — it
+carries ordering, which is semantically load-bearing, and deletions, which
+are just absences from the list) plus ``dirty_ids`` and the columns' rows
+for those objects only.  Replaying one is ``select([dirty rows, base],
+ids)`` per table — this module names no column:
 
     full tree at epoch T  =  apply_shard_delta(tree at T-k, delta at T)
 
@@ -17,7 +18,7 @@ checkpoint layer (:mod:`.checkpoint`) restore a base + delta chain
 bitwise-identically to a full snapshot, and lets tests assert that equality
 directly.
 
-Chain integrity is proven, not assumed: every capture carries a
+Chain integrity is proven, not assumed: every shard capture carries one
 ``capture_serial`` and every delta the serial of its parent capture;
 :func:`apply_shard_delta` refuses an overlay whose parent serial does not
 match the base tree's serial (a *torn chain* — a capture was taken, or a
@@ -28,8 +29,6 @@ the first place.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from ..errors import StateError
@@ -39,7 +38,6 @@ from .tables import check, columns, select
 #: cheap): everything except the belief/arena column data.
 _ENGINE_FULL_KEYS = (
     "engine",
-    "capture_serial",
     "rng_state",
     "epoch_index",
     "active_count",
@@ -54,23 +52,7 @@ _ENGINE_FULL_KEYS = (
 
 def is_delta_state(state: dict) -> bool:
     """True when a shard state tree is a delta capture, not a full one."""
-    return bool(state.get("engine", {}).get("delta")) or bool(
-        state.get("pipeline", {}).get("delta")
-    )
-
-
-def _check_link(base: dict, delta: dict, what: str) -> None:
-    if base.get("delta"):
-        raise StateError("base of a delta overlay must be a full capture")
-    if not delta.get("delta"):
-        raise StateError("overlay is not a delta capture")
-    parent = delta.get("parent_capture_serial")
-    have = base.get("capture_serial")
-    if parent != have:
-        raise StateError(
-            f"torn delta chain: {what} delta chains onto capture "
-            f"{parent!r} but the base tree is capture {have!r}"
-        )
+    return bool(state.get("delta"))
 
 
 def _overlay(base: dict, delta: dict, what: str) -> dict:
@@ -130,21 +112,7 @@ def apply_engine_delta(base: dict, delta: dict) -> dict:
     """Overlay an engine delta capture on a full engine state tree."""
     if base.get("engine") != "factored" or delta.get("engine") != "factored":
         raise StateError("delta materialization supports the factored engine only")
-    _check_link(base, delta, "engine")
     out = {key: delta[key] for key in _ENGINE_FULL_KEYS}
-    # Clean-marker resolution: a delta whose reader belief / selector tree
-    # did not change since the parent ships ``{"__clean__": True}`` instead
-    # of the state; the materialized tree takes a deep copy of the base's
-    # (no re-encoding, so bitwise-exact; never a view into the base).
-    for part in ("reader", "selector"):
-        if isinstance(out[part], dict) and out[part].get("__clean__"):
-            kept = base.get(part)
-            if not isinstance(kept, dict) or kept.get("__clean__"):
-                raise StateError(
-                    f"torn delta chain: {part} marked clean but the base "
-                    f"capture carries no {part} state"
-                )
-            out[part] = copy.deepcopy(kept)
     out["arena"] = apply_arena_delta(base["arena"], delta["arena"])
     out["beliefs"] = _overlay(base["beliefs"], delta["beliefs"], "belief")
     return out
@@ -152,11 +120,9 @@ def apply_engine_delta(base: dict, delta: dict) -> dict:
 
 def apply_pipeline_delta(base: dict, delta: dict) -> dict:
     """Overlay a pipeline delta capture on a full pipeline state tree."""
-    _check_link(base, delta, "pipeline")
     # Key order mirrors a full capture's, so the materialized tree is
     # indistinguishable from one even in serialized (skeleton) form.
     return {
-        "capture_serial": delta["capture_serial"],
         "emitted_ever": delta["emitted_ever"],
         "last_epoch_time": delta["last_epoch_time"],
         "visits": _overlay(base["visits"], delta["visits"], "visit"),
@@ -165,7 +131,18 @@ def apply_pipeline_delta(base: dict, delta: dict) -> dict:
 
 def apply_shard_delta(base: dict, delta: dict) -> dict:
     """Materialize one shard's full state tree from base + one delta."""
+    if is_delta_state(base):
+        raise StateError("base of a delta overlay must be a full capture")
+    if not is_delta_state(delta):
+        raise StateError("overlay is not a delta capture")
+    parent, have = delta.get("parent_capture_serial"), base.get("capture_serial")
+    if have is None or parent != have:
+        raise StateError(
+            f"torn delta chain: the delta chains onto capture {parent!r} "
+            f"but the base tree is capture {have!r}"
+        )
     return {
+        "capture_serial": delta["capture_serial"],
         "engine": apply_engine_delta(base["engine"], delta["engine"]),
         "pipeline": apply_pipeline_delta(base["pipeline"], delta["pipeline"]),
     }

@@ -3,7 +3,7 @@
 Two restore modes, chosen by comparing the checkpoint's shard layout with
 the requested one:
 
-**Exact restore** — same shard count and partitioner.  Every shard's state
+**Exact restore** — same shard count.  Every shard's state
 tree is applied verbatim: RNG bit-generator states, reader beliefs, arena
 blocks, visit bookkeeping.  The resumed run is *bitwise identical* to an
 uninterrupted run — same events, same timestamps, same positions — because
@@ -11,12 +11,12 @@ every source of randomness and every piece of mutable state crosses the
 checkpoint boundary intact (the arena's parent remapping was made
 hole-layout-independent for exactly this reason).
 
-**Elastic re-shard** — different shard count (or partitioner).  The
-per-object tables (:mod:`.tables` — particle blocks, belief metadata, visit
-bookkeeping) are repartitioned with the new layout's own partitioner: each
-new shard's table is what ``select`` picks for it out of the stack of every
-old shard's, so a run can scale from N to M shards *without replaying from
-epoch 0* — and a column added by a table's owner migrates unmentioned.
+**Elastic re-shard** — different shard count.  The per-object tables
+(:mod:`.tables` — particle blocks, belief metadata, visit bookkeeping) are
+repartitioned with the new layout's own router: each new shard's table is
+what ``select`` picks for it out of the stack of every old shard's, so a
+run can scale from N to M shards *without replaying from epoch 0* — and a
+column added by a table's owner migrates unmentioned.
 Three pieces of state cannot migrate exactly and are handled explicitly:
 
 * **Reader beliefs** are duplicated per shard by design (each shard tracks
@@ -93,8 +93,8 @@ def restore_runtime(
         did (e.g. from the trace's calibration data).
     runtime_config:
         Target shard layout.  ``None`` restores the recorded layout
-        exactly; a different ``n_shards`` (or partitioner) triggers the
-        elastic re-shard path.  The *executor* is a free choice either way:
+        exactly; a different ``n_shards`` triggers the elastic re-shard
+        path.  The *executor* is a free choice either way:
         a checkpoint taken under the process executor restores into serial
         shards and vice versa (state trees cross the worker link on the
         process path), and an exact restore stays bitwise regardless.
@@ -113,10 +113,7 @@ def restore_runtime(
             "payload — the header was modified after it was written"
         )
     target = runtime_config if runtime_config is not None else manifest.runtime
-    exact = (
-        target.n_shards == manifest.n_shards
-        and target.partitioner == manifest.runtime.partitioner
-    )
+    exact = target.n_shards == manifest.n_shards
     # Everything that can be refused is refused before a runtime (and, for
     # the worker executors, its processes) exists.
     if exact:
@@ -125,7 +122,7 @@ def restore_runtime(
     else:
         states = reshard_states(
             manifest.shard_states,
-            EpochRouter(target.n_shards, target.partitioner),
+            EpochRouter(target.n_shards),
             target.n_shards,
             manifest.config.seed,
             manifest.config.spatial_index.enabled,

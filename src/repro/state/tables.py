@@ -13,11 +13,14 @@ table; only this module interprets ``ids`` and ``counts``.  Objects' beliefs
 are independent given the reader, so a delta overlay and a re-shard both
 move whole objects, and both are one :func:`select` over a stack of tables.
 Tables come from files and workers, so every defect is a ``StateError``.
+
+A delta capture of a table is one :func:`dirty_cut`: its full layout plus
+the rows of the objects that changed since the previous capture.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Container, Dict, List, Sequence
 
 import numpy as np
 
@@ -53,6 +56,22 @@ def _layout(table: Table, what: str, unique: bool = False):
         if np.ndim(table[name]) == 0 or len(table[name]) != rows:
             raise StateError(f"{what} column {name!r} does not hold {rows} rows")
     return ids, counts
+
+
+def dirty_cut(
+    layout: Table, dirty: Container[int], rows: Callable[[List[int]], Table]
+) -> Table:
+    """The delta form of a table: its full ``layout`` (``ids`` — whose order
+    is load-bearing and whose absences are the deletions — and, for a block
+    table, every block's ``counts``), then ``dirty_ids`` (the ids of
+    ``layout`` in ``dirty``, in layout order) and the columns of the table
+    ``rows`` reports for exactly those ids."""
+    table = rows([n for n in layout["ids"].tolist() if n in dirty])
+    return {
+        **layout,
+        "dirty_ids": table["ids"],
+        **{name: table[name] for name in columns(table)},
+    }
 
 
 def check(table: Table, what: str) -> None:

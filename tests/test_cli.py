@@ -161,7 +161,6 @@ CONFIG_FLAGS = {
     "--arena-dtype": (["--arena-dtype", "float32"], "inference", "arena.dtype", "float32"),
     "--delay": (["--delay", "12.5"], "policy", "delay_s", 12.5),
     "--shards": (["--shards", "3"], "runtime", "n_shards", 3),
-    "--partitioner": (["--partitioner", "mod"], "runtime", "partitioner", "mod"),
     "--executor": (["--executor", "process"], "runtime", "executor", "process"),
     "--shard-host": (
         ["--executor", "remote", "--shard-host", "10.0.0.1:7000", "--shard-host", "10.0.0.2:7000"],
@@ -272,6 +271,17 @@ class TestConfigFlags:
             return dict(zip(("inference", "runtime", "policy"), args[1:]))
 
         return run
+
+    @pytest.mark.parametrize("verb", ["clean", "query", "serve"])
+    def test_removed_partitioner_flag_is_refused(self, verb, verb_argv, capsys):
+        """Only the hash partitioner exists: an old ``--partitioner`` command
+        line is a usage error, not a flag that is silently ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(verb_argv(verb) + ["--partitioner", "mod"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro" in err
+        assert "unrecognized arguments: --partitioner mod" in err
 
     def test_table_covers_every_config_backed_flag(self):
         declared = {
@@ -669,12 +679,12 @@ class TestResumeFlags:
             main(
                 [
                     "clean", str(trace_path), "--resume", str(periodic),
-                    "--shards", "3", "--partitioner", "mod", "--executor", "process",
+                    "--shards", "3", "--executor", "process",
                     "--supervise", "--max-restarts", "9",
                 ]
             )
         (target,) = handover.value.args
-        assert (target.n_shards, target.partitioner, target.executor) == (3, "mod", "process")
+        assert (target.n_shards, target.executor) == (3, "process")
         assert target.supervisor.max_restarts == 9
         assert target.checkpoint_dir == str(periodic)  # not given: recorded
 

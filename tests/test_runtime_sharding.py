@@ -26,8 +26,6 @@ from repro.runtime import (
     EventBus,
     ShardedRuntime,
     hash_partition,
-    make_partitioner,
-    mod_partition,
     shard_seed,
 )
 from repro.runtime.shard import FilterShard
@@ -45,14 +43,11 @@ class TestRuntimeConfig:
     def test_defaults_valid(self):
         config = RuntimeConfig()
         assert config.n_shards == 1
-        assert config.partitioner == "hash"
         assert config.executor == "serial"
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(n_shards=0)
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(partitioner="round-robin")
         with pytest.raises(ConfigurationError):
             RuntimeConfig(executor="fiber")
 
@@ -65,27 +60,21 @@ class TestRuntimeConfig:
 
 class TestPartitioners:
     def test_deterministic_and_in_range(self):
-        for fn in (hash_partition, mod_partition):
-            for number in range(200):
-                shard = fn(number, 4)
-                assert 0 <= shard < 4
-                assert shard == fn(number, 4)
+        for number in range(200):
+            shard = hash_partition(number, 4)
+            assert 0 <= shard < 4
+            assert shard == hash_partition(number, 4)
 
     def test_hash_spreads_strided_populations(self):
-        """Tags strided by the shard count all collide under mod but must
-        spread under hash (the reason hash is the default)."""
+        """Tags strided by the shard count all collide under a plain modulus
+        but must spread under the hash (the reason it mixes first)."""
         numbers = range(0, 400, 4)
-        assert {mod_partition(n, 4) for n in numbers} == {0}
         counts = np.bincount([hash_partition(n, 4) for n in numbers], minlength=4)
         assert (counts > 0).all()
 
     def test_single_shard_partitioner_is_constant(self):
-        partition = make_partitioner("hash", 1)
-        assert {partition(n) for n in range(50)} == {0}
-
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(KeyError):
-            make_partitioner("round-robin", 2)
+        router = EpochRouter(1)
+        assert {router.shard_of(n) for n in range(50)} == {0}
 
     def test_shard_seed_preserves_root_for_single_shard(self):
         assert shard_seed(7, 0, 1) == 7

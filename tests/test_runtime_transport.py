@@ -1088,7 +1088,7 @@ class TestSelectorMigration:
         assert any(
             sel["attached"]["ids"].size for sel in old_selectors
         ), "scenario never attached an object — test is vacuous"
-        router = EpochRouter(3, "hash")
+        router = EpochRouter(3)
         new_states = reshard_states(
             old_states,
             router,

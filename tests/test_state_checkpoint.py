@@ -184,11 +184,12 @@ class TestCheckpointFormat:
         with pytest.raises(StateError, match="config hash"):
             restore_runtime(path, model)
 
-    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [3, 4, FORMAT_VERSION + 1])
     def test_unsupported_version_rejected(self, scenario, tmp_path, version):
         """Version 3 held the spatial index's regions as per-region JSON
-        dicts; a build reads its own version only and names the one it
-        refuses."""
+        dicts; version 4 a capture serial per engine and pipeline part, clean
+        markers and a partitioner name.  A build reads its own version only
+        and names the one it refuses."""
         from repro.state.checkpoint import MAGIC, PREAMBLE
 
         model, trace, config = scenario
@@ -210,7 +211,7 @@ class TestCheckpointFormat:
     def test_version_1_directory_rejected(self, tmp_path):
         """Format version 1 was a directory per checkpoint: refused, not
         read by a second code path."""
-        with pytest.raises(StateError, match="version 1 is not supported.*reads version 4"):
+        with pytest.raises(StateError, match="version 1 is not supported.*reads version 5"):
             load_checkpoint(tmp_path)
         with pytest.raises(StateError, match="cannot open"):
             load_checkpoint(tmp_path / "missing")
@@ -430,7 +431,7 @@ class TestMalformedFiles:
         path.write_bytes(content + hashlib.sha256(content).digest())
         (tmp_path / "LATEST").write_text("epoch_00000012\n")
 
-        with pytest.raises(StateError, match="version 2 is not supported.*reads version 4"):
+        with pytest.raises(StateError, match="version 2 is not supported.*reads version 5"):
             load_checkpoint(path, verify=verify)
         with pytest.raises(StateError, match="version 2 is not supported"):
             read_checkpoint_header(path)
@@ -909,7 +910,7 @@ class TestForeignEngineState:
         finally:
             runtime.abort()
         manifest = load_checkpoint(tmp_path / "ck")
-        assert manifest.version == FORMAT_VERSION == 4
+        assert manifest.version == FORMAT_VERSION == 5
         assert [state["engine"]["engine"] for state in manifest.shard_states] == [
             "factored",
             "factored",

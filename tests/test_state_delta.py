@@ -31,9 +31,10 @@ from repro.config import (
 )
 from repro.errors import StateError
 from repro.inference.arena import BeliefArena
-from repro.inference.factored import FactoredParticleFilter
 from repro.runtime import EventBus, QueryBridge, ShardedRuntime
+from repro.runtime.shard import FilterShard
 from repro.state import (
+    apply_shard_delta,
     load_checkpoint,
     read_checkpoint_header,
     restore_runtime,
@@ -116,26 +117,31 @@ def write_chain(model, trace, config, runtime_config, splits, directory, modes):
     return paths, prefixes
 
 
+def dirty_blocks(arena):
+    delta = arena.delta_snapshot()
+    return sorted(delta["dirty_ids"].tolist()), delta["parents_dirty"]
+
+
 class TestArenaDirtyTracking:
     def test_set_object_and_free_maintain_dirty(self):
         arena = BeliefArena(ArenaConfig(initial_capacity=64))
         arena.set_object(1, np.zeros((4, 3)), np.zeros(4, np.int32), np.zeros(4))
         arena.set_object(2, np.ones((4, 3)), np.ones(4, np.int32), np.ones(4))
-        assert sorted(arena.dirty_ids()) == [1, 2]
+        assert dirty_blocks(arena) == ([1, 2], False)
         arena.clear_dirty()
-        assert arena.dirty_ids() == [] and not arena.parents_dirty
+        assert dirty_blocks(arena) == ([], False)
         arena.mark_dirty([2])
-        assert arena.dirty_ids() == [2]
+        assert dirty_blocks(arena) == ([2], False)
         arena.free(2)
-        assert arena.dirty_ids() == []  # freed objects leave the dirty set
+        assert dirty_blocks(arena) == ([], False)  # freed objects leave the dirty set
 
     def test_remap_parents_sets_parents_dirty(self, rng):
         arena = BeliefArena(ArenaConfig(initial_capacity=64))
         arena.set_object(1, np.zeros((4, 3)), np.zeros(4, np.int32), np.zeros(4))
         arena.clear_dirty()
         arena.remap_parents(np.arange(8), rng)
-        assert arena.parents_dirty
-        assert arena.dirty_ids() == []  # content dirtiness is separate
+        # Content dirtiness is separate from the parents-wide flag.
+        assert dirty_blocks(arena) == ([], True)
 
     def test_delta_snapshot_ships_dirty_blocks_only(self):
         arena = BeliefArena(ArenaConfig(initial_capacity=64))
@@ -166,29 +172,40 @@ class TestArenaDirtyTracking:
 
 
 class TestCaptureContract:
+    """The shard owns the capture protocol: one serial per shard, the mode
+    checks, and the refusal to restore an unmaterialized delta."""
+
     def test_delta_without_baseline_refused(self, small_model, fast_config):
-        engine = FactoredParticleFilter(small_model, fast_config)
+        shard = FilterShard(0, small_model, fast_config)
         with pytest.raises(StateError, match="baseline"):
-            engine.snapshot_state(mode="delta")
+            shard.snapshot("delta")
 
     def test_unknown_mode_refused(self, small_model, fast_config):
-        engine = FactoredParticleFilter(small_model, fast_config)
+        shard = FilterShard(0, small_model, fast_config)
         with pytest.raises(StateError, match="mode"):
-            engine.snapshot_state(mode="incremental")
+            shard.snapshot("incremental")
 
     def test_delta_tree_cannot_be_restored_directly(
         self, small_model, fast_config
     ):
         from repro.streams.records import make_epoch
 
-        engine = FactoredParticleFilter(small_model, fast_config)
-        engine.step(make_epoch(0.0, (0.0, 1.0), object_tags=[1], reported_heading=0.0))
-        engine.snapshot_state()
-        engine.step(make_epoch(1.0, (0.0, 1.1), object_tags=[1], reported_heading=0.0))
-        delta = engine.snapshot_state(mode="delta")
+        shard = FilterShard(0, small_model, fast_config)
+        shard.step(make_epoch(0.0, (0.0, 1.0), object_tags=[1], reported_heading=0.0))
+        shard.drain()
+        assert shard.snapshot()["capture_serial"] == 1
+        shard.step(make_epoch(1.0, (0.0, 1.1), object_tags=[1], reported_heading=0.0))
+        shard.drain()
+        delta = shard.snapshot("delta")
         assert delta["delta"] and delta["parent_capture_serial"] == 1
+        assert delta["capture_serial"] == 2
+        # One serial per shard: the parts carry none of their own.
+        for part in ("engine", "pipeline"):
+            assert not {"capture_serial", "parent_capture_serial", "delta"} & set(
+                delta[part]
+            )
         with pytest.raises(StateError, match="materialize"):
-            engine.restore_state(delta)
+            shard.restore(delta)
 
 
 class TestDeltaMaterialization:
@@ -320,46 +337,37 @@ class TestDeltaMaterialization:
         assert delta_bytes < full_bytes / 3, (full_bytes, delta_bytes)
 
 
-class TestCleanLinkMarkers:
-    """Delta links whose reader belief / selector did not change since the
-    parent capture carry a ``{"__clean__": True}`` marker instead of the
-    full state, and materialize bitwise from the base."""
+class TestUnsteppedLinks:
+    """A delta taken with no ``step`` since its parent capture changes no
+    row; it ships the reader and selector state in full and materializes
+    bitwise to the full capture."""
 
-    def test_unstepped_link_ships_clean_markers(self, scenario):
-        from repro.state.delta import apply_engine_delta
-
+    def test_unstepped_delta_materializes_like_full(self, scenario):
         model, trace, config = scenario
-        config = config.with_index()
-        runtime = ShardedRuntime(model, config, RuntimeConfig(n_shards=1), POLICY)
+        runtime = ShardedRuntime(
+            model, config.with_index(), RuntimeConfig(n_shards=1), POLICY
+        )
         for epoch in trace.epochs()[:8]:
             runtime.step(epoch)
         shard = runtime.shards[0]
-        base = shard.snapshot("full")["engine"]
-        delta = shard.snapshot("delta")["engine"]
-        assert delta["reader"] == {"__clean__": True}
-        assert delta["selector"] == {"__clean__": True}
-        merged = apply_engine_delta(base, delta)
-        assert tree_equal(merged["reader"], base["reader"]) is None
-        assert tree_equal(merged["selector"], base["selector"]) is None
-        # Materialized arrays are copies, never views into the base.
-        name = next(iter(merged["reader"]))
-        assert not np.shares_memory(merged["reader"][name], base["reader"][name])
-
-        # A link with intervening steps ships the real reader state again.
-        runtime.step(trace.epochs()[8])
-        stepped = shard.snapshot("delta")["engine"]
-        assert not (
-            isinstance(stepped["reader"], dict)
-            and stepped["reader"].get("__clean__")
-        )
+        base = shard.snapshot("full")
+        delta = shard.snapshot("delta")
+        full = shard.snapshot("full")
         runtime.abort()
+        for part, name in (("engine", "beliefs"), ("engine", "arena"), ("pipeline", "visits")):
+            assert delta[part][name]["dirty_ids"].size == 0, name
+        merged = apply_shard_delta(base, delta)
+        assert merged["capture_serial"] == delta["capture_serial"] == 2
+        # The later full capture differs from the materialized one in its
+        # serial only.
+        assert tree_equal(merged, {**full, "capture_serial": 2}) is None
+        # Materialized arrays are copies, never views into the base.
+        name = next(iter(merged["engine"]["reader"]))
+        assert not np.shares_memory(
+            merged["engine"]["reader"][name], base["engine"]["reader"][name]
+        )
 
-        # A marker whose base is itself a marker is a torn chain.
-        torn_base = dict(base, reader={"__clean__": True})
-        with pytest.raises(StateError, match="torn delta chain"):
-            apply_engine_delta(torn_base, delta)
-
-    def test_clean_link_chain_restores_bitwise(self, scenario, tmp_path):
+    def test_unstepped_chain_restores_bitwise(self, scenario, tmp_path):
         model, trace, config = scenario
         config = config.with_index()
         runtime_config = RuntimeConfig(n_shards=2)
@@ -372,28 +380,16 @@ class TestCleanLinkMarkers:
         prefix = list(runtime.sink.events)
         base_path = str(tmp_path / "base")
         save_checkpoint(runtime, base_path, mode="full")
-        # No steps between parent and leaf: the leaf's reader and selector
-        # ride as clean markers on disk.
+        # No steps between parent and leaf.
         leaf_path = str(tmp_path / "leaf")
         save_checkpoint(runtime, leaf_path, mode="delta", parent=base_path)
         runtime.abort()
         materialized = load_checkpoint(leaf_path)
         full = load_checkpoint(base_path)
         for ours, ref in zip(materialized.shard_states, full.shard_states):
-            # The leaf is a later capture, so only its serials may differ.
-            ours = {
-                key: {**val, "capture_serial": 0}
-                if isinstance(val, dict) and "capture_serial" in val
-                else val
-                for key, val in ours.items()
-            }
-            ref = {
-                key: {**val, "capture_serial": 0}
-                if isinstance(val, dict) and "capture_serial" in val
-                else val
-                for key, val in ref.items()
-            }
-            assert tree_equal(ours, ref) is None
+            # The leaf is the later capture, so only its serial differs.
+            assert ours["capture_serial"] == ref["capture_serial"] + 1
+            assert tree_equal(ours, {**ref, "capture_serial": ours["capture_serial"]}) is None
         restored, manifest = restore_runtime(leaf_path, model)
         assert manifest.epochs_processed == 8
         sink = restored.run(trace.epochs(start=8))
@@ -470,6 +466,43 @@ class TestTornChains:
         with pytest.raises(StateError, match="does not chain"):
             save_checkpoint(runtime, tmp_path / "delta", mode="delta", parent=base)
         runtime.abort()
+
+    def test_one_shard_off_the_chain_is_refused_at_save(self, scenario, tmp_path):
+        """The check compares every shard's one serial: a capture of one
+        shard alone breaks the chain too."""
+        model, trace, config = scenario
+        runtime = ShardedRuntime(model, config, RuntimeConfig(n_shards=2), POLICY)
+        for epoch in trace.epochs()[:10]:
+            runtime.step(epoch)
+        base = save_checkpoint(runtime, tmp_path / "base")
+        runtime.step(trace.epochs()[10])
+        runtime.shards[1].snapshot("full")
+        with pytest.raises(StateError, match="shard 1 delta does not chain"):
+            save_checkpoint(runtime, tmp_path / "delta", mode="delta", parent=base)
+        assert not os.path.exists(tmp_path / "delta")
+        runtime.abort()
+
+    def test_one_shard_off_the_chain_is_refused_at_load(
+        self, scenario, tmp_path, checkpoint_files
+    ):
+        """A delta file whose one shard serial does not chain onto its
+        parent's (a sealed, well-formed file — only the meaning is off)
+        never materializes."""
+        model, trace, config = scenario
+        paths, _ = write_chain(
+            model, trace, config, RuntimeConfig(n_shards=2), [10, 15],
+            str(tmp_path), ["full", "delta"],
+        )
+
+        def detach_shard_1(header):
+            header["shards"][1]["state"]["parent_capture_serial"] += 1
+
+        checkpoint_files.edit_header(paths[1], detach_shard_1)
+        for verify in (True, False):
+            with pytest.raises(StateError, match="torn delta chain"):
+                load_checkpoint(paths[1], verify=verify)
+        with pytest.raises(StateError, match="torn delta chain"):
+            restore_runtime(paths[1], model)
 
     def test_delta_needs_parent_and_same_directory(self, scenario, tmp_path):
         model, trace, config = scenario

@@ -588,7 +588,7 @@ class TestReshardMatchesRowByRowOracle:
     @pytest.mark.parametrize("n_new", [2, 3])
     def test_reshard_like_the_oracle(self, chain, n_new):
         _, _, finals = chain  # 1 -> 2, 1 -> 3 (float64); 4 -> 2, 4 -> 3 (float32)
-        args = (EpochRouter(n_new, "hash"), n_new, 3, True, 14)
+        args = (EpochRouter(n_new), n_new, 3, True, 14)
         ours = reshard_states(finals, *args)
         oracle = oracle_reshard_states(finals, *args)
         assert len(ours) == n_new
@@ -617,7 +617,7 @@ class TestReshardMatchesRowByRowOracle:
 
     def test_resharded_trees_restore(self, chain):
         _, _, finals = chain
-        states = reshard_states(finals, EpochRouter(3, "hash"), 3, 3, True, 14)
+        states = reshard_states(finals, EpochRouter(3), 3, 3, True, 14)
         config = inference_config(str(finals[0]["engine"]["arena"]["positions"].dtype))
         runtime = ShardedRuntime(world(), config, RuntimeConfig(n_shards=3), POLICY)
         for shard, state in zip(runtime.shards, states):
@@ -781,7 +781,7 @@ class TestUnknownColumnsRideThrough:
         for state in finals:
             for part, name in TABLES:
                 tag_rows(state[part][name], "synthetic", salt=5)
-        resharded = reshard_states(finals, EpochRouter(3, "hash"), 3, 3, True, 14)
+        resharded = reshard_states(finals, EpochRouter(3), 3, 3, True, 14)
         for state in resharded:
             for part, name in TABLES:
                 table = state[part][name]
@@ -938,7 +938,7 @@ class TestRestoreChecksBeforeItApplies:
         finals = [copy.deepcopy(state) for state in finals * 2]  # two shards at least
         tamper(finals[1][path[0]][path[1]])
         with pytest.raises(StateError, match=message):
-            reshard_states(finals, EpochRouter(3, "hash"), 3, 3, True, 14)
+            reshard_states(finals, EpochRouter(3), 3, 3, True, 14)
 
     @pytest.mark.parametrize("n_shards", [2, 3])
     def test_failed_apply_leaves_no_worker_behind(self, tmp_path, n_shards):
